@@ -10,11 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .defect import ExtensionData, FamilyDecomposition, SimpleFamily, consistency, jump_total, ostrowski
 from .errors import PerronvalError
-from .oracle import ArcValuation, AugmentedChain, MonomialValuation, load_oracle
+from .oracle import ArcValuation, AugmentedChain, MonomialValuation, load_oracle, parse_trunc
 from .perron import build_a6_divide, monomialize
 from .poly import parse_polynomial
 from .reduce import Bounds, run_reduction, trace_document
@@ -62,7 +61,7 @@ def cmd_reduce(args) -> int:
     if args.trunc is not None:
         oracle = ArcValuation(
             oracle.frame, oracle.field, oracle.f, oracle.arc,
-            trunc=Fraction(args.trunc), normalization=oracle.normalization,
+            trunc=parse_trunc(args.trunc), normalization=oracle.normalization,
         )
         oracle_doc["trunc"] = args.trunc
     if not oracle.arc_consistency():
@@ -70,7 +69,7 @@ def cmd_reduce(args) -> int:
     bounds = Bounds(
         max_translations=args.max_translations,
         max_perron_steps=args.max_perron_steps,
-        max_approx_steps=args.max_translations,
+        max_approx_steps=args.max_approx_steps,
     )
     result = run_reduction(oracle, bounds)
     doc = trace_document(result, oracle_doc)
@@ -152,6 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trunc", help="override the arc truncation")
     p.add_argument("--max-translations", type=int, default=64)
     p.add_argument("--max-perron-steps", type=int, default=10_000)
+    p.add_argument("--max-approx-steps", type=int, default=64,
+                   help="steps of the best-approximation ladder per translation")
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("perron", help="Perron transform constructions")

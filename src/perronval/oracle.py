@@ -471,6 +471,19 @@ def parse_context(doc) -> GeneratorContext:
     raise InputError(f"unknown context document {doc!r}")
 
 
+def _required(doc: dict, key: str, kind: str):
+    if key not in doc:
+        raise InputError(f"{kind} document is missing {key!r}")
+    return doc[key]
+
+
+def parse_trunc(text) -> Fraction:
+    try:
+        return Fraction(str(text))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"bad truncation {text!r}") from exc
+
+
 def oracle_from_document(doc: dict):
     """Build an oracle from its JSON document (see the README for formats)."""
     if not isinstance(doc, dict):
@@ -480,8 +493,8 @@ def oracle_from_document(doc: dict):
     kind = doc.get("kind")
     if kind == "arc":
         frame, field = parse_ring(doc.get("ring", {}))
-        trunc = Fraction(str(doc["trunc"])) if "trunc" in doc else None
-        f = parse_polynomial(frame, field, doc["f"])
+        trunc = parse_trunc(doc["trunc"]) if "trunc" in doc else None
+        f = parse_polynomial(frame, field, _required(doc, "f", "arc"))
         arc = []
         arc_doc = doc.get("arc", {})
         for i in range(frame.m):
@@ -498,16 +511,16 @@ def oracle_from_document(doc: dict):
     if kind == "monomial":
         frame, field = parse_ring(doc.get("ring", {}), default_n=doc.get("ring", {}).get("m"))
         context = parse_context(doc.get("generators") or doc.get("context"))
-        weights = [parse_value(context, w) for w in doc["weights"]]
+        weights = [parse_value(context, w) for w in _required(doc, "weights", "monomial")]
         return MonomialValuation(frame, weights, field)
     if kind == "chain":
         frame, field = parse_ring(doc.get("ring", {}), default_n=1)
         context = parse_context(doc.get("context"))
         x1_value = parse_value(context, doc.get("x1_value", "1"))
         steps = []
-        for step in doc["steps"]:
-            phi = parse_polynomial(frame, field, step["phi"])
-            gamma = parse_value(context, step["gamma"])
+        for step in _required(doc, "steps", "chain"):
+            phi = parse_polynomial(frame, field, _required(step, "phi", "chain step"))
+            gamma = parse_value(context, _required(step, "gamma", "chain step"))
             steps.append((phi, gamma))
         return AugmentedChain(frame, field, x1_value, steps)
     raise InputError(f"unknown oracle kind {kind!r}")

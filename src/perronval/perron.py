@@ -66,6 +66,8 @@ class PerronTransform:
         if det_int([list(r) for r in self.matrix]) != 1:
             raise InputError("Perron matrices have determinant 1")
         if self.kind == "A1":
+            if n >= self.frame.m:
+                raise InputError("A1 transforms need a dependent last variable (n < m)")
             if self.c is None or self.c.is_zero:
                 raise InputError("A1 transforms need a nonzero constant c")
         elif self.c is not None:
@@ -86,31 +88,30 @@ class PerronTransform:
         return self.frame.bumped()
 
     def images(self, field: FieldSpec):
-        """Images of the old variables in the new frame."""
+        """Images of the old variables in the new frame, one monomial each,
+        read from the matrix rows.  For A1 the last slot holds the unit
+        u = x_m(1) + c, not x_m(1): ``substitute`` expands it by one shift.
+        """
         frame1 = self.new_frame()
         n = self.frame.n
         out = []
-        unit = None
-        if self.kind == "A1":
-            unit = Polynomial.variable(frame1, field, self.frame.m - 1) + self.c
         for i in range(self.frame.m):
+            mono = [0] * frame1.m
             if i < n or (self.kind == "A1" and i == self.frame.m - 1):
                 row = self.matrix[i if i < n else n]
-                img = Polynomial.one(frame1, field)
-                for j in range(n):
-                    if row[j]:
-                        img = img * Polynomial.variable(frame1, field, j) ** row[j]
-                if self.kind == "A1" and row[n]:
-                    img = img * unit ** row[n]
-                out.append(img)
+                mono[:n] = row[:n]
+                if self.kind == "A1":
+                    mono[-1] = row[n]
             else:
-                out.append(Polynomial.variable(frame1, field, i))
+                mono[i] = 1
+            out.append(Polynomial.monomial(frame1, field, mono))
         return out
 
     def substitute(self, f: Polynomial) -> Polynomial:
         if f.frame != self.frame:
             raise InputError("polynomial frame does not match the transform")
-        return f.substitute_map(self.images(f.field))
+        g = f.substitute_map(self.images(f.field))
+        return g.translate_last(self.c) if self.kind == "A1" else g
 
     def inverse_matrix(self):
         return unimodular_inverse([list(r) for r in self.matrix])

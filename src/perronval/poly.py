@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import add
 
 from .errors import DivisionByZero, FrameMismatch, InputError
 from .scalars import INFINITE, FieldSpec, PuiseuxSeries, Scalar
@@ -289,34 +290,63 @@ class Polynomial:
         for img in images:
             if img.frame != target_frame or img.field != self.field:
                 raise FrameMismatch("images live in different frames")
-        result = Polynomial.zero(target_frame, self.field)
-        powers = [{} for _ in range(self.frame.m)]
+        p = self.field.characteristic
+        unit = (0,) * target_frame.m
+        powers = [{1: {m: _raw_value(c) for m, c in img.terms.items()}} for img in images]
 
         def power(i, k):
             cache = powers[i]
             if k not in cache:
-                cache[k] = images[i] ** k
+                half = power(i, k // 2)
+                square = _raw_addmul({}, half, half, p)
+                cache[k] = _raw_addmul({}, square, cache[1], p) if k % 2 else square
             return cache[k]
 
+        result = {}
         for mono, c in self.terms.items():
-            piece = Polynomial.constant(target_frame, self.field, c)
+            piece = {unit: _raw_value(c)}
             for i, e in enumerate(mono):
                 if e:
-                    piece = piece * power(i, e)
-            result = result + piece
-        return result
+                    piece = _raw_addmul({}, piece, power(i, e), p)
+            _raw_addmul(result, piece, {unit: 1}, p)
+        return Polynomial._from_raw(target_frame, self.field, result)
 
     def translate_last(self, h: "Polynomial") -> "Polynomial":
-        """Substitute x_m -> x_m + h, with h free of the last variable."""
+        """Substitute x_m -> x_m + h, with h free of the last variable.
+
+        Classical O(d^2) Taylor shift on the x_m-coefficients a_0..a_d
+        (von zur Gathen and Gerhard, ISSAC 1997): for i = 0..d-1 and
+        j = d-1..i, a_j += h * a_{j+1}.  Only sums and products occur, so it
+        is exact in every characteristic.
+        """
         h = self._coerce(h)
         if h.degree_in_last() > 0:
             raise InputError("translation polynomial must not involve x_m")
-        images = [
-            Polynomial.variable(self.frame, self.field, i)
-            for i in range(self.frame.m)
-        ]
-        images[-1] = images[-1] + h
-        return self.substitute_map(images, self.frame)
+        p = self.field.characteristic
+        d = self.degree_in_last()
+        rows = [{} for _ in range(d + 1)]
+        for mono, c in self.terms.items():
+            rows[mono[-1]][mono[:-1]] = _raw_value(c)
+        step = {mono[:-1]: _raw_value(c) for mono, c in h.terms.items()}
+        for i in range(d):
+            for j in range(d - 1, i - 1, -1):
+                _raw_addmul(rows[j], rows[j + 1], step, p)
+        terms = {base + (k,): v for k, row in enumerate(rows) for base, v in row.items()}
+        return Polynomial._from_raw(self.frame, self.field, terms)
+
+    @classmethod
+    def _from_raw(cls, frame, field, raw) -> "Polynomial":
+        """Polynomial from nonzero raw values (reduced mod p in
+        characteristic p) on valid exponent vectors of ``frame``, as the
+        kernels below produce them."""
+        poly = cls.__new__(cls)
+        poly.frame = frame
+        poly.field = field
+        if field.modular:
+            poly.terms = {mono: Scalar(field, v) for mono, v in raw.items()}
+        else:
+            poly.terms = {mono: Scalar(field, Fraction(v)) for mono, v in raw.items()}
+        return poly
 
     def rename(self, frame: VariableFrame) -> "Polynomial":
         """Same terms in another frame of the same shape (generation bump)."""
@@ -331,25 +361,24 @@ class Polynomial:
         g = x_1^{c_1} .. x_{m-1}^{c_{m-1}} * (x_m + c)^lam * f_1 (for c != 0),
         or g = x_1^{c_1} .. x_m^{c_m} * f_1 (for c = 0), all parts maximal.
         Returns (exponents, lam, f_1).
+
+        For c != 0 the factor (x_m + c)^lam is read off after the shift
+        x_m -> x_m - c, where it becomes x_m^lam; f_1 is divided by it there
+        and shifted back.
         """
         if self.is_zero:
             raise DivisionByZero("strict transform of zero")
         c = self.field.scalar(c)
-        mins = self.min_exponents()
-        exps = list(mins)
-        lam = 0
-        if not c.is_zero:
-            exps[-1] = 0
+        exps = list(self.min_exponents())
+        if c.is_zero:
+            return tuple(exps), 0, self.divide_by_monomial(tuple(exps))
+        exps[-1] = 0
         f1 = self.divide_by_monomial(tuple(exps))
-        if not c.is_zero:
-            unit = Polynomial.variable(self.frame, self.field, self.frame.m - 1) + c
-            while True:
-                q, r = f1.divmod_last(unit)
-                if r.is_zero and not q.is_zero:
-                    f1 = q
-                    lam += 1
-                else:
-                    break
+        shifted = f1.translate_last(-c)
+        lam = shifted.min_exponents()[-1]
+        if lam:
+            xm_lam = (0,) * (self.frame.m - 1) + (lam,)
+            f1 = shifted.divide_by_monomial(xm_lam).translate_last(c)
         return tuple(exps), lam, f1
 
     # -- arc evaluation -------------------------------------------------------
@@ -382,6 +411,30 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({format_polynomial(self)!r})"
+
+
+def _raw_value(c: Scalar):
+    """Value of c for the raw kernels: an int mod p, an int for an integral
+    rational (int arithmetic is far cheaper than Fraction arithmetic), or a
+    Fraction.  ``Polynomial._from_raw`` turns rationals back into Fractions."""
+    v = c.value
+    return v.numerator if v.denominator == 1 else v
+
+
+def _raw_addmul(acc: dict, a: dict, b: dict, p: int) -> dict:
+    """acc += a * b on raw term maps (values reduced mod p when p != 0);
+    zero sums are dropped, so every stored value is nonzero.  Returns acc."""
+    for m2, c2 in b.items():
+        for m1, c1 in a.items():
+            mono = tuple(map(add, m1, m2))
+            v = acc.get(mono, 0) + c1 * c2
+            if p:
+                v %= p
+            if v:
+                acc[mono] = v
+            else:
+                del acc[mono]
+    return acc
 
 
 @dataclass(frozen=True)

@@ -47,14 +47,37 @@ class Infinite:
 INFINITE = Infinite()
 
 
+# Miller-Rabin with the first 12 primes as bases is exact for every
+# n < 3.18 * 10^23 (the least strong pseudoprime to all of them; Sorenson and
+# Webster, 2015), so below PRIME_BOUND no probabilistic step decides anything.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+PRIME_BOUND = 2**64
+
+
 def is_prime(p: int) -> bool:
+    """Deterministic primality for p < PRIME_BOUND; larger p raise
+    InputError rather than be decided (or searched) at all."""
+    if p >= PRIME_BOUND:
+        raise InputError(f"characteristic {p} is not below 2^64")
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for q in _MR_BASES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -437,3 +437,14 @@ def test_criterion_9_trace_replay():
         assert replay_trace(round_trip) == trace["final_f"]
         replayed += 1
     _report(9, f"{replayed} traces replay byte-identically")
+
+
+def test_fibonacci_13_21_reduction():
+    # one A1 step whose strict transform splits off (x2(1) + c)^168: two
+    # Taylor shifts, where repeated long division took 169 divisions
+    doc = arcdoc(0, "x2^13 - x1^21", {"x1": "t^13", "x2": "t^21"}, trunc=600)
+    res = run_reduction(oracle_from_document(doc))
+    assert res.status == "REDUCED-TO-SMOOTH"
+    assert (res.r_initial, res.r_final) == (13, 1)
+    assert replay_matches(trace_document(res, doc))
+    _report("13/21", "x2^13 - x1^21 reduced from r 13 to 1; replay matches")

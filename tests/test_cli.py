@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from perronval.cli import main
 from perronval.reduce import replay_matches
 
@@ -60,6 +62,29 @@ class TestValuate:
         assert capsys.readouterr().out.strip().startswith("ABOVE-TRUNCATION(")
 
 
+def without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+@pytest.mark.parametrize("doc", [
+    without(WEIGHTS, "weights"),
+    without(CHAIN, "steps"),
+    without(CUSP, "f"),
+    {**CUSP, "trunc": "abc"},
+], ids=["monomial-no-weights", "chain-no-steps", "arc-no-f", "arc-bad-trunc"])
+def test_malformed_oracle_document_exits_2(tmp_path, capsys, doc):
+    oracle = write(tmp_path, "bad.json", doc)
+    assert main(["valuate", "--oracle", oracle, "--poly", "x2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: INPUT") and "Traceback" not in err
+
+
+def test_huge_characteristic_exits_2(tmp_path, capsys):
+    oracle = write(tmp_path, "big.json", {**CUSP, "ring": {"m": 2, "char": 2**80, "n": 1}})
+    assert main(["valuate", "--oracle", oracle, "--poly", "x2"]) == 2
+    assert "2^64" in capsys.readouterr().err
+
+
 class TestReduce:
     def test_cusp_trace(self, tmp_path, capsys):
         oracle = write(tmp_path, "cusp.json", CUSP)
@@ -102,6 +127,28 @@ class TestReduce:
         }
         oracle = write(tmp_path, "c.json", doc)
         assert main(["reduce", "--oracle", oracle, "--max-translations", "0"]) == 4
+
+    def test_each_bound_limits_its_own_loop(self, tmp_path, capsys):
+        # one translation, found by a two-step approximation ladder x1, x1^2
+        doc = {
+            "version": 1, "kind": "arc",
+            "ring": {"m": 2, "char": 2, "n": 1},
+            "f": "x2^2 + x1^2 + x1^4 + x1^5",
+            "arc": {"x1": "t", "x2": "t + t^2 + t^(5/2)"},
+            "trunc": 40,
+        }
+        oracle = write(tmp_path, "c.json", doc)
+        assert main(["reduce", "--oracle", oracle, "--max-translations", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "REDUCED-TO-SMOOTH"
+        assert main(["reduce", "--oracle", oracle, "--max-approx-steps", "1"]) == 3
+        trace = json.loads(capsys.readouterr().out)
+        assert trace["diagnostics"]["reason"] == "STEP-BOUND"
+        assert trace["diagnostics"]["ladder"] == ["1", "2"]
+
+    def test_bad_trunc_override_exits_2(self, tmp_path, capsys):
+        oracle = write(tmp_path, "cusp.json", CUSP)
+        assert main(["reduce", "--oracle", oracle, "--trunc", "abc"]) == 2
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestPerron:

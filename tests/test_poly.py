@@ -18,6 +18,7 @@ Q = FieldSpec(0)
 F2 = FieldSpec(2)
 F5 = FieldSpec(5)
 FR = VariableFrame(m=2, n=1)
+FIELDS = (Q, F2, FieldSpec(3), F5, FieldSpec(7))
 
 
 def P(text, frame=FR, field=Q):
@@ -135,6 +136,41 @@ class TestStrictTransform:
                 back = back * unit**lam
             assert back == f
 
+    def test_matches_division_reference(self):
+        # g = x^e * (x_m + c)^lam * f1 with lam up to p + 2, so lam >= p occurs
+        rng = random.Random(29)
+        frame = VariableFrame(m=3, n=2)
+        for field in FIELDS:
+            for _ in range(12):
+                f1 = _random_poly(rng, frame, field, max_terms=4, max_exp=3)
+                if f1.is_zero:
+                    continue
+                c = field.scalar(rng.randint(1, 6))
+                if c.is_zero:
+                    c = field.one
+                lam = rng.randint(0, field.characteristic + 2 if field.modular else 6)
+                e = tuple(rng.randint(0, 3) for _ in range(2)) + (0,)
+                unit = Polynomial.variable(frame, field, 2) + c
+                g = Polynomial.monomial(frame, field, e) * unit**lam * f1
+                got = g.strict_transform(c)
+                assert got == _strict_by_division(g, c)
+                assert got[1] >= lam
+
+
+def _strict_by_division(g, c):
+    """Reference strict transform: repeated division by (x_m + c)."""
+    exps = list(g.min_exponents())
+    exps[-1] = 0
+    f1 = g.divide_by_monomial(tuple(exps))
+    unit = Polynomial.variable(g.frame, g.field, g.frame.m - 1) + c
+    lam = 0
+    while True:
+        q, r = f1.divmod_last(unit)
+        if not r.is_zero or q.is_zero:
+            return tuple(exps), lam, f1
+        f1 = q
+        lam += 1
+
 
 class TestArcEvaluation:
     def test_cusp_parametrization(self):
@@ -168,6 +204,26 @@ class TestTranslateAndDerivative:
         g = f.translate_last(P("x1"))
         assert g == P("x2^2 - x1^5")
         assert g.ord_last() == f.ord_last() == 2
+
+    def test_taylor_shift_random(self):
+        # x_m-degree up to 9 exceeds every p below, so some binomials vanish mod p
+        rng = random.Random(31)
+        frame = VariableFrame(m=3, n=2)
+        for field in FIELDS:
+            xm = Polynomial.variable(frame, field, 2)
+            ident = [Polynomial.variable(frame, field, i) for i in range(2)]
+            for _ in range(15):
+                f = _random_poly(rng, frame, field, max_terms=6, max_exp=9)
+                h = _random_poly(rng, frame, field, max_terms=3, max_exp=2)
+                h = Polynomial(frame, field, {m[:-1] + (0,): c for m, c in h.terms.items()})
+                g = f.translate_last(h)
+                assert g.translate_last(-h) == f
+                assert g == f.substitute_map(ident + [xm + h])
+                ref = Polynomial.zero(frame, field)
+                for mono, c in f.terms.items():
+                    base = Polynomial.monomial(frame, field, mono[:-1] + (0,), c)
+                    ref = ref + base * (xm + h) ** mono[-1]
+                assert g == ref
 
     def test_partial_last(self):
         assert P("x2^2 - x1^3").partial_last() == P("2*x2")

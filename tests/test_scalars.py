@@ -8,6 +8,7 @@ from perronval.scalars import (
     FieldSpec,
     PuiseuxSeries,
     format_series,
+    is_prime,
     parse_series,
     scalar_arith,
 )
@@ -31,6 +32,24 @@ class TestScalar:
     def test_characteristic_must_be_prime(self):
         with pytest.raises(InputError):
             FieldSpec(6)
+
+    def test_large_characteristics(self):
+        assert FieldSpec(2**61 - 1).characteristic == 2**61 - 1
+        with pytest.raises(InputError):
+            FieldSpec((2**31 - 1) * (2**29 - 3))  # 60-bit semiprime
+        with pytest.raises(InputError, match="2\\^64"):
+            FieldSpec(2**80)
+
+    def test_is_prime_matches_trial_division(self):
+        def trial(n):
+            return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+        assert [n for n in range(-3, 5000) if is_prime(n)] == [
+            n for n in range(-3, 5000) if trial(n)
+        ]
+        # composites that pass Miller-Rabin for the first 4 to 9 prime bases
+        assert not any(is_prime(n) for n in (3215031751, 2152302898747, 3474749660383,
+                                             341550071728321, 3825123056546413051))
 
     def test_canonical_modular_form(self):
         assert F5.scalar(-3).value == 2
