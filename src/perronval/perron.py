@@ -87,10 +87,11 @@ class PerronTransform:
     def new_frame(self) -> VariableFrame:
         return self.frame.bumped()
 
-    def images(self, field: FieldSpec):
-        """Images of the old variables in the new frame, one monomial each,
-        read from the matrix rows.  For A1 the last slot holds the unit
-        u = x_m(1) + c, not x_m(1): ``substitute`` expands it by one shift.
+    def _monomial_images(self, field: FieldSpec):
+        """One monomial per old variable, read from the matrix rows.  For A1
+        the new last variable stands for the unit u = x_m(1) + c, so these
+        are the images only up to the shift x_m(1) -> x_m(1) + c that
+        ``substitute`` applies afterwards.
         """
         frame1 = self.new_frame()
         n = self.frame.n
@@ -110,7 +111,7 @@ class PerronTransform:
     def substitute(self, f: Polynomial) -> Polynomial:
         if f.frame != self.frame:
             raise InputError("polynomial frame does not match the transform")
-        g = f.substitute_map(self.images(f.field))
+        g = f.substitute_map(self._monomial_images(f.field))
         return g.translate_last(self.c) if self.kind == "A1" else g
 
     def inverse_matrix(self):

@@ -143,31 +143,17 @@ class Polynomial:
                 self.frame, self.field, {m: c * c0 for m, c in self.terms.items()}
             )
         other = self._coerce(other)
-        terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                c = c1 * c2
-                if mono in terms:
-                    terms[mono] = terms[mono] + c
-                else:
-                    terms[mono] = c
-        return Polynomial(self.frame, self.field, terms)
+        raw = _raw_addmul({}, _raw_terms(self), _raw_terms(other), self.field.characteristic)
+        return Polynomial._from_raw(self.frame, self.field, raw)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise InputError("polynomial powers must be nonnegative integers")
-        result = Polynomial.one(self.frame, self.field)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        unit = (0,) * self.frame.m
+        raw = _raw_pow(_raw_terms(self), k, self.field.characteristic, unit)
+        return Polynomial._from_raw(self.frame, self.field, raw)
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -292,23 +278,22 @@ class Polynomial:
                 raise FrameMismatch("images live in different frames")
         p = self.field.characteristic
         unit = (0,) * target_frame.m
-        powers = [{1: {m: _raw_value(c) for m, c in img.terms.items()}} for img in images]
-
-        def power(i, k):
-            cache = powers[i]
-            if k not in cache:
-                half = power(i, k // 2)
-                square = _raw_addmul({}, half, half, p)
-                cache[k] = _raw_addmul({}, square, cache[1], p) if k % 2 else square
-            return cache[k]
-
+        bases = [_raw_terms(img) for img in images]
+        powers = {}
         result = {}
         for mono, c in self.terms.items():
-            piece = {unit: _raw_value(c)}
+            factors = []
             for i, e in enumerate(mono):
                 if e:
-                    piece = _raw_addmul({}, piece, power(i, e), p)
-            _raw_addmul(result, piece, {unit: 1}, p)
+                    if (i, e) not in powers:
+                        powers[i, e] = _raw_pow(bases[i], e, p, unit)
+                    factors.append(powers[i, e])
+            # the last factor is multiplied straight into the result
+            last = factors.pop() if factors else {unit: 1}
+            piece = {unit: _raw_value(c)}
+            for factor in factors:
+                piece = _raw_addmul({}, piece, factor, p)
+            _raw_addmul(result, piece, last, p)
         return Polynomial._from_raw(target_frame, self.field, result)
 
     def translate_last(self, h: "Polynomial") -> "Polynomial":
@@ -325,9 +310,9 @@ class Polynomial:
         p = self.field.characteristic
         d = self.degree_in_last()
         rows = [{} for _ in range(d + 1)]
-        for mono, c in self.terms.items():
-            rows[mono[-1]][mono[:-1]] = _raw_value(c)
-        step = {mono[:-1]: _raw_value(c) for mono, c in h.terms.items()}
+        for mono, v in _raw_terms(self).items():
+            rows[mono[-1]][mono[:-1]] = v
+        step = {mono[:-1]: v for mono, v in _raw_terms(h).items()}
         for i in range(d):
             for j in range(d - 1, i - 1, -1):
                 _raw_addmul(rows[j], rows[j + 1], step, p)
@@ -421,6 +406,10 @@ def _raw_value(c: Scalar):
     return v.numerator if v.denominator == 1 else v
 
 
+def _raw_terms(f: Polynomial) -> dict:
+    return {mono: _raw_value(c) for mono, c in f.terms.items()}
+
+
 def _raw_addmul(acc: dict, a: dict, b: dict, p: int) -> dict:
     """acc += a * b on raw term maps (values reduced mod p when p != 0);
     zero sums are dropped, so every stored value is nonzero.  Returns acc."""
@@ -435,6 +424,18 @@ def _raw_addmul(acc: dict, a: dict, b: dict, p: int) -> dict:
             else:
                 del acc[mono]
     return acc
+
+
+def _raw_pow(a: dict, k: int, p: int, unit: Mono) -> dict:
+    """a**k on a raw term map by binary powering with ``_raw_addmul``."""
+    result = {unit: 1}
+    while k:
+        if k & 1:
+            result = _raw_addmul({}, result, a, p)
+        k >>= 1
+        if k:
+            a = _raw_addmul({}, a, a, p)
+    return result
 
 
 @dataclass(frozen=True)

@@ -46,13 +46,13 @@ class TestTransformValidation:
         with pytest.raises(InputError):
             PerronTransform("A1", ((1, 0, 0), (0, 1, 0), (0, 0, 1)), FR2, c=Q.one)
 
-    def test_a1_images_hold_the_unit_slot(self):
+    def test_a1_substitutes_the_unit(self):
         tau = PerronTransform("A1", ((2, 1), (3, 2)), FR1, c=Q.one)
         frame1 = FR1.bumped()
-        assert tau.images(Q) == [Polynomial.monomial(frame1, Q, (2, 1)),
-                                 Polynomial.monomial(frame1, Q, (3, 2))]
         unit = Polynomial.variable(frame1, Q, 1) + Q.one
+        x1 = Polynomial.variable(FR1, Q, 0)
         x2 = Polynomial.variable(FR1, Q, 1)
+        assert tau.substitute(x1) == Polynomial.monomial(frame1, Q, (2, 0)) * unit
         assert tau.substitute(x2) == Polynomial.monomial(frame1, Q, (3, 0)) * unit**2
 
 
