@@ -9,15 +9,12 @@ from .poly import Polynomial, VariableFrame, parse_polynomial, parse_ring_header
 from .reduce import (
     Bounds,
     ReductionResult,
-    ReductionState,
     case2_finish,
     char0_translate,
     defectless_translate,
     lrm_step,
-    reduce_multiplicity,
     replay_trace,
     run_reduction,
-    state_from_oracle,
     trace_document,
 )
 from .scalars import INFINITE, FieldSpec, PuiseuxSeries, Scalar, parse_series
@@ -26,7 +23,6 @@ from .valgroup import (
     RATIONAL,
     Value,
     ValueLattice,
-    cmp,
     lattice_index,
     member,
     parse_value,

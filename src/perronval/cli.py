@@ -13,7 +13,15 @@ import sys
 
 from .defect import ExtensionData, FamilyDecomposition, SimpleFamily, consistency, jump_total, ostrowski
 from .errors import PerronvalError
-from .oracle import ArcValuation, AugmentedChain, MonomialValuation, load_oracle, parse_trunc
+from .oracle import (
+    ArcValuation,
+    AugmentedChain,
+    MonomialValuation,
+    load_oracle,
+    oracle_from_document,
+    parse_trunc,
+    read_document,
+)
 from .perron import build_a6_divide, monomialize
 from .poly import parse_polynomial
 from .reduce import Bounds, run_reduction, trace_document
@@ -53,9 +61,8 @@ def cmd_chain_value(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    with open(args.oracle, "r", encoding="utf-8") as fh:
-        oracle_doc = json.load(fh)
-    oracle = load_oracle(args.oracle)
+    oracle_doc = read_document(args.oracle)
+    oracle = oracle_from_document(oracle_doc)
     if not isinstance(oracle, ArcValuation):
         raise PerronvalError("reduce needs an arc oracle document")
     if args.trunc is not None:

@@ -30,13 +30,14 @@ from .errors import (
     ValueMismatch,
 )
 from .poly import Polynomial, VariableFrame, parse_polynomial
-from .scalars import FieldSpec, PuiseuxSeries, Scalar, parse_series
+from .scalars import FieldSpec, PuiseuxSeries, Scalar, parse_rational, parse_series
 from .valgroup import (
     GeneratorContext,
     RATIONAL,
     Value,
     ValueLattice,
     member,
+    pairing,
     parse_value,
     quadratic,
     format_value,
@@ -121,13 +122,6 @@ class MonomialValuation:
             pass
         raise InputError("weights of x_1..x_n are rationally dependent")
 
-    def monomial_value(self, exps) -> Value:
-        total = self.context.zero()
-        for e, w in zip(exps, self.weights):
-            if e:
-                total = total + w.scale(e)
-        return total
-
     def value(self, g: Polynomial) -> ValueResult:
         if g.frame != self.frame:
             raise FrameMismatch("polynomial frame does not match the oracle")
@@ -135,7 +129,7 @@ class MonomialValuation:
             return ValueResult.infinite()
         best = None
         for mono in g.terms:
-            v = self.monomial_value(mono)
+            v = pairing(mono, self.weights)
             if best is None or v < best:
                 best = v
         return ValueResult.finite(best)
@@ -147,7 +141,7 @@ class MonomialValuation:
             raise InputError("no minimal monomial for the zero polynomial")
         return [
             mono for mono in g.terms
-            if self.monomial_value(mono) == target.value
+            if pairing(mono, self.weights) == target.value
         ]
 
     def residue(self, g: Polynomial, u: Polynomial) -> Scalar:
@@ -186,6 +180,11 @@ class ArcValuation:
         self.f = f
         if f.frame != frame or f.field != field:
             raise FrameMismatch("hypersurface does not match the oracle frame")
+        # a multiple of f is certified by exact division in x_m, which needs
+        # an x_m-leading coefficient that is a nonzero constant
+        self._divides_exactly = (
+            f.degree_in_last() >= 1 and f.lead_constant_last() is not None
+        )
         arc = tuple(
             s if trunc is None else s.truncated(trunc) for s in arc
         )
@@ -213,12 +212,8 @@ class ArcValuation:
             raise FrameMismatch("polynomial frame does not match the oracle")
         if g.is_zero:
             return ValueResult.infinite()
-        if not self.f.is_zero and self.f.degree_in_last() >= 1:
-            exp = self.f.expand_last()
-            lead = self.f.coefficient_of_last(exp.e)
-            if len(lead.terms) == 1 and all(e == 0 for e in next(iter(lead.terms))):
-                if g.divisible_by(self.f):
-                    return ValueResult.infinite()
+        if self._divides_exactly and g.divisible_by(self.f):
+            return ValueResult.infinite()
         series = self.series_of(g)
         q = series.order()
         if q is not None:
@@ -271,17 +266,8 @@ class ArcValuation:
     def translated(self, h: Polynomial, new_f: Polynomial) -> "ArcValuation":
         """Oracle after the change of variable x_m -> x_m + h (h in the base);
         the arc component of x_m drops by h(arc)."""
-        base = self.arc[: self.frame.m - 1]
-        h_series = h.evaluate_at_arc(self.arc)
-        new_last = self.arc[-1] - h_series
-        return ArcValuation(
-            self.frame,
-            self.field,
-            new_f,
-            tuple(base) + (new_last,),
-            trunc=None,
-            normalization=self.normalization,
-        )
+        new_last = self.arc[-1] - h.evaluate_at_arc(self.arc)
+        return self.with_arc(self.frame, new_f, self.arc[:-1] + (new_last,))
 
     def with_arc(self, new_frame, new_f, new_arc) -> "ArcValuation":
         return ArcValuation(
@@ -451,43 +437,54 @@ class AugmentedChain:
 # Oracle documents
 
 def parse_ring(doc: dict, default_n=None):
+    _typed(doc, dict, "ring")
     try:
         m = int(doc["m"])
         char = int(doc.get("char", 0))
+        n = int(doc["n"]) if "n" in doc else int(default_n or max(m - 1, 1))
+        gen = int(doc.get("gen", 0))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad ring document: {exc}") from exc
-    n = int(doc["n"]) if "n" in doc else (default_n if default_n else max(m - 1, 1))
-    gen = int(doc.get("gen", 0))
     return VariableFrame(m=m, n=n, generation=gen), FieldSpec(characteristic=char)
 
 
 def parse_context(doc) -> GeneratorContext:
     if doc is None:
         return RATIONAL
+    _typed(doc, dict, "context")
     if doc.get("kind") == "rational":
         return RATIONAL
     if doc.get("kind") == "quadratic":
-        return quadratic(int(doc["d"]))
+        try:
+            return quadratic(int(doc["d"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"bad quadratic context: {exc}") from exc
     raise InputError(f"unknown context document {doc!r}")
 
 
+def _typed(value, kind: type, what: str):
+    if not isinstance(value, kind):
+        shape = "object" if kind is dict else "array"
+        raise InputError(f"{what} must be a JSON {shape}, got {value!r}")
+    return value
+
+
 def _required(doc: dict, key: str, kind: str):
-    if key not in doc:
+    if key not in _typed(doc, dict, f"{kind} document"):
         raise InputError(f"{kind} document is missing {key!r}")
     return doc[key]
 
 
 def parse_trunc(text) -> Fraction:
-    try:
-        return Fraction(str(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad truncation {text!r}") from exc
+    """A truncation given as a JSON integer or a rational literal."""
+    if isinstance(text, bool) or not isinstance(text, (int, str)):
+        raise InputError(f"bad truncation {text!r}")
+    return parse_rational(str(text))
 
 
 def oracle_from_document(doc: dict):
     """Build an oracle from its JSON document (see the README for formats)."""
-    if not isinstance(doc, dict):
-        raise InputError("oracle document must be a JSON object")
+    _typed(doc, dict, "oracle document")
     if doc.get("version") not in (None, DOCUMENT_VERSION):
         raise InputError(f"unsupported document version {doc.get('version')!r}")
     kind = doc.get("kind")
@@ -496,7 +493,7 @@ def oracle_from_document(doc: dict):
         trunc = parse_trunc(doc["trunc"]) if "trunc" in doc else None
         f = parse_polynomial(frame, field, _required(doc, "f", "arc"))
         arc = []
-        arc_doc = doc.get("arc", {})
+        arc_doc = _typed(doc.get("arc", {}), dict, "arc")
         for i in range(frame.m):
             name = frame.var_name(i)
             if name not in arc_doc:
@@ -509,16 +506,18 @@ def oracle_from_document(doc: dict):
         return ArcValuation(frame, field, f, tuple(arc), trunc=trunc,
                             normalization=normalization)
     if kind == "monomial":
-        frame, field = parse_ring(doc.get("ring", {}), default_n=doc.get("ring", {}).get("m"))
+        ring = _typed(doc.get("ring", {}), dict, "ring")
+        frame, field = parse_ring(ring, default_n=ring.get("m"))
         context = parse_context(doc.get("generators") or doc.get("context"))
-        weights = [parse_value(context, w) for w in _required(doc, "weights", "monomial")]
+        weights = [parse_value(context, w)
+                   for w in _typed(_required(doc, "weights", "monomial"), list, "weights")]
         return MonomialValuation(frame, weights, field)
     if kind == "chain":
         frame, field = parse_ring(doc.get("ring", {}), default_n=1)
         context = parse_context(doc.get("context"))
         x1_value = parse_value(context, doc.get("x1_value", "1"))
         steps = []
-        for step in _required(doc, "steps", "chain"):
+        for step in _typed(_required(doc, "steps", "chain"), list, "steps"):
             phi = parse_polynomial(frame, field, _required(step, "phi", "chain step"))
             gamma = parse_value(context, _required(step, "gamma", "chain step"))
             steps.append((phi, gamma))
@@ -526,10 +525,15 @@ def oracle_from_document(doc: dict):
     raise InputError(f"unknown oracle kind {kind!r}")
 
 
-def load_oracle(path: str):
+def read_document(path: str):
+    """The JSON document in ``path``; unreadable or malformed files (a number
+    beyond the interpreter's digit limit included) raise InputError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
         raise InputError(f"cannot read oracle document {path}: {exc}") from exc
-    return oracle_from_document(doc)
+
+
+def load_oracle(path: str):
+    return oracle_from_document(read_document(path))

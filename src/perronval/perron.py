@@ -36,6 +36,7 @@ from .valgroup import (
     Value,
     det_int,
     identity_matrix,
+    pairing,
     rational_relation,
     unimodular_inverse,
 )
@@ -126,15 +127,7 @@ class PerronTransform:
         """
         if len(values) != self.size:
             raise InputError("value count does not match the matrix size")
-        inv = self.inverse_matrix()
-        context = values[0].context
-        out = []
-        for i in range(self.size):
-            total = context.zero()
-            for j in range(self.size):
-                if inv[i][j]:
-                    total = total + values[j].scale(inv[i][j])
-            out.append(total)
+        out = [pairing(row, values) for row in self.inverse_matrix()]
         if self.kind == "A1" and not out[-1].is_zero:
             raise InputError("A1 inverse did not send the unit slot to value 0")
         return out
@@ -207,16 +200,7 @@ def build_a6_divide(m1, m2, weights, frame: VariableFrame,
     if len(weights) < n:
         raise InputError("need a weight per active variable")
     w = list(weights[:n])
-    context = w[0].context
-
-    def pairing(exps):
-        total = context.zero()
-        for e, wt in zip(exps, w):
-            if e:
-                total = total + wt.scale(e)
-        return total
-
-    if not pairing(m1) < pairing(m2):
+    if not pairing(m1, w) < pairing(m2, w):
         raise PreconditionError("need value(M1) < value(M2)")
     delta = [m2[j] - m1[j] for j in range(n)]
     matrix = identity_matrix(n)
@@ -308,15 +292,6 @@ def monomialize(g: Polynomial, weights, frame: VariableFrame,
                 "monomialization needs support in the independent block"
             )
     w = list(weights[:n])
-    context = w[0].context
-
-    def pairing(exps):
-        total = context.zero()
-        for e, wt in zip(exps, w):
-            if e:
-                total = total + wt.scale(e)
-        return total
-
     transforms = []
     current = g
     rounds = 0
@@ -325,7 +300,7 @@ def monomialize(g: Polynomial, weights, frame: VariableFrame,
             raise StepBoundExceeded("monomialization exceeded the step bound")
         rounds += 1
         support = sorted(current.terms)
-        values = [pairing(mono) for mono in support]
+        values = [pairing(mono, w) for mono in support]
         best = min(range(len(support)), key=lambda i: values[i])
         ties = [i for i in range(len(support)) if values[i] == values[best]]
         if len(ties) > 1:
@@ -362,15 +337,7 @@ def verify_cramer(tau: PerronTransform, d, e, values) -> bool:
         raise InputError("exponent vectors must have length n+1")
     if len(values) != size:
         raise InputError("need the n+1 old active values")
-    context = values[0].context
-    vd = context.zero()
-    ve = context.zero()
-    for i in range(size):
-        if d[i]:
-            vd = vd + values[i].scale(d[i])
-        if e[i]:
-            ve = ve + values[i].scale(e[i])
-    if vd != ve:
+    if pairing(d, values) != pairing(e, values):
         raise ValueMismatch("the two monomials do not have equal value")
     matrix = [list(r) for r in tau.matrix]
     a = [[matrix[j][i] for j in range(size)] for i in range(size)]  # transpose

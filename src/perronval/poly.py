@@ -16,7 +16,7 @@ from fractions import Fraction
 from operator import add
 
 from .errors import DivisionByZero, FrameMismatch, InputError
-from .scalars import INFINITE, FieldSpec, PuiseuxSeries, Scalar
+from .scalars import INFINITE, FieldSpec, PuiseuxSeries, Scalar, parse_rational
 
 Mono = tuple  # exponent vector of length frame.m
 
@@ -184,6 +184,15 @@ class Polynomial:
                     best = mono[-1]
         return INFINITE if best is None else best
 
+    def lead_constant_last(self) -> Scalar | None:
+        """The x_m-leading coefficient when it is a constant (hence nonzero),
+        else None; None for the zero polynomial."""
+        d = self.degree_in_last()
+        c = self.terms.get((0,) * (self.frame.m - 1) + (d,))
+        if c is None or sum(1 for mono in self.terms if mono[-1] == d) != 1:
+            return None
+        return c
+
     def coefficient_of_last(self, i: int) -> "Polynomial":
         terms = {}
         for mono, c in self.terms.items():
@@ -234,10 +243,9 @@ class Polynomial:
         d = divisor.degree_in_last()
         if d < 0:
             raise DivisionByZero("division by zero polynomial")
-        lead = divisor.coefficient_of_last(d)
-        if len(lead.terms) != 1 or any(e != 0 for e in next(iter(lead.terms))):
+        lc = divisor.lead_constant_last()
+        if lc is None:
             raise InputError("divisor is not monic-like in the last variable")
-        lc = lead.constant_term()
         q = Polynomial.zero(self.frame, self.field)
         r = self
         while not r.is_zero and r.degree_in_last() >= d:
@@ -506,6 +514,8 @@ _RAT_RE = re.compile(r"^\d+(?:/\d+)?$")
 def parse_polynomial(frame: VariableFrame, field: FieldSpec, text: str) -> Polynomial:
     """Parse terms joined by + and -; a term is an optional rational
     coefficient times ``x<i>[^k]`` factors joined by ``*``."""
+    if not isinstance(text, str):
+        raise InputError(f"polynomial literal must be a string, got {text!r}")
     text = text.strip()
     if not text:
         raise InputError("empty polynomial literal")
@@ -526,21 +536,25 @@ def parse_polynomial(frame: VariableFrame, field: FieldSpec, text: str) -> Polyn
             if not factor:
                 raise InputError(f"empty factor in term {chunk!r}")
             if _RAT_RE.match(factor):
-                coeff *= Fraction(factor)
+                coeff *= parse_rational(factor)
                 continue
             m = _VAR_RE.match(factor)
             if not m:
                 raise InputError(f"bad factor {factor!r}")
-            idx = int(m.group("idx")) - 1
-            if not 0 <= idx < frame.m:
-                raise InputError(f"variable x{idx + 1} outside the frame")
-            gen = m.group("gen")
-            if gen is not None and int(gen) != frame.generation:
+            idx, gen, exp = m.group("idx", "gen", "exp")
+            try:
+                idx, exp = int(idx), int(exp or 1)
+                gen = None if gen is None else int(gen)
+            except ValueError as exc:  # more digits than int() converts
+                raise InputError(f"factor {factor[:40]!r}... is too long") from exc
+            if not 1 <= idx <= frame.m:
+                raise InputError(f"variable x{idx} outside the frame")
+            if gen is not None and gen != frame.generation:
                 raise InputError(
                     f"generation ({gen}) does not match frame generation "
                     f"{frame.generation}"
                 )
-            mono[idx] += int(m.group("exp") or 1)
+            mono[idx - 1] += exp
         term = Polynomial.monomial(frame, field, mono, field.scalar(coeff))
         result = result + term
     return result

@@ -90,62 +90,32 @@ class SigmaData:
 
 @dataclass(frozen=True)
 class TraceStep:
-    kind: str  # ELU | A6 | A1 | TRANSLATE-CHAR0 | TRANSLATE-DEFECTLESS | CASE2 | STRICT-TRANSFORM
+    kind: str  # A6 | A1 | TRANSLATE-CHAR0 | TRANSLATE-DEFECTLESS | CASE2 | STRICT-TRANSFORM
     payload: dict
 
 
-@dataclass(frozen=True)
-class ReductionState:
-    oracle: ArcValuation
-
-    def __post_init__(self):
-        if not isinstance(self.oracle, ArcValuation):
-            raise Unsupported("the reduction driver needs an arc oracle")
-
-    @property
-    def frame(self):
-        return self.oracle.frame
-
-    @property
-    def field(self):
-        return self.oracle.field
-
-    @property
-    def f(self) -> Polynomial:
-        return self.oracle.f
-
-    @property
-    def r(self):
-        return self.f.ord_last()
-
-    def xm(self) -> Polynomial:
-        return Polynomial.variable(self.frame, self.field, self.frame.m - 1)
-
-    def sanity_check(self):
-        f = self.f
-        if f.is_zero:
-            raise InputError("the hypersurface is zero")
-        exp = f.expand_last()
-        if not exp.monic:
-            raise InputError("f must be monic in the last variable")
-        for i in range(self.frame.m):
-            mono = [0] * self.frame.m
-            mono[i] = 1
-            if f.divisible_by(Polynomial.monomial(self.frame, self.field, mono)):
-                raise InputError("f is divisible by a variable")
-        if not f.constant_term().is_zero:
-            raise InputError("the center does not lie on the hypersurface")
-        r = f.ord_last()
-        if r is INFINITE:
-            raise InputError("ord f(0,..,0,x_m) is infinite")
-        if r < 1:
-            raise InputError("the center does not lie on the hypersurface")
+def _xm(oracle: ArcValuation) -> Polynomial:
+    return Polynomial.variable(oracle.frame, oracle.field, oracle.frame.m - 1)
 
 
-def state_from_oracle(oracle: ArcValuation) -> ReductionState:
-    state = ReductionState(oracle)
-    state.sanity_check()
-    return state
+def _check_input(oracle):
+    """Reject what the driver cannot run on: a non-arc oracle, a zero f, f
+    divisible by a variable, f not monic in x_m, or a center off f = 0.  A
+    monic f through the center has 1 <= ord f(0,..,0,x_m) <= deg f."""
+    if not isinstance(oracle, ArcValuation):
+        raise Unsupported("the reduction driver needs an arc oracle")
+    f, frame = oracle.f, oracle.frame
+    if f.is_zero:
+        raise InputError("the hypersurface is zero")
+    for i in range(frame.m):
+        mono = [0] * frame.m
+        mono[i] = 1
+        if f.divisible_by(Polynomial.monomial(frame, oracle.field, mono)):
+            raise InputError("f is divisible by a variable")
+    if not f.expand_last().monic:
+        raise InputError("f must be monic in the last variable")
+    if not f.constant_term().is_zero:
+        raise InputError("the center does not lie on the hypersurface")
 
 
 def _strict_sanity(f1: Polynomial):
@@ -172,23 +142,20 @@ def _strict_sanity(f1: Polynomial):
 
 def _monic_normalize(f1: Polynomial) -> Polynomial:
     """Divide by the x_m-leading coefficient when it is a nonzero constant."""
-    e = f1.degree_in_last()
-    lead = f1.coefficient_of_last(e)
-    if len(lead.terms) == 1 and all(v == 0 for v in next(iter(lead.terms))):
-        c = lead.constant_term()
-        if not c.is_zero and c != f1.field.one:
-            return f1 * c.inverse()
+    c = f1.lead_constant_last()
+    if c is not None and c != f1.field.one:
+        return f1 * c.inverse()
     return f1
 
 
-def _expansion_values(state: ReductionState, coeffs):
+def _expansion_values(oracle: ArcValuation, coeffs):
     """Oracle values of the terms a_i x_m^i; all must be finite."""
-    xm = state.xm()
+    xm = _xm(oracle)
     values = {}
     for i, a in enumerate(coeffs):
         if a.is_zero:
             continue
-        vr = state.oracle.value(a * xm**i)
+        vr = oracle.value(a * xm**i)
         if vr.is_above:
             raise TruncationExhausted(
                 f"value of a_{i} x_m^{i} is beyond the arc window"
@@ -205,43 +172,14 @@ def _sigma_of(values):
     return rho, sigmas
 
 
-def _elu_coefficients(state: ReductionState, coeffs):
-    """Monomial-times-unit splitting of the nonzero expansion coefficients.
-
-    Plane curves (m = 2) use exact power extraction.  Higher dimension is
-    supported when the arc restricts to a monomial valuation on the base,
-    in which case the Lemma-11 loop monomializes the product; key monomial
-    data (dvecs) is extracted per coefficient afterwards.
-    """
-    frame, field = state.frame, state.field
-    steps = []
-    if frame.m == 2:
-        dvecs = {}
-        abars = {}
-        for i, a in enumerate(coeffs):
-            if a.is_zero:
-                continue
-            k = min(mono[0] for mono in a.terms)
-            dvecs[i] = (k,)
-            abars[i] = a.divide_by_monomial((k, 0))
-            if abars[i].constant_term().is_zero:
-                raise Unsupported("coefficient does not split as monomial times unit")
-        return state, coeffs, dvecs, abars, steps
-    raise Unsupported(
-        "embedded monomialization of the base is implemented for plane "
-        "curves; higher dimension needs a monomial base valuation"
-    )
-
-
-def lrm_step(state: ReductionState, bounds: Bounds = Bounds()):
+def lrm_step(oracle: ArcValuation, bounds: Bounds = Bounds()):
     """One multiplicity-dropping macro-step (requires value(x_m) outside the
-    base group).  Returns (new_state, steps)."""
-    oracle = state.oracle
-    frame = state.frame
-    r = state.r
+    base group).  Returns (new_oracle, steps)."""
+    frame = oracle.frame
+    r = oracle.f.ord_last()
     if r is INFINITE or r <= 1:
         raise PreconditionError(f"need 1 < r < infinity, got {r}")
-    gamma_z = oracle.value(state.xm())
+    gamma_z = oracle.value(_xm(oracle))
     if gamma_z.is_above:
         raise TruncationExhausted("value of x_m is beyond the arc window")
     if gamma_z.is_infinite:
@@ -251,13 +189,26 @@ def lrm_step(state: ReductionState, bounds: Bounds = Bounds()):
             "value(x_m) lies in the base group; translate first"
         )
 
-    expansion = state.f.expand_last()
+    expansion = oracle.f.expand_last()
     if not expansion.monic:
         raise PreconditionError("f must be monic in the last variable")
-    state, coeffs, dvecs, abars, steps = _elu_coefficients(state, expansion.coeffs)
-    oracle = state.oracle
+    coeffs = expansion.coeffs
+    # plane curves: each nonzero coefficient is x1^k times a unit, k its x1-order
+    if frame.m != 2:
+        raise Unsupported(
+            "embedded monomialization of the base is implemented for plane "
+            "curves; higher dimension needs a monomial base valuation"
+        )
+    dvecs = {}
+    for i, a in enumerate(coeffs):
+        if a.is_zero:
+            continue
+        k = min(mono[0] for mono in a.terms)
+        dvecs[i] = (k,)
+        if a.divide_by_monomial((k, 0)).constant_term().is_zero:
+            raise Unsupported("coefficient does not split as monomial times unit")
 
-    values = _expansion_values(state, coeffs)
+    values = _expansion_values(oracle, coeffs)
     rho, sigmas = _sigma_of(values)
     if len(sigmas) <= 1:
         raise InternalContradiction(
@@ -291,17 +242,17 @@ def lrm_step(state: ReductionState, bounds: Bounds = Bounds()):
     sigma = SigmaData(rho=rho, sigmas=sigmas, dvecs=dvecs, lambdas=lambdas,
                       taus=taus, d=d_minor)
 
-    g = tau.substitute(state.f)
+    g = tau.substitute(oracle.f)
     arc1 = tau.transform_arc(oracle.arc)
     frame1 = tau.new_frame()
-    steps.append(TraceStep("A1", {
+    steps = [TraceStep("A1", {
         "transform": tau.document(),
         "sigma": sigma.document(),
         "d_negative": d_minor < 0,
         "old_values": [str(v) for v in list(base_values) + [gamma_z.value]],
         "f_after": str(g),
         "generation": frame1.generation,
-    }))
+    })]
 
     # Lemma-11 merges when the minimal monomial block does not yet divide
     new_weights = tau.transformed_weights(list(base_values) + [gamma_z.value])[:n]
@@ -370,23 +321,24 @@ def lrm_step(state: ReductionState, bounds: Bounds = Bounds()):
         "r_after": r1,
         "generation": frame1.generation,
     }))
-    return ReductionState(oracle1), steps
+    return oracle1, steps
 
 
-def char0_translate(state: ReductionState):
+def char0_translate(oracle: ArcValuation):
     """Translate x_m by the residue multiple of a_{r-1} (the route that the
     binomial theorem justifies in characteristic zero)."""
-    oracle = state.oracle
-    frame = state.frame
-    r = state.r
-    gamma_z = oracle.value(state.xm())
+    frame = oracle.frame
+    f = oracle.f
+    r = f.ord_last()
+    xm = _xm(oracle)
+    gamma_z = oracle.value(xm)
     if not gamma_z.is_finite:
         raise PreconditionError("value(x_m) must be finite")
     if member(gamma_z.value, oracle.base_lattice()) is None:
         raise PreconditionError(
             "value(x_m) is already outside the base group; run the Perron step"
         )
-    expansion = state.f.expand_last()
+    expansion = f.expand_last()
     a_prev = expansion.coeffs[r - 1] if r - 1 < len(expansion.coeffs) else None
     if a_prev is None or a_prev.is_zero:
         raise BinomialObstruction("a_{r-1} vanishes identically")
@@ -394,21 +346,21 @@ def char0_translate(state: ReductionState):
     if not va.is_finite or va.value != gamma_z.value:
         raise BinomialObstruction("value(a_{r-1}) differs from value(x_m)")
 
-    values = _expansion_values(state, expansion.coeffs)
+    values = _expansion_values(oracle, expansion.coeffs)
     rho, sigmas = _sigma_of(values)
     if len(sigmas) <= 1:
         raise InternalContradiction("a single minimal term contradicts value(f) = infinity")
     sigma = SigmaData(rho=rho, sigmas=sigmas, dvecs={})
     subleading = len(sigmas) >= 2 and sigmas[-2] == r - 1
 
-    omega = oracle.residue(state.xm(), a_prev)
+    omega = oracle.residue(xm, a_prev)
     h = a_prev * omega
-    f_new = state.f.translate_last(h)
+    f_new = f.translate_last(h)
     oracle_new = oracle.translated(h, f_new)
-    new_gamma = oracle_new.value(state.xm())
+    new_gamma = oracle_new.value(xm)
     if new_gamma.is_finite and not gamma_z.value < new_gamma.value:
         raise InternalContradiction("translation did not increase value(x_m)")
-    derivative_bound = oracle.value(state.f.partial_last())
+    derivative_bound = oracle.value(f.partial_last())
     step = TraceStep("TRANSLATE-CHAR0", {
         "omega": str(omega),
         "h": str(h),
@@ -420,13 +372,12 @@ def char0_translate(state: ReductionState):
         "f_after": str(f_new),
         "generation": frame.generation,
     })
-    new_state = ReductionState(oracle_new)
-    if new_state.r != r:
+    if f_new.ord_last() != r:
         raise InternalContradiction("translation changed the multiplicity")
-    return new_state, step
+    return oracle_new, step
 
 
-def defectless_translate(state: ReductionState, bounds: Bounds = Bounds()):
+def defectless_translate(oracle: ArcValuation, bounds: Bounds = Bounds()):
     """Translate x_m by its best base-ring approximation.
 
     MAX-OUTSIDE makes the Perron precondition hold.  NO-MAX with a finite
@@ -434,8 +385,8 @@ def defectless_translate(state: ReductionState, bounds: Bounds = Bounds()):
     signature); an infinite gamma certifies that x_m agrees with a base
     element and raises CASE2-SIGNAL instead.
     """
-    oracle = state.oracle
-    gamma_z = oracle.value(state.xm())
+    xm = _xm(oracle)
+    gamma_z = oracle.value(xm)
     if not gamma_z.is_finite:
         raise PreconditionError("value(x_m) must be finite")
     if member(gamma_z.value, oracle.base_lattice()) is None:
@@ -452,32 +403,31 @@ def defectless_translate(state: ReductionState, bounds: Bounds = Bounds()):
             reason=approx.reason,
         )
     h = approx.h
-    f_new = state.f.translate_last(h)
+    f_new = oracle.f.translate_last(h)
     oracle_new = oracle.translated(h, f_new)
-    new_state = ReductionState(oracle_new)
-    new_gamma = oracle_new.value(new_state.xm())
+    new_gamma = oracle_new.value(xm)
     if not new_gamma.is_finite or member(new_gamma.value, oracle_new.base_lattice()) is not None:
         raise InternalContradiction("translation failed to leave the base group")
-    if new_state.r != state.r:
+    if f_new.ord_last() != oracle.f.ord_last():
         raise InternalContradiction("translation changed the multiplicity")
     step = TraceStep("TRANSLATE-DEFECTLESS", {
         "h": str(h),
         "gamma": str(approx.gamma),
         "ladder": [str(v) for v in approx.ladder],
         "f_after": str(f_new),
-        "generation": state.frame.generation,
+        "generation": oracle.frame.generation,
     })
-    return new_state, step
+    return oracle_new, step
 
 
-def case2_finish(state: ReductionState, bounds: Bounds = Bounds()):
+def case2_finish(oracle: ArcValuation):
     """Finish the run when x_m is (to the trusted window) a base element:
     substitute x_m = x^b (x_m' + beta) with beta the residue of the unit
     part, then verify the strict transform is smooth.  Raises NOT-CASE2 when
     the certificate fails re-verification."""
-    oracle = state.oracle
-    frame, field = state.frame, state.field
-    gamma_z = oracle.value(state.xm())
+    frame, field = oracle.frame, oracle.field
+    xm = _xm(oracle)
+    gamma_z = oracle.value(xm)
     if not gamma_z.is_finite:
         raise NotCase2("value(x_m) is not finite")
     coords = member(gamma_z.value, oracle.base_lattice())
@@ -491,14 +441,14 @@ def case2_finish(state: ReductionState, bounds: Bounds = Bounds()):
     for j in range(n):
         mono[j] = b[j]
     unit_mono = Polynomial.monomial(frame, field, mono)
-    beta = oracle.residue(state.xm(), unit_mono)
+    beta = oracle.residue(xm, unit_mono)
     if beta.is_zero:
         raise NotCase2("vanishing residue for the unit part")
     matrix = [[1 if i == j else 0 for j in range(n + 1)] for i in range(n)]
     matrix.append(b + [1])
     tau = PerronTransform(kind="A1", matrix=tuple(tuple(r) for r in matrix),
                           frame=frame, c=beta)
-    g = tau.substitute(state.f)
+    g = tau.substitute(oracle.f)
     arc1 = tau.transform_arc(oracle.arc)
     frame1 = tau.new_frame()
     exps, lam, f1 = g.strict_transform(beta)
@@ -533,13 +483,13 @@ def case2_finish(state: ReductionState, bounds: Bounds = Bounds()):
             "generation": frame1.generation,
         }),
     ]
-    return ReductionState(oracle1), steps
+    return oracle1, steps
 
 
 @dataclass
 class ReductionResult:
     status: str  # REDUCED-TO-SMOOTH | MULTIPLICITY-DROPPED | DEFECT-SUSPECTED | BOUND-EXHAUSTED
-    state: ReductionState
+    oracle: ArcValuation  # the final one
     trace: list
     r_initial: int
     r_final: int
@@ -551,51 +501,50 @@ class ReductionResult:
         return self.r_final if self.status == "MULTIPLICITY-DROPPED" else None
 
 
-def reduce_multiplicity(state: ReductionState, bounds: Bounds = Bounds()) -> ReductionResult:
+def run_reduction(oracle: ArcValuation, bounds: Bounds = Bounds()) -> ReductionResult:
     """Loop translations and Perron steps until the multiplicity reaches 1,
     with terminal diagnostics for defect suspicion and exhausted bounds."""
-    state.sanity_check()
-    r0 = state.r
-    initial_ring = format_ring_header(state.frame, state.field)
+    _check_input(oracle)
+    r0 = oracle.f.ord_last()
+    initial_ring = format_ring_header(oracle.frame, oracle.field)
     trace = []
     diagnostics = {}
     translations = 0
 
     def finish(status, **extra):
         diagnostics.update(extra)
-        if state.r < r0 and status in ("DEFECT-SUSPECTED", "BOUND-EXHAUSTED"):
+        r = oracle.f.ord_last()
+        if r < r0 and status in ("DEFECT-SUSPECTED", "BOUND-EXHAUSTED"):
             diagnostics["stalled_as"] = status
             status = "MULTIPLICITY-DROPPED"
-        return ReductionResult(status, state, trace, r0, state.r,
+        return ReductionResult(status, oracle, trace, r0, r,
                                initial_ring, diagnostics)
 
-    if r0 is INFINITE or r0 < 1:
-        raise InputError(f"need 1 <= r < infinity, got {r0}")
     while True:
-        if state.r == 1:
+        if oracle.f.ord_last() == 1:
             return finish("REDUCED-TO-SMOOTH")
-        gamma_z = state.oracle.value(state.xm())
+        gamma_z = oracle.value(_xm(oracle))
         if gamma_z.is_above:
             return finish("BOUND-EXHAUSTED", reason="TRUNCATION")
         if gamma_z.is_infinite:
             raise InputError("x_m is a local equation of f; bad input")
-        in_group = member(gamma_z.value, state.oracle.base_lattice()) is not None
+        in_group = member(gamma_z.value, oracle.base_lattice()) is not None
         try:
             if not in_group:
-                state, steps = lrm_step(state, bounds)
+                oracle, steps = lrm_step(oracle, bounds)
                 trace.extend(steps)
                 continue
             if translations >= bounds.max_translations:
                 return finish("BOUND-EXHAUSTED", reason="TRANSLATION-BOUND")
             translations += 1
-            if not state.field.modular:
+            if not oracle.field.modular:
                 try:
-                    state, step = char0_translate(state)
+                    oracle, step = char0_translate(oracle)
                     trace.append(step)
                     continue
                 except BinomialObstruction as exc:
                     diagnostics.setdefault("binomial_obstruction", str(exc))
-            state, step = defectless_translate(state, bounds)
+            oracle, step = defectless_translate(oracle, bounds)
             trace.append(step)
         except DefectSuspected as exc:
             return finish(
@@ -605,7 +554,7 @@ def reduce_multiplicity(state: ReductionState, bounds: Bounds = Bounds()) -> Red
             )
         except Case2Signal as exc:
             try:
-                state, steps = case2_finish(state, bounds)
+                oracle, steps = case2_finish(oracle)
                 trace.extend(steps)
             except NotCase2 as inner:
                 return finish(
@@ -618,15 +567,11 @@ def reduce_multiplicity(state: ReductionState, bounds: Bounds = Bounds()) -> Red
             return finish("BOUND-EXHAUSTED", reason=exc.code, detail=str(exc))
 
 
-def run_reduction(oracle: ArcValuation, bounds: Bounds = Bounds()) -> ReductionResult:
-    return reduce_multiplicity(state_from_oracle(oracle), bounds)
-
-
 # ---------------------------------------------------------------------------
 # Trace documents and replay
 
 def trace_document(result: ReductionResult, oracle_doc: dict | None = None) -> dict:
-    state = result.state
+    final = result.oracle
     doc = {
         "version": DOCUMENT_VERSION,
         "status": result.status,
@@ -634,8 +579,8 @@ def trace_document(result: ReductionResult, oracle_doc: dict | None = None) -> d
         "r_final": result.r_final,
         "ring": result.initial_ring,
         "steps": [{"kind": s.kind, **s.payload} for s in result.trace],
-        "final_f": str(state.f),
-        "final_generation": state.frame.generation,
+        "final_f": str(final.f),
+        "final_generation": final.frame.generation,
         "diagnostics": result.diagnostics,
     }
     if oracle_doc is not None:
@@ -655,7 +600,7 @@ def replay_trace(doc: dict) -> str:
     f = parse_polynomial(frame, field, oracle_doc["f"])
     for step in doc.get("steps", []):
         kind = step["kind"]
-        if kind in ("A1", "A6", "ELU", "CASE2"):
+        if kind in ("A1", "A6", "CASE2"):
             tau = PerronTransform.from_document(step["transform"], frame, field)
             f = tau.substitute(f)
             frame = tau.new_frame()

@@ -203,15 +203,23 @@ class Scalar:
         return f"Scalar({self.value}, char={self.field.characteristic})"
 
 
-def scalar_arith(a: Scalar, b: Scalar, op: str) -> Scalar:
-    """Dispatch form of field arithmetic: op in {add, mul, div}."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise InputError(f"unknown scalar op {op!r}")
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def parse_rational(text: str) -> Fraction:
+    """Read a rational literal ``-?d+(/d+)?`` in ASCII digits, surrounding
+    blanks allowed.  Other text, a zero denominator, or more digits than the
+    interpreter converts raise InputError."""
+    m = _RATIONAL_RE.fullmatch(text.strip()) if isinstance(text, str) else None
+    if m is None:
+        raise InputError(f"bad rational literal {text!r}")
+    try:
+        num, den = int(m.group(1)), int(m.group(2) or 1)
+    except ValueError as exc:
+        raise InputError(f"rational literal too long: {exc}") from exc
+    if den == 0:
+        raise InputError(f"zero denominator in {text!r}")
+    return Fraction(num, den)
 
 
 def _tmin(a, b):
@@ -436,13 +444,17 @@ def parse_series(field: FieldSpec, text: str, default_trunc=None) -> PuiseuxSeri
     ``t``); a bare rational is a constant term.  The ``N`` part is advisory:
     the ramification index is recomputed from the content.
     """
+    if not isinstance(text, str):
+        raise InputError(f"series literal must be a string, got {text!r}")
     parts = [p.strip() for p in text.split("|")]
     trunc = default_trunc
     for extra in parts[1:]:
         if extra.startswith("trunc"):
-            trunc = Fraction(extra[len("trunc"):].strip())
+            trunc = parse_rational(extra[len("trunc"):])
         elif extra.startswith("N"):
-            int(extra[1:].strip())  # validated, then recomputed
+            # validated, then recomputed
+            if parse_rational(extra[1:]).denominator != 1:
+                raise InputError(f"ramification index {extra!r} is not an integer")
         elif extra:
             raise InputError(f"unknown series annotation {extra!r}")
     body = parts[0].strip()
@@ -451,14 +463,14 @@ def parse_series(field: FieldSpec, text: str, default_trunc=None) -> PuiseuxSeri
         for chunk in body.split("+"):
             chunk = chunk.strip()
             if _CONST_RE.match(chunk):
-                q, c = Fraction(0), Fraction(chunk)
+                q, c = Fraction(0), parse_rational(chunk)
             else:
                 m = _TERM_RE.match(chunk)
                 if not m:
                     raise InputError(f"bad series term {chunk!r}")
                 exp = m.group("paren") or m.group("plain")
-                q = Fraction(exp) if exp is not None else Fraction(1)
-                c = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
+                q = parse_rational(exp) if exp is not None else Fraction(1)
+                c = parse_rational(m.group("coeff")) if m.group("coeff") else Fraction(1)
             sc = field.scalar(c)
             terms[q] = terms.get(q, field.zero) + sc
     return PuiseuxSeries(field, terms, trunc)

@@ -21,7 +21,7 @@ from .errors import (
     NoRelation,
     NotASubgroup,
 )
-from .scalars import INFINITE
+from .scalars import INFINITE, parse_rational
 
 
 def _is_square(n: int) -> bool:
@@ -136,10 +136,14 @@ class Value:
         return f"Value({format_value(self)!r})"
 
 
-def cmp(v: Value, w: Value) -> str:
-    """Exact comparison under the real embedding: 'LT', 'EQ' or 'GT'."""
-    s = (v - w).sign()
-    return "LT" if s < 0 else ("GT" if s > 0 else "EQ")
+def pairing(exps, values) -> Value:
+    """sum_i e_i * v_i for integer coefficients e_i and nonempty values v_i
+    of one context, over the shorter of the two sequences."""
+    total = values[0].context.zero()
+    for e, v in zip(exps, values):
+        if e:
+            total = total + v.scale(e)
+    return total
 
 
 @dataclass(frozen=True)
@@ -183,14 +187,6 @@ def det_int(m) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
-
-
-def mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0])
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
-        for i in range(rows)
-    ]
 
 
 def identity_matrix(n):
@@ -358,10 +354,7 @@ def member(v: Value, lattice: ValueLattice):
                 x = [a - t * b for a, b in zip(x, kr)]
                 changed = True
     # exactness check
-    total = lattice.context.zero()
-    for c, gen in zip(x, lattice.generators):
-        total = total + gen.scale(c)
-    if total.coords != v.coords:
+    if pairing(x, lattice.generators).coords != v.coords:
         return None
     return tuple(x)
 
@@ -477,20 +470,22 @@ _SQRT_RE = re.compile(
 
 
 def parse_value(context: GeneratorContext, text: str) -> Value:
+    if not isinstance(text, str):
+        raise InputError(f"value literal must be a string, got {text!r}")
     text = text.strip()
     m = _SQRT_RE.match(text)
     if m:
         if context.dim != 2:
             raise InputError("sqrt literal needs a quadratic context")
-        d = int(m.group("d"))
+        d = int(parse_rational(m.group("d")))
         if d != context.d:
             raise InputError(f"sqrt({d}) does not match context sqrt({context.d})")
-        a = Fraction(m.group("a")) if m.group("a") else Fraction(0)
-        b = Fraction(m.group("b").rstrip(" *")) if m.group("b") else Fraction(1)
+        a = parse_rational(m.group("a")) if m.group("a") else Fraction(0)
+        b = parse_rational(m.group("b").rstrip(" *")) if m.group("b") else Fraction(1)
         if m.group("sign") == "-":
             b = -b
         return context.value(a, b)
-    a = Fraction(text)
+    a = parse_rational(text)
     if context.dim == 1:
         return context.value(a)
     return context.value(a, 0)

@@ -23,7 +23,6 @@ from perronval.reduce import (
     replay_matches,
     replay_trace,
     run_reduction,
-    state_from_oracle,
     trace_document,
 )
 from perronval.scalars import INFINITE, FieldSpec, parse_series
@@ -128,9 +127,8 @@ def test_criterion_2_char2_defectless(capsys):
 def test_criterion_3_binomial_failure_path():
     # characteristic 2: the a_{r-1} route is obstructed, the approximation
     # route finds h' = x1 + x1^2 with value 5/2 outside ZZ
-    state = state_from_oracle(oracle_from_document(CHAR2_CURVE))
     with pytest.raises(BinomialObstruction):
-        char0_translate(state)
+        char0_translate(oracle_from_document(CHAR2_CURVE))
     res, _ = _run("char2curve", CHAR2_CURVE)
     assert res.status == "REDUCED-TO-SMOOTH" and res.r_final == 1
     tstep = [s for s in res.trace if s.kind == "TRANSLATE-DEFECTLESS"][0]

@@ -71,10 +71,44 @@ def without(doc, key):
     without(CHAIN, "steps"),
     without(CUSP, "f"),
     {**CUSP, "trunc": "abc"},
-], ids=["monomial-no-weights", "chain-no-steps", "arc-no-f", "arc-bad-trunc"])
+    {**CUSP, "f": 5},
+    {**WEIGHTS, "weights": 5},
+    {**CHAIN, "steps": [5]},
+    {**CUSP, "ring": {"m": 2, "n": "x"}},
+], ids=["monomial-no-weights", "chain-no-steps", "arc-no-f", "arc-bad-trunc",
+        "arc-f-number", "monomial-weights-number", "chain-step-number", "ring-n-text"])
 def test_malformed_oracle_document_exits_2(tmp_path, capsys, doc):
     oracle = write(tmp_path, "bad.json", doc)
     assert main(["valuate", "--oracle", oracle, "--poly", "x2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: INPUT") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("doc", [
+    {**CUSP, "trunc": "1e999999"},
+    {**CUSP, "arc": {"x1": "t^2 | trunc abc", "x2": "t^3"}},
+    {**CUSP, "arc": {"x1": "t^2 | N x", "x2": "t^3"}},
+    {**CUSP, "arc": {"x1": "t^2 + t^3*1/0", "x2": "t^3"}},
+    {**CUSP, "f": "x2^2 - 1/0*x1^3"},
+    {**CUSP, "f": "x2^" + "1" * 5000},
+    {**CUSP, "normalization": "1/0"},
+], ids=["trunc-exponent", "series-trunc", "series-ramification", "series-coefficient",
+        "polynomial-coefficient", "polynomial-exponent-digits", "normalization"])
+def test_bad_literal_exits_2(tmp_path, capsys, doc):
+    oracle = write(tmp_path, "bad.json", doc)
+    assert main(["valuate", "--oracle", oracle, "--poly", "x2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: INPUT") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["valuate", "reduce"])
+@pytest.mark.parametrize("text", ['{"kind": "arc",', '{"kind": "arc", "trunc": 1%s}' % ("0" * 5000)],
+                         ids=["truncated-json", "overlong-number"])
+def test_unreadable_document_exits_2(tmp_path, capsys, command, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    args = [command, "--oracle", str(path)] + (["--poly", "x2"] if command == "valuate" else [])
+    assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: INPUT") and "Traceback" not in err
 

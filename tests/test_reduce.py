@@ -10,8 +10,11 @@ from perronval.errors import (
     NotCase2,
     PreconditionError,
     PreconditionValueInGroup,
+    Unsupported,
 )
+from perronval.cli import main
 from perronval.oracle import oracle_from_document
+from perronval.poly import parse_polynomial
 from perronval.reduce import (
     Bounds,
     case2_finish,
@@ -21,7 +24,6 @@ from perronval.reduce import (
     replay_matches,
     replay_trace,
     run_reduction,
-    state_from_oracle,
     trace_document,
 )
 
@@ -58,8 +60,8 @@ def defect_doc(p, depth=6, trunc=40):
 
 class TestLrmStep:
     def test_cusp(self):
-        state = state_from_oracle(oracle_from_document(CUSP))
-        new_state, steps = lrm_step(state)
+        oracle = oracle_from_document(CUSP)
+        new, steps = lrm_step(oracle)
         kinds = [s.kind for s in steps]
         assert kinds == ["A1", "STRICT-TRANSFORM"]
         a1 = steps[0].payload
@@ -69,23 +71,23 @@ class TestLrmStep:
         assert a1["sigma"]["d"] == 2
         strict = steps[1].payload
         assert strict["exponents"] == [6, 0] and strict["lambda"] == 3
-        assert new_state.r == 1
-        assert str(new_state.f) == "x2(1)"
+        assert new.f.ord_last() == 1
+        assert str(new.f) == "x2(1)"
 
     def test_char2_cusp_same_matrix(self):
-        state = state_from_oracle(oracle_from_document(CUSP2))
-        new_state, steps = lrm_step(state)
+        oracle = oracle_from_document(CUSP2)
+        new, steps = lrm_step(oracle)
         assert steps[0].payload["transform"]["matrix"] == [[2, 1], [3, 2]]
-        assert new_state.r == 1
+        assert new.f.ord_last() == 1
 
     def test_value_in_group_rejected(self):
-        state = state_from_oracle(oracle_from_document(TACNODE))
+        oracle = oracle_from_document(TACNODE)
         with pytest.raises(PreconditionValueInGroup):
-            lrm_step(state)
+            lrm_step(oracle)
 
     def test_a7_identity_recorded(self):
-        state = state_from_oracle(oracle_from_document(CUSP))
-        _, steps = lrm_step(state)
+        oracle = oracle_from_document(CUSP)
+        _, steps = lrm_step(oracle)
         sigma = steps[0].payload["sigma"]
         lam = {int(k): v for k, v in sigma["lambdas"].items()}
         d = sigma["d"]
@@ -96,48 +98,48 @@ class TestLrmStep:
 
 class TestChar0Translate:
     def test_tacnode(self):
-        state = state_from_oracle(oracle_from_document(TACNODE))
-        new_state, step = char0_translate(state)
+        oracle = oracle_from_document(TACNODE)
+        new, step = char0_translate(oracle)
         assert step.payload["omega"] == "-1/2"
         assert step.payload["h"] == "x1"
         assert step.payload["sigma"]["sigmas"] == [0, 1, 2]
         assert step.payload["sigma_t_minus_1_eq_r_minus_1"] is True
-        assert new_state.r == 2
-        assert str(new_state.f) == "-x1^5 + x2^2"
-        gamma = new_state.oracle.value(new_state.xm())
+        assert new.f.ord_last() == 2
+        assert str(new.f) == "-x1^5 + x2^2"
+        gamma = new.value(parse_polynomial(new.frame, new.field, "x2"))
         assert str(gamma) == "5/2"
 
     def test_char2_coefficient_vanishes(self):
-        state = state_from_oracle(oracle_from_document(CHAR2_CURVE))
+        oracle = oracle_from_document(CHAR2_CURVE)
         with pytest.raises(BinomialObstruction):
-            char0_translate(state)
+            char0_translate(oracle)
 
     def test_precondition_outside_group(self):
-        state = state_from_oracle(oracle_from_document(CUSP))
+        oracle = oracle_from_document(CUSP)
         with pytest.raises(PreconditionError):
-            char0_translate(state)
+            char0_translate(oracle)
 
 
 class TestDefectlessTranslate:
     def test_char2_curve(self):
-        state = state_from_oracle(oracle_from_document(CHAR2_CURVE))
-        new_state, step = defectless_translate(state)
+        oracle = oracle_from_document(CHAR2_CURVE)
+        new, step = defectless_translate(oracle)
         assert step.payload["h"] == "x1^2 + x1"
         assert step.payload["gamma"] == "5/2"
-        assert str(new_state.f) == "x1^5 + x2^2"
-        new_state2, steps = lrm_step(new_state)
-        assert new_state2.r == 1
+        assert str(new.f) == "x1^5 + x2^2"
+        new2, steps = lrm_step(new)
+        assert new2.f.ord_last() == 1
 
     def test_defect_curve_suspected(self):
-        state = state_from_oracle(oracle_from_document(defect_doc(2)))
+        oracle = oracle_from_document(defect_doc(2))
         with pytest.raises(DefectSuspected) as err:
-            defectless_translate(state)
+            defectless_translate(oracle)
         assert [str(v) for v in err.value.ladder] == ["2", "3", "5", "9", "17", "33"]
 
     def test_precondition_outside_group(self):
-        state = state_from_oracle(oracle_from_document(CUSP))
+        oracle = oracle_from_document(CUSP)
         with pytest.raises(PreconditionError):
-            defectless_translate(state)
+            defectless_translate(oracle)
 
 
 SQRT_ARC = {
@@ -150,13 +152,13 @@ SQRT_ARC = {
 class TestCase2:
     def test_square_root_curve(self):
         doc = arcdoc(0, "x2^2 - x1^2 - x1^3", SQRT_ARC, trunc=9)
-        state = state_from_oracle(oracle_from_document(doc))
-        assert state.oracle.arc_consistency()
-        new_state, steps = case2_finish(state)
+        oracle = oracle_from_document(doc)
+        assert oracle.arc_consistency()
+        new, steps = case2_finish(oracle)
         assert steps[0].kind == "CASE2"
         assert steps[0].payload["b"] == [1]
         assert steps[0].payload["beta"] == "1"
-        assert new_state.r == 1
+        assert new.f.ord_last() == 1
 
     def test_reducible_input_rejected(self):
         # z = x1 exactly: f = (x2 - x1)(x2 - 2 x1), exact polynomial arc
@@ -166,16 +168,16 @@ class TestCase2:
             "f": "x2^2 - 3*x1*x2 + 2*x1^2",
             "arc": {"x1": "t", "x2": "t"},
         }
-        state = state_from_oracle(oracle_from_document(doc))
+        oracle = oracle_from_document(doc)
         with pytest.raises(Case2Signal):
-            defectless_translate(state)
+            defectless_translate(oracle)
         with pytest.raises(NotCase2):
-            case2_finish(state)
+            case2_finish(oracle)
 
     def test_not_case2_when_order_stays_high(self):
-        state = state_from_oracle(oracle_from_document(TACNODE))
+        oracle = oracle_from_document(TACNODE)
         with pytest.raises(NotCase2):
-            case2_finish(state)
+            case2_finish(oracle)
 
 
 class TestDriver:
@@ -268,3 +270,34 @@ class TestTraceReplay:
         trace = trace_document(res, CUSP)
         trace["final_f"] = "x1(1)"
         assert not replay_matches(trace)
+
+
+CUSP_ARC = {"x1": "t^2", "x2": "t^3"}
+
+
+@pytest.mark.parametrize("f, message", [
+    ("0", "zero"),
+    ("x1*x2^2 - x1^4", "divisible by a variable"),
+    ("x2^3 - x1^3*x2", "divisible by a variable"),
+    ("x2^2 + x1*x2^2 - x1^3 - x1^4", "monic"),
+    ("x2^2 - x1^3 + 1", "center"),
+], ids=["zero", "divisible-by-x1", "divisible-by-x2", "not-monic", "off-center"])
+def test_input_check_rejects(tmp_path, capsys, f, message):
+    doc = arcdoc(0, f, CUSP_ARC)
+    with pytest.raises(InputError, match=message):
+        run_reduction(oracle_from_document(doc))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["reduce", "--oracle", str(path)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_input_check_rejects_non_arc_oracle(tmp_path, capsys):
+    doc = {"version": 1, "kind": "monomial", "ring": {"m": 2, "n": 1, "char": 0},
+           "weights": ["1", "3/2"]}
+    with pytest.raises(Unsupported):
+        run_reduction(oracle_from_document(doc))
+    path = tmp_path / "weights.json"
+    path.write_text(json.dumps(doc))
+    assert main(["reduce", "--oracle", str(path)]) == 2
+    assert "Traceback" not in capsys.readouterr().err

@@ -9,8 +9,8 @@ from perronval.scalars import (
     PuiseuxSeries,
     format_series,
     is_prime,
+    parse_rational,
     parse_series,
-    scalar_arith,
 )
 
 Q = FieldSpec(0)
@@ -20,14 +20,14 @@ F2 = FieldSpec(2)
 
 class TestScalar:
     def test_rational_add(self):
-        assert scalar_arith(Q.scalar("1/2"), Q.scalar("1/3"), "add") == Q.scalar("5/6")
+        assert Q.scalar("1/2") + Q.scalar("1/3") == Q.scalar("5/6")
 
     def test_mod5_mul(self):
-        assert scalar_arith(F5.scalar(3), F5.scalar(2), "mul") == F5.scalar(1)
+        assert F5.scalar(3) * F5.scalar(2) == F5.scalar(1)
 
     def test_division_by_zero(self):
         with pytest.raises(DivisionByZero):
-            scalar_arith(Q.one, Q.zero, "div")
+            Q.one / Q.zero
 
     def test_characteristic_must_be_prime(self):
         with pytest.raises(InputError):
@@ -198,3 +198,19 @@ class TestSeriesLiterals:
     def test_bad_literal(self):
         with pytest.raises(InputError):
             parse_series(Q, "u^2")
+
+
+class TestRationalLiterals:
+    @pytest.mark.parametrize("text, value", [
+        ("3", F(3)), ("-3/4", F(-3, 4)), (" 6/4 ", F(3, 2)), ("0/5", F(0)),
+    ])
+    def test_grammar(self, text, value):
+        assert parse_rational(text) == value
+
+    @pytest.mark.parametrize("text", [
+        "1e5", "1.5", "1/0", "abc", "", "3/-4", "+3", "1_000", "٣",
+        "1" * 5000, 5,
+    ])
+    def test_rejected(self, text):
+        with pytest.raises(InputError):
+            parse_rational(text)

@@ -15,7 +15,6 @@ from perronval.scalars import INFINITE
 from perronval.valgroup import (
     RATIONAL,
     ValueLattice,
-    cmp,
     format_value,
     lattice_index,
     member,
@@ -34,20 +33,23 @@ def rat(x):
 
 class TestCmp:
     def test_sqrt2_gt_one(self):
-        assert cmp(Q2.value(0, 1), Q2.value(1, 0)) == "GT"
+        assert Q2.value(0, 1) > Q2.value(1, 0)
 
     def test_squaring_rule(self):
         # 3 vs 2*sqrt(2): 9 > 8
-        assert cmp(Q2.value(3, 0), Q2.value(0, 2)) == "GT"
-        assert cmp(Q2.value(0, 2), Q2.value(3, 0)) == "LT"
+        assert Q2.value(3, 0) > Q2.value(0, 2)
+        assert Q2.value(0, 2) < Q2.value(3, 0)
 
     def test_reflexive(self):
         v = Q2.value(F(5, 7), F(-2, 3))
-        assert cmp(v, v) == "EQ"
+        assert v == Q2.value(F(5, 7), F(-2, 3))
+        assert not v < v and not v > v
 
     def test_context_mismatch(self):
         with pytest.raises(ContextMismatch):
-            cmp(rat(1), Q2.value(1, 0))
+            rat(1) < Q2.value(1, 0)
+        with pytest.raises(ContextMismatch):
+            rat(1) > Q2.value(1, 0)
 
     def test_nonsquare_required(self):
         with pytest.raises(InputError):
@@ -64,8 +66,8 @@ class TestCmp:
     )
     def test_order_compatible_with_addition(self, a1, b1, a2, b2, a3, b3):
         v, w, u = Q2.value(a1, b1), Q2.value(a2, b2), Q2.value(a3, b3)
-        if cmp(v, w) == "LT":
-            assert cmp(v + u, w + u) == "LT"
+        if v < w:
+            assert v + u < w + u
 
     @settings(max_examples=80, deadline=None)
     @given(
