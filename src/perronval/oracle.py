@@ -17,6 +17,7 @@ Oracles are immutable; every query is pure.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -438,13 +439,10 @@ class AugmentedChain:
 
 def parse_ring(doc: dict, default_n=None):
     _typed(doc, dict, "ring")
-    try:
-        m = int(doc["m"])
-        char = int(doc.get("char", 0))
-        n = int(doc["n"]) if "n" in doc else int(default_n or max(m - 1, 1))
-        gen = int(doc.get("gen", 0))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad ring document: {exc}") from exc
+    m = _integer(_required(doc, "m", "ring"), "ring m")
+    n = _integer(doc.get("n", default_n or max(m - 1, 1)), "ring n")
+    gen = _integer(doc.get("gen", 0), "ring gen")
+    char = _integer(doc.get("char", 0), "ring char")
     return VariableFrame(m=m, n=n, generation=gen), FieldSpec(characteristic=char)
 
 
@@ -455,11 +453,24 @@ def parse_context(doc) -> GeneratorContext:
     if doc.get("kind") == "rational":
         return RATIONAL
     if doc.get("kind") == "quadratic":
-        try:
-            return quadratic(int(doc["d"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"bad quadratic context: {exc}") from exc
+        return quadratic(_integer(_required(doc, "d", "quadratic context"), "quadratic d"))
     raise InputError(f"unknown context document {doc!r}")
+
+
+_INTEGER_RE = re.compile(r"\s*-?[0-9]+\s*")
+
+
+def _integer(value, what: str) -> int:
+    """A JSON integer (not a bool) or an integer literal ``-?d+``; floats,
+    bools and other text raise InputError rather than be rounded."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and _INTEGER_RE.fullmatch(value):
+        try:
+            return int(value)
+        except ValueError as exc:  # more digits than int() converts
+            raise InputError(f"{what} has too many digits") from exc
+    raise InputError(f"{what} must be an integer, got {value!r}")
 
 
 def _typed(value, kind: type, what: str):

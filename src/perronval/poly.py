@@ -16,9 +16,23 @@ from fractions import Fraction
 from operator import add
 
 from .errors import DivisionByZero, FrameMismatch, InputError
-from .scalars import INFINITE, FieldSpec, PuiseuxSeries, Scalar, parse_rational
+from .scalars import (
+    INFINITE,
+    FieldSpec,
+    PuiseuxSeries,
+    Scalar,
+    evaluate_monomials,
+    parse_rational,
+    raw_scalars,
+    raw_value,
+)
 
 Mono = tuple  # exponent vector of length frame.m
+
+# Most variables a frame may have.  Every term of a polynomial carries an
+# m-long exponent vector, so a ring such as m = 10^6 is refused before any
+# polynomial is parsed.
+MAX_VARIABLES = 64
 
 
 @dataclass(frozen=True)
@@ -34,6 +48,8 @@ class VariableFrame:
     def __post_init__(self):
         if not (1 <= self.n <= self.m):
             raise InputError(f"need 1 <= n <= m, got n={self.n}, m={self.m}")
+        if self.m > MAX_VARIABLES:
+            raise InputError(f"m={self.m} is above the limit of {MAX_VARIABLES} variables")
         if self.generation < 0:
             raise InputError("negative generation")
 
@@ -298,7 +314,7 @@ class Polynomial:
                     factors.append(powers[i, e])
             # the last factor is multiplied straight into the result
             last = factors.pop() if factors else {unit: 1}
-            piece = {unit: _raw_value(c)}
+            piece = {unit: raw_value(c)}
             for factor in factors:
                 piece = _raw_addmul({}, piece, factor, p)
             _raw_addmul(result, piece, last, p)
@@ -335,10 +351,7 @@ class Polynomial:
         poly = cls.__new__(cls)
         poly.frame = frame
         poly.field = field
-        if field.modular:
-            poly.terms = {mono: Scalar(field, v) for mono, v in raw.items()}
-        else:
-            poly.terms = {mono: Scalar(field, Fraction(v)) for mono, v in raw.items()}
+        poly.terms = raw_scalars(field, raw.items())
         return poly
 
     def rename(self, frame: VariableFrame) -> "Polynomial":
@@ -379,23 +392,7 @@ class Polynomial:
     def evaluate_at_arc(self, arc) -> PuiseuxSeries:
         if len(arc) != self.frame.m:
             raise InputError("arc length must equal the variable count")
-        field = self.field
-        result = PuiseuxSeries.zero(field)
-        powers = [{} for _ in range(self.frame.m)]
-
-        def power(i, k):
-            cache = powers[i]
-            if k not in cache:
-                cache[k] = arc[i] ** k
-            return cache[k]
-
-        for mono, coeff in self.terms.items():
-            piece = PuiseuxSeries(field, {Fraction(0): coeff})
-            for i, e in enumerate(mono):
-                if e:
-                    piece = piece * power(i, e)
-            result = result + piece
-        return result
+        return evaluate_monomials(self.field, self.terms, arc)
 
     # -- printing ---------------------------------------------------------------
 
@@ -406,16 +403,8 @@ class Polynomial:
         return f"Polynomial({format_polynomial(self)!r})"
 
 
-def _raw_value(c: Scalar):
-    """Value of c for the raw kernels: an int mod p, an int for an integral
-    rational (int arithmetic is far cheaper than Fraction arithmetic), or a
-    Fraction.  ``Polynomial._from_raw`` turns rationals back into Fractions."""
-    v = c.value
-    return v.numerator if v.denominator == 1 else v
-
-
 def _raw_terms(f: Polynomial) -> dict:
-    return {mono: _raw_value(c) for mono, c in f.terms.items()}
+    return {mono: raw_value(c) for mono, c in f.terms.items()}
 
 
 def _raw_addmul(acc: dict, a: dict, b: dict, p: int) -> dict:

@@ -237,6 +237,85 @@ def _tadd(a, b):
     return a + b
 
 
+# Grid slots a truncated series may span: a truncation T on the grid 1/N
+# covers T * N of them, and ``PuiseuxSeries.inverse`` allocates one
+# coefficient per slot.  A larger truncation or inverse window raises
+# InputError before anything is allocated, so a literal such as
+# ``t^(1/1000003) + t | trunc 100`` (10^8 slots) is refused.
+MAX_GRID_SLOTS = 2**16
+
+
+def _check_slots(trunc: Fraction, n: int):
+    if trunc * n > MAX_GRID_SLOTS:
+        raise InputError(
+            f"truncation {trunc} on the grid 1/{n} spans more than {MAX_GRID_SLOTS} slots"
+        )
+
+
+def raw_value(c: Scalar):
+    """Value of c for the raw kernels: an int mod p, an int for an integral
+    rational (int arithmetic is far cheaper than Fraction arithmetic), or a
+    Fraction.  ``raw_scalars`` turns them back into canonical Scalars."""
+    v = c.value
+    return v.numerator if v.denominator == 1 else v
+
+
+def raw_scalars(field: FieldSpec, items) -> dict:
+    """{key: Scalar} from (key, raw value) pairs whose values are nonzero and,
+    in characteristic p, reduced mod p."""
+    if field.modular:
+        return {key: Scalar(field, v) for key, v in items}
+    return {key: Scalar(field, Fraction(v)) for key, v in items}
+
+
+# The series kernels work on the integer grid 1/N: a series is a pair
+# (pairs, top) of ascending (index k, nonzero raw value) pairs, standing for
+# the terms c t^(k/N), and the truncation index top = trunc * N (None when
+# the series is exact).
+
+def _grid(s: "PuiseuxSeries", n: int):
+    """s on the grid 1/n; n must be a multiple of s.ram."""
+    pairs = sorted((q.numerator * (n // q.denominator), raw_value(c)) for q, c in s.terms.items())
+    top = None if s.trunc is None else s.trunc.numerator * (n // s.trunc.denominator)
+    return pairs, top
+
+
+def _grid_mul(a, b, p: int):
+    """Truncated convolution of two grid series.  The product is trusted
+    below min(Ta + ord b, Tb + ord a), a zero series counting its truncation
+    as its order, and no index at or beyond that is computed."""
+    (pa, ta), (pb, tb) = a, b
+    top = _tmin(_tadd(ta, pb[0][0] if pb else tb), _tadd(tb, pa[0][0] if pa else ta))
+    limit = math.inf if top is None else top
+    acc = {}
+    for i, x in pa:
+        for j, y in pb:
+            k = i + j
+            if k >= limit:
+                break
+            acc[k] = acc.get(k, 0) + x * y
+    return _nonzero(acc, p), top
+
+
+def _grid_pow(a, k: int, p: int):
+    """a**k for k >= 0 by binary powering with ``_grid_mul``."""
+    result = ([(0, 1)], None)
+    while k:
+        if k & 1:
+            result = _grid_mul(result, a, p)
+        k >>= 1
+        if k:
+            a = _grid_mul(a, a, p)
+    return result
+
+
+def _nonzero(acc: dict, p: int) -> list:
+    """Ascending (index, value) pairs of the nonzero sums in ``acc``."""
+    if p:
+        acc = {k: v % p for k, v in acc.items()}
+    return sorted((k, v) for k, v in acc.items() if v)
+
+
 class PuiseuxSeries:
     """Finite sum of terms c * t^q with rational q, trusted below ``trunc``.
 
@@ -275,14 +354,8 @@ class PuiseuxSeries:
         if trunc is not None:
             dens.append(trunc.denominator)
         self.ram = math.lcm(*dens) if dens else 1
-
-    @classmethod
-    def zero(cls, field, trunc=None):
-        return cls(field, {}, trunc)
-
-    @classmethod
-    def monomial(cls, field, exponent, coeff=1, trunc=None):
-        return cls(field, {Fraction(exponent): field.scalar(coeff)}, trunc)
+        if trunc is not None:
+            _check_slots(trunc, self.ram)
 
     @property
     def is_zero(self) -> bool:
@@ -304,13 +377,6 @@ class PuiseuxSeries:
         if q is None:
             raise DivisionByZero("leading coefficient of a zero series")
         return self.terms[q]
-
-    def _effective_order(self):
-        # For truncation propagation: a zero series counts as its truncation.
-        q = self.order()
-        if q is not None:
-            return q
-        return self.trunc  # may be None = exactly zero
 
     def _coerce(self, other):
         if isinstance(other, PuiseuxSeries):
@@ -343,20 +409,9 @@ class PuiseuxSeries:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        trunc = _tmin(
-            _tadd(self.trunc, other._effective_order()),
-            _tadd(other.trunc, self._effective_order()),
-        )
-        terms = {}
-        for q1, c1 in self.terms.items():
-            for q2, c2 in other.terms.items():
-                q = q1 + q2
-                c = c1 * c2
-                if q in terms:
-                    terms[q] = terms[q] + c
-                else:
-                    terms[q] = c
-        return PuiseuxSeries(self.field, terms, trunc)
+        n = math.lcm(self.ram, other.ram)
+        grid = _grid_mul(_grid(self, n), _grid(other, n), self.field.characteristic)
+        return PuiseuxSeries._from_grid(self.field, n, grid)
 
     __rmul__ = __mul__
 
@@ -364,49 +419,62 @@ class PuiseuxSeries:
         """Multiplicative inverse.
 
         For an exact single-term series the inverse is exact.  Otherwise the
-        geometric expansion needs a finite window: the series' own truncation
-        when it has one, else the explicit ``window`` argument.
+        series is c t^q (1 + u) and (1 + u)^-1 = b_0 + b_1 t^(1/N) + ... is
+        read off the recurrence b_0 = 1, b_k = -sum_{j>=1} a_j b_{k-j}, where
+        a_j is the coefficient of t^(j/N) in u, over the W = U N slots below
+        u's truncation U: the series' own truncation less q when it has one,
+        else the explicit ``window``.  Only sums and products occur, so it is
+        exact in every characteristic.
         """
         q = self.order()
         if q is None:
             raise DivisionByZero("inverse of a zero series")
-        lead = self.terms[q]
-        if len(self.terms) == 1 and self.is_exact:
-            return PuiseuxSeries.monomial(self.field, -q, lead.inverse())
-        head = PuiseuxSeries.monomial(self.field, -q, lead.inverse())
-        u = self * head - self.field.one  # order > 0
-        if u.trunc is None:
-            if u.is_zero:
-                return head
+        lead_inv = raw_value(self.terms[q].inverse())
+        if self.is_exact:
+            if len(self.terms) == 1:
+                return PuiseuxSeries(self.field, {-q: lead_inv})
             if window is None:
                 raise InputError("inverse of an exact multi-term series needs a window")
-            u = PuiseuxSeries(self.field, u.terms, Fraction(window))
-        du = u.order()
-        acc = PuiseuxSeries(self.field, {Fraction(0): self.field.one}, u.trunc)
-        power = acc
-        if du is not None:
-            k = 1
-            while k * du < u.trunc:
-                power = power * (-u)
-                acc = acc + power
-                k += 1
-        return acc * head
+            window = Fraction(window)
+        else:
+            window = self.trunc - q
+        n = math.lcm(self.ram, window.denominator)
+        _check_slots(window, n)
+        width = window.numerator * (n // window.denominator)
+        p = self.field.characteristic
+        (q0, _), *rest = _grid(self, n)[0]
+        unit = [(k - q0, v * lead_inv) for k, v in rest]
+        b = [1] if width > 0 else []
+        for k in range(1, width):
+            acc = 0
+            for j, a in unit:
+                if j > k:
+                    break
+                acc -= a * b[k - j]
+            b.append(acc % p if p else acc)
+        pairs = _nonzero({k - q0: v * lead_inv for k, v in enumerate(b)}, p)
+        return PuiseuxSeries._from_grid(self.field, n, (pairs, width - q0))
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
             raise InputError("series powers must be integers")
         if k < 0:
             return self.inverse() ** (-k)
-        result = PuiseuxSeries(self.field, {Fraction(0): self.field.one})
-        base = self
-        if k == 0:
-            return result
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        grid = _grid_pow(_grid(self, self.ram), k, self.field.characteristic)
+        return PuiseuxSeries._from_grid(self.field, self.ram, grid)
+
+    @classmethod
+    def _from_grid(cls, field, n, grid) -> "PuiseuxSeries":
+        """Series of a grid pair (pairs, top) on 1/n, as the kernels below
+        produce it: ascending (index, nonzero raw value) pairs, all below the
+        truncation index top (None when exact)."""
+        pairs, top = grid
+        s = cls.__new__(cls)
+        s.field = field
+        s.trunc = None if top is None else Fraction(top, n)
+        s.terms = raw_scalars(field, ((Fraction(k, n), v) for k, v in pairs))
+        s.ram = n // math.gcd(n, top or 0, *(k for k, _ in pairs))
+        return s
 
     def truncated(self, trunc) -> "PuiseuxSeries":
         return PuiseuxSeries(self.field, self.terms, _tmin(self.trunc, Fraction(trunc)))
@@ -428,6 +496,34 @@ class PuiseuxSeries:
 
     def __repr__(self):
         return f"PuiseuxSeries({format_series(self)!r})"
+
+
+def evaluate_monomials(field: FieldSpec, terms: dict, arc) -> PuiseuxSeries:
+    """Sum of c * arc[0]^e_0 * ... * arc[m-1]^e_{m-1} over the items
+    (e, c) of ``terms``, computed on one grid 1/N (N the lcm of the arc's
+    ramifications) with the series product and power, and cut at the least
+    truncation of its terms."""
+    if any(s.field != field for s in arc):
+        raise InputError("mixed-field series arithmetic")
+    n = math.lcm(*(s.ram for s in arc))
+    p = field.characteristic
+    grids = [_grid(s, n) for s in arc]
+    powers = {}
+    acc, top = {}, None
+    for mono, c in terms.items():
+        piece = ([(0, raw_value(c))], None)
+        for i, e in enumerate(mono):
+            if e:
+                if (i, e) not in powers:
+                    powers[i, e] = _grid_pow(grids[i], e, p)
+                piece = _grid_mul(piece, powers[i, e], p)
+        pairs, t = piece
+        top = _tmin(top, t)
+        for k, v in pairs:
+            acc[k] = acc.get(k, 0) + v
+    limit = math.inf if top is None else top
+    pairs = [(k, v) for k, v in _nonzero(acc, p) if k < limit]
+    return PuiseuxSeries._from_grid(field, n, (pairs, top))
 
 
 _TERM_RE = re.compile(

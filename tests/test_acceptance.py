@@ -446,3 +446,15 @@ def test_fibonacci_13_21_reduction():
     assert (res.r_initial, res.r_final) == (13, 1)
     assert replay_matches(trace_document(res, doc))
     _report("13/21", "x2^13 - x1^21 reduced from r 13 to 1; replay matches")
+
+
+def test_two_pair_quartic_reduction():
+    # the branch (t^4, t^6 + t^7) with two Puiseux pairs: transform_arc
+    # inverts and powers dense ramified series at truncation 80
+    doc = arcdoc(0, "x2^4 - 2*x1^3*x2^2 - 4*x1^5*x2 + x1^6 - x1^7",
+                 {"x1": "t^4", "x2": "t^6 + t^7"}, trunc=80)
+    res = run_reduction(oracle_from_document(doc))
+    assert res.status == "REDUCED-TO-SMOOTH"
+    assert (res.r_initial, res.r_final) == (4, 1)
+    assert replay_matches(trace_document(res, doc))
+    _report("quartic", "two-pair quartic reduced from r 4 to 1 at trunc 80; replay matches")

@@ -113,6 +113,34 @@ def test_unreadable_document_exits_2(tmp_path, capsys, command, text):
     assert err.startswith("error: INPUT") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("doc", [
+    {**CUSP, "ring": {"m": 2.5, "char": 0, "n": 1}},
+    {**CUSP, "ring": {"m": 2, "char": 0, "n": True}},
+    {**CUSP, "ring": {"m": 2, "char": 0.0, "n": 1}},
+    {**CUSP, "ring": {"m": "2.5", "char": 0, "n": 1}},
+    {**WEIGHTS, "generators": {"kind": "quadratic", "d": 2.5}},
+    {**WEIGHTS, "generators": {"kind": "quadratic", "d": "2/1"}},
+], ids=["m-float", "n-bool", "char-float", "m-text", "d-float", "d-fraction"])
+def test_non_integer_ring_or_context_number_exits_2(tmp_path, capsys, doc):
+    oracle = write(tmp_path, "bad.json", doc)
+    assert main(["valuate", "--oracle", oracle, "--poly", "x2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: INPUT") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["valuate", "reduce"])
+@pytest.mark.parametrize("doc", [
+    {**CUSP, "ring": {"m": 1000000, "char": 0}},
+    {**CUSP, "arc": {"x1": "t^(1/1000003)*1 + t | trunc 100", "x2": "t^3"}},
+], ids=["ring-size", "series-grid"])
+def test_oversized_document_exits_2(tmp_path, capsys, command, doc):
+    oracle = write(tmp_path, "big.json", doc)
+    args = [command, "--oracle", oracle] + (["--poly", "x2"] if command == "valuate" else [])
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: INPUT") and "Traceback" not in err
+
+
 def test_huge_characteristic_exits_2(tmp_path, capsys):
     oracle = write(tmp_path, "big.json", {**CUSP, "ring": {"m": 2, "char": 2**80, "n": 1}})
     assert main(["valuate", "--oracle", oracle, "--poly", "x2"]) == 2

@@ -1,10 +1,13 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from perronval.errors import DivisionByZero, InputError
+from perronval.poly import Polynomial, VariableFrame
 from perronval.scalars import (
+    MAX_GRID_SLOTS,
     FieldSpec,
     PuiseuxSeries,
     format_series,
@@ -16,6 +19,7 @@ from perronval.scalars import (
 Q = FieldSpec(0)
 F5 = FieldSpec(5)
 F2 = FieldSpec(2)
+FIELDS = [Q, F2, FieldSpec(3), F5, FieldSpec(7)]
 
 
 class TestScalar:
@@ -214,3 +218,158 @@ class TestRationalLiterals:
     def test_rejected(self, text):
         with pytest.raises(InputError):
             parse_rational(text)
+
+
+# References for the grid kernel: the product over Fraction-keyed dicts of
+# Scalars and the geometric-series inverse it replaced, built through the
+# normalising constructor.
+
+def _ref_tmin(a, b):
+    return b if a is None else a if b is None else min(a, b)
+
+
+def _ref_tadd(a, b):
+    return None if a is None or b is None else a + b
+
+
+def _ref_mul(a, b):
+    def eff_order(s):  # a zero series counts as its truncation
+        return s.trunc if s.order() is None else s.order()
+
+    trunc = _ref_tmin(_ref_tadd(a.trunc, eff_order(b)), _ref_tadd(b.trunc, eff_order(a)))
+    terms = {}
+    for q1, c1 in a.terms.items():
+        for q2, c2 in b.terms.items():
+            terms[q1 + q2] = terms.get(q1 + q2, a.field.zero) + c1 * c2
+    return PuiseuxSeries(a.field, terms, trunc)
+
+
+def _ref_inverse(s, window=None):
+    field = s.field
+    q = s.order()
+    head = PuiseuxSeries(field, {-q: s.terms[q].inverse()})
+    if len(s.terms) == 1 and s.is_exact:
+        return head
+    u = _ref_mul(s, head) - field.one
+    if u.trunc is None:
+        if window is None:
+            raise InputError("needs a window")
+        u = PuiseuxSeries(field, u.terms, F(window))
+    acc = PuiseuxSeries(field, {F(0): field.one}, u.trunc)
+    power = acc
+    if u.order() is not None:
+        k = 1
+        while k * u.order() < u.trunc:
+            power = _ref_mul(power, -u)
+            acc = acc + power
+            k += 1
+    return _ref_mul(acc, head)
+
+
+def _ref_pow(s, k):
+    if k < 0:
+        return _ref_pow(_ref_inverse(s), -k)
+    result = PuiseuxSeries(s.field, {F(0): s.field.one})
+    for _ in range(k):
+        result = _ref_mul(result, s)
+    return result
+
+
+def _ref_evaluate(f, arc):
+    result = PuiseuxSeries(f.field)
+    for mono, c in f.terms.items():
+        piece = PuiseuxSeries(f.field, {F(0): c})
+        for s, e in zip(arc, mono):
+            if e:
+                piece = _ref_mul(piece, _ref_pow(s, e))
+        result = result + piece
+    return result
+
+
+def _same(got, want):
+    assert (got.terms, got.trunc, got.ram) == (want.terms, want.trunc, want.ram)
+
+
+KERNEL_CASES = [
+    # ramified exponents (N up to 6) and negative orders
+    ("t^(1/2) + t^(5/3)*2 + t^(11/6)*-1 | trunc 7", "t^(1/3)*3 + t^(3/2) | trunc 9/2", None),
+    ("t^(-3/2) + t^(1/6)*2 + t^2 | trunc 5", "t^(-1) + t^(4/3)*-2 | trunc 4", None),
+    ("t^(5/6)*4 + t^(7/6) + t^(13/6)*-3 | trunc 31/6", "t^(-1/2)*2 + t | trunc 3", None),
+    # exact single-term series
+    ("t^(7/6)*3", "t^(-5/4)*2", None),
+    # exact multi-term series with a window, on and off the grid
+    ("t^(1/2) + t^(3/2)*-1 + t^3*2", "t^(1/3)*2 + t^(4/3)", 6),
+    ("t^(-1/3) + t^(2/3)*3 + t^(5/3)", "t + t^2*-1", F(17, 5)),
+    ("t^(2/3) + t^(5/3)*-1", "t^2", F(0)),
+    # zero series with a finite truncation
+    ("0 | trunc 13/2", "t^(1/2) + t^2*3 | trunc 8", None),
+    # non-integral leading coefficient
+    ("t^(3/4)*13/11 + t^(5/4)*-1/13 + t^3 | trunc 9", "t^(1/2)*-17/19 + t | trunc 6", None),
+]
+KERNEL_IDS = ["ramified", "negative-orders", "ramified-negative", "single-term", "window",
+              "window-off-grid", "window-zero", "zero-truncated", "fractional-lead"]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"char{f.characteristic}")
+@pytest.mark.parametrize("left, right, window", KERNEL_CASES, ids=KERNEL_IDS)
+def test_grid_kernel_matches_reference(field, left, right, window):
+    a, b = parse_series(field, left), parse_series(field, right)
+    _same(a * b, _ref_mul(a, b))
+    _same(b * a, _ref_mul(b, a))
+    for k in (0, 1, 2, 3, 5):
+        _same(a ** k, _ref_pow(a, k))
+        _same(b ** k, _ref_pow(b, k))
+    for s in (a, b):
+        if s.is_zero:
+            with pytest.raises(DivisionByZero):
+                s.inverse(window)
+            continue
+        if s.is_exact and len(s.terms) > 1 and window is None:
+            with pytest.raises(InputError):
+                s.inverse()
+            continue
+        _same(s.inverse(window), _ref_inverse(s, window))
+        if window is None:
+            _same(s ** -2, _ref_pow(s, -2))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"char{f.characteristic}")
+def test_grid_kernel_matches_reference_on_random_series(field):
+    rng = random.Random(f"grid-kernel/{field.characteristic}")
+
+    def draw():
+        n = rng.choice((1, 2, 3, 4, 6))
+        terms = {}
+        for _ in range(rng.randint(1, 5)):
+            c = F(rng.randint(-6, 6), rng.choice((1, 1, 2, 3)))
+            if field.characteristic and c.denominator % field.characteristic == 0:
+                c = F(c.numerator)
+            terms[F(rng.randint(-4, 14), n)] = c
+        trunc = F(rng.randint(1, 24), rng.choice((1, 2, 3, 6)))
+        return PuiseuxSeries(field, terms, trunc)
+
+    frame = VariableFrame(2, 1)
+    for _ in range(40):
+        a, b = draw(), draw()
+        _same(a * b, _ref_mul(a, b))
+        _same(a ** 3, _ref_pow(a, 3))
+        if not a.is_zero:
+            _same(a.inverse(), _ref_inverse(a))
+        f = Polynomial(frame, field, {(rng.randint(0, 3), rng.randint(0, 3)): rng.randint(-3, 3)
+                                      for _ in range(4)})
+        _same(f.evaluate_at_arc((a, b)), _ref_evaluate(f, (a, b)))
+
+
+class TestGridSize:
+    def test_truncation_above_the_cap_is_refused_when_built(self):
+        # 10^8 slots: refused before any coefficient is laid on the grid
+        with pytest.raises(InputError, match="slots"):
+            parse_series(Q, "t^(1/1000003)*1 + t | trunc 100")
+        assert parse_series(Q, f"t | trunc {MAX_GRID_SLOTS}").trunc == MAX_GRID_SLOTS
+        with pytest.raises(InputError, match="slots"):
+            parse_series(Q, f"t | trunc {MAX_GRID_SLOTS + 1}")
+
+    def test_inverse_window_above_the_cap_is_refused(self):
+        s = parse_series(Q, f"t^(1/{MAX_GRID_SLOTS + 1}) + t")
+        with pytest.raises(InputError, match="slots"):
+            s.inverse(window=1)
