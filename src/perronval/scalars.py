@@ -465,7 +465,7 @@ class PuiseuxSeries:
 
     @classmethod
     def _from_grid(cls, field, n, grid) -> "PuiseuxSeries":
-        """Series of a grid pair (pairs, top) on 1/n, as the kernels below
+        """Series of a grid pair (pairs, top) on 1/n, as the grid kernels
         produce it: ascending (index, nonzero raw value) pairs, all below the
         truncation index top (None when exact)."""
         pairs, top = grid
