@@ -152,10 +152,8 @@ class MonomialValuation:
         mg, mu = self.min_monomials(g), self.min_monomials(u)
         if len(mg) != 1 or len(mu) != 1 or mg[0] != mu[0]:
             raise Unsupported("residue needs a unique shared leading monomial")
-        return g.terms[mg[0]] / u.terms[mu[0]]
-
-    def value_lattice(self) -> ValueLattice:
-        return ValueLattice(self.context, tuple(self.weights[: self.frame.n]))
+        # stored values are raw: over Q, int / int would be a float
+        return self.field.scalar(g.terms[mg[0]]) / u.terms[mu[0]]
 
 
 @dataclass(frozen=True)

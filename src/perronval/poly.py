@@ -1,9 +1,10 @@
 """Sparse multivariate polynomials with a distinguished last variable.
 
-Polynomials are finite maps from exponent vectors to nonzero scalars over a
-variable frame x_1..x_m.  The last variable carries the hypersurface
-structure: expansion in x_m, order of f(0,..,0,x_m), translation, and the
-strict transform after a monomial substitution.  Canonical printing uses
+Polynomials are finite maps from exponent vectors to nonzero raw field
+values (``FieldSpec.raw``) over a variable frame x_1..x_m.  The last
+variable carries the hypersurface structure: expansion in x_m, order of
+f(0,..,0,x_m), translation, division, and the strict transform after a
+monomial substitution.  Canonical printing uses
 graded lexicographic order with x_m least significant, so traces and golden
 files are deterministic.
 """
@@ -23,8 +24,7 @@ from .scalars import (
     Scalar,
     evaluate_monomials,
     parse_rational,
-    raw_scalars,
-    raw_value,
+    reduce_raw,
 )
 
 Mono = tuple  # exponent vector of length frame.m
@@ -72,25 +72,15 @@ class Polynomial:
     def __init__(self, frame: VariableFrame, field: FieldSpec, terms=None):
         self.frame = frame
         self.field = field
-        clean = {}
+        acc = {}
         for mono, coeff in (terms or {}).items():
             mono = tuple(int(e) for e in mono)
             if len(mono) != frame.m:
                 raise InputError("exponent vector length does not match frame")
             if any(e < 0 for e in mono):
                 raise InputError("negative exponent in polynomial")
-            coeff = field.scalar(coeff)
-            if coeff.is_zero:
-                continue
-            if mono in clean:
-                s = clean[mono] + coeff
-                if s.is_zero:
-                    del clean[mono]
-                else:
-                    clean[mono] = s
-            else:
-                clean[mono] = coeff
-        self.terms = clean
+            acc[mono] = acc.get(mono, 0) + field.raw(coeff)
+        self.terms = reduce_raw(acc.items(), field.characteristic)
 
     # -- constructors --------------------------------------------------
 
@@ -135,16 +125,15 @@ class Polynomial:
         other = self._coerce(other)
         terms = dict(self.terms)
         for mono, c in other.terms.items():
-            if mono in terms:
-                terms[mono] = terms[mono] + c
-            else:
-                terms[mono] = c
-        return Polynomial(self.frame, self.field, terms)
+            terms[mono] = terms.get(mono, 0) + c
+        return Polynomial._from_raw(self.frame, self.field, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.frame, self.field, {m: -c for m, c in self.terms.items()})
+        return Polynomial._from_raw(
+            self.frame, self.field, {m: -c for m, c in self.terms.items()}
+        )
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -154,12 +143,12 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (Scalar, int, Fraction)):
-            c0 = self.field.scalar(other)
-            return Polynomial(
+            c0 = self.field.raw(other)
+            return Polynomial._from_raw(
                 self.frame, self.field, {m: c * c0 for m, c in self.terms.items()}
             )
         other = self._coerce(other)
-        raw = _raw_addmul({}, _raw_terms(self), _raw_terms(other), self.field.characteristic)
+        raw = _raw_addmul({}, self.terms, other.terms, self.field.characteristic)
         return Polynomial._from_raw(self.frame, self.field, raw)
 
     __rmul__ = __mul__
@@ -168,7 +157,7 @@ class Polynomial:
         if not isinstance(k, int) or k < 0:
             raise InputError("polynomial powers must be nonnegative integers")
         unit = (0,) * self.frame.m
-        raw = _raw_pow(_raw_terms(self), k, self.field.characteristic, unit)
+        raw = _raw_pow(self.terms, k, self.field.characteristic, unit)
         return Polynomial._from_raw(self.frame, self.field, raw)
 
     def __eq__(self, other):
@@ -207,14 +196,14 @@ class Polynomial:
         c = self.terms.get((0,) * (self.frame.m - 1) + (d,))
         if c is None or sum(1 for mono in self.terms if mono[-1] == d) != 1:
             return None
-        return c
+        return self.field.scalar(c)
 
     def coefficient_of_last(self, i: int) -> "Polynomial":
         terms = {}
         for mono, c in self.terms.items():
             if mono[-1] == i:
                 terms[mono[:-1] + (0,)] = c
-        return Polynomial(self.frame, self.field, terms)
+        return Polynomial._from_raw(self.frame, self.field, terms)
 
     def expand_last(self) -> "CoefficientExpansion":
         e = max(self.degree_in_last(), 0)
@@ -224,7 +213,7 @@ class Polynomial:
         return CoefficientExpansion(e=e, coeffs=coeffs, monic=monic, source_frame=self.frame)
 
     def constant_term(self) -> Scalar:
-        return self.terms.get((0,) * self.frame.m, self.field.zero)
+        return self.field.scalar(self.terms.get((0,) * self.frame.m, 0))
 
     def partial_last(self) -> "Polynomial":
         terms = {}
@@ -233,7 +222,7 @@ class Polynomial:
             if k == 0:
                 continue
             terms[mono[:-1] + (k - 1,)] = c * k
-        return Polynomial(self.frame, self.field, terms)
+        return Polynomial._from_raw(self.frame, self.field, terms)
 
     # -- divisibility -----------------------------------------------------
 
@@ -249,11 +238,16 @@ class Polynomial:
             if any(e < 0 for e in shifted):
                 raise DivisionByZero("monomial does not divide the polynomial")
             terms[shifted] = c
-        return Polynomial(self.frame, self.field, terms)
+        return Polynomial._from_raw(self.frame, self.field, terms)
 
     def divmod_last(self, divisor: "Polynomial"):
         """Division in x_m by a divisor whose x_m-leading coefficient is a
         nonzero constant: f = q * divisor + r with deg_xm(r) < deg_xm(divisor).
+
+        Runs on the x_m-coefficient rows b_0..b_d of the divisor and r_k of
+        the remainder: for k = deg f .. d, the quotient row
+        q_{k-d} = r_k / b_d clears r_k, and q_{k-d} * b_j is subtracted from
+        r_{k-d+j} for j < d.
         """
         divisor = self._coerce(divisor)
         d = divisor.degree_in_last()
@@ -262,17 +256,22 @@ class Polynomial:
         lc = divisor.lead_constant_last()
         if lc is None:
             raise InputError("divisor is not monic-like in the last variable")
-        q = Polynomial.zero(self.frame, self.field)
-        r = self
-        while not r.is_zero and r.degree_in_last() >= d:
-            k = r.degree_in_last()
-            top = r.coefficient_of_last(k)
-            shift = [0] * self.frame.m
-            shift[-1] = k - d
-            piece = top * Polynomial.monomial(self.frame, self.field, shift, lc.inverse())
-            q = q + piece
-            r = r - piece * divisor
-        return q, r
+        # a dividend of lower x_m-degree is its own remainder; most of the
+        # divisibility checks in ArcValuation.value end here
+        if self.degree_in_last() < d:
+            return Polynomial.zero(self.frame, self.field), self
+        p = self.field.characteristic
+        lc_inv = self.field.raw(lc.inverse())
+        lower = [{base: -v for base, v in row.items()} for row in _rows(divisor, d)[:d]]
+        rows = _rows(self, self.degree_in_last())
+        quotient = [{} for _ in range(len(rows) - d)]
+        for k in range(len(rows) - 1, d - 1, -1):
+            top, rows[k] = rows[k], {}
+            quotient[k - d] = piece = {base: v * lc_inv for base, v in top.items()}
+            for j, row in enumerate(lower):
+                _raw_addmul(rows[k - d + j], piece, row, p)
+        return (Polynomial._from_raw(self.frame, self.field, _unrows(quotient)),
+                Polynomial._from_raw(self.frame, self.field, _unrows(rows)))
 
     def divisible_by(self, divisor: "Polynomial") -> bool:
         divisor = self._coerce(divisor)
@@ -302,7 +301,7 @@ class Polynomial:
                 raise FrameMismatch("images live in different frames")
         p = self.field.characteristic
         unit = (0,) * target_frame.m
-        bases = [_raw_terms(img) for img in images]
+        bases = [img.terms for img in images]
         powers = {}
         result = {}
         for mono, c in self.terms.items():
@@ -314,7 +313,7 @@ class Polynomial:
                     factors.append(powers[i, e])
             # the last factor is multiplied straight into the result
             last = factors.pop() if factors else {unit: 1}
-            piece = {unit: raw_value(c)}
+            piece = {unit: c}
             for factor in factors:
                 piece = _raw_addmul({}, piece, factor, p)
             _raw_addmul(result, piece, last, p)
@@ -333,32 +332,23 @@ class Polynomial:
             raise InputError("translation polynomial must not involve x_m")
         p = self.field.characteristic
         d = self.degree_in_last()
-        rows = [{} for _ in range(d + 1)]
-        for mono, v in _raw_terms(self).items():
-            rows[mono[-1]][mono[:-1]] = v
-        step = {mono[:-1]: v for mono, v in _raw_terms(h).items()}
+        rows = _rows(self, d)
+        (step,) = _rows(h, 0)
         for i in range(d):
             for j in range(d - 1, i - 1, -1):
                 _raw_addmul(rows[j], rows[j + 1], step, p)
-        terms = {base + (k,): v for k, row in enumerate(rows) for base, v in row.items()}
-        return Polynomial._from_raw(self.frame, self.field, terms)
+        return Polynomial._from_raw(self.frame, self.field, _unrows(rows))
 
     @classmethod
     def _from_raw(cls, frame, field, raw) -> "Polynomial":
-        """Polynomial from nonzero raw values (reduced mod p in
-        characteristic p) on valid exponent vectors of ``frame``, as the
-        kernels below produce them."""
+        """Polynomial from raw values on valid exponent vectors of
+        ``frame``, as the kernels below and the ring operations produce
+        them; ``reduce_raw`` reduces them and drops the zeros."""
         poly = cls.__new__(cls)
         poly.frame = frame
         poly.field = field
-        poly.terms = raw_scalars(field, raw.items())
+        poly.terms = reduce_raw(raw.items(), field.characteristic)
         return poly
-
-    def rename(self, frame: VariableFrame) -> "Polynomial":
-        """Same terms in another frame of the same shape (generation bump)."""
-        if frame.m != self.frame.m:
-            raise FrameMismatch("rename must preserve the variable count")
-        return Polynomial(frame, self.field, dict(self.terms))
 
     # -- strict transform ---------------------------------------------------
 
@@ -403,8 +393,18 @@ class Polynomial:
         return f"Polynomial({format_polynomial(self)!r})"
 
 
-def _raw_terms(f: Polynomial) -> dict:
-    return {mono: raw_value(c) for mono, c in f.terms.items()}
+def _rows(f: Polynomial, d: int) -> list:
+    """The x_m-coefficient rows of f, d >= deg_xm f: rows[k] maps the
+    exponents of x_1..x_{m-1} to the value of their term times x_m^k."""
+    rows = [{} for _ in range(d + 1)]
+    for mono, v in f.terms.items():
+        rows[mono[-1]][mono[:-1]] = v
+    return rows
+
+
+def _unrows(rows) -> dict:
+    """The term map of x_m-coefficient rows; inverse of ``_rows``."""
+    return {base + (k,): v for k, row in enumerate(rows) for base, v in row.items()}
 
 
 def _raw_addmul(acc: dict, a: dict, b: dict, p: int) -> dict:
@@ -457,10 +457,6 @@ class CoefficientExpansion:
 # ---------------------------------------------------------------------------
 # Canonical printing and parsing
 
-def _format_coeff(c: Scalar) -> str:
-    return str(c.value)
-
-
 def format_polynomial(f: Polynomial) -> str:
     if f.is_zero:
         return "0"
@@ -476,12 +472,11 @@ def format_polynomial(f: Polynomial) -> str:
                 factors.append(f"{frame.var_name(i)}^{e}")
         body = "*".join(factors)
         if f.field.modular:
-            text = f"{c}*{body}" if body and c.value != 1 else (body or str(c))
+            text = f"{c}*{body}" if body and c != 1 else (body or str(c))
             chunks.append(("+", text))
             continue
-        val = c.value
-        sign = "-" if val < 0 else "+"
-        mag = abs(val)
+        sign = "-" if c < 0 else "+"
+        mag = abs(c)
         if body and mag == 1:
             text = body
         elif body:
@@ -513,7 +508,7 @@ def parse_polynomial(frame: VariableFrame, field: FieldSpec, text: str) -> Polyn
     tokens = re.findall(r"([+-]?)\s*([^+-]+)", text)
     if not tokens or "".join(s + t for s, t in tokens).replace(" ", "") != text.replace(" ", ""):
         raise InputError(f"cannot tokenize polynomial {text!r}")
-    result = Polynomial.zero(frame, field)
+    terms = {}
     for sign, chunk in tokens:
         chunk = chunk.strip()
         if not chunk:
@@ -544,9 +539,9 @@ def parse_polynomial(frame: VariableFrame, field: FieldSpec, text: str) -> Polyn
                     f"{frame.generation}"
                 )
             mono[idx - 1] += exp
-        term = Polynomial.monomial(frame, field, mono, field.scalar(coeff))
-        result = result + term
-    return result
+        # each term is reduced by itself, as in ``parse_series``
+        terms[tuple(mono)] = terms.get(tuple(mono), 0) + field.raw(coeff)
+    return Polynomial(frame, field, terms)
 
 
 _RING_RE = re.compile(

@@ -104,14 +104,11 @@ def _check_input(oracle):
     monic f through the center has 1 <= ord f(0,..,0,x_m) <= deg f."""
     if not isinstance(oracle, ArcValuation):
         raise Unsupported("the reduction driver needs an arc oracle")
-    f, frame = oracle.f, oracle.frame
+    f = oracle.f
     if f.is_zero:
         raise InputError("the hypersurface is zero")
-    for i in range(frame.m):
-        mono = [0] * frame.m
-        mono[i] = 1
-        if f.divisible_by(Polynomial.monomial(frame, oracle.field, mono)):
-            raise InputError("f is divisible by a variable")
+    if any(f.min_exponents()):
+        raise InputError("f is divisible by a variable")
     if not f.expand_last().monic:
         raise InputError("f must be monic in the last variable")
     if not f.constant_term().is_zero:
@@ -122,22 +119,14 @@ def _strict_sanity(f1: Polynomial):
     """The strict transform must not be divisible by a base variable, and a
     last-variable factor is only allowed when f1 is the smooth equation
     x_m itself (times a constant)."""
-    frame, field = f1.frame, f1.field
-    for i in range(frame.m - 1):
-        mono = [0] * frame.m
-        mono[i] = 1
-        if f1.divisible_by(Polynomial.monomial(frame, field, mono)):
-            raise InternalContradiction("strict transform divisible by a base variable")
-    mono = [0] * frame.m
-    mono[-1] = 1
-    xm = Polynomial.monomial(frame, field, mono)
-    if f1.divisible_by(xm):
-        q = f1.divide_by_monomial(tuple(mono))
-        if len(q.terms) != 1 or not q.constant_term():
-            raise InputError(
-                "strict transform splits off the last variable; the input "
-                "hypersurface was reducible"
-            )
+    *base, last = f1.min_exponents()
+    if any(base):
+        raise InternalContradiction("strict transform divisible by a base variable")
+    if last and (last > 1 or len(f1.terms) != 1):
+        raise InputError(
+            "strict transform splits off the last variable; the input "
+            "hypersurface was reducible"
+        )
 
 
 def _monic_normalize(f1: Polynomial) -> Polynomial:

@@ -1,7 +1,11 @@
 """Exact coefficient arithmetic and truncated Puiseux series.
 
-Scalars live in QQ (arbitrary-precision rationals) or in a prime field F_p,
-always in canonical form: reduced fractions, or representatives 0..p-1.
+Field elements live in QQ (arbitrary-precision rationals) or in a prime
+field F_p.  Polynomials and series store them as canonical raw values (see
+``FieldSpec.raw``): ints 0..p-1, or over QQ an int when integral, else a
+reduced Fraction.  ``Scalar`` wraps one value where a single element is
+handed out.
+
 Puiseux series are finite sums of terms c * t^q with q rational, together
 with a truncation order below which the series is trusted.  A truncation of
 ``None`` means the series is exact (all omitted coefficients are zero);
@@ -96,24 +100,33 @@ class FieldSpec:
     def modular(self) -> bool:
         return self.characteristic != 0
 
-    def scalar(self, value) -> "Scalar":
+    def raw(self, value):
+        """Canonical raw value of a Scalar, int, Fraction or rational string:
+        an int in 0..p-1 in characteristic p; over Q an int when integral,
+        else a Fraction.  Polynomials and series store these values."""
         if isinstance(value, Scalar):
             if value.field != self:
                 raise InputError("scalar from a different field")
-            return value
-        if isinstance(value, str):
+            value = value.value
+        elif isinstance(value, str):
             value = Fraction(value)
         if isinstance(value, int):
-            value = Fraction(value)
+            return value % self.characteristic if self.modular else value
         if not isinstance(value, Fraction):
             raise InputError(f"cannot build scalar from {value!r}")
         if not self.modular:
-            return Scalar(self, value)
+            return value.numerator if value.denominator == 1 else value
         p = self.characteristic
         den = value.denominator % p
         if den == 0:
             raise DivisionByZero(f"denominator divisible by {p}")
-        return Scalar(self, value.numerator * pow(den, -1, p) % p)
+        return value.numerator * pow(den, -1, p) % p
+
+    def scalar(self, value) -> "Scalar":
+        if isinstance(value, Scalar) and value.field == self:
+            return value
+        v = self.raw(value)
+        return Scalar(self, v if self.modular else Fraction(v))
 
     @property
     def zero(self) -> "Scalar":
@@ -252,20 +265,13 @@ def _check_slots(trunc: Fraction, n: int):
         )
 
 
-def raw_value(c: Scalar):
-    """Value of c for the raw kernels: an int mod p, an int for an integral
-    rational (int arithmetic is far cheaper than Fraction arithmetic), or a
-    Fraction.  ``raw_scalars`` turns them back into canonical Scalars."""
-    v = c.value
-    return v.numerator if v.denominator == 1 else v
-
-
-def raw_scalars(field: FieldSpec, items) -> dict:
-    """{key: Scalar} from (key, raw value) pairs whose values are nonzero and,
-    in characteristic p, reduced mod p."""
-    if field.modular:
-        return {key: Scalar(field, v) for key, v in items}
-    return {key: Scalar(field, Fraction(v)) for key, v in items}
+def reduce_raw(items, p: int) -> dict:
+    """{key: value} of the (key, raw value) pairs whose value is nonzero once
+    reduced: mod p in characteristic p, over Q with integral values stored
+    as ints.  Every stored polynomial and series term map comes out of it."""
+    if p:
+        return {key: r for key, v in items if (r := v % p)}
+    return {key: v.numerator if v.denominator == 1 else v for key, v in items if v}
 
 
 # The series kernels work on the integer grid 1/N: a series is a pair
@@ -275,7 +281,7 @@ def raw_scalars(field: FieldSpec, items) -> dict:
 
 def _grid(s: "PuiseuxSeries", n: int):
     """s on the grid 1/n; n must be a multiple of s.ram."""
-    pairs = sorted((q.numerator * (n // q.denominator), raw_value(c)) for q, c in s.terms.items())
+    pairs = sorted((q.numerator * (n // q.denominator), c) for q, c in s.terms.items())
     top = None if s.trunc is None else s.trunc.numerator * (n // s.trunc.denominator)
     return pairs, top
 
@@ -311,9 +317,7 @@ def _grid_pow(a, k: int, p: int):
 
 def _nonzero(acc: dict, p: int) -> list:
     """Ascending (index, value) pairs of the nonzero sums in ``acc``."""
-    if p:
-        acc = {k: v % p for k, v in acc.items()}
-    return sorted((k, v) for k, v in acc.items() if v)
+    return sorted(reduce_raw(acc.items(), p).items())
 
 
 class PuiseuxSeries:
@@ -332,25 +336,15 @@ class PuiseuxSeries:
         if trunc is not None and not isinstance(trunc, Fraction):
             trunc = Fraction(trunc)
         self.trunc = trunc
-        clean = {}
+        acc = {}
         for q, c in (terms or {}).items():
             if not isinstance(q, Fraction):
                 q = Fraction(q)
-            c = field.scalar(c)
-            if c.is_zero:
-                continue
-            if trunc is not None and q >= trunc:
-                continue
-            if q in clean:
-                s = clean[q] + c
-                if s.is_zero:
-                    del clean[q]
-                else:
-                    clean[q] = s
-            else:
-                clean[q] = c
-        self.terms = clean
-        dens = [q.denominator for q in clean]
+            c = field.raw(c)
+            if trunc is None or q < trunc:
+                acc[q] = acc.get(q, 0) + c
+        self.terms = reduce_raw(acc.items(), field.characteristic)
+        dens = [q.denominator for q in self.terms]
         if trunc is not None:
             dens.append(trunc.denominator)
         self.ram = math.lcm(*dens) if dens else 1
@@ -376,25 +370,21 @@ class PuiseuxSeries:
         q = self.order()
         if q is None:
             raise DivisionByZero("leading coefficient of a zero series")
-        return self.terms[q]
+        return self.field.scalar(self.terms[q])
 
     def _coerce(self, other):
         if isinstance(other, PuiseuxSeries):
             if other.field != self.field:
                 raise InputError("mixed-field series arithmetic")
             return other
-        return PuiseuxSeries(self.field, {Fraction(0): self.field.scalar(other)})
+        return PuiseuxSeries(self.field, {Fraction(0): other})
 
     def __add__(self, other):
         other = self._coerce(other)
-        trunc = _tmin(self.trunc, other.trunc)
         terms = dict(self.terms)
         for q, c in other.terms.items():
-            if q in terms:
-                terms[q] = terms[q] + c
-            else:
-                terms[q] = c
-        return PuiseuxSeries(self.field, terms, trunc)
+            terms[q] = terms.get(q, 0) + c
+        return PuiseuxSeries(self.field, terms, _tmin(self.trunc, other.trunc))
 
     __radd__ = __add__
 
@@ -429,7 +419,7 @@ class PuiseuxSeries:
         q = self.order()
         if q is None:
             raise DivisionByZero("inverse of a zero series")
-        lead_inv = raw_value(self.terms[q].inverse())
+        lead_inv = self.field.raw(self.leading_coeff().inverse())
         if self.is_exact:
             if len(self.terms) == 1:
                 return PuiseuxSeries(self.field, {-q: lead_inv})
@@ -472,7 +462,7 @@ class PuiseuxSeries:
         s = cls.__new__(cls)
         s.field = field
         s.trunc = None if top is None else Fraction(top, n)
-        s.terms = raw_scalars(field, ((Fraction(k, n), v) for k, v in pairs))
+        s.terms = {Fraction(k, n): v for k, v in pairs}
         s.ram = n // math.gcd(n, top or 0, *(k for k, _ in pairs))
         return s
 
@@ -511,7 +501,7 @@ def evaluate_monomials(field: FieldSpec, terms: dict, arc) -> PuiseuxSeries:
     powers = {}
     acc, top = {}, None
     for mono, c in terms.items():
-        piece = ([(0, raw_value(c))], None)
+        piece = ([(0, c)], None)
         for i, e in enumerate(mono):
             if e:
                 if (i, e) not in powers:
@@ -567,8 +557,9 @@ def parse_series(field: FieldSpec, text: str, default_trunc=None) -> PuiseuxSeri
                 exp = m.group("paren") or m.group("plain")
                 q = parse_rational(exp) if exp is not None else Fraction(1)
                 c = parse_rational(m.group("coeff")) if m.group("coeff") else Fraction(1)
-            sc = field.scalar(c)
-            terms[q] = terms.get(q, field.zero) + sc
+            # each literal is reduced by itself: a denominator divisible
+            # by p is refused even where two terms would cancel
+            terms[q] = terms.get(q, 0) + field.raw(c)
     return PuiseuxSeries(field, terms, trunc)
 
 

@@ -61,6 +61,18 @@ class TestValuate:
                      "--poly", "x2^2 - x1^3 + x1^10"]) == 0
         assert capsys.readouterr().out.strip().startswith("ABOVE-TRUNCATION(")
 
+    def test_high_power_on_exact_arc(self, tmp_path, capsys):
+        # value() first divides x2^200 by f in x_m, then evaluates it
+        doc = {
+            "version": 1, "kind": "arc",
+            "ring": {"m": 2, "char": 0, "n": 1},
+            "f": "x2 - x1 - x1^2",
+            "arc": {"x1": "t", "x2": "t + t^2"},
+        }
+        oracle = write(tmp_path, "line.json", doc)
+        assert main(["valuate", "--oracle", oracle, "--poly", "x2^200"]) == 0
+        assert capsys.readouterr().out.strip() == "200"
+
 
 def without(doc, key):
     return {k: v for k, v in doc.items() if k != key}

@@ -1,0 +1,173 @@
+"""Property tests for the stored coefficient format and the literal readers.
+
+Polynomials and series store canonical raw values (``FieldSpec.raw``): an int
+in 0..p-1 in characteristic p, over Q an int when integral, else a Fraction
+with denominator > 1.  Printing and parsing must round-trip them, and no
+text or JSON document may make a reader raise anything but PerronvalError.
+"""
+
+from fractions import Fraction as F
+
+from hypothesis import given, settings, strategies as st
+
+from perronval.errors import PerronvalError
+from perronval.oracle import oracle_from_document
+from perronval.poly import Polynomial, VariableFrame, parse_polynomial
+from perronval.scalars import FieldSpec, PuiseuxSeries, format_series, parse_series
+
+FIELDS = [FieldSpec(p) for p in (0, 2, 3, 5, 7)]
+# Structured draws cost about 5 ms each, so they get fewer examples than
+# plain text; the file stays under about 3 s.
+TEXT = settings(max_examples=200, deadline=None)
+STRUCTURED = settings(max_examples=100, deadline=None)
+
+
+def _canonical(field, v):
+    if field.modular:
+        return type(v) is int and 0 < v < field.characteristic
+    if type(v) is int:
+        return v != 0
+    return type(v) is F and v.denominator > 1
+
+
+def _fractions(low, high, max_den):
+    return st.builds(F, st.integers(low * max_den, high * max_den), st.integers(1, max_den))
+
+
+def _coefficient(field, v, form):
+    """v as a Scalar, int, Fraction or rational string."""
+    if field.modular and v.denominator % field.characteristic == 0:
+        v = F(v.numerator)
+    if form == "scalar":
+        return field.scalar(v)
+    if form == "int":
+        return v.numerator
+    return str(v) if form == "str" else v
+
+
+_FORMS = st.sampled_from(["scalar", "int", "fraction", "str"])
+_COEFFICIENTS = {f: st.builds(_coefficient, st.just(f), _fractions(-40, 40, 6), _FORMS)
+                 for f in FIELDS}
+_MONOMIALS = {m: st.tuples(*[st.integers(0, 4)] * m) for m in (1, 2, 3)}
+_EXPONENTS = _fractions(-3, 6, 4)
+_TRUNCATIONS = st.none() | _fractions(-2, 8, 4)
+
+
+@st.composite
+def polynomials(draw):
+    field = draw(st.sampled_from(FIELDS))
+    m = draw(st.integers(1, 3))
+    frame = VariableFrame(m=m, n=1, generation=draw(st.integers(0, 2)))
+    terms = draw(st.dictionaries(_MONOMIALS[m], _COEFFICIENTS[field], max_size=6))
+    return Polynomial(frame, field, terms), terms
+
+
+@st.composite
+def series(draw):
+    field = draw(st.sampled_from(FIELDS))
+    terms = draw(st.dictionaries(_EXPONENTS, _COEFFICIENTS[field], max_size=6))
+    trunc = draw(_TRUNCATIONS)
+    return PuiseuxSeries(field, terms, trunc), terms
+
+
+class TestStoredFormat:
+    @STRUCTURED
+    @given(polynomials())
+    def test_polynomial_roundtrip_and_ring_operations(self, drawn):
+        f, given_terms = drawn
+        field = f.field
+        assert all(_canonical(field, v) for v in f.terms.values())
+        for mono, c in given_terms.items():
+            assert field.scalar(f.terms.get(mono, 0)) == field.scalar(c)
+        back = parse_polynomial(f.frame, field, str(f))
+        assert back == f
+        # the ring operations and kernels store canonical values too
+        xm = Polynomial.variable(f.frame, field, f.frame.m - 1)
+        outputs = [back, f + f, f - f * f, -f, f * 3, f ** 2, f.partial_last(),
+                   f.translate_last(Polynomial.constant(f.frame, field, 5))]
+        outputs += f.divmod_last(xm * 2 + 1)
+        for h in outputs:
+            assert all(_canonical(field, v) for v in h.terms.values())
+
+    @STRUCTURED
+    @given(series())
+    def test_series_roundtrip(self, drawn):
+        s, given_terms = drawn
+        field = s.field
+        assert all(_canonical(field, v) for v in s.terms.values())
+        for q, c in given_terms.items():
+            if s.trunc is None or q < s.trunc:
+                assert field.scalar(s.terms.get(q, 0)) == field.scalar(c)
+        back = parse_series(field, format_series(s, True))
+        assert (back, back.ram) == (s, s.ram)
+        assert all(_canonical(field, v) for v in back.terms.values())
+
+
+# Literal text near the grammars, and arbitrary text.
+_TEXT = (st.text(max_size=40)
+         | st.text(alphabet="x12t0379^*+-/()| .truncN", max_size=40))
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=8,
+)
+
+_TEMPLATES = [
+    {"version": 1, "kind": "arc", "ring": {"m": 2, "char": 0, "n": 1},
+     "f": "x2^2 - x1^3", "arc": {"x1": "t^2", "x2": "t^3"}, "trunc": 40},
+    {"version": 1, "kind": "arc", "ring": {"m": 2, "char": 3, "n": 1},
+     "f": "x2^3 + 2*x1^2*x2 + 2*x1^4", "arc": {"x1": "t", "x2": "t^2*2 + t^4"},
+     "trunc": 12, "normalization": "1/2"},
+    {"version": 1, "kind": "monomial", "ring": {"m": 2, "n": 2, "char": 0},
+     "generators": {"kind": "quadratic", "d": 2}, "weights": ["1", "sqrt(2)"]},
+    {"version": 1, "kind": "chain", "ring": {"m": 2, "char": 0, "n": 1},
+     "x1_value": "1", "steps": [{"phi": "x2", "gamma": "3/2"}]},
+]
+_KEYS = st.sampled_from(sorted({key for doc in _TEMPLATES for key in doc} | {"context"}))
+_ACTIONS = st.sampled_from(["replace", "drop", "text"])
+
+
+@st.composite
+def documents(draw):
+    """A template document with some fields replaced, dropped or nested
+    fields mangled, or an arbitrary JSON value."""
+    if draw(st.booleans()):
+        return draw(_JSON)
+    doc = dict(draw(st.sampled_from(_TEMPLATES)))
+    for _ in range(draw(st.integers(1, 3))):
+        key = draw(_KEYS)
+        action = draw(_ACTIONS)
+        if action == "drop":
+            doc.pop(key, None)
+        elif action == "text":
+            doc[key] = draw(_TEXT)
+        else:
+            doc[key] = draw(_JSON)
+    return doc
+
+
+class TestReadersRaiseOnlyPerronvalError:
+    @TEXT
+    @given(_TEXT, st.sampled_from(FIELDS))
+    def test_polynomial_text(self, text, field):
+        try:
+            parse_polynomial(VariableFrame(m=2, n=1), field, text)
+        except PerronvalError:
+            pass
+
+    @TEXT
+    @given(_TEXT, st.sampled_from(FIELDS))
+    def test_series_text(self, text, field):
+        try:
+            parse_series(field, text)
+        except PerronvalError:
+            pass
+
+    @STRUCTURED
+    @given(documents())
+    def test_oracle_documents(self, doc):
+        try:
+            oracle_from_document(doc)
+        except PerronvalError:
+            pass

@@ -172,6 +172,50 @@ def _strict_by_division(g, c):
         lam += 1
 
 
+class TestDivmodLast:
+    def test_matches_reference_random(self):
+        # divisors c*x3^d + (terms of x3-degree < d) with c != 1 where the
+        # field has such a constant; some dividends have x3-degree below d
+        rng = random.Random(37)
+        frame = VariableFrame(m=3, n=2)
+        for field in FIELDS:
+            for d in (1, 2, 3):
+                for _ in range(8):
+                    c = rng.randint(2, 9)
+                    if not field.modular:
+                        c = F(c, rng.randint(1, 3))
+                    elif c % field.characteristic == 0:
+                        c = 1
+                    lower = _random_poly(rng, frame, field, max_terms=4, max_exp=3)
+                    lower = Polynomial(frame, field, {
+                        mono[:-1] + (mono[-1] % d,): v for mono, v in lower.terms.items()
+                    })
+                    divisor = Polynomial.monomial(frame, field, (0, 0, d), c) + lower
+                    max_exp = rng.choice([d - 1, 7])
+                    f = _random_poly(rng, frame, field, max_terms=6, max_exp=max_exp)
+                    q, r = f.divmod_last(divisor)
+                    assert (q, r) == _divmod_by_terms(f, divisor)
+                    assert q * divisor + r == f and r.degree_in_last() < d
+
+
+def _divmod_by_terms(f, divisor):
+    """Reference division in x_m: one Polynomial product and difference per
+    leading x_m-coefficient of the remainder."""
+    d = divisor.degree_in_last()
+    lc = divisor.lead_constant_last()
+    q = Polynomial.zero(f.frame, f.field)
+    r = f
+    while not r.is_zero and r.degree_in_last() >= d:
+        k = r.degree_in_last()
+        top = r.coefficient_of_last(k)
+        shift = [0] * f.frame.m
+        shift[-1] = k - d
+        piece = top * Polynomial.monomial(f.frame, f.field, shift, lc.inverse())
+        q = q + piece
+        r = r - piece * divisor
+    return q, r
+
+
 class TestArcEvaluation:
     def test_cusp_parametrization(self):
         arc = (parse_series(Q, "t^2", default_trunc=40), parse_series(Q, "t^3", default_trunc=40))

@@ -14,9 +14,10 @@ from perronval.errors import (
 )
 from perronval.cli import main
 from perronval.oracle import oracle_from_document
-from perronval.poly import parse_polynomial
+from perronval.poly import VariableFrame, parse_polynomial
 from perronval.reduce import (
     Bounds,
+    _strict_sanity,
     case2_finish,
     char0_translate,
     defectless_translate,
@@ -26,6 +27,7 @@ from perronval.reduce import (
     run_reduction,
     trace_document,
 )
+from perronval.scalars import FieldSpec
 
 
 def arcdoc(char, f, arc, trunc=40):
@@ -178,6 +180,21 @@ class TestCase2:
         oracle = oracle_from_document(TACNODE)
         with pytest.raises(NotCase2):
             case2_finish(oracle)
+
+    def test_split_off_last_variable_rejected(self):
+        # f = (x2 - x1)^2 on its exact arc: the strict transform is x2^2
+        doc = {
+            "version": 1, "kind": "arc",
+            "ring": {"m": 2, "char": 0, "n": 1},
+            "f": "x2^2 - 2*x1*x2 + x1^2",
+            "arc": {"x1": "t", "x2": "t"},
+        }
+        with pytest.raises(NotCase2, match="splits off the last variable"):
+            case2_finish(oracle_from_document(doc))
+
+    @pytest.mark.parametrize("f1", ["x2", "2*x2"])
+    def test_strict_sanity_accepts_smooth(self, f1):
+        _strict_sanity(parse_polynomial(VariableFrame(m=2, n=1), FieldSpec(0), f1))
 
 
 class TestDriver:

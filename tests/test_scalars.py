@@ -195,8 +195,8 @@ class TestSeriesProperties:
 class TestSeriesLiterals:
     def test_spec_literal(self):
         s = parse_series(Q, "t^(3/2)*1 + t^2*-1 | trunc 5 | N 2")
-        assert s.terms[F(3, 2)] == Q.one
-        assert s.terms[F(2)] == Q.scalar(-1)
+        assert Q.scalar(s.terms[F(3, 2)]) == Q.one
+        assert Q.scalar(s.terms[F(2)]) == Q.scalar(-1)
         assert s.trunc == 5 and s.ram == 2
 
     def test_bad_literal(self):
@@ -247,7 +247,7 @@ def _ref_mul(a, b):
 def _ref_inverse(s, window=None):
     field = s.field
     q = s.order()
-    head = PuiseuxSeries(field, {-q: s.terms[q].inverse()})
+    head = PuiseuxSeries(field, {-q: field.scalar(s.terms[q]).inverse()})
     if len(s.terms) == 1 and s.is_exact:
         return head
     u = _ref_mul(s, head) - field.one
