@@ -17,7 +17,6 @@ Oracles are immutable; every query is pure.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,7 +30,7 @@ from .errors import (
     ValueMismatch,
 )
 from .poly import Polynomial, VariableFrame, parse_polynomial
-from .scalars import FieldSpec, PuiseuxSeries, Scalar, parse_rational, parse_series
+from .scalars import FieldSpec, PuiseuxSeries, Scalar, parse_integer, parse_rational, parse_series
 from .valgroup import (
     GeneratorContext,
     RATIONAL,
@@ -228,18 +227,16 @@ class ArcValuation:
         return self.series_of(g).leading_coeff() / self.series_of(u).leading_coeff()
 
     def monomial_residue(self, exps) -> Scalar:
-        """Leading coefficient of a (Laurent) monomial in the arc series."""
-        field = self.field
-        num = PuiseuxSeries(field, {Fraction(0): field.one})
-        den = PuiseuxSeries(field, {Fraction(0): field.one})
+        """Leading coefficient of a (Laurent) monomial in the arc series: the
+        product of lc(s_j)^{e_j}.  A nonzero s of order q < trunc T has s^e
+        trusted below T + (e - 1) q > e q, so lc(s^e) = lc(s)^e."""
+        out = self.field.one
         for e, s in zip(exps, self.arc):
-            if e > 0:
-                num = num * s**e
-            elif e < 0:
-                den = den * s ** (-e)
-        if num.is_zero or den.is_zero:
-            raise DivisionByZero("monomial residue over a vanishing window")
-        return num.leading_coeff() / den.leading_coeff()
+            if e:
+                if s.is_zero:
+                    raise DivisionByZero("monomial residue over a vanishing window")
+                out = out * s.leading_coeff() ** e
+        return out
 
     def variable_values(self):
         out = []
@@ -358,10 +355,9 @@ class AugmentedChain:
         for idx, (phi, gamma) in enumerate(self.steps):
             if phi.frame != frame or phi.field != field:
                 raise FrameMismatch("key polynomial in the wrong frame")
-            d = phi.degree_in_last()
-            lead = phi.coefficient_of_last(d)
-            if lead != Polynomial.one(frame, field):
+            if phi.lead_constant_last() != field.one:
                 raise InputError("key polynomials must be monic in x_m")
+            d = phi.degree_in_last()
             if d <= prev_deg:
                 raise InputError("key polynomial degrees must strictly increase")
             prev_deg = d
@@ -382,8 +378,7 @@ class AugmentedChain:
         if g.is_zero:
             return ValueResult.infinite()
         best = None
-        for i in range(g.degree_in_last() + 1):
-            coeff = g.coefficient_of_last(i)
+        for coeff in g.coeffs_last():
             inner = self._base_value(coeff)
             if inner.is_finite and (best is None or inner.value < best):
                 best = inner.value
@@ -437,10 +432,10 @@ class AugmentedChain:
 
 def parse_ring(doc: dict, default_n=None):
     _typed(doc, dict, "ring")
-    m = _integer(_required(doc, "m", "ring"), "ring m")
-    n = _integer(doc.get("n", default_n or max(m - 1, 1)), "ring n")
-    gen = _integer(doc.get("gen", 0), "ring gen")
-    char = _integer(doc.get("char", 0), "ring char")
+    m = parse_integer(_required(doc, "m", "ring"), "ring m")
+    n = parse_integer(doc.get("n", default_n or max(m - 1, 1)), "ring n")
+    gen = parse_integer(doc.get("gen", 0), "ring gen")
+    char = parse_integer(doc.get("char", 0), "ring char")
     return VariableFrame(m=m, n=n, generation=gen), FieldSpec(characteristic=char)
 
 
@@ -451,24 +446,8 @@ def parse_context(doc) -> GeneratorContext:
     if doc.get("kind") == "rational":
         return RATIONAL
     if doc.get("kind") == "quadratic":
-        return quadratic(_integer(_required(doc, "d", "quadratic context"), "quadratic d"))
+        return quadratic(parse_integer(_required(doc, "d", "quadratic context"), "quadratic d"))
     raise InputError(f"unknown context document {doc!r}")
-
-
-_INTEGER_RE = re.compile(r"\s*-?[0-9]+\s*")
-
-
-def _integer(value, what: str) -> int:
-    """A JSON integer (not a bool) or an integer literal ``-?d+``; floats,
-    bools and other text raise InputError rather than be rounded."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, str) and _INTEGER_RE.fullmatch(value):
-        try:
-            return int(value)
-        except ValueError as exc:  # more digits than int() converts
-            raise InputError(f"{what} has too many digits") from exc
-    raise InputError(f"{what} must be an integer, got {value!r}")
 
 
 def _typed(value, kind: type, what: str):

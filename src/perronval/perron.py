@@ -30,8 +30,9 @@ from .errors import (
     Unsupported,
     ValueMismatch,
 )
+from .oracle import _required, _typed
 from .poly import Polynomial, VariableFrame
-from .scalars import FieldSpec, PuiseuxSeries, Scalar
+from .scalars import FieldSpec, PuiseuxSeries, Scalar, parse_integer, parse_rational
 from .valgroup import (
     Value,
     det_int,
@@ -168,10 +169,17 @@ class PerronTransform:
 
     @classmethod
     def from_document(cls, doc: dict, frame: VariableFrame, field: FieldSpec):
-        c = field.scalar(Fraction(doc["c"])) if "c" in doc else None
+        """Transform from its trace document; a missing key, a constant that
+        is not a rational literal or a matrix entry that is not an integer
+        raises InputError."""
+        rows = _typed(_required(doc, "matrix", "transform"), list, "transform matrix")
+        c = field.scalar(parse_rational(doc["c"])) if "c" in doc else None
         return cls(
-            kind=doc["kind"],
-            matrix=tuple(tuple(int(e) for e in row) for row in doc["matrix"]),
+            kind=_required(doc, "kind", "transform"),
+            matrix=tuple(
+                tuple(parse_integer(e, "matrix entry") for e in _typed(row, list, "matrix row"))
+                for row in rows
+            ),
             frame=frame,
             c=c,
         )

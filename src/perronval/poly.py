@@ -198,19 +198,13 @@ class Polynomial:
             return None
         return self.field.scalar(c)
 
-    def coefficient_of_last(self, i: int) -> "Polynomial":
-        terms = {}
-        for mono, c in self.terms.items():
-            if mono[-1] == i:
-                terms[mono[:-1] + (0,)] = c
-        return Polynomial._from_raw(self.frame, self.field, terms)
-
-    def expand_last(self) -> "CoefficientExpansion":
-        e = max(self.degree_in_last(), 0)
-        coeffs = tuple(self.coefficient_of_last(i) for i in range(e + 1))
-        lead = coeffs[e] if coeffs else Polynomial.zero(self.frame, self.field)
-        monic = lead == Polynomial.one(self.frame, self.field)
-        return CoefficientExpansion(e=e, coeffs=coeffs, monic=monic, source_frame=self.frame)
+    def coeffs_last(self) -> list:
+        """The x_m-coefficients a_0..a_e of f = a_e x_m^e + .. + a_0, each
+        free of x_m, with e = deg_xm f (one zero row for f = 0)."""
+        return [
+            Polynomial._from_raw(self.frame, self.field, {base + (0,): v for base, v in row.items()})
+            for row in _rows(self, max(self.degree_in_last(), 0))
+        ]
 
     def constant_term(self) -> Scalar:
         return self.field.scalar(self.terms.get((0,) * self.frame.m, 0))
@@ -435,25 +429,6 @@ def _raw_pow(a: dict, k: int, p: int, unit: Mono) -> dict:
     return result
 
 
-@dataclass(frozen=True)
-class CoefficientExpansion:
-    """f = a_e x_m^e + ... + a_0 with the a_i free of x_m."""
-
-    e: int
-    coeffs: tuple
-    monic: bool
-    source_frame: VariableFrame
-
-    def reconstruct(self) -> Polynomial:
-        frame = self.source_frame
-        field = self.coeffs[0].field
-        xm = Polynomial.variable(frame, field, frame.m - 1)
-        total = Polynomial.zero(frame, field)
-        for i, a in enumerate(self.coeffs):
-            total = total + a * xm**i
-        return total
-
-
 # ---------------------------------------------------------------------------
 # Canonical printing and parsing
 
@@ -552,7 +527,7 @@ _RING_RE = re.compile(
 
 def parse_ring_header(line: str):
     """Parse ``ring m=<m> char=<p> [n=<n>] [gen=<g>]`` into (frame, field)."""
-    m = _RING_RE.match(line.strip())
+    m = _RING_RE.match(line.strip()) if isinstance(line, str) else None
     if not m:
         raise InputError(f"bad ring header {line!r}")
     mm = int(m.group("m"))

@@ -19,7 +19,6 @@ trace document and must reproduce the recorded polynomials byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 
 from .errors import (
     BinomialObstruction,
@@ -34,7 +33,9 @@ from .errors import (
     TruncationExhausted,
     Unsupported,
 )
-from .oracle import ArcValuation
+from .oracle import ArcValuation, _required, _typed
+# build_a6_divide is not called here; perfbench/test_perfbench.py reads it as
+# reduce.build_a6_divide when it checks that the tracer restores bindings
 from .perron import (
     PerronTransform,
     build_a1,
@@ -42,7 +43,7 @@ from .perron import (
     check_sigma_proportionality,
 )
 from .poly import Polynomial, format_ring_header, parse_polynomial, parse_ring_header
-from .scalars import INFINITE
+from .scalars import INFINITE, parse_rational
 from .valgroup import det_int, member
 
 DOCUMENT_VERSION = 1
@@ -68,10 +69,6 @@ class SigmaData:
     lambdas: dict | None = None  # l -> int
     taus: dict | None = None  # l -> tuple of tau_{j,l}
     d: int | None = None
-
-    @property
-    def t(self) -> int:
-        return len(self.sigmas)
 
     def document(self) -> dict:
         doc = {
@@ -109,7 +106,7 @@ def _check_input(oracle):
         raise InputError("the hypersurface is zero")
     if any(f.min_exponents()):
         raise InputError("f is divisible by a variable")
-    if not f.expand_last().monic:
+    if f.lead_constant_last() != f.field.one:
         raise InputError("f must be monic in the last variable")
     if not f.constant_term().is_zero:
         raise InputError("the center does not lie on the hypersurface")
@@ -178,10 +175,9 @@ def lrm_step(oracle: ArcValuation, bounds: Bounds = Bounds()):
             "value(x_m) lies in the base group; translate first"
         )
 
-    expansion = oracle.f.expand_last()
-    if not expansion.monic:
+    if oracle.f.lead_constant_last() != oracle.field.one:
         raise PreconditionError("f must be monic in the last variable")
-    coeffs = expansion.coeffs
+    coeffs = oracle.f.coeffs_last()
     # plane curves: each nonzero coefficient is x1^k times a unit, k its x1-order
     if frame.m != 2:
         raise Unsupported(
@@ -227,98 +223,79 @@ def lrm_step(oracle: ArcValuation, bounds: Bounds = Bounds()):
             raise InternalContradiction("tau exponents differ across the sigma block")
     if not check_sigma_proportionality(tau, sigmas, lambdas):
         raise InternalContradiction("the (lambda, sigma) proportionality failed")
+    # n = 1 here, so term l has value tau_l * w' after the transform, w' > 0
+    # the value of the new x_1; no term lies below rho, so tau_sigma <= tau_l
+    if any(tv < taus[sigmas[0]] for tv in taus.values()):
+        raise InternalContradiction("the sigma block does not divide every term")
     d_minor = det_int([list(row[:n]) for row in mat[:n]])
     sigma = SigmaData(rho=rho, sigmas=sigmas, dvecs=dvecs, lambdas=lambdas,
                       taus=taus, d=d_minor)
 
-    g = tau.substitute(oracle.f)
-    arc1 = tau.transform_arc(oracle.arc)
-    frame1 = tau.new_frame()
-    steps = [TraceStep("A1", {
+    def check_order(r1):
+        if r1 is INFINITE:
+            raise InternalContradiction("strict transform vanished along the fiber")
+        if r1 == r:
+            # theorem: impossible under the entry precondition.  Before failing,
+            # record the forced shape: sigma_t = r, sigma_1 = 0, |d| = 1, and
+            # with d = 1 the divisibility r | d_i(sigma_1), which puts value(x_m)
+            # back in the base group and contradicts the precondition.
+            degenerate = sigmas[-1] == r and sigmas[0] == 0 and abs(d_minor) == 1
+            divisibility = None
+            if degenerate:
+                divisibility = all(x % r == 0 for x in dvecs[sigmas[0]])
+            raise InternalContradiction(
+                f"multiplicity did not drop (degenerate shape: {degenerate}, "
+                f"r divides d_i(sigma_1): {divisibility})"
+            )
+        if r1 > r:
+            raise InternalContradiction("multiplicity increased")
+
+    return _strict_step(oracle, tau, "A1", {
         "transform": tau.document(),
         "sigma": sigma.document(),
         "d_negative": d_minor < 0,
         "old_values": [str(v) for v in list(base_values) + [gamma_z.value]],
-        "f_after": str(g),
-        "generation": frame1.generation,
-    })]
+    }, InternalContradiction, check_order)
 
-    # Lemma-11 merges when the minimal monomial block does not yet divide
-    new_weights = tau.transformed_weights(list(base_values) + [gamma_z.value])[:n]
-    current_taus = dict(taus)
-    merges = 0
-    while True:
-        offender = None
-        for l, tv in current_taus.items():
-            if any(a < b for a, b in zip(tv, current_taus[sigmas[0]])):
-                offender = l
-                break
-        if offender is None:
-            break
-        if merges >= bounds.max_perron_steps:
-            raise StepBoundExceeded("divisibility merges exceeded the bound")
-        merges += 1
-        merge = build_a6_divide(
-            current_taus[sigmas[0]], current_taus[offender], new_weights,
-            frame1, bound=bounds.max_perron_steps,
-        )
-        g = merge.substitute(g)
-        arc1 = merge.transform_arc(arc1)
-        frame1 = merge.new_frame()
-        mmat = merge.matrix
-        current_taus = {
-            l: tuple(sum(mmat[i][j] * tv[i] for i in range(n)) for j in range(n))
-            for l, tv in current_taus.items()
-        }
-        new_weights = merge.transformed_weights(new_weights)
-        steps.append(TraceStep("A6", {
-            "transform": merge.document(),
-            "f_after": str(g),
-            "generation": frame1.generation,
-        }))
 
+def _strict_step(oracle: ArcValuation, tau: PerronTransform, kind: str,
+                 payload: dict, error: type, check_order):
+    """Substitute tau, pass to the strict transform f_1 and the new arc, and
+    return (new_oracle, [``kind`` step with ``payload``, STRICT-TRANSFORM]).
+    ``check_order`` raises on a bad order of f_1; ``error`` is raised when
+    the arc leaves f_1, and under NotCase2 also when f_1 is reducible."""
+    g = tau.substitute(oracle.f)
+    arc1 = tau.transform_arc(oracle.arc)
+    frame1 = tau.new_frame()
     exps, lam, f1 = g.strict_transform(tau.c)
-    _strict_sanity(f1)
+    try:
+        _strict_sanity(f1)
+    except InputError as exc:
+        if error is not NotCase2:
+            raise
+        raise NotCase2(str(exc)) from exc
     f1 = _monic_normalize(f1)
     r1 = f1.ord_last()
-    if r1 is INFINITE:
-        raise InternalContradiction("strict transform vanished along the fiber")
-    if r1 == r:
-        # theorem: impossible under the entry precondition.  Before failing,
-        # record the forced shape: sigma_t = r, sigma_1 = 0, |d| = 1, and
-        # with d = 1 the divisibility r | d_i(sigma_1), which puts value(x_m)
-        # back in the base group and contradicts the precondition.
-        degenerate = sigmas[-1] == r and sigmas[0] == 0 and abs(d_minor) == 1
-        divisibility = None
-        if degenerate:
-            divisibility = all(x % r == 0 for x in dvecs[sigmas[0]])
-        raise InternalContradiction(
-            f"multiplicity did not drop (degenerate shape: {degenerate}, "
-            f"r divides d_i(sigma_1): {divisibility})"
-        )
-    if r1 > r:
-        raise InternalContradiction("multiplicity increased")
-
+    check_order(r1)
     oracle1 = oracle.with_arc(frame1, f1, arc1)
     if not oracle1.arc_consistency():
-        raise InternalContradiction("transformed arc left the strict transform")
-    steps.append(TraceStep("STRICT-TRANSFORM", {
-        "c": str(tau.c),
-        "exponents": list(exps),
-        "lambda": lam,
-        "f_after": str(f1),
-        "r_after": r1,
-        "generation": frame1.generation,
-    }))
-    return oracle1, steps
+        raise error("transformed arc left the strict transform")
+    return oracle1, [
+        TraceStep(kind, {**payload, "f_after": str(g), "generation": frame1.generation}),
+        TraceStep("STRICT-TRANSFORM", {
+            "c": str(tau.c),
+            "exponents": list(exps),
+            "lambda": lam,
+            "f_after": str(f1),
+            "r_after": r1,
+            "generation": frame1.generation,
+        }),
+    ]
 
 
-def char0_translate(oracle: ArcValuation):
-    """Translate x_m by the residue multiple of a_{r-1} (the route that the
-    binomial theorem justifies in characteristic zero)."""
-    frame = oracle.frame
-    f = oracle.f
-    r = f.ord_last()
+def _translation_gamma(oracle: ArcValuation):
+    """(x_m, value(x_m)) for a translation, which needs value(x_m) finite
+    and inside the base group."""
     xm = _xm(oracle)
     gamma_z = oracle.value(xm)
     if not gamma_z.is_finite:
@@ -327,15 +304,25 @@ def char0_translate(oracle: ArcValuation):
         raise PreconditionError(
             "value(x_m) is already outside the base group; run the Perron step"
         )
-    expansion = f.expand_last()
-    a_prev = expansion.coeffs[r - 1] if r - 1 < len(expansion.coeffs) else None
+    return xm, gamma_z
+
+
+def char0_translate(oracle: ArcValuation):
+    """Translate x_m by the residue multiple of a_{r-1} (the route that the
+    binomial theorem justifies in characteristic zero)."""
+    frame = oracle.frame
+    f = oracle.f
+    r = f.ord_last()
+    xm, gamma_z = _translation_gamma(oracle)
+    coeffs = f.coeffs_last()
+    a_prev = coeffs[r - 1] if r - 1 < len(coeffs) else None
     if a_prev is None or a_prev.is_zero:
         raise BinomialObstruction("a_{r-1} vanishes identically")
     va = oracle.value(a_prev)
     if not va.is_finite or va.value != gamma_z.value:
         raise BinomialObstruction("value(a_{r-1}) differs from value(x_m)")
 
-    values = _expansion_values(oracle, expansion.coeffs)
+    values = _expansion_values(oracle, coeffs)
     rho, sigmas = _sigma_of(values)
     if len(sigmas) <= 1:
         raise InternalContradiction("a single minimal term contradicts value(f) = infinity")
@@ -374,14 +361,7 @@ def defectless_translate(oracle: ArcValuation, bounds: Bounds = Bounds()):
     signature); an infinite gamma certifies that x_m agrees with a base
     element and raises CASE2-SIGNAL instead.
     """
-    xm = _xm(oracle)
-    gamma_z = oracle.value(xm)
-    if not gamma_z.is_finite:
-        raise PreconditionError("value(x_m) must be finite")
-    if member(gamma_z.value, oracle.base_lattice()) is None:
-        raise PreconditionError(
-            "value(x_m) is already outside the base group; run the Perron step"
-        )
+    xm, _ = _translation_gamma(oracle)
     approx = oracle.best_approx(bounds.max_approx_steps)
     if approx.status != "MAX-OUTSIDE":
         if approx.gamma.is_infinite:
@@ -426,10 +406,7 @@ def case2_finish(oracle: ArcValuation):
     b = list(coords[:n]) + [0] * (n - len(coords))
     if any(c < 0 for c in coords) or any(coords[n:]):
         raise NotCase2("monomial exponents of x_m are not nonnegative on x_1..x_n")
-    mono = [0] * frame.m
-    for j in range(n):
-        mono[j] = b[j]
-    unit_mono = Polynomial.monomial(frame, field, mono)
+    unit_mono = Polynomial.monomial(frame, field, b + [0] * (frame.m - n))
     beta = oracle.residue(xm, unit_mono)
     if beta.is_zero:
         raise NotCase2("vanishing residue for the unit part")
@@ -437,42 +414,19 @@ def case2_finish(oracle: ArcValuation):
     matrix.append(b + [1])
     tau = PerronTransform(kind="A1", matrix=tuple(tuple(r) for r in matrix),
                           frame=frame, c=beta)
-    g = tau.substitute(oracle.f)
-    arc1 = tau.transform_arc(oracle.arc)
-    frame1 = tau.new_frame()
-    exps, lam, f1 = g.strict_transform(beta)
-    try:
-        _strict_sanity(f1)
-    except InputError as exc:
-        raise NotCase2(str(exc)) from exc
-    f1 = _monic_normalize(f1)
-    r1 = f1.ord_last()
-    if r1 is INFINITE or r1 != 1:
-        raise NotCase2(f"strict transform has order {r1}, expected 1")
-    oracle1 = oracle.with_arc(frame1, f1, arc1)
-    if not oracle1.arc_consistency():
-        raise NotCase2("transformed arc left the strict transform")
-    steps = [
-        TraceStep("CASE2", {
-            "transform": tau.document(),
-            "beta": str(beta),
-            "b": b,
-            "old_values": [
-                str(v) for v in oracle.variable_values()[:n] + [gamma_z.value]
-            ],
-            "f_after": str(g),
-            "generation": frame1.generation,
-        }),
-        TraceStep("STRICT-TRANSFORM", {
-            "c": str(beta),
-            "exponents": list(exps),
-            "lambda": lam,
-            "f_after": str(f1),
-            "r_after": r1,
-            "generation": frame1.generation,
-        }),
-    ]
-    return oracle1, steps
+
+    def check_order(r1):
+        if r1 != 1:
+            raise NotCase2(f"strict transform has order {r1}, expected 1")
+
+    return _strict_step(oracle, tau, "CASE2", {
+        "transform": tau.document(),
+        "beta": str(beta),
+        "b": b,
+        "old_values": [
+            str(v) for v in oracle.variable_values()[:n] + [gamma_z.value]
+        ],
+    }, NotCase2, check_order)
 
 
 @dataclass
@@ -582,24 +536,24 @@ def replay_trace(doc: dict) -> str:
     """Re-run the recorded substitutions and translations from the initial
     document; returns the canonical final polynomial, which must equal the
     recorded one byte for byte."""
-    oracle_doc = doc.get("oracle")
+    oracle_doc = _typed(doc, dict, "trace document").get("oracle")
     if oracle_doc is None:
         raise InputError("trace document lacks the oracle block")
-    frame, field = parse_ring_header(doc["ring"])
-    f = parse_polynomial(frame, field, oracle_doc["f"])
-    for step in doc.get("steps", []):
-        kind = step["kind"]
+    frame, field = parse_ring_header(_required(doc, "ring", "trace"))
+    f = parse_polynomial(frame, field, _required(oracle_doc, "f", "oracle"))
+    for step in _typed(doc.get("steps", []), list, "trace steps"):
+        kind = _required(step, "kind", "trace step")
         if kind in ("A1", "A6", "CASE2"):
-            tau = PerronTransform.from_document(step["transform"], frame, field)
+            tau = PerronTransform.from_document(_required(step, "transform", kind), frame, field)
             f = tau.substitute(f)
             frame = tau.new_frame()
         elif kind in ("TRANSLATE-CHAR0", "TRANSLATE-DEFECTLESS"):
-            h = parse_polynomial(frame, field, step["h"])
+            h = parse_polynomial(frame, field, _required(step, "h", kind))
             f = f.translate_last(h)
         elif kind == "STRICT-TRANSFORM":
-            c = field.scalar(Fraction(step["c"]))
+            c = field.scalar(parse_rational(_required(step, "c", kind)))
             exps, lam, f1 = f.strict_transform(c)
-            if list(exps) != step["exponents"] or lam != step["lambda"]:
+            if list(exps) != step.get("exponents") or lam != step.get("lambda"):
                 raise InputError("replayed strict transform differs from the record")
             f = _monic_normalize(f1)
         else:
@@ -611,4 +565,4 @@ def replay_trace(doc: dict) -> str:
 
 
 def replay_matches(doc: dict) -> bool:
-    return replay_trace(doc) == doc["final_f"]
+    return replay_trace(doc) == _required(doc, "final_f", "trace")

@@ -235,6 +235,22 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(num, den)
 
 
+_INTEGER_RE = re.compile(r"\s*-?[0-9]+\s*")
+
+
+def parse_integer(value, what: str) -> int:
+    """A JSON integer (not a bool) or an integer literal ``-?d+``; floats,
+    bools and other text raise InputError rather than be rounded."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and _INTEGER_RE.fullmatch(value):
+        try:
+            return int(value)
+        except ValueError as exc:  # more digits than int() converts
+            raise InputError(f"{what} has too many digits") from exc
+    raise InputError(f"{what} must be an integer, got {value!r}")
+
+
 def _tmin(a, b):
     # min of truncations where None means +infinity
     if a is None:

@@ -3,14 +3,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from perronval.errors import FrameMismatch, InputError, Unsupported, ValueMismatch
+from perronval.errors import DivisionByZero, FrameMismatch, InputError, Unsupported, ValueMismatch
 from perronval.oracle import (
+    ArcValuation,
     AugmentedChain,
     MonomialValuation,
     oracle_from_document,
 )
 from perronval.poly import Polynomial, VariableFrame, parse_polynomial
-from perronval.scalars import FieldSpec
+from perronval.scalars import FieldSpec, PuiseuxSeries
 from perronval.valgroup import RATIONAL, member, quadratic
 
 Q = FieldSpec(0)
@@ -119,6 +120,56 @@ class TestResidue:
         o = oracle_from_document(CUSP)
         with pytest.raises(ValueMismatch):
             o.residue(P("x2"), P("x1"))
+
+
+    def test_monomial_residue_matches_series_products(self):
+        rng = random.Random(41)
+        for field in (Q, F2, FieldSpec(3), FieldSpec(5), FieldSpec(7)):
+            f = P("x2^2 - x1^3", field=field)
+            for _ in range(60):
+                arc = (_random_arc_series(rng, field), _random_arc_series(rng, field))
+                oracle = ArcValuation(FR, field, f, arc)
+                exps = (rng.randint(-9, 9), rng.randint(-9, 9))
+                assert oracle.monomial_residue(exps) == _series_monomial_residue(oracle, exps)
+
+    def test_monomial_residue_zero_component(self):
+        x1 = PuiseuxSeries(Q, {F(2): 3, F(5, 2): -1}, trunc=7)
+        zero = PuiseuxSeries(Q, {}, trunc=5)
+        oracle = ArcValuation(FR, Q, P("x2^2 - x1^3"), (x1, zero))
+        for exps in ((1, 2), (0, -1)):
+            with pytest.raises(DivisionByZero):
+                oracle.monomial_residue(exps)
+            with pytest.raises(DivisionByZero):
+                _series_monomial_residue(oracle, exps)
+        assert oracle.monomial_residue((3, 0)) == _series_monomial_residue(oracle, (3, 0))
+
+
+def _random_arc_series(rng, field):
+    """A truncated series of positive order with a nonzero leading term."""
+    ram = rng.choice((1, 2, 3))
+    order = F(rng.randint(1, 4 * ram), ram)
+    terms = {order: rng.randint(1, 6) * rng.choice((-1, 1))}
+    if field.raw(terms[order]) == 0:
+        terms[order] = 1
+    for _ in range(rng.randint(0, 4)):
+        terms[order + F(rng.randint(1, 6 * ram), ram)] = rng.randint(-6, 6)
+    return PuiseuxSeries(field, terms, trunc=order + F(rng.randint(1, 8 * ram), ram))
+
+
+def _series_monomial_residue(oracle, exps):
+    """Reference: leading coefficients of the products of the arc powers with
+    positive and with negative exponents, divided."""
+    field = oracle.field
+    num = PuiseuxSeries(field, {F(0): field.one})
+    den = PuiseuxSeries(field, {F(0): field.one})
+    for e, s in zip(exps, oracle.arc):
+        if e > 0:
+            num = num * s**e
+        elif e < 0:
+            den = den * s ** (-e)
+    if num.is_zero or den.is_zero:
+        raise DivisionByZero("monomial residue over a vanishing window")
+    return num.leading_coeff() / den.leading_coeff()
 
 
 class TestBestApprox:

@@ -56,6 +56,24 @@ class TestTransformValidation:
         assert tau.substitute(x2) == Polynomial.monomial(frame1, Q, (3, 0)) * unit**2
 
 
+    @pytest.mark.parametrize("doc, frame, message", [
+        ({"kind": "A1", "matrix": [[2, 1], [3, 2]], "c": "abc"}, FR1, "rational literal"),
+        ({"kind": "A1", "matrix": [[2, 1], [3, 2]], "c": "1e3"}, FR1, "rational literal"),
+        ({"kind": "A6", "matrix": [[1, 1], [1.9, 2]]}, FR2, "must be an integer"),
+        ({"kind": "A6", "matrix": [[1, 1], 5]}, FR2, "matrix row"),
+        ({"matrix": [[2, 1], [3, 2]], "c": "1"}, FR1, "missing 'kind'"),
+        ({"kind": "A1", "c": "1"}, FR1, "missing 'matrix'"),
+    ], ids=["c-text", "c-exponent", "matrix-float", "matrix-row-number",
+            "no-kind", "no-matrix"])
+    def test_from_document_rejects(self, doc, frame, message):
+        with pytest.raises(InputError, match=message):
+            PerronTransform.from_document(doc, frame, Q)
+
+    def test_from_document_round_trip(self):
+        tau = PerronTransform(kind="A1", matrix=((2, 1), (3, 2)), frame=FR1, c=Q.scalar(F(-3, 2)))
+        assert PerronTransform.from_document(tau.document(), FR1, Q) == tau
+
+
 class TestBuildA6Divide:
     def test_single_step(self):
         tau = build_a6_divide((1, 0), (0, 1), [Q2.value(1, 0), Q2.value(0, 1)], FR2)

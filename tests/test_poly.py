@@ -38,28 +38,41 @@ class TestOrdLast:
 
 class TestExpandLast:
     def test_cusp(self):
-        exp = P("x2^2 - x1^3").expand_last()
-        assert exp.e == 2 and exp.monic
-        assert exp.coeffs[2] == P("1")
-        assert exp.coeffs[1].is_zero
-        assert exp.coeffs[0] == P("-x1^3")
+        f = P("x2^2 - x1^3")
+        coeffs = f.coeffs_last()
+        assert len(coeffs) - 1 == 2 and f.lead_constant_last() == Q.one
+        assert coeffs[2] == P("1")
+        assert coeffs[1].is_zero
+        assert coeffs[0] == P("-x1^3")
 
     def test_identity_case(self):
-        exp = P("x2").expand_last()
-        assert exp.e == 1 and exp.monic and exp.coeffs[0].is_zero
+        f = P("x2")
+        coeffs = f.coeffs_last()
+        assert len(coeffs) - 1 == 1 and f.lead_constant_last() == Q.one
+        assert coeffs[0].is_zero
 
     def test_tacnode_by_hand(self):
-        exp = P("x2^2 - 2*x1*x2 + x1^2 - x1^5").expand_last()
-        assert exp.e == 2
-        assert exp.coeffs[1] == P("-2*x1")
-        assert exp.coeffs[0] == P("x1^2 - x1^5")
-        assert exp.reconstruct() == P("x2^2 - 2*x1*x2 + x1^2 - x1^5")
+        f = P("x2^2 - 2*x1*x2 + x1^2 - x1^5")
+        coeffs = f.coeffs_last()
+        assert len(coeffs) - 1 == 2
+        assert coeffs[1] == P("-2*x1")
+        assert coeffs[0] == P("x1^2 - x1^5")
+        assert _sum_in_last(coeffs, FR, Q) == f
 
     def test_reconstruct_is_identity(self):
         rng = random.Random(11)
         for _ in range(50):
             f = _random_poly(rng, FR, Q)
-            assert f.expand_last().reconstruct() == f
+            assert _sum_in_last(f.coeffs_last(), FR, Q) == f
+
+
+def _sum_in_last(coeffs, frame, field):
+    """sum_i a_i x_m^i for the coefficient list a_0..a_e."""
+    xm = Polynomial.variable(frame, field, frame.m - 1)
+    total = Polynomial.zero(frame, field)
+    for i, a in enumerate(coeffs):
+        total = total + a * xm**i
+    return total
 
 
 class TestSubstitute:
@@ -207,7 +220,7 @@ def _divmod_by_terms(f, divisor):
     r = f
     while not r.is_zero and r.degree_in_last() >= d:
         k = r.degree_in_last()
-        top = r.coefficient_of_last(k)
+        top = r.coeffs_last()[k]
         shift = [0] * f.frame.m
         shift[-1] = k - d
         piece = top * Polynomial.monomial(f.frame, f.field, shift, lc.inverse())

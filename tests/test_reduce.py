@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -14,7 +15,7 @@ from perronval.errors import (
 )
 from perronval.cli import main
 from perronval.oracle import oracle_from_document
-from perronval.poly import VariableFrame, parse_polynomial
+from perronval.poly import Polynomial, VariableFrame, parse_polynomial
 from perronval.reduce import (
     Bounds,
     _strict_sanity,
@@ -271,6 +272,45 @@ class TestDriver:
         assert replay_matches(trace_document(res, doc))
 
 
+LADDER_PAIRS = [(a, b) for a in range(3, 9) for b in range(a + 1, 2 * a) if math.gcd(a, b) == 1]
+
+
+def ladder_doc(a, b, c):
+    """x2^a - x1^b on the exact arc (t^a, t^b), composed with x2 -> x2 + c*x1
+    when c != 0: the curve (x2 - c*x1)^a - x1^b on (t^a, t^b + c*t^a)."""
+    frame, field = VariableFrame(m=2, n=1), FieldSpec(0)
+    x1, x2 = (Polynomial.variable(frame, field, i) for i in range(2))
+    f = (x2 - x1 * c) ** a - x1**b
+    x2_arc = f"t^{b}" + (f" + t^{a}*{c}" if c else "")
+    doc = arcdoc(0, str(f), {"x1": f"t^{a}", "x2": x2_arc})
+    del doc["trunc"]
+    return doc
+
+
+class TestLadderFamily:
+    def test_one_perron_step_to_smooth(self):
+        for k, (a, b) in enumerate(LADDER_PAIRS):
+            for c in (0, (1, -2, 3)[k % 3]):
+                doc = ladder_doc(a, b, c)
+                res = run_reduction(oracle_from_document(doc))
+                kinds = [s.kind for s in res.trace]
+                assert res.status == "REDUCED-TO-SMOOTH", (a, b, c)
+                assert set(kinds) <= {"TRANSLATE-CHAR0", "A1", "STRICT-TRANSFORM"}, kinds
+                assert kinds.count("A1") == 1, (a, b, c, kinds)
+                assert ("TRANSLATE-CHAR0" in kinds) == bool(c), (a, b, c, kinds)
+                assert replay_matches(trace_document(res, doc)), (a, b, c)
+
+    def test_two_pair_quartic_drops_twice(self):
+        doc = arcdoc(0, "x2^4 - 2*x1^3*x2^2 - 4*x1^5*x2 + x1^6 - x1^7",
+                     {"x1": "t^4", "x2": "t^6 + t^7"}, trunc=30)
+        res = run_reduction(oracle_from_document(doc))
+        assert res.status == "REDUCED-TO-SMOOTH"
+        assert [s.kind for s in res.trace].count("A1") == 2
+        orders = [s.payload["r_after"] for s in res.trace if s.kind == "STRICT-TRANSFORM"]
+        assert [res.r_initial] + orders == [4, 2, 1]
+        assert replay_matches(trace_document(res, doc))
+
+
 class TestTraceReplay:
     @pytest.mark.parametrize("doc", [CUSP, CUSP2, TACNODE, CHAR2_CURVE],
                              ids=["cusp", "cusp-char2", "tacnode", "char2"])
@@ -287,6 +327,40 @@ class TestTraceReplay:
         trace = trace_document(res, CUSP)
         trace["final_f"] = "x1(1)"
         assert not replay_matches(trace)
+
+    def test_replay_rejects_malformed_document(self):
+        for doc in (5, []):
+            with pytest.raises(InputError, match="must be a JSON object"):
+                replay_trace(doc)
+        trace = trace_document(run_reduction(oracle_from_document(CUSP)), CUSP)
+        del trace["final_f"]
+        with pytest.raises(InputError, match="missing 'final_f'"):
+            replay_matches(trace)
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("steps", 1, "c"), "abc", "rational literal"),
+        (("steps", 1, "c"), "1e3", "rational literal"),
+        (("steps", 0, "transform", "c"), "1e3", "rational literal"),
+        (("steps", 0, "transform", "matrix"), [[2, 1], [3.0, 2]], "must be an integer"),
+        (("ring",), None, "missing 'ring'"),
+        (("ring",), 5, "bad ring header"),
+        (("steps",), 5, "must be a JSON array"),
+        (("steps", 0, "kind"), None, "missing 'kind'"),
+        (("steps", 0, "transform", "matrix"), None, "missing 'matrix'"),
+    ], ids=["c-text", "c-exponent", "transform-c-exponent", "matrix-float",
+            "no-ring", "ring-number", "steps-number", "no-kind", "no-matrix"])
+    def test_replay_rejects_malformed_step(self, path, value, message):
+        trace = trace_document(run_reduction(oracle_from_document(CUSP)), CUSP)
+        *parents, key = path
+        target = trace
+        for part in parents:
+            target = target[part]
+        if value is None:
+            del target[key]
+        else:
+            target[key] = value
+        with pytest.raises(InputError, match=message):
+            replay_trace(trace)
 
 
 CUSP_ARC = {"x1": "t^2", "x2": "t^3"}
