@@ -19,6 +19,7 @@ from operator import add
 from .errors import DivisionByZero, FrameMismatch, InputError
 from .scalars import (
     INFINITE,
+    MAX_GRID_SLOTS,
     FieldSpec,
     PuiseuxSeries,
     Scalar,
@@ -389,7 +390,11 @@ class Polynomial:
 
 def _rows(f: Polynomial, d: int) -> list:
     """The x_m-coefficient rows of f, d >= deg_xm f: rows[k] maps the
-    exponents of x_1..x_{m-1} to the value of their term times x_m^k."""
+    exponents of x_1..x_{m-1} to the value of their term times x_m^k.  A
+    row, like a grid slot, is one entry per exponent, so d above
+    MAX_GRID_SLOTS raises InputError before any row is allocated."""
+    if d > MAX_GRID_SLOTS:
+        raise InputError(f"x_m-degree {d} needs more than {MAX_GRID_SLOTS} rows")
     rows = [{} for _ in range(d + 1)]
     for mono, v in f.terms.items():
         rows[mono[-1]][mono[:-1]] = v

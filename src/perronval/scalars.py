@@ -290,23 +290,29 @@ def reduce_raw(items, p: int) -> dict:
     return {key: v.numerator if v.denominator == 1 else v for key, v in items if v}
 
 
-# The series kernels work on the integer grid 1/N: a series is a pair
-# (pairs, top) of ascending (index k, nonzero raw value) pairs, standing for
-# the terms c t^(k/N), and the truncation index top = trunc * N (None when
-# the series is exact).
+# The series kernels work on the integer grid 1/N: a series is a triple
+# (pairs, top, den) of ascending (index k, nonzero int numerator v) pairs,
+# standing for the terms (v / den) t^(k/N), the truncation index
+# top = trunc * N (None when the series is exact) and one common denominator
+# den.  Over F_p, den is 1 and the numerators are the raw values, so both
+# fields run the same int arithmetic; values become canonical raw values
+# again only in ``PuiseuxSeries._from_grid``.
 
 def _grid(s: "PuiseuxSeries", n: int):
     """s on the grid 1/n; n must be a multiple of s.ram."""
     pairs = sorted((q.numerator * (n // q.denominator), c) for q, c in s.terms.items())
+    den = math.lcm(*[c.denominator for c in s.terms.values() if type(c) is not int])
+    if den != 1:
+        pairs = [(k, c.numerator * (den // c.denominator)) for k, c in pairs]
     top = None if s.trunc is None else s.trunc.numerator * (n // s.trunc.denominator)
-    return pairs, top
+    return pairs, top, den
 
 
 def _grid_mul(a, b, p: int):
     """Truncated convolution of two grid series.  The product is trusted
     below min(Ta + ord b, Tb + ord a), a zero series counting its truncation
     as its order, and no index at or beyond that is computed."""
-    (pa, ta), (pb, tb) = a, b
+    (pa, ta, da), (pb, tb, db) = a, b
     top = _tmin(_tadd(ta, pb[0][0] if pb else tb), _tadd(tb, pa[0][0] if pa else ta))
     limit = math.inf if top is None else top
     acc = {}
@@ -316,12 +322,12 @@ def _grid_mul(a, b, p: int):
             if k >= limit:
                 break
             acc[k] = acc.get(k, 0) + x * y
-    return _nonzero(acc, p), top
+    return _nonzero(acc, p), top, da * db
 
 
 def _grid_pow(a, k: int, p: int):
     """a**k for k >= 0 by binary powering with ``_grid_mul``."""
-    result = ([(0, 1)], None)
+    result = ([(0, 1)], None, 1)
     while k:
         if k & 1:
             result = _grid_mul(result, a, p)
@@ -332,8 +338,11 @@ def _grid_pow(a, k: int, p: int):
 
 
 def _nonzero(acc: dict, p: int) -> list:
-    """Ascending (index, value) pairs of the nonzero sums in ``acc``."""
-    return sorted(reduce_raw(acc.items(), p).items())
+    """Ascending (index, numerator) pairs of the nonzero sums in ``acc``,
+    reduced mod p when p != 0."""
+    if p:
+        return sorted((k, r) for k, v in acc.items() if (r := v % p))
+    return sorted((k, v) for k, v in acc.items() if v)
 
 
 class PuiseuxSeries:
@@ -448,8 +457,10 @@ class PuiseuxSeries:
         _check_slots(window, n)
         width = window.numerator * (n // window.denominator)
         p = self.field.characteristic
-        (q0, _), *rest = _grid(self, n)[0]
-        unit = [(k - q0, v * lead_inv) for k, v in rest]
+        ((q0, _), *rest), _, den = _grid(self, n)
+        # a_j = (v_j / den) / c_0; over F_p den is 1
+        scale = lead_inv if den == 1 else Fraction(lead_inv, den)
+        unit = [(k - q0, v * scale) for k, v in rest]
         b = [1] if width > 0 else []
         for k in range(1, width):
             acc = 0
@@ -458,8 +469,8 @@ class PuiseuxSeries:
                     break
                 acc -= a * b[k - j]
             b.append(acc % p if p else acc)
-        pairs = _nonzero({k - q0: v * lead_inv for k, v in enumerate(b)}, p)
-        return PuiseuxSeries._from_grid(self.field, n, (pairs, width - q0))
+        pairs = sorted(reduce_raw(((k - q0, v * lead_inv) for k, v in enumerate(b)), p).items())
+        return PuiseuxSeries._from_grid(self.field, n, (pairs, width - q0, 1))
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
@@ -471,14 +482,19 @@ class PuiseuxSeries:
 
     @classmethod
     def _from_grid(cls, field, n, grid) -> "PuiseuxSeries":
-        """Series of a grid pair (pairs, top) on 1/n, as the grid kernels
-        produce it: ascending (index, nonzero raw value) pairs, all below the
-        truncation index top (None when exact)."""
-        pairs, top = grid
+        """Series of a grid triple (pairs, top, den) on 1/n, as the grid
+        kernels produce it: ascending (index, nonzero numerator) pairs over
+        the common denominator den, all below the truncation index top (None
+        when exact).  Each value over den > 1 costs one gcd; with den = 1 the
+        values are stored as they come, so they must be canonical raw values."""
+        pairs, top, den = grid
         s = cls.__new__(cls)
         s.field = field
         s.trunc = None if top is None else Fraction(top, n)
-        s.terms = {Fraction(k, n): v for k, v in pairs}
+        if den == 1:
+            s.terms = {Fraction(k, n): v for k, v in pairs}
+        else:
+            s.terms = reduce_raw(((Fraction(k, n), Fraction(v, den)) for k, v in pairs), 0)
         s.ram = n // math.gcd(n, top or 0, *(k for k, _ in pairs))
         return s
 
@@ -508,28 +524,34 @@ def evaluate_monomials(field: FieldSpec, terms: dict, arc) -> PuiseuxSeries:
     """Sum of c * arc[0]^e_0 * ... * arc[m-1]^e_{m-1} over the items
     (e, c) of ``terms``, computed on one grid 1/N (N the lcm of the arc's
     ramifications) with the series product and power, and cut at the least
-    truncation of its terms."""
+    truncation of its terms.  Each term's piece starts from the numerator
+    and denominator of its coefficient; the pieces are summed on the lcm of
+    their denominators."""
     if any(s.field != field for s in arc):
         raise InputError("mixed-field series arithmetic")
     n = math.lcm(*(s.ram for s in arc))
     p = field.characteristic
     grids = [_grid(s, n) for s in arc]
     powers = {}
-    acc, top = {}, None
+    pieces, top = [], None
     for mono, c in terms.items():
-        piece = ([(0, c)], None)
+        piece = ([(0, c.numerator)], None, c.denominator)
         for i, e in enumerate(mono):
             if e:
                 if (i, e) not in powers:
                     powers[i, e] = _grid_pow(grids[i], e, p)
                 piece = _grid_mul(piece, powers[i, e], p)
-        pairs, t = piece
-        top = _tmin(top, t)
-        for k, v in pairs:
-            acc[k] = acc.get(k, 0) + v
+        pieces.append(piece)
+        top = _tmin(top, piece[1])
+    den = math.lcm(*(d for _, _, d in pieces))
     limit = math.inf if top is None else top
-    pairs = [(k, v) for k, v in _nonzero(acc, p) if k < limit]
-    return PuiseuxSeries._from_grid(field, n, (pairs, top))
+    acc = {}
+    for pairs, _, d in pieces:
+        scale = den // d
+        for k, v in pairs:
+            if k < limit:
+                acc[k] = acc.get(k, 0) + v * scale
+    return PuiseuxSeries._from_grid(field, n, (_nonzero(acc, p), top, den))
 
 
 _TERM_RE = re.compile(

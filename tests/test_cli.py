@@ -73,6 +73,13 @@ class TestValuate:
         assert main(["valuate", "--oracle", oracle, "--poly", "x2^200"]) == 0
         assert capsys.readouterr().out.strip() == "200"
 
+    def test_huge_last_exponent_exits_2(self, tmp_path, capsys):
+        # dividing x2^(10^9) by f in x_m would lay out 10^9 + 1 rows
+        oracle = write(tmp_path, "cusp.json", CUSP)
+        assert main(["valuate", "--oracle", oracle, "--poly", "x2^1000000000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: INPUT") and "rows" in err and "Traceback" not in err
+
 
 def without(doc, key):
     return {k: v for k, v in doc.items() if k != key}

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -309,6 +310,23 @@ class TestLadderFamily:
         orders = [s.payload["r_after"] for s in res.trace if s.kind == "STRICT-TRANSFORM"]
         assert [res.r_initial] + orders == [4, 2, 1]
         assert replay_matches(trace_document(res, doc))
+
+    @pytest.mark.parametrize("f, x2, trunc", [
+        ("-16*x1^7 + x1^6 - 16*x1^5*x2 - 2*x1^3*x2^2 + x2^4", "t^6 + t^7*-2", 40),
+        ("x2^4 - 2*x1^3*x2^2 - 4*x1^5*x2 + x1^6 - x1^7", "t^6 + t^7", 80),
+    ], ids=["c=-2", "c=1"])
+    def test_two_pair_quartic_on_a_rational_arc(self, f, x2, trunc):
+        # the second macro-step leaves an arc with non-integral coefficients,
+        # so the series kernels run with a common denominator above 1
+        doc = arcdoc(0, f, {"x1": "t^4", "x2": x2}, trunc=trunc)
+        res = run_reduction(oracle_from_document(doc))
+        assert res.status == "REDUCED-TO-SMOOTH"
+        assert [s.kind for s in res.trace] == ["A1", "STRICT-TRANSFORM"] * 2
+        orders = [s.payload["r_after"] for s in res.trace if s.kind == "STRICT-TRANSFORM"]
+        assert [res.r_initial] + orders == [4, 2, 1]
+        assert replay_matches(trace_document(res, doc))
+        assert any(type(c) is Fraction and c.denominator > 1
+                   for s in res.oracle.arc for c in s.terms.values())
 
 
 class TestTraceReplay:

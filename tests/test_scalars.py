@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -10,6 +11,7 @@ from perronval.scalars import (
     MAX_GRID_SLOTS,
     FieldSpec,
     PuiseuxSeries,
+    evaluate_monomials,
     format_series,
     is_prime,
     parse_rational,
@@ -359,6 +361,122 @@ def test_grid_kernel_matches_reference_on_random_series(field):
                                       for _ in range(4)})
         _same(f.evaluate_at_arc((a, b)), _ref_evaluate(f, (a, b)))
 
+
+
+# Naive reference for the series kernel, independent of PuiseuxSeries: a
+# series is ({Fraction exponent: Fraction coefficient}, truncation), every
+# sum and product is taken term by term in Fraction arithmetic, and over F_p
+# each coefficient is reduced to its residue.
+
+def _naive_cut(terms, trunc, p):
+    out = {}
+    for q, c in terms.items():
+        if p:
+            c = F(c.numerator * pow(c.denominator, -1, p) % p)
+        if c and (trunc is None or q < trunc):
+            out[q] = c
+    return out, trunc
+
+
+def _naive_mul(a, b, p):
+    (ta, trunc_a), (tb, trunc_b) = a, b
+    order_a = min(ta) if ta else trunc_a
+    order_b = min(tb) if tb else trunc_b
+    trunc = _ref_tmin(_ref_tadd(trunc_a, order_b), _ref_tadd(trunc_b, order_a))
+    acc = {}
+    for q1, c1 in ta.items():
+        for q2, c2 in tb.items():
+            acc[q1 + q2] = acc.get(q1 + q2, 0) + c1 * c2
+    return _naive_cut(acc, trunc, p)
+
+
+def _naive_inverse(a, p, window=None):
+    terms, trunc = a
+    q = min(terms)
+    lead_inv = F(pow(terms[q].numerator, -1, p)) if p else 1 / terms[q]
+    head = ({-q: lead_inv}, None)
+    if trunc is None and len(terms) == 1:
+        return head
+    width = trunc - q if trunc is not None else F(window)
+    minus_u = ({e - q: -c * lead_inv for e, c in terms.items() if e != q}, width)
+    acc, power = {F(0): F(1)}, ({F(0): F(1)}, width)
+    while power[0]:
+        power = _naive_cut(_naive_mul(power, minus_u, p)[0], width, p)
+        for e, c in power[0].items():
+            acc[e] = acc.get(e, 0) + c
+    return _naive_mul(_naive_cut(acc, width, p), head, p)
+
+
+def _naive_pow(a, k, p):
+    if k < 0:
+        return _naive_pow(_naive_inverse(a, p), -k, p)
+    result = ({F(0): F(1)}, None)
+    for _ in range(k):
+        result = _naive_mul(result, a, p)
+    return result
+
+
+def _naive_evaluate(terms, arc, p):
+    acc, trunc = {}, None
+    for mono, c in terms.items():
+        piece = ({F(0): F(c)}, None)
+        for s, e in zip(arc, mono):
+            piece = _naive_mul(piece, _naive_pow(s, e, p), p)
+        trunc = _ref_tmin(trunc, piece[1])
+        for q, v in piece[0].items():
+            acc[q] = acc.get(q, 0) + v
+    return _naive_cut(acc, trunc, p)
+
+
+def _same_as_naive(got, want, p):
+    terms, trunc = want
+    ram = math.lcm(*(q.denominator for q in terms), trunc.denominator if trunc is not None else 1)
+    assert (got.terms, got.trunc, got.ram) == (terms, trunc, ram)
+    for v in got.terms.values():  # canonical raw values
+        if p:
+            assert type(v) is int and 0 < v < p
+        elif v.denominator == 1:
+            assert type(v) is int
+        else:
+            assert type(v) is F and v.denominator > 1
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"char{f.characteristic}")
+def test_series_kernel_matches_naive_reference(field):
+    p = field.characteristic
+    rng = random.Random(f"naive-kernel/{p}")
+    dens = [d for d in (1, 1, 2, 3, 5, 12, 2**20, 3 * 2**20) if not p or d % p]
+
+    def draw():
+        n = rng.randint(1, 6)
+        terms = {F(rng.randint(-3, 9), n): F(rng.randint(-9, 9), rng.choice(dens))
+                 for _ in range(rng.randint(0, 4))}
+        trunc = None if rng.random() < 0.3 else F(rng.randint(1, 10), rng.choice((1, n)))
+        return PuiseuxSeries(field, terms, trunc)
+
+    def naive(s):
+        return {q: F(c) for q, c in s.terms.items()}, s.trunc
+
+    for _ in range(60):
+        a, b = draw(), draw()
+        _same_as_naive(a * b, _naive_mul(naive(a), naive(b), p), p)
+        for k in range(-3, 7):
+            if k < 0 and a.is_zero:
+                with pytest.raises(DivisionByZero):
+                    a ** k
+            elif k < 0 and a.is_exact and len(a.terms) > 1:
+                with pytest.raises(InputError):
+                    a ** k
+            else:
+                _same_as_naive(a ** k, _naive_pow(naive(a), k, p), p)
+        if not a.is_zero:
+            window = F(rng.randint(0, 8), rng.choice((1, 2, 3)))
+            _same_as_naive(a.inverse(window), _naive_inverse(naive(a), p, window), p)
+        terms = {(rng.randint(0, 3), rng.randint(0, 3)): F(rng.randint(1, 9), rng.choice(dens))
+                 for _ in range(rng.randint(1, 4))}
+        terms = {mono: c for mono, c0 in terms.items() if (c := field.raw(c0))}
+        _same_as_naive(evaluate_monomials(field, terms, (a, b)),
+                       _naive_evaluate(terms, (naive(a), naive(b)), p), p)
 
 class TestGridSize:
     def test_truncation_above_the_cap_is_refused_when_built(self):
