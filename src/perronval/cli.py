@@ -25,6 +25,7 @@ from .oracle import (
 from .perron import build_a6_divide, monomialize
 from .poly import parse_polynomial
 from .reduce import Bounds, run_reduction, trace_document
+from .scalars import parse_integer
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -124,18 +125,20 @@ def cmd_perron_monomialize(args) -> int:
 
 
 def cmd_defect(args) -> int:
+    families = []
+    for text in args.family or ():
+        first, _, stable = text.partition(":")
+        families.append(SimpleFamily(parse_integer(first, "family degree"),
+                                     parse_integer(stable or first, "family degree")))
     data = ExtensionData(degree=args.degree, e=args.e, fres=args.f, p=args.p)
-    delta = ostrowski(data)
-    print(f"delta={delta}")
-    if args.family:
-        families = []
-        for text in args.family:
-            first, _, stable = text.partition(":")
-            families.append(SimpleFamily(int(first), int(stable or first)))
+    lines = [f"delta={ostrowski(data)}"]
+    if families:
         decomposition = FamilyDecomposition(tuple(families))
-        total = jump_total(decomposition)
-        print(f"jump_total={total}")
-        print(f"consistent={'true' if consistency(data, decomposition) else 'false'}")
+        lines.append(f"jump_total={jump_total(decomposition)}")
+        lines.append(f"consistent={'true' if consistency(data, decomposition) else 'false'}")
+    # everything is computed before the first line is printed, so an error
+    # leaves no partial output
+    print("\n".join(lines))
     return EXIT_OK
 
 

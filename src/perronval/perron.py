@@ -89,32 +89,28 @@ class PerronTransform:
     def new_frame(self) -> VariableFrame:
         return self.frame.bumped()
 
-    def _monomial_images(self, field: FieldSpec):
-        """One monomial per old variable, read from the matrix rows.  For A1
-        the new last variable stands for the unit u = x_m(1) + c, so these
-        are the images only up to the shift x_m(1) -> x_m(1) + c that
-        ``substitute`` applies afterwards.
-        """
-        frame1 = self.new_frame()
-        n = self.frame.n
-        out = []
-        for i in range(self.frame.m):
-            mono = [0] * frame1.m
-            if i < n or (self.kind == "A1" and i == self.frame.m - 1):
-                row = self.matrix[i if i < n else n]
-                mono[:n] = row[:n]
-                if self.kind == "A1":
-                    mono[-1] = row[n]
-            else:
-                mono[i] = 1
-            out.append(Polynomial.monomial(frame1, field, mono))
-        return out
-
     def substitute(self, f: Polynomial) -> Polynomial:
+        """The monomial image of f, one monomial per old variable read from
+        the matrix rows.  For A1 the new last variable stands for the unit
+        u = x_m(1) + c, so the image in x_m(1) is this one under the shift
+        u -> x_m(1) + c; ``Polynomial.strict_transform`` reads it as it is.
+        """
         if f.frame != self.frame:
             raise InputError("polynomial frame does not match the transform")
-        g = f.substitute_map(self._monomial_images(f.field))
-        return g.translate_last(self.c) if self.kind == "A1" else g
+        frame1 = self.new_frame()
+        n = self.frame.n
+        rows = dict(zip(self.active_indices(), self.matrix))
+        images = []
+        for i in range(self.frame.m):
+            mono = [0] * frame1.m
+            if i in rows:
+                mono[:n] = rows[i][:n]
+                if self.kind == "A1":
+                    mono[-1] = rows[i][n]
+            else:
+                mono[i] = 1
+            images.append(Polynomial.monomial(frame1, f.field, mono))
+        return f.substitute_map(images)
 
     def inverse_matrix(self):
         return unimodular_inverse([list(r) for r in self.matrix])
@@ -133,11 +129,11 @@ class PerronTransform:
             raise InputError("A1 inverse did not send the unit slot to value 0")
         return out
 
-    def transform_arc(self, arc, window=None):
+    def transform_arc(self, arc):
         """Arc components of the new variables, inverting the monomial map.
 
-        Intermediate Laurent factors may need series inversion; ``window``
-        bounds the expansion when a component is exact but not monomial.
+        Intermediate Laurent factors may need series inversion, which raises
+        InputError for a component that is exact but not monomial.
         """
         field = arc[0].field
         inv = self.inverse_matrix()
@@ -152,7 +148,7 @@ class PerronTransform:
                 if e > 0:
                     piece = piece * old_active[j] ** e
                 elif e < 0:
-                    piece = piece * old_active[j].inverse(window) ** (-e)
+                    piece = piece * old_active[j].inverse() ** (-e)
             new_active.append(piece)
         out = list(arc)
         for j in range(n):
@@ -362,13 +358,3 @@ def verify_cramer(tau: PerronTransform, d, e, values) -> bool:
             return False
     return True
 
-
-def check_sigma_proportionality(tau: PerronTransform, sigmas, lambdas) -> bool:
-    """(lambda_{sigma_i} - lambda_{sigma_1}) * d == sigma_i - sigma_1 with
-    d the minor determinant of the matrix without its last row and column."""
-    n = tau.size - 1
-    d = det_int([list(r[:n]) for r in tau.matrix[:n]])
-    s1 = sigmas[0]
-    return all(
-        (lambdas[s] - lambdas[s1]) * d == s - s1 for s in sigmas
-    )

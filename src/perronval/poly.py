@@ -284,13 +284,12 @@ class Polynomial:
 
     # -- substitution ------------------------------------------------------
 
-    def substitute_map(self, images, target_frame=None) -> "Polynomial":
+    def substitute_map(self, images) -> "Polynomial":
         """Ring homomorphism sending x_i to images[i] (all in one common
         target frame)."""
         if len(images) != self.frame.m:
             raise InputError("need one image per variable")
-        if target_frame is None:
-            target_frame = images[0].frame
+        target_frame = images[0].frame
         for img in images:
             if img.frame != target_frame or img.field != self.field:
                 raise FrameMismatch("images live in different frames")
@@ -348,29 +347,15 @@ class Polynomial:
     # -- strict transform ---------------------------------------------------
 
     def strict_transform(self, c: Scalar):
-        """Factor out the exceptional part after a Perron substitution:
-        g = x_1^{c_1} .. x_{m-1}^{c_{m-1}} * (x_m + c)^lam * f_1 (for c != 0),
-        or g = x_1^{c_1} .. x_m^{c_m} * f_1 (for c = 0), all parts maximal.
-        Returns (exponents, lam, f_1).
-
-        For c != 0 the factor (x_m + c)^lam is read off after the shift
-        x_m -> x_m - c, where it becomes x_m^lam; f_1 is divided by it there
-        and shifted back.
+        """Split the image h of an A1 substitution, written in the unit
+        u = x_m + c, as h = x_1^{e_1} .. x_{m-1}^{e_{m-1}} * u^lam * f_1(x, u - c),
+        all parts maximal.  Returns (e with a zero x_m slot, lam, f_1): e and
+        lam are the least exponents of h, and f_1 is h divided by that
+        monomial, shifted x_m -> x_m + c.
         """
-        if self.is_zero:
-            raise DivisionByZero("strict transform of zero")
-        c = self.field.scalar(c)
-        exps = list(self.min_exponents())
-        if c.is_zero:
-            return tuple(exps), 0, self.divide_by_monomial(tuple(exps))
-        exps[-1] = 0
-        f1 = self.divide_by_monomial(tuple(exps))
-        shifted = f1.translate_last(-c)
-        lam = shifted.min_exponents()[-1]
-        if lam:
-            xm_lam = (0,) * (self.frame.m - 1) + (lam,)
-            f1 = shifted.divide_by_monomial(xm_lam).translate_last(c)
-        return tuple(exps), lam, f1
+        exps = self.min_exponents()
+        f1 = self.divide_by_monomial(exps).translate_last(c)
+        return exps[:-1] + (0,), exps[-1], f1
 
     # -- arc evaluation -------------------------------------------------------
 

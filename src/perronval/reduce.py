@@ -36,12 +36,7 @@ from .errors import (
 from .oracle import ArcValuation, _required, _typed
 # build_a6_divide is not called here; perfbench/test_perfbench.py reads it as
 # reduce.build_a6_divide when it checks that the tracer restores bindings
-from .perron import (
-    PerronTransform,
-    build_a1,
-    build_a6_divide,
-    check_sigma_proportionality,
-)
+from .perron import PerronTransform, build_a1, build_a6_divide
 from .poly import Polynomial, format_ring_header, parse_polynomial, parse_ring_header
 from .scalars import INFINITE, parse_rational
 from .valgroup import det_int, member
@@ -221,13 +216,14 @@ def lrm_step(oracle: ArcValuation, bounds: Bounds = Bounds()):
     for s in sigmas:
         if taus[s] != taus[sigmas[0]]:
             raise InternalContradiction("tau exponents differ across the sigma block")
-    if not check_sigma_proportionality(tau, sigmas, lambdas):
+    d_minor = det_int([list(row[:n]) for row in mat[:n]])
+    s1 = sigmas[0]
+    if any((lambdas[s] - lambdas[s1]) * d_minor != s - s1 for s in sigmas):
         raise InternalContradiction("the (lambda, sigma) proportionality failed")
     # n = 1 here, so term l has value tau_l * w' after the transform, w' > 0
     # the value of the new x_1; no term lies below rho, so tau_sigma <= tau_l
     if any(tv < taus[sigmas[0]] for tv in taus.values()):
         raise InternalContradiction("the sigma block does not divide every term")
-    d_minor = det_int([list(row[:n]) for row in mat[:n]])
     sigma = SigmaData(rho=rho, sigmas=sigmas, dvecs=dvecs, lambdas=lambdas,
                       taus=taus, d=d_minor)
 
@@ -264,10 +260,11 @@ def _strict_step(oracle: ArcValuation, tau: PerronTransform, kind: str,
     return (new_oracle, [``kind`` step with ``payload``, STRICT-TRANSFORM]).
     ``check_order`` raises on a bad order of f_1; ``error`` is raised when
     the arc leaves f_1, and under NotCase2 also when f_1 is reducible."""
-    g = tau.substitute(oracle.f)
+    image = tau.substitute(oracle.f)
+    g = image.translate_last(tau.c)  # the image in x_m(1), for the trace only
     arc1 = tau.transform_arc(oracle.arc)
     frame1 = tau.new_frame()
-    exps, lam, f1 = g.strict_transform(tau.c)
+    exps, lam, f1 = image.strict_transform(tau.c)
     try:
         _strict_sanity(f1)
     except InputError as exc:
@@ -541,19 +538,28 @@ def replay_trace(doc: dict) -> str:
         raise InputError("trace document lacks the oracle block")
     frame, field = parse_ring_header(_required(doc, "ring", "trace"))
     f = parse_polynomial(frame, field, _required(oracle_doc, "f", "oracle"))
+    a1 = None  # (image in the unit coordinate, c) of the A1 substitution just replayed
     for step in _typed(doc.get("steps", []), list, "trace steps"):
         kind = _required(step, "kind", "trace step")
+        previous_a1, a1 = a1, None
         if kind in ("A1", "A6", "CASE2"):
             tau = PerronTransform.from_document(_required(step, "transform", kind), frame, field)
             f = tau.substitute(f)
             frame = tau.new_frame()
+            if tau.kind == "A1":
+                a1 = (f, tau.c)
+                f = f.translate_last(tau.c)
         elif kind in ("TRANSLATE-CHAR0", "TRANSLATE-DEFECTLESS"):
             h = parse_polynomial(frame, field, _required(step, "h", kind))
             f = f.translate_last(h)
         elif kind == "STRICT-TRANSFORM":
             c = field.scalar(parse_rational(_required(step, "c", kind)))
-            exps, lam, f1 = f.strict_transform(c)
-            if list(exps) != step.get("exponents") or lam != step.get("lambda"):
+            if previous_a1 is None:
+                raise InputError("a STRICT-TRANSFORM step must follow an A1 or CASE2 step")
+            image, a1_c = previous_a1
+            exps, lam, f1 = image.strict_transform(a1_c)
+            if (list(exps) != step.get("exponents") or lam != step.get("lambda")
+                    or c != a1_c):
                 raise InputError("replayed strict transform differs from the record")
             f = _monic_normalize(f1)
         else:

@@ -266,6 +266,20 @@ class TestDefectCommand:
         out = capsys.readouterr().out
         assert "delta=1" in out and "jump_total=2" in out and "consistent=true" in out
 
+    @pytest.mark.parametrize("families, message", [
+        (["x:y"], "must be an integer"),
+        (["1:2:3"], "must be an integer"),
+        (["1:1", "1:1"], "JUMP-NOT-GT-ONE"),
+    ], ids=["x:y", "1:2:3", "no-jump"])
+    def test_bad_family_exits_2_before_output(self, capsys, families, message):
+        argv = ["defect", "--degree", "4", "--e", "1", "--p", "2"]
+        for family in families:
+            argv += ["--family", family]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
     def test_not_ostrowski_exits_2(self, capsys):
         assert main(["defect", "--degree", "6", "--e", "2", "--f", "1", "--p", "2"]) == 2
         assert "NOT-OSTROWSKI" in capsys.readouterr().err

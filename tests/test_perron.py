@@ -52,8 +52,13 @@ class TestTransformValidation:
         unit = Polynomial.variable(frame1, Q, 1) + Q.one
         x1 = Polynomial.variable(FR1, Q, 0)
         x2 = Polynomial.variable(FR1, Q, 1)
-        assert tau.substitute(x1) == Polynomial.monomial(frame1, Q, (2, 0)) * unit
-        assert tau.substitute(x2) == Polynomial.monomial(frame1, Q, (3, 0)) * unit**2
+        # the last new variable stands for the unit u = x2(1) + 1
+        assert tau.substitute(x1) == Polynomial.monomial(frame1, Q, (2, 1))
+        assert tau.substitute(x2) == Polynomial.monomial(frame1, Q, (3, 2))
+        # shifted by c, the images are those in x2(1)
+        in_x2 = lambda x: tau.substitute(x).translate_last(tau.c)
+        assert in_x2(x1) == Polynomial.monomial(frame1, Q, (2, 0)) * unit
+        assert in_x2(x2) == Polynomial.monomial(frame1, Q, (3, 0)) * unit**2
 
 
     @pytest.mark.parametrize("doc, frame, message", [

@@ -16,7 +16,7 @@ from perronval.errors import (
 )
 from perronval.cli import main
 from perronval.oracle import oracle_from_document
-from perronval.poly import Polynomial, VariableFrame, parse_polynomial
+from perronval.poly import Polynomial, VariableFrame, parse_polynomial, parse_ring_header
 from perronval.reduce import (
     Bounds,
     _strict_sanity,
@@ -29,7 +29,7 @@ from perronval.reduce import (
     run_reduction,
     trace_document,
 )
-from perronval.scalars import FieldSpec
+from perronval.scalars import FieldSpec, parse_rational
 
 
 def arcdoc(char, f, arc, trunc=40):
@@ -329,6 +329,53 @@ class TestLadderFamily:
                    for s in res.oracle.arc for c in s.terms.values())
 
 
+def _check_strict_identities(doc):
+    """At every STRICT-TRANSFORM of a trace document, the image g printed by
+    the A1 or CASE2 step before it is a constant multiple of
+    x^e * (x_m + c)^lam * f_1, with f_1 the printed (monic) strict transform.
+    Only the printed polynomials and Polynomial arithmetic are used.
+    Returns the number of identities checked."""
+    base, field = parse_ring_header(doc["ring"])
+    checked = 0
+    for before, step in zip(doc["steps"], doc["steps"][1:]):
+        if step["kind"] != "STRICT-TRANSFORM":
+            continue
+        assert before["kind"] in ("A1", "CASE2")
+        frame = VariableFrame(m=base.m, n=base.n, generation=step["generation"])
+        g = parse_polynomial(frame, field, before["f_after"])
+        f1 = parse_polynomial(frame, field, step["f_after"])
+        unit = Polynomial.variable(frame, field, frame.m - 1) + parse_rational(step["c"])
+        product = Polynomial.monomial(frame, field, step["exponents"]) * unit ** step["lambda"] * f1
+        mono = next(iter(product.terms))
+        k = field.scalar(g.terms.get(mono, 0)) * field.scalar(product.terms[mono]).inverse()
+        assert g == product * k
+        checked += 1
+    return checked
+
+
+class TestStrictIdentityOnTraces:
+    @pytest.mark.parametrize("doc, r_after", [
+        (arcdoc(0, "x2^21 - x1^34", {"x1": "t^21", "x2": "t^34"}, trunc=1500), [1]),
+        (arcdoc(0, "x2^4 - 2*x1^3*x2^2 - 4*x1^5*x2 + x1^6 - x1^7",
+                {"x1": "t^4", "x2": "t^6 + t^7"}, trunc=80), [2, 1]),
+    ], ids=["ladder-21-34", "two-pair-quartic"])
+    def test_image_factors_through_the_strict_transform(self, doc, r_after):
+        res = run_reduction(oracle_from_document(doc))
+        trace = json.loads(json.dumps(trace_document(res, doc)))
+        assert res.status == "REDUCED-TO-SMOOTH"
+        assert [s["r_after"] for s in trace["steps"] if s["kind"] == "STRICT-TRANSFORM"] == r_after
+        assert replay_matches(trace)
+        assert _check_strict_identities(trace) == len(r_after)
+
+    def test_strict_transform_after_a_translation_is_refused(self):
+        trace = trace_document(run_reduction(oracle_from_document(TACNODE)), TACNODE)
+        kinds = [s["kind"] for s in trace["steps"]]
+        assert kinds[:3] == ["TRANSLATE-CHAR0", "A1", "STRICT-TRANSFORM"]
+        del trace["steps"][1]
+        with pytest.raises(InputError, match="must follow an A1 or CASE2 step"):
+            replay_trace(trace)
+
+
 class TestTraceReplay:
     @pytest.mark.parametrize("doc", [CUSP, CUSP2, TACNODE, CHAR2_CURVE],
                              ids=["cusp", "cusp-char2", "tacnode", "char2"])
@@ -358,6 +405,7 @@ class TestTraceReplay:
     @pytest.mark.parametrize("path, value, message", [
         (("steps", 1, "c"), "abc", "rational literal"),
         (("steps", 1, "c"), "1e3", "rational literal"),
+        (("steps", 1, "c"), "2", "differs from the record"),
         (("steps", 0, "transform", "c"), "1e3", "rational literal"),
         (("steps", 0, "transform", "matrix"), [[2, 1], [3.0, 2]], "must be an integer"),
         (("ring",), None, "missing 'ring'"),
@@ -365,7 +413,7 @@ class TestTraceReplay:
         (("steps",), 5, "must be a JSON array"),
         (("steps", 0, "kind"), None, "missing 'kind'"),
         (("steps", 0, "transform", "matrix"), None, "missing 'matrix'"),
-    ], ids=["c-text", "c-exponent", "transform-c-exponent", "matrix-float",
+    ], ids=["c-text", "c-exponent", "c-other", "transform-c-exponent", "matrix-float",
             "no-ring", "ring-number", "steps-number", "no-kind", "no-matrix"])
     def test_replay_rejects_malformed_step(self, path, value, message):
         trace = trace_document(run_reduction(oracle_from_document(CUSP)), CUSP)
