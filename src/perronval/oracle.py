@@ -30,7 +30,9 @@ from .errors import (
     ValueMismatch,
 )
 from .poly import Polynomial, VariableFrame, parse_polynomial
-from .scalars import FieldSpec, PuiseuxSeries, Scalar, parse_integer, parse_rational, parse_series
+from .scalars import (
+    FieldSpec, PuiseuxSeries, Scalar, format_series, parse_integer, parse_rational, parse_series,
+)
 from .valgroup import (
     GeneratorContext,
     RATIONAL,
@@ -41,6 +43,7 @@ from .valgroup import (
     parse_value,
     quadratic,
     format_value,
+    rational_relation,
 )
 
 DOCUMENT_VERSION = 1
@@ -112,8 +115,6 @@ class MonomialValuation:
         n = self.frame.n
         if n == 1:
             return
-        from .valgroup import rational_relation
-
         try:
             rational_relation(list(self.weights[:n]))
         except NoRelation:
@@ -310,8 +311,6 @@ class ArcValuation:
             steps += 1
 
     def document(self) -> dict:
-        from .scalars import format_series
-
         doc = {
             "version": DOCUMENT_VERSION,
             "kind": "arc",

@@ -15,16 +15,27 @@ from perronval.scalars import INFINITE
 from perronval.valgroup import (
     RATIONAL,
     ValueLattice,
+    det_int,
     format_value,
     lattice_index,
     member,
     parse_value,
     quadratic,
     rational_relation,
+    smith_normal_form,
 )
 
 Q2 = quadratic(2)
 Q3 = quadratic(3)
+
+# Q(sqrt(2)) lattices with more generators than coordinates whose diagonal
+# form is (2, 1) and (2, 3); a pass enforcing Smith's divisibility condition
+# turns them into (1, 2) and (1, 6) and changes U.  The coordinates and
+# indices pinned below must not depend on which of the two forms is used.
+LATTICE_A = ValueLattice(Q2, (Q2.value(4, 2), Q2.value(-6, 0), Q2.value(4, -3)))
+LATTICE_B = ValueLattice(Q2, (Q2.value(0, -2), Q2.value(3, -6), Q2.value(-3, 2), Q2.value(0, -4)))
+LATTICE_C = ValueLattice(Q2, tuple(g.scale(F(1, 3)) for g in LATTICE_B.generators))
+THIRDS = ValueLattice(Q2, (Q2.value(F(1, 3), 0), Q2.value(0, F(1, 3))))
 
 
 def rat(x):
@@ -97,6 +108,28 @@ class TestMember:
         assert member(Q2.value(3, -2), L) == (3, -2)
         assert member(Q2.value(F(1, 2), 0), L) is None
 
+    @pytest.mark.parametrize("lattice, coords, expected", [
+        (LATTICE_A, (0, 1), (2, 2, 1)),
+        (LATTICE_A, (2, 0), (3, 3, 2)),
+        (LATTICE_A, (6, 0), (0, -1, 0)),
+        (LATTICE_A, (8, -1), (1, 0, 1)),
+        (LATTICE_A, (0, 2), (4, 4, 2)),
+        (LATTICE_A, (3, 2), None),
+        (LATTICE_A, (1, 0), None),
+        (LATTICE_B, (-6, 0), (0, 0, 2, 1)),
+        (LATTICE_B, (0, 2), (-1, 0, 0, 0)),
+        (LATTICE_B, (3, 2), (0, -1, -2, 0)),
+        (LATTICE_B, (2, 0), None),
+        (LATTICE_C, (4, 2), (-1, 0, -4, -3)),
+        (LATTICE_C, (0, 2), (-1, -1, -1, 0)),
+        (LATTICE_C, (1, 0), (-1, 0, -1, 0)),
+        (LATTICE_C, (2, F(2, 3)), (-1, -1, -3, 0)),
+        (LATTICE_C, (1, F(-4, 3)), (-1, 1, 0, 0)),
+        (LATTICE_C, (F(1, 2), 0), None),
+    ])
+    def test_quadratic_more_generators_than_coordinates(self, lattice, coords, expected):
+        assert member(Q2.value(*coords), lattice) == expected
+
     def test_exactness_random(self):
         rng = random.Random(9)
         for _ in range(200):
@@ -157,6 +190,59 @@ class TestLatticeIndex:
             L2 = ValueLattice(Q2, (Q2.value(k1, 0), Q2.value(0, k2)))
             assert lattice_index(L0, L1) == k1
             assert lattice_index(L0, L2) == k1 * k2
+
+
+    @pytest.mark.parametrize("big, small, expected", [
+        (THIRDS, LATTICE_A, 18),
+        (THIRDS, LATTICE_B, 54),
+        (THIRDS, LATTICE_C, 6),
+        (LATTICE_C, LATTICE_B, 9),
+        (LATTICE_A, (Q2.value(6, 0), Q2.value(0, 3)), 9),
+        (LATTICE_B, (Q2.value(6, 0), Q2.value(0, 12)), 12),
+        (LATTICE_B, (Q2.value(0, 2), Q2.value(0, 4)), INFINITE),
+    ])
+    def test_quadratic_more_generators_than_coordinates(self, big, small, expected):
+        if not isinstance(small, ValueLattice):
+            small = ValueLattice(Q2, small)
+        assert lattice_index(big, small) == expected
+
+    def test_quadratic_not_a_subgroup(self):
+        with pytest.raises(NotASubgroup):
+            lattice_index(LATTICE_C, LATTICE_A)
+
+    def test_zero_big_lattice(self):
+        zero = ValueLattice(Q2, (Q2.zero(), Q2.zero()))
+        with pytest.raises(NotASubgroup):
+            lattice_index(zero, ValueLattice(Q2, (Q2.zero(), Q2.value(1, 0))))
+
+
+class TestSmithNormalForm:
+    def test_contract_random(self):
+        rng = random.Random(17)
+        for _ in range(600):
+            rows, cols = rng.randint(1, 4), rng.randint(1, 3)
+            m = [[rng.randint(-12, 12) for _ in range(cols)] for _ in range(rows)]
+            for i in range(rows):
+                if rng.random() < 0.2:
+                    m[i] = [0] * cols
+            for j in range(cols):
+                if rng.random() < 0.2:
+                    for row in m:
+                        row[j] = 0
+            u, s, v = smith_normal_form(m)
+            assert _matmul(_matmul(u, m), v) == s
+            for i in range(rows):
+                for j in range(cols):
+                    assert s[i][j] == 0 if i != j else s[i][j] >= 0
+            assert det_int(u) in (1, -1) and det_int(v) in (1, -1)
+            um = _matmul(u, m)
+            for i in range(rows):
+                if i >= cols or s[i][i] == 0:
+                    assert um[i] == [0] * cols
+
+
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 class TestRationalRelation:
