@@ -196,6 +196,8 @@ class ArcValuation:
         self.arc = arc
         self.trunc = Fraction(trunc) if trunc is not None else None
         self.normalization = normalization if normalization is not None else RATIONAL.value(1)
+        if self.normalization.sign() <= 0:
+            raise InputError("the normalization must be positive")
         self.context = self.normalization.context
 
     def _scaled(self, q: Fraction) -> Value:

@@ -24,6 +24,7 @@ from .scalars import (
     PuiseuxSeries,
     Scalar,
     evaluate_monomials,
+    parse_integer,
     parse_rational,
     reduce_raw,
 )
@@ -456,8 +457,8 @@ def format_polynomial(f: Polynomial) -> str:
     return out
 
 
-_VAR_RE = re.compile(r"^x(?P<idx>\d+)(?:\((?P<gen>\d+)\))?(?:\^(?P<exp>\d+))?$")
-_RAT_RE = re.compile(r"^\d+(?:/\d+)?$")
+_VAR_RE = re.compile(r"^x(?P<idx>[0-9]+)(?:\((?P<gen>[0-9]+)\))?(?:\^(?P<exp>[0-9]+))?$")
+_RAT_RE = re.compile(r"^[0-9]+(?:/[0-9]+)?$")
 
 
 def parse_polynomial(frame: VariableFrame, field: FieldSpec, text: str) -> Polynomial:
@@ -510,8 +511,8 @@ def parse_polynomial(frame: VariableFrame, field: FieldSpec, text: str) -> Polyn
 
 
 _RING_RE = re.compile(
-    r"^ring\s+m=(?P<m>\d+)\s+char=(?P<char>\d+)(?:\s+n=(?P<n>\d+))?"
-    r"(?:\s+gen=(?P<gen>\d+))?$"
+    r"^ring\s+m=(?P<m>[0-9]+)\s+char=(?P<char>[0-9]+)(?:\s+n=(?P<n>[0-9]+))?"
+    r"(?:\s+gen=(?P<gen>[0-9]+))?$"
 )
 
 
@@ -520,11 +521,11 @@ def parse_ring_header(line: str):
     m = _RING_RE.match(line.strip()) if isinstance(line, str) else None
     if not m:
         raise InputError(f"bad ring header {line!r}")
-    mm = int(m.group("m"))
-    n = int(m.group("n")) if m.group("n") else max(mm - 1, 1)
-    gen = int(m.group("gen")) if m.group("gen") else 0
+    mm = parse_integer(m.group("m"), "ring header m")
+    n = parse_integer(m.group("n"), "ring header n") if m.group("n") else max(mm - 1, 1)
+    gen = parse_integer(m.group("gen"), "ring header gen") if m.group("gen") else 0
     frame = VariableFrame(m=mm, n=n, generation=gen)
-    field = FieldSpec(characteristic=int(m.group("char")))
+    field = FieldSpec(characteristic=parse_integer(m.group("char"), "ring header char"))
     return frame, field
 
 

@@ -39,7 +39,7 @@ from .oracle import ArcValuation, _required, _typed
 from .perron import PerronTransform, build_a1, build_a6_divide
 from .poly import Polynomial, format_ring_header, parse_polynomial, parse_ring_header
 from .scalars import INFINITE, parse_rational
-from .valgroup import det_int, member
+from .valgroup import det_int, member, pairing
 
 DOCUMENT_VERSION = 1
 
@@ -49,35 +49,6 @@ class Bounds:
     max_translations: int = 64
     max_perron_steps: int = 10_000
     max_approx_steps: int = 64
-
-
-@dataclass(frozen=True)
-class SigmaData:
-    """Expansion data of one macro-step: the minimal value rho, its achievers
-    sigma_1 < .. < sigma_t, the monomial exponents d_j(l) of the expansion
-    coefficients, the transform exponents lambda_l / tau_{j,l}, and the minor
-    determinant d."""
-
-    rho: object  # Value
-    sigmas: tuple
-    dvecs: dict  # l -> tuple of d_j(l)
-    lambdas: dict | None = None  # l -> int
-    taus: dict | None = None  # l -> tuple of tau_{j,l}
-    d: int | None = None
-
-    def document(self) -> dict:
-        doc = {
-            "rho": str(self.rho),
-            "sigmas": list(self.sigmas),
-            "dvecs": {str(l): list(v) for l, v in sorted(self.dvecs.items())},
-        }
-        if self.lambdas is not None:
-            doc["lambdas"] = {str(l): v for l, v in sorted(self.lambdas.items())}
-        if self.taus is not None:
-            doc["taus"] = {str(l): list(v) for l, v in sorted(self.taus.items())}
-        if self.d is not None:
-            doc["d"] = self.d
-        return doc
 
 
 @dataclass(frozen=True)
@@ -121,14 +92,6 @@ def _strict_sanity(f1: Polynomial):
         )
 
 
-def _monic_normalize(f1: Polynomial) -> Polynomial:
-    """Divide by the x_m-leading coefficient when it is a nonzero constant."""
-    c = f1.lead_constant_last()
-    if c is not None and c != f1.field.one:
-        return f1 * c.inverse()
-    return f1
-
-
 def _expansion_values(oracle: ArcValuation, coeffs):
     """Oracle values of the terms a_i x_m^i; all must be finite."""
     xm = _xm(oracle)
@@ -147,10 +110,17 @@ def _expansion_values(oracle: ArcValuation, coeffs):
     return values
 
 
-def _sigma_of(values):
+def _sigma_of(values) -> dict:
+    """The sigma block of the term values {l: value of a_l x_m^l}: the
+    minimal value rho and its achievers sigma_1 < .. < sigma_t, as the trace
+    prints them.  Since value(f) is infinite, at least two terms reach rho."""
     rho = min(values.values())
-    sigmas = tuple(sorted(i for i, v in values.items() if v == rho))
-    return rho, sigmas
+    sigmas = [l for l in sorted(values) if values[l] == rho]
+    if len(sigmas) <= 1:
+        raise InternalContradiction(
+            "a single minimal term contradicts value(f) = infinity"
+        )
+    return {"rho": str(rho), "sigmas": sigmas}
 
 
 def lrm_step(oracle: ArcValuation, bounds: Bounds = Bounds()):
@@ -172,60 +142,52 @@ def lrm_step(oracle: ArcValuation, bounds: Bounds = Bounds()):
 
     if oracle.f.lead_constant_last() != oracle.field.one:
         raise PreconditionError("f must be monic in the last variable")
-    coeffs = oracle.f.coeffs_last()
-    # plane curves: each nonzero coefficient is x1^k times a unit, k its x1-order
     if frame.m != 2:
         raise Unsupported(
             "embedded monomialization of the base is implemented for plane "
             "curves; higher dimension needs a monomial base valuation"
         )
-    dvecs = {}
-    for i, a in enumerate(coeffs):
-        if a.is_zero:
-            continue
-        k = min(mono[0] for mono in a.terms)
-        dvecs[i] = (k,)
-        if a.divide_by_monomial((k, 0)).constant_term().is_zero:
-            raise Unsupported("coefficient does not split as monomial times unit")
-
-    values = _expansion_values(oracle, coeffs)
-    rho, sigmas = _sigma_of(values)
-    if len(sigmas) <= 1:
-        raise InternalContradiction(
-            "a single minimal term contradicts value(f) = infinity"
-        )
+    # plane curves: each nonzero coefficient a_l is x1^k times a unit, k its
+    # least x1-exponent, so with value(x_m) finite the term a_l x_m^l has
+    # value (d(l), l) . old_values, d(l) = (k,)
+    dvecs = {
+        l: (min(mono[0] for mono in a.terms),)
+        for l, a in enumerate(oracle.f.coeffs_last()) if not a.is_zero
+    }
+    n = frame.n
+    old_values = oracle.variable_values()[:n] + [gamma_z.value]
+    sigma = _sigma_of({l: pairing(dv + (l,), old_values) for l, dv in dvecs.items()})
+    sigmas = sigma["sigmas"]
     if sigmas[-1] > r:
         raise InternalContradiction("sigma_t exceeded r")
 
-    n = frame.n
-    base_values = oracle.variable_values()[:n]
     tau = build_a1(
-        base_values, gamma_z.value, frame,
+        old_values[:n], gamma_z.value, frame,
         residue=oracle.monomial_residue, bound=bounds.max_perron_steps,
     )
-    mat = tau.matrix
-    lambdas = {}
-    taus = {}
-    for l in values:
-        dv = dvecs[l]
-        lambdas[l] = sum(mat[i][n] * dv[i] for i in range(n)) + mat[n][n] * l
-        taus[l] = tuple(
-            sum(mat[i][j] * dv[i] for i in range(n)) + mat[n][j] * l
-            for j in range(n)
-        )
-    for s in sigmas:
-        if taus[s] != taus[sigmas[0]]:
-            raise InternalContradiction("tau exponents differ across the sigma block")
-    d_minor = det_int([list(row[:n]) for row in mat[:n]])
+    # (d(l), l) . M = (tau_l, lambda_l)
+    products = {
+        l: [sum(e * row[j] for e, row in zip(dv + (l,), tau.matrix)) for j in range(n + 1)]
+        for l, dv in dvecs.items()
+    }
+    lambdas = {l: p[n] for l, p in products.items()}
+    taus = {l: tuple(p[:n]) for l, p in products.items()}
     s1 = sigmas[0]
+    if any(taus[s] != taus[s1] for s in sigmas):
+        raise InternalContradiction("tau exponents differ across the sigma block")
+    d_minor = det_int([list(row[:n]) for row in tau.matrix[:n]])
     if any((lambdas[s] - lambdas[s1]) * d_minor != s - s1 for s in sigmas):
         raise InternalContradiction("the (lambda, sigma) proportionality failed")
     # n = 1 here, so term l has value tau_l * w' after the transform, w' > 0
     # the value of the new x_1; no term lies below rho, so tau_sigma <= tau_l
-    if any(tv < taus[sigmas[0]] for tv in taus.values()):
+    if any(tv < taus[s1] for tv in taus.values()):
         raise InternalContradiction("the sigma block does not divide every term")
-    sigma = SigmaData(rho=rho, sigmas=sigmas, dvecs=dvecs, lambdas=lambdas,
-                      taus=taus, d=d_minor)
+    sigma.update(
+        dvecs={str(l): list(v) for l, v in sorted(dvecs.items())},
+        lambdas={str(l): v for l, v in sorted(lambdas.items())},
+        taus={str(l): list(v) for l, v in sorted(taus.items())},
+        d=d_minor,
+    )
 
     def check_order(r1):
         if r1 is INFINITE:
@@ -248,10 +210,18 @@ def lrm_step(oracle: ArcValuation, bounds: Bounds = Bounds()):
 
     return _strict_step(oracle, tau, "A1", {
         "transform": tau.document(),
-        "sigma": sigma.document(),
+        "sigma": sigma,
         "d_negative": d_minor < 0,
-        "old_values": [str(v) for v in list(base_values) + [gamma_z.value]],
+        "old_values": [str(v) for v in old_values],
     }, InternalContradiction, check_order)
+
+
+def _a1_image(f: Polynomial, tau: PerronTransform):
+    """(g, e, lam, f_1) for the A1 transform tau: g is the image of f in
+    x_m(1), which the trace prints, and g = x^e * (x_m + c)^lam * f_1."""
+    image = tau.substitute(f)
+    exps, lam, f1 = image.strict_transform(tau.c)
+    return image.translate_last(tau.c), exps, lam, f1
 
 
 def _strict_step(oracle: ArcValuation, tau: PerronTransform, kind: str,
@@ -259,19 +229,18 @@ def _strict_step(oracle: ArcValuation, tau: PerronTransform, kind: str,
     """Substitute tau, pass to the strict transform f_1 and the new arc, and
     return (new_oracle, [``kind`` step with ``payload``, STRICT-TRANSFORM]).
     ``check_order`` raises on a bad order of f_1; ``error`` is raised when
-    the arc leaves f_1, and under NotCase2 also when f_1 is reducible."""
-    image = tau.substitute(oracle.f)
-    g = image.translate_last(tau.c)  # the image in x_m(1), for the trace only
+    the arc leaves f_1, and under NotCase2 also when f_1 is reducible.  A
+    monic f keeps f_1 monic or with a non-constant leading coefficient, as
+    tau is nonnegative with det 1, so f_1 is not rescaled."""
+    g, exps, lam, f1 = _a1_image(oracle.f, tau)
     arc1 = tau.transform_arc(oracle.arc)
     frame1 = tau.new_frame()
-    exps, lam, f1 = image.strict_transform(tau.c)
     try:
         _strict_sanity(f1)
     except InputError as exc:
         if error is not NotCase2:
             raise
         raise NotCase2(str(exc)) from exc
-    f1 = _monic_normalize(f1)
     r1 = f1.ord_last()
     check_order(r1)
     oracle1 = oracle.with_arc(frame1, f1, arc1)
@@ -312,19 +281,15 @@ def char0_translate(oracle: ArcValuation):
     r = f.ord_last()
     xm, gamma_z = _translation_gamma(oracle)
     coeffs = f.coeffs_last()
-    a_prev = coeffs[r - 1] if r - 1 < len(coeffs) else None
-    if a_prev is None or a_prev.is_zero:
+    a_prev = coeffs[r - 1]
+    if a_prev.is_zero:
         raise BinomialObstruction("a_{r-1} vanishes identically")
     va = oracle.value(a_prev)
     if not va.is_finite or va.value != gamma_z.value:
         raise BinomialObstruction("value(a_{r-1}) differs from value(x_m)")
 
-    values = _expansion_values(oracle, coeffs)
-    rho, sigmas = _sigma_of(values)
-    if len(sigmas) <= 1:
-        raise InternalContradiction("a single minimal term contradicts value(f) = infinity")
-    sigma = SigmaData(rho=rho, sigmas=sigmas, dvecs={})
-    subleading = len(sigmas) >= 2 and sigmas[-2] == r - 1
+    sigma = {**_sigma_of(_expansion_values(oracle, coeffs)), "dvecs": {}}
+    subleading = sigma["sigmas"][-2] == r - 1
 
     omega = oracle.residue(xm, a_prev)
     h = a_prev * omega
@@ -337,7 +302,7 @@ def char0_translate(oracle: ArcValuation):
     step = TraceStep("TRANSLATE-CHAR0", {
         "omega": str(omega),
         "h": str(h),
-        "sigma": sigma.document(),
+        "sigma": sigma,
         "sigma_t_minus_1_eq_r_minus_1": subleading,
         "value_before": str(gamma_z),
         "value_after": str(new_gamma),
@@ -435,10 +400,6 @@ class ReductionResult:
     r_final: int
     initial_ring: str = ""
     diagnostics: dict = dc_field(default_factory=dict)
-
-    @property
-    def dropped(self) -> int | None:
-        return self.r_final if self.status == "MULTIPLICITY-DROPPED" else None
 
 
 def run_reduction(oracle: ArcValuation, bounds: Bounds = Bounds()) -> ReductionResult:
@@ -538,17 +499,18 @@ def replay_trace(doc: dict) -> str:
         raise InputError("trace document lacks the oracle block")
     frame, field = parse_ring_header(_required(doc, "ring", "trace"))
     f = parse_polynomial(frame, field, _required(oracle_doc, "f", "oracle"))
-    a1 = None  # (image in the unit coordinate, c) of the A1 substitution just replayed
+    a1 = None  # (e, lam, f_1, c) of the A1 substitution just replayed
     for step in _typed(doc.get("steps", []), list, "trace steps"):
         kind = _required(step, "kind", "trace step")
         previous_a1, a1 = a1, None
         if kind in ("A1", "A6", "CASE2"):
             tau = PerronTransform.from_document(_required(step, "transform", kind), frame, field)
-            f = tau.substitute(f)
-            frame = tau.new_frame()
             if tau.kind == "A1":
-                a1 = (f, tau.c)
-                f = f.translate_last(tau.c)
+                f, exps, lam, f1 = _a1_image(f, tau)
+                a1 = (exps, lam, f1, tau.c)
+            else:
+                f = tau.substitute(f)
+            frame = tau.new_frame()
         elif kind in ("TRANSLATE-CHAR0", "TRANSLATE-DEFECTLESS"):
             h = parse_polynomial(frame, field, _required(step, "h", kind))
             f = f.translate_last(h)
@@ -556,12 +518,10 @@ def replay_trace(doc: dict) -> str:
             c = field.scalar(parse_rational(_required(step, "c", kind)))
             if previous_a1 is None:
                 raise InputError("a STRICT-TRANSFORM step must follow an A1 or CASE2 step")
-            image, a1_c = previous_a1
-            exps, lam, f1 = image.strict_transform(a1_c)
+            exps, lam, f, a1_c = previous_a1
             if (list(exps) != step.get("exponents") or lam != step.get("lambda")
                     or c != a1_c):
                 raise InputError("replayed strict transform differs from the record")
-            f = _monic_normalize(f1)
         else:
             raise InputError(f"unknown trace step kind {kind!r}")
         recorded = step.get("f_after")

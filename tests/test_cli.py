@@ -160,6 +160,31 @@ def test_oversized_document_exits_2(tmp_path, capsys, command, doc):
     assert err.startswith("error: INPUT") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["valuate", "reduce"])
+@pytest.mark.parametrize("doc", [
+    {**CUSP, "normalization": "0"},
+    {**CUSP, "normalization": "-1"},
+    {**CUSP, "context": {"kind": "quadratic", "d": 2}, "normalization": "1 - sqrt(2)"},
+], ids=["zero", "negative", "negative-quadratic"])
+def test_non_positive_normalization_exits_2(tmp_path, capsys, command, doc):
+    # a value group must be ordered with value(x) > 0 on the maximal ideal
+    oracle = write(tmp_path, "bad.json", doc)
+    args = [command, "--oracle", oracle] + (["--poly", "x2 - x1"] if command == "valuate" else [])
+    assert main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: INPUT") and "normalization" in err
+
+
+@pytest.mark.parametrize("poly", ["x\u0662^\u0663 - x1", "x2^\uff13 - x1"],
+                         ids=["arabic", "fullwidth"])
+def test_non_ascii_digits_in_poly_exit_2(tmp_path, capsys, poly):
+    oracle = write(tmp_path, "cusp.json", CUSP)
+    assert main(["valuate", "--oracle", oracle, "--poly", poly]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: INPUT")
+
+
 def test_huge_characteristic_exits_2(tmp_path, capsys):
     oracle = write(tmp_path, "big.json", {**CUSP, "ring": {"m": 2, "char": 2**80, "n": 1}})
     assert main(["valuate", "--oracle", oracle, "--poly", "x2"]) == 2
@@ -225,6 +250,22 @@ class TestReduce:
         trace = json.loads(capsys.readouterr().out)
         assert trace["diagnostics"]["reason"] == "STEP-BOUND"
         assert trace["diagnostics"]["ladder"] == ["1", "2"]
+
+    @pytest.mark.parametrize("doc, args, reason", [
+        (CUSP, ["--trunc", "3"], "TRUNCATION"),
+        ({**CUSP, "f": "x2^7 - x1^11", "arc": {"x1": "t^7", "x2": "t^11"}, "trunc": 200},
+         ["--max-perron-steps", "3"], "STEP-BOUND-EXCEEDED"),
+    ], ids=["truncation", "perron-step-bound"])
+    def test_bound_exhausted_exits_4(self, tmp_path, capsys, doc, args, reason):
+        # trunc 3 cuts t^3 off the arc of x2, so value(x2) reads as above the
+        # window; the A1 matrix for (t^7, t^11) takes more than three steps
+        oracle = write(tmp_path, "c.json", doc)
+        out = tmp_path / "trace.json"
+        assert main(["reduce", "--oracle", oracle, "--out", str(out)] + args) == 4
+        trace = json.loads(out.read_text())
+        assert trace["status"] == "BOUND-EXHAUSTED"
+        assert trace["diagnostics"]["reason"] == reason
+        assert replay_matches(trace)
 
     def test_bad_trunc_override_exits_2(self, tmp_path, capsys):
         oracle = write(tmp_path, "cusp.json", CUSP)

@@ -315,6 +315,29 @@ class TestCanonicalForm:
         frame5, field5 = parse_ring_header("ring m=3 char=5")
         assert frame5.m == 3 and field5.characteristic == 5
 
+    # README's grammar has ASCII digits only; int() and the regex class \d
+    # would also take other Unicode digits
+    @pytest.mark.parametrize("header", [
+        "ring m=\u0662 char=0",
+        "ring m=2 char=\uff10",
+        "ring m=2 char=0 n=\u0661",
+        "ring m=2 char=0 n=1 gen=\u0661",
+        "ring m=" + "9" * 5000 + " char=0",
+    ], ids=["arabic-m", "fullwidth-char", "arabic-n", "arabic-gen", "m-5000-digits"])
+    def test_ring_header_refuses(self, header):
+        with pytest.raises(InputError):
+            parse_ring_header(header)
+
+    @pytest.mark.parametrize("text", [
+        "x\u0662^\u0663 - x1",
+        "x2^\u0663 - x1",
+        "x2(\u0660) - x1",
+        "\uff13*x2 - x1",
+    ], ids=["arabic-index", "arabic-exponent", "arabic-generation", "fullwidth-coefficient"])
+    def test_polynomial_refuses_non_ascii_digits(self, text):
+        with pytest.raises(InputError):
+            P(text)
+
 
 def _random_poly(rng, frame, field, max_terms=5, max_exp=4):
     terms = {}

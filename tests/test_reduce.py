@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,8 +15,10 @@ from perronval.errors import (
     PreconditionValueInGroup,
     Unsupported,
 )
+import perronval.reduce as reduce_module
 from perronval.cli import main
 from perronval.oracle import oracle_from_document
+from perronval.perron import PerronTransform
 from perronval.poly import Polynomial, VariableFrame, parse_polynomial, parse_ring_header
 from perronval.reduce import (
     Bounds,
@@ -329,6 +332,82 @@ class TestLadderFamily:
                    for s in res.oracle.arc for c in s.terms.values())
 
 
+SIGMA_BLOCK_CURVES = [
+    pytest.param(ladder_doc(a, b, c), id=f"ladder-{a}-{b}-c{c}")
+    for k, (a, b) in enumerate(LADDER_PAIRS) for c in (0, (1, -2, 3)[k % 3])
+] + [
+    pytest.param(arcdoc(0, "x2^4 - 2*x1^3*x2^2 - 4*x1^5*x2 + x1^6 - x1^7",
+                        {"x1": "t^4", "x2": "t^6 + t^7"}, trunc=30), id="quartic-c1"),
+    pytest.param(arcdoc(0, "-16*x1^7 + x1^6 - 16*x1^5*x2 - 2*x1^3*x2^2 + x2^4",
+                        {"x1": "t^4", "x2": "t^6 + t^7*-2"}, trunc=40), id="quartic-c-2"),
+]
+
+
+def _oracle_sigma_block(oracle):
+    """rho and sigma_1 < .. < sigma_t from the oracle's value of each term."""
+    xm = Polynomial.variable(oracle.frame, oracle.field, oracle.frame.m - 1)
+    values = {}
+    for l, a in enumerate(oracle.f.coeffs_last()):
+        if not a.is_zero:
+            vr = oracle.value(a * xm**l)
+            assert vr.is_finite
+            values[l] = vr.value
+    rho = min(values.values())
+    return {"rho": str(rho), "sigmas": sorted(l for l, v in values.items() if v == rho)}
+
+
+class TestFactsTheReductionRestsOn:
+    """``lrm_step`` reads each term value off the exponents, and the strict
+    transform is never rescaled; both rest on the algebra checked here."""
+
+    @pytest.mark.parametrize("doc", SIGMA_BLOCK_CURVES)
+    def test_sigma_block_matches_the_oracle(self, doc, monkeypatch):
+        blocks = []
+
+        def recording(oracle, bounds):
+            expected = _oracle_sigma_block(oracle)
+            oracle1, steps = lrm_step(oracle, bounds)
+            sigma = steps[0].payload["sigma"]
+            blocks.append(({"rho": sigma["rho"], "sigmas": sigma["sigmas"]}, expected))
+            return oracle1, steps
+
+        monkeypatch.setattr(reduce_module, "lrm_step", recording)
+        assert run_reduction(oracle_from_document(doc)).status == "REDUCED-TO-SMOOTH"
+        assert blocks
+        for recorded, expected in blocks:
+            assert recorded == expected
+
+    def test_monic_f_keeps_a_leading_coefficient_of_one_or_non_constant(self):
+        # M = [[a, b], [c, d]] nonnegative with det 1 sends x1^i x2^j to
+        # x1'^(ai+cj) u^(bi+dj); f_1 has a constant leading coefficient
+        # other than 1 only if a term other than x2^D had both the top
+        # u-exponent and the least x1'-exponent, which det 1 rules out
+        rng = random.Random(41)
+        frame = VariableFrame(m=2, n=1)
+        steps = ([[1, 1], [0, 1]], [[1, 0], [1, 1]])
+        for field in (FieldSpec(0), FieldSpec(2), FieldSpec(3), FieldSpec(5)):
+            for _ in range(60):
+                degree = rng.randint(1, 5)
+                terms = {(0, degree): 1}
+                for _ in range(rng.randint(0, 6)):
+                    mono = (rng.randint(0, 6), rng.randint(0, degree - 1))
+                    v = rng.randint(-5, 5)
+                    terms[mono] = v if field.modular else Fraction(v, rng.randint(1, 3))
+                f = Polynomial(frame, field, terms)
+                matrix = [[1, 0], [0, 1]]
+                for _ in range(rng.randint(1, 7)):
+                    e = rng.choice(steps)
+                    matrix = [[sum(row[k] * e[k][j] for k in range(2)) for j in range(2)]
+                              for row in matrix]
+                c = field.scalar(rng.randint(1, 6))
+                if c.is_zero:
+                    c = field.one
+                tau = PerronTransform("A1", tuple(map(tuple, matrix)), frame, c)
+                _, _, f1 = tau.substitute(f).strict_transform(c)
+                lead = f1.lead_constant_last()
+                assert lead is None or lead == field.one, (f, matrix, c, f1)
+
+
 def _check_strict_identities(doc):
     """At every STRICT-TRANSFORM of a trace document, the image g printed by
     the A1 or CASE2 step before it is a constant multiple of
@@ -410,11 +489,14 @@ class TestTraceReplay:
         (("steps", 0, "transform", "matrix"), [[2, 1], [3.0, 2]], "must be an integer"),
         (("ring",), None, "missing 'ring'"),
         (("ring",), 5, "bad ring header"),
+        (("ring",), "ring m=\u0662 char=0 n=1", "bad ring header"),
+        (("ring",), "ring m=" + "9" * 5000 + " char=0 n=1", "too many digits"),
         (("steps",), 5, "must be a JSON array"),
         (("steps", 0, "kind"), None, "missing 'kind'"),
         (("steps", 0, "transform", "matrix"), None, "missing 'matrix'"),
     ], ids=["c-text", "c-exponent", "c-other", "transform-c-exponent", "matrix-float",
-            "no-ring", "ring-number", "steps-number", "no-kind", "no-matrix"])
+            "no-ring", "ring-number", "ring-arabic-digit", "ring-5000-digits",
+            "steps-number", "no-kind", "no-matrix"])
     def test_replay_rejects_malformed_step(self, path, value, message):
         trace = trace_document(run_reduction(oracle_from_document(CUSP)), CUSP)
         *parents, key = path
