@@ -12,7 +12,7 @@ import json
 import sys
 
 from .defect import ExtensionData, FamilyDecomposition, SimpleFamily, consistency, jump_total, ostrowski
-from .errors import PerronvalError
+from .errors import InputError, PerronvalError
 from .oracle import (
     ArcValuation,
     AugmentedChain,
@@ -45,6 +45,15 @@ def _parse_monomial(oracle, text):
     return mono
 
 
+def _bound(value, option: str) -> int:
+    """A step bound read with ``parse_integer`` (ASCII digits, no ``_``);
+    a negative bound is refused rather than taken as zero."""
+    bound = parse_integer(value, option)
+    if bound < 0:
+        raise InputError(f"{option} must be nonnegative, got {bound}")
+    return bound
+
+
 def cmd_valuate(args) -> int:
     oracle = load_oracle(args.oracle)
     poly = parse_polynomial(oracle.frame, oracle.field, args.poly)
@@ -62,6 +71,11 @@ def cmd_chain_value(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    bounds = Bounds(
+        max_translations=_bound(args.max_translations, "--max-translations"),
+        max_perron_steps=_bound(args.max_perron_steps, "--max-perron-steps"),
+        max_approx_steps=_bound(args.max_approx_steps, "--max-approx-steps"),
+    )
     oracle_doc = read_document(args.oracle)
     oracle = oracle_from_document(oracle_doc)
     if not isinstance(oracle, ArcValuation):
@@ -74,11 +88,6 @@ def cmd_reduce(args) -> int:
         oracle_doc["trunc"] = args.trunc
     if not oracle.arc_consistency():
         raise PerronvalError("arc is inconsistent with the hypersurface")
-    bounds = Bounds(
-        max_translations=args.max_translations,
-        max_perron_steps=args.max_perron_steps,
-        max_approx_steps=args.max_approx_steps,
-    )
     result = run_reduction(oracle, bounds)
     doc = trace_document(result, oracle_doc)
     text = _dump(doc)
@@ -95,25 +104,25 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_perron_divide(args) -> int:
+    bound = _bound(args.max_perron_steps, "--max-perron-steps")
     oracle = load_oracle(args.weights)
     if not isinstance(oracle, MonomialValuation):
         raise PerronvalError("perron divide needs a monomial oracle document")
     m1 = _parse_monomial(oracle, args.m1)
     m2 = _parse_monomial(oracle, args.m2)
-    tau = build_a6_divide(m1, m2, oracle.weights, oracle.frame,
-                          bound=args.max_perron_steps)
+    tau = build_a6_divide(m1, m2, oracle.weights, oracle.frame, bound=bound)
     doc = {"version": 1, **tau.document()}
     sys.stdout.write(_dump(doc))
     return EXIT_OK
 
 
 def cmd_perron_monomialize(args) -> int:
+    bound = _bound(args.max_perron_steps, "--max-perron-steps")
     oracle = load_oracle(args.weights)
     if not isinstance(oracle, MonomialValuation):
         raise PerronvalError("perron monomialize needs a monomial oracle document")
     poly = parse_polynomial(oracle.frame, oracle.field, args.poly)
-    result = monomialize(poly, oracle.weights, oracle.frame,
-                         bound=args.max_perron_steps)
+    result = monomialize(poly, oracle.weights, oracle.frame, bound=bound)
     doc = {
         "version": 1,
         "transforms": [t.document() for t in result.transforms],
@@ -130,7 +139,10 @@ def cmd_defect(args) -> int:
         first, _, stable = text.partition(":")
         families.append(SimpleFamily(parse_integer(first, "family degree"),
                                      parse_integer(stable or first, "family degree")))
-    data = ExtensionData(degree=args.degree, e=args.e, fres=args.f, p=args.p)
+    data = ExtensionData(degree=parse_integer(args.degree, "--degree"),
+                         e=parse_integer(args.e, "--e"),
+                         fres=parse_integer(args.f, "--f"),
+                         p=parse_integer(args.p, "--p"))
     lines = [f"delta={ostrowski(data)}"]
     if families:
         decomposition = FamilyDecomposition(tuple(families))
@@ -159,9 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", required=True, help="arc oracle document (curve)")
     p.add_argument("--out", help="write the trace document here (default stdout)")
     p.add_argument("--trunc", help="override the arc truncation")
-    p.add_argument("--max-translations", type=int, default=64)
-    p.add_argument("--max-perron-steps", type=int, default=10_000)
-    p.add_argument("--max-approx-steps", type=int, default=64,
+    p.add_argument("--max-translations", default=64)
+    p.add_argument("--max-perron-steps", default=10_000)
+    p.add_argument("--max-approx-steps", default=64,
                    help="steps of the best-approximation ladder per translation")
     p.set_defaults(func=cmd_reduce)
 
@@ -171,19 +183,19 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--weights", required=True, help="monomial oracle document")
     d.add_argument("--m1", required=True)
     d.add_argument("--m2", required=True)
-    d.add_argument("--max-perron-steps", type=int, default=10_000)
+    d.add_argument("--max-perron-steps", default=10_000)
     d.set_defaults(func=cmd_perron_divide)
     mo = psub.add_parser("monomialize", help="monomial-times-unit factorization")
     mo.add_argument("--weights", required=True)
     mo.add_argument("--poly", required=True)
-    mo.add_argument("--max-perron-steps", type=int, default=10_000)
+    mo.add_argument("--max-perron-steps", default=10_000)
     mo.set_defaults(func=cmd_perron_monomialize)
 
     p = sub.add_parser("defect", help="defect from Ostrowski's identity")
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--e", type=int, required=True)
-    p.add_argument("--f", type=int, default=1)
-    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--degree", required=True)
+    p.add_argument("--e", required=True)
+    p.add_argument("--f", default=1)
+    p.add_argument("--p", required=True)
     p.add_argument(
         "--family", action="append",
         help="simple family as first_degree:stable_degree (repeatable)",

@@ -358,6 +358,38 @@ class Polynomial:
         f1 = self.divide_by_monomial(exps).translate_last(c)
         return exps[:-1] + (0,), exps[-1], f1
 
+    def times_unit_power(self, exps: Mono, lam: int, c) -> "Polynomial":
+        """x^exps * (x_m + c)^lam * self, with exps in x_1..x_{m-1} (its x_m
+        slot is ignored): the inverse of ``strict_transform`` read in x_m.
+
+        (x_m + c)^lam is the single binomial row C(lam, k) c^(lam-k) x_m^k,
+        k = 0..lam, so the product costs O(lam * |self|) term products, not
+        the O(lam^2) row updates of a Taylor shift.  The binomials come from
+        C(lam, k+1) = C(lam, k) (lam - k) / (k + 1), exact over Z; mod p that
+        division is not invertible when p | k + 1, so each C(lam, k) is
+        reduced mod p only after it is computed over Z.  The product is
+        bounded as a Taylor shift of it would be: an x_m-degree above
+        MAX_GRID_SLOTS raises InputError.
+        """
+        _check_rows(lam + self.degree_in_last())
+        p = self.field.characteristic
+        c = self.field.raw(c)
+        powers = [1]  # c^j for j = 0..lam
+        for _ in range(lam):
+            powers.append(powers[-1] * c % p if p else powers[-1] * c)
+        base = tuple(exps[:-1])
+        row = {}
+        binom = 1
+        for k in range(lam + 1):
+            v = binom * powers[lam - k]
+            if p:
+                v %= p
+            if v:  # _raw_addmul stores no zeros
+                row[base + (k,)] = v
+            binom = binom * (lam - k) // (k + 1)
+        return Polynomial._from_raw(self.frame, self.field,
+                                    _raw_addmul({}, self.terms, row, p))
+
     # -- arc evaluation -------------------------------------------------------
 
     def evaluate_at_arc(self, arc) -> PuiseuxSeries:
@@ -374,13 +406,18 @@ class Polynomial:
         return f"Polynomial({format_polynomial(self)!r})"
 
 
-def _rows(f: Polynomial, d: int) -> list:
-    """The x_m-coefficient rows of f, d >= deg_xm f: rows[k] maps the
-    exponents of x_1..x_{m-1} to the value of their term times x_m^k.  A
-    row, like a grid slot, is one entry per exponent, so d above
-    MAX_GRID_SLOTS raises InputError before any row is allocated."""
+def _check_rows(d: int):
+    """A row, like a grid slot, is one entry per x_m-exponent, so an
+    x_m-degree d above MAX_GRID_SLOTS raises InputError before any row is
+    allocated."""
     if d > MAX_GRID_SLOTS:
         raise InputError(f"x_m-degree {d} needs more than {MAX_GRID_SLOTS} rows")
+
+
+def _rows(f: Polynomial, d: int) -> list:
+    """The x_m-coefficient rows of f, d >= deg_xm f: rows[k] maps the
+    exponents of x_1..x_{m-1} to the value of their term times x_m^k."""
+    _check_rows(d)
     rows = [{} for _ in range(d + 1)]
     for mono, v in f.terms.items():
         rows[mono[-1]][mono[:-1]] = v

@@ -218,20 +218,23 @@ def lrm_step(oracle: ArcValuation, bounds: Bounds = Bounds()):
 
 def _a1_image(f: Polynomial, tau: PerronTransform):
     """(g, e, lam, f_1) for the A1 transform tau: g is the image of f in
-    x_m(1), which the trace prints, and g = x^e * (x_m + c)^lam * f_1."""
-    image = tau.substitute(f)
-    exps, lam, f1 = image.strict_transform(tau.c)
-    return image.translate_last(tau.c), exps, lam, f1
+    x_m(1), which the trace prints, and g = x^e * (x_m + c)^lam * f_1.  Only
+    f_1 takes a Taylor shift (inside ``strict_transform``); g is built back
+    from f_1 with one binomial row of (x_m + c)^lam."""
+    exps, lam, f1 = tau.substitute(f).strict_transform(tau.c)
+    return f1.times_unit_power(exps, lam, tau.c), exps, lam, f1
 
 
 def _strict_step(oracle: ArcValuation, tau: PerronTransform, kind: str,
                  payload: dict, error: type, check_order):
     """Substitute tau, pass to the strict transform f_1 and the new arc, and
     return (new_oracle, [``kind`` step with ``payload``, STRICT-TRANSFORM]).
-    ``check_order`` raises on a bad order of f_1; ``error`` is raised when
-    the arc leaves f_1, and under NotCase2 also when f_1 is reducible.  A
-    monic f keeps f_1 monic or with a non-constant leading coefficient, as
-    tau is nonnegative with det 1, so f_1 is not rescaled."""
+    The ``kind`` step prints the image g, which ``_a1_image`` builds from
+    f_1 with one binomial row, so the step takes one Taylor shift, the one
+    into f_1.  ``check_order`` raises on a bad order of f_1; ``error`` is
+    raised when the arc leaves f_1, and under NotCase2 also when f_1 is
+    reducible.  A monic f keeps f_1 monic or with a non-constant leading
+    coefficient, as tau is nonnegative with det 1, so f_1 is not rescaled."""
     g, exps, lam, f1 = _a1_image(oracle.f, tau)
     arc1 = tau.transform_arc(oracle.arc)
     frame1 = tau.new_frame()

@@ -267,6 +267,23 @@ class TestReduce:
         assert trace["diagnostics"]["reason"] == reason
         assert replay_matches(trace)
 
+    @pytest.mark.parametrize("option", [
+        "--max-translations", "--max-perron-steps", "--max-approx-steps"])
+    @pytest.mark.parametrize("value, message", [
+        ("1_0", "must be an integer"),
+        ("-1", "must be nonnegative"),
+        ("\u0663", "must be an integer"),  # Arabic-Indic digit three
+    ], ids=["underscore", "negative", "arabic-digit"])
+    def test_bad_bound_exits_2(self, tmp_path, capsys, option, value, message):
+        # parse_integer's grammar, not int()'s: int() reads 1_0 as 10 and the
+        # Arabic-Indic digit as 3, and a negative bound used to act as zero
+        doc = {**CUSP, "f": "x2^7 - x1^11", "arc": {"x1": "t^7", "x2": "t^11"}, "trunc": 200}
+        oracle = write(tmp_path, "c.json", doc)
+        assert main(["reduce", "--oracle", oracle, f"{option}={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: INPUT: {option} {message}")
+
     def test_bad_trunc_override_exits_2(self, tmp_path, capsys):
         oracle = write(tmp_path, "cusp.json", CUSP)
         assert main(["reduce", "--oracle", oracle, "--trunc", "abc"]) == 2
@@ -296,6 +313,24 @@ class TestPerron:
         assert [t["matrix"] for t in doc["transforms"]] == [[[1, 0], [1, 1]]]
 
 
+    @pytest.mark.parametrize("command, extra", [
+        ("divide", ["--m1", "x1", "--m2", "x2"]),
+        ("monomialize", ["--poly", "x1 + x2"]),
+    ])
+    @pytest.mark.parametrize("value, message", [
+        ("1_0", "must be an integer"),
+        ("-1", "must be nonnegative"),
+        ("\u0663", "must be an integer"),
+    ], ids=["underscore", "negative", "arabic-digit"])
+    def test_bad_step_bound_exits_2(self, tmp_path, capsys, command, extra, value, message):
+        weights = write(tmp_path, "w.json", WEIGHTS)
+        argv = ["perron", command, "--weights", weights, f"--max-perron-steps={value}"]
+        assert main(argv + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: INPUT: --max-perron-steps {message}")
+
+
 class TestDefectCommand:
     def test_char2_cusp(self, capsys):
         assert main(["defect", "--degree", "2", "--e", "2", "--f", "1", "--p", "2"]) == 0
@@ -320,6 +355,18 @@ class TestDefectCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+
+    @pytest.mark.parametrize("option", ["--degree", "--e", "--f", "--p"])
+    @pytest.mark.parametrize("value", ["\u0662", "2_0", "x"],
+                             ids=["arabic-digit", "underscore", "letter"])
+    def test_non_integer_number_exits_2(self, capsys, option, value):
+        # int() read the Arabic-Indic two in --p as 2 and printed delta=0
+        numbers = {"--degree": "2", "--e": "2", "--f": "1", "--p": "2", option: value}
+        argv = ["defect"] + [text for pair in numbers.items() for text in pair]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: INPUT: {option} must be an integer")
 
     def test_not_ostrowski_exits_2(self, capsys):
         assert main(["defect", "--degree", "6", "--e", "2", "--f", "1", "--p", "2"]) == 2

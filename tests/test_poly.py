@@ -146,7 +146,7 @@ class TestStrictTransform:
             exps, lam, f1 = f.strict_transform(c)
             unit = Polynomial.variable(FR, Q, 1) + c
             back = f1 * Polynomial.monomial(FR, Q, exps) * unit**lam
-            assert back == f.translate_last(c)
+            assert back == f.translate_last(c) == f1.times_unit_power(exps, lam, c)
 
     def test_matches_division_reference(self):
         # g = x^e * (x_m + c)^lam * f1 with lam up to p + 2, so lam >= p occurs
@@ -167,6 +167,30 @@ class TestStrictTransform:
                 got = g.translate_last(-c).strict_transform(c)
                 assert got == _strict_by_division(g, c)
                 assert got[1] >= lam
+
+    def test_times_unit_power_matches_taylor_shift(self):
+        # reference: x^e * (x_m + c)^lam * f is (x^e * x_m^lam * f(x, x_m - c))
+        # shifted back by c; lam runs past p, so C(lam, k) meets p | k + 1
+        rng = random.Random(53)
+        frame = VariableFrame(m=3, n=2)
+        for field in FIELDS:
+            top = 3 * field.characteristic + 2 if field.modular else 12
+            for trial in range(40):
+                f1 = _random_poly(rng, frame, field, max_terms=4, max_exp=3)
+                lam = (0, top)[trial] if trial < 2 else rng.randint(0, top)
+                if trial == 2 or rng.random() < 0.2:
+                    c = field.zero
+                elif field.modular:
+                    c = field.scalar(rng.randint(1, field.characteristic - 1))
+                else:
+                    c = field.scalar(F(rng.choice([-1, 1]) * rng.randint(1, 5),
+                                       rng.choice([1, 1, 2, 3])))
+                e = (rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3))
+                shifted = f1.translate_last(-c) * Polynomial.monomial(frame, field, e[:2] + (lam,))
+                got = f1.times_unit_power(e, lam, c)
+                assert got == shifted.translate_last(c), (field, f1, e, lam, c)
+                unit = Polynomial.variable(frame, field, 2) + c
+                assert got == Polynomial.monomial(frame, field, e[:2] + (0,)) * unit**lam * f1
 
 
 def _strict_by_division(g, c):
