@@ -24,6 +24,7 @@ from .scalars import (
     PuiseuxSeries,
     Scalar,
     evaluate_monomials,
+    format_raw,
     parse_integer,
     parse_rational,
     reduce_raw,
@@ -474,18 +475,13 @@ def format_polynomial(f: Polynomial) -> str:
             elif e > 1:
                 factors.append(f"{frame.var_name(i)}^{e}")
         body = "*".join(factors)
-        if f.field.modular:
-            text = f"{c}*{body}" if body and c != 1 else (body or str(c))
-            chunks.append(("+", text))
-            continue
-        sign = "-" if c < 0 else "+"
-        mag = abs(c)
+        sign, mag = ("+", c) if f.field.modular or c > 0 else ("-", -c)
         if body and mag == 1:
             text = body
         elif body:
-            text = f"{mag}*{body}"
+            text = f"{format_raw(mag)}*{body}"
         else:
-            text = str(mag)
+            text = format_raw(mag)
         chunks.append((sign, text))
     first_sign, first = chunks[0]
     out = first if first_sign == "+" else f"-{first}"

@@ -92,22 +92,21 @@ def _strict_sanity(f1: Polynomial):
         )
 
 
-def _expansion_values(oracle: ArcValuation, coeffs):
-    """Oracle values of the terms a_i x_m^i; all must be finite."""
-    xm = _xm(oracle)
-    values = {}
-    for i, a in enumerate(coeffs):
+def _term_exponents(f: Polynomial) -> dict:
+    """{l: d(l)} over the nonzero x_m-coefficients a_l of f, d(l) the least
+    exponents of a_l, when each a_l is x^d(l) times a unit: the term
+    a_l x_m^l then has value (d(l), l) . values, with no oracle query.  On a
+    plane curve every a_l is x1^k times a unit; in more variables a
+    coefficient that is not a monomial times a unit raises Unsupported."""
+    out = {}
+    for l, a in enumerate(f.coeffs_last()):
         if a.is_zero:
             continue
-        vr = oracle.value(a * xm**i)
-        if vr.is_above:
-            raise TruncationExhausted(
-                f"value of a_{i} x_m^{i} is beyond the arc window"
-            )
-        if vr.is_infinite:
-            raise InputError(f"term a_{i} x_m^{i} is a multiple of f")
-        values[i] = vr.value
-    return values
+        d = a.min_exponents()
+        if d not in a.terms:
+            raise Unsupported(f"coefficient a_{l} is not a monomial times a unit")
+        out[l] = d[:-1]
+    return out
 
 
 def _sigma_of(values) -> dict:
@@ -147,13 +146,7 @@ def lrm_step(oracle: ArcValuation, bounds: Bounds = Bounds()):
             "embedded monomialization of the base is implemented for plane "
             "curves; higher dimension needs a monomial base valuation"
         )
-    # plane curves: each nonzero coefficient a_l is x1^k times a unit, k its
-    # least x1-exponent, so with value(x_m) finite the term a_l x_m^l has
-    # value (d(l), l) . old_values, d(l) = (k,)
-    dvecs = {
-        l: (min(mono[0] for mono in a.terms),)
-        for l, a in enumerate(oracle.f.coeffs_last()) if not a.is_zero
-    }
+    dvecs = _term_exponents(oracle.f)
     n = frame.n
     old_values = oracle.variable_values()[:n] + [gamma_z.value]
     sigma = _sigma_of({l: pairing(dv + (l,), old_values) for l, dv in dvecs.items()})
@@ -283,15 +276,16 @@ def char0_translate(oracle: ArcValuation):
     f = oracle.f
     r = f.ord_last()
     xm, gamma_z = _translation_gamma(oracle)
-    coeffs = f.coeffs_last()
-    a_prev = coeffs[r - 1]
+    a_prev = f.coeffs_last()[r - 1]
     if a_prev.is_zero:
         raise BinomialObstruction("a_{r-1} vanishes identically")
     va = oracle.value(a_prev)
     if not va.is_finite or va.value != gamma_z.value:
         raise BinomialObstruction("value(a_{r-1}) differs from value(x_m)")
 
-    sigma = {**_sigma_of(_expansion_values(oracle, coeffs)), "dvecs": {}}
+    values = oracle.variable_values()[: frame.m - 1] + [gamma_z.value]
+    sigma = {**_sigma_of({l: pairing(d + (l,), values)
+                          for l, d in _term_exponents(f).items()}), "dvecs": {}}
     subleading = sigma["sigmas"][-2] == r - 1
 
     omega = oracle.residue(xm, a_prev)

@@ -9,7 +9,9 @@ handed out.
 Puiseux series are finite sums of terms c * t^q with q rational, together
 with a truncation order below which the series is trusted.  A truncation of
 ``None`` means the series is exact (all omitted coefficients are zero);
-declared arc data normally carries a finite truncation.
+declared arc data normally carries a finite truncation.  A series is stored
+on its integer grid 1/N as (index, raw value) pairs and a truncation index;
+Fraction exponents appear only when a series is parsed or printed.
 """
 
 from __future__ import annotations
@@ -210,7 +212,7 @@ class Scalar:
         return result
 
     def __str__(self):
-        return str(self.value)
+        return format_raw(self.value)
 
     def __repr__(self):
         return f"Scalar({self.value}, char={self.field.characteristic})"
@@ -233,6 +235,16 @@ def parse_rational(text: str) -> Fraction:
     if den == 0:
         raise InputError(f"zero denominator in {text!r}")
     return Fraction(num, den)
+
+
+def format_raw(value) -> str:
+    """Decimal text of an int or Fraction value.  A value with more digits
+    than the interpreter converts to text raises InputError, not ValueError,
+    so printing stays inside the exit-code contract."""
+    try:
+        return str(value)
+    except ValueError as exc:
+        raise InputError(f"value too long to print: {exc}") from exc
 
 
 _INTEGER_RE = re.compile(r"\s*-?[0-9]+\s*")
@@ -274,10 +286,13 @@ def _tadd(a, b):
 MAX_GRID_SLOTS = 2**16
 
 
-def _check_slots(trunc: Fraction, n: int):
-    if trunc * n > MAX_GRID_SLOTS:
+def _check_slots(top, n: int):
+    """Refuse a truncation index ``top`` on the grid 1/n (None: exact) that
+    spans more than MAX_GRID_SLOTS slots."""
+    if top is not None and top > MAX_GRID_SLOTS:
         raise InputError(
-            f"truncation {trunc} on the grid 1/{n} spans more than {MAX_GRID_SLOTS} slots"
+            f"truncation {Fraction(top, n)} on the grid 1/{n} spans more than "
+            f"{MAX_GRID_SLOTS} slots"
         )
 
 
@@ -290,22 +305,22 @@ def reduce_raw(items, p: int) -> dict:
     return {key: v.numerator if v.denominator == 1 else v for key, v in items if v}
 
 
-# The series kernels work on the integer grid 1/N: a series is a triple
+# A series is stored on its least integer grid (see ``PuiseuxSeries``), and
+# the kernels lift it to a common grid 1/n with ``_grid``: a kernel triple
 # (pairs, top, den) of ascending (index k, nonzero int numerator v) pairs,
-# standing for the terms (v / den) t^(k/N), the truncation index
-# top = trunc * N (None when the series is exact) and one common denominator
-# den.  Over F_p, den is 1 and the numerators are the raw values, so both
-# fields run the same int arithmetic; values become canonical raw values
-# again only in ``PuiseuxSeries._from_grid``.
+# standing for the terms (v / den) t^(k/n), the truncation index top and
+# one common denominator den.  Over F_p, den is 1 and the numerators are the
+# raw values, so both fields run the same int arithmetic; values become
+# canonical raw values again only in ``PuiseuxSeries._from_grid``.
 
 def _grid(s: "PuiseuxSeries", n: int):
-    """s on the grid 1/n; n must be a multiple of s.ram."""
-    pairs = sorted((q.numerator * (n // q.denominator), c) for q, c in s.terms.items())
-    den = math.lcm(*[c.denominator for c in s.terms.values() if type(c) is not int])
+    """Kernel triple of s on the grid 1/n; n must be a multiple of s.ram."""
+    f = n // s.ram
+    pairs = s.pairs if f == 1 else [(k * f, v) for k, v in s.pairs]
+    den = math.lcm(*[v.denominator for _, v in pairs if type(v) is not int])
     if den != 1:
-        pairs = [(k, c.numerator * (den // c.denominator)) for k, c in pairs]
-    top = None if s.trunc is None else s.trunc.numerator * (n // s.trunc.denominator)
-    return pairs, top, den
+        pairs = [(k, v.numerator * (den // v.denominator)) for k, v in pairs]
+    return pairs, None if s.top is None else s.top * f, den
 
 
 def _grid_mul(a, b, p: int):
@@ -337,6 +352,23 @@ def _grid_pow(a, k: int, p: int):
     return result
 
 
+def _grid_sum(grids, p: int):
+    """Sum of grid series on one grid, cut at their least truncation; the
+    numerators are added over the lcm of the denominators."""
+    top = None
+    for _, t, _ in grids:
+        top = _tmin(top, t)
+    den = math.lcm(*(d for _, _, d in grids))
+    limit = math.inf if top is None else top
+    acc = {}
+    for pairs, _, d in grids:
+        scale = den // d
+        for k, v in pairs:
+            if k < limit:
+                acc[k] = acc.get(k, 0) + v * scale
+    return _nonzero(acc, p), top, den
+
+
 def _nonzero(acc: dict, p: int) -> list:
     """Ascending (index, numerator) pairs of the nonzero sums in ``acc``,
     reduced mod p when p != 0."""
@@ -348,19 +380,20 @@ def _nonzero(acc: dict, p: int) -> list:
 class PuiseuxSeries:
     """Finite sum of terms c * t^q with rational q, trusted below ``trunc``.
 
-    The ramification index N is always normalized to the lcm of the exponent
-    denominators (including the truncation order when finite), so equal
-    series compare equal.  Exponents may be negative in intermediate
-    computations; declared arc components are checked elsewhere.
+    Stored on the grid 1/``ram``: ``pairs`` holds the ascending (index k,
+    canonical raw value c) pairs of the terms c t^(k/ram) and ``top`` the
+    truncation index trunc * ram, None when the series is exact.  ``ram`` is
+    always the least such grid, the lcm of the exponent denominators and the
+    truncation's, so equal series compare equal.  ``terms`` and ``trunc``
+    are read-only views in Fraction exponents.  Exponents may be negative in
+    intermediate computations; declared arc components are checked elsewhere.
     """
 
-    __slots__ = ("field", "terms", "trunc", "ram")
+    __slots__ = ("field", "ram", "pairs", "top")
 
     def __init__(self, field: FieldSpec, terms=None, trunc=None):
-        self.field = field
         if trunc is not None and not isinstance(trunc, Fraction):
             trunc = Fraction(trunc)
-        self.trunc = trunc
         acc = {}
         for q, c in (terms or {}).items():
             if not isinstance(q, Fraction):
@@ -368,34 +401,43 @@ class PuiseuxSeries:
             c = field.raw(c)
             if trunc is None or q < trunc:
                 acc[q] = acc.get(q, 0) + c
-        self.terms = reduce_raw(acc.items(), field.characteristic)
-        dens = [q.denominator for q in self.terms]
+        terms = reduce_raw(acc.items(), field.characteristic)
+        dens = [q.denominator for q in terms]
         if trunc is not None:
             dens.append(trunc.denominator)
-        self.ram = math.lcm(*dens) if dens else 1
-        if trunc is not None:
-            _check_slots(trunc, self.ram)
+        n = math.lcm(*dens)
+        self.field, self.ram = field, n
+        self.top = None if trunc is None else trunc.numerator * (n // trunc.denominator)
+        _check_slots(self.top, n)
+        self.pairs = tuple(sorted((q.numerator * (n // q.denominator), c) for q, c in terms.items()))
+
+    @property
+    def terms(self) -> dict:
+        """{Fraction exponent: raw value}, built on each call."""
+        return {Fraction(k, self.ram): c for k, c in self.pairs}
+
+    @property
+    def trunc(self):
+        """Truncation order as a Fraction, None when exact."""
+        return None if self.top is None else Fraction(self.top, self.ram)
 
     @property
     def is_zero(self) -> bool:
         """True when no term survives below the truncation."""
-        return not self.terms
+        return not self.pairs
 
     @property
     def is_exact(self) -> bool:
-        return self.trunc is None
+        return self.top is None
 
     def order(self):
         """Minimum exponent with nonzero coefficient, or None if empty."""
-        if not self.terms:
-            return None
-        return min(self.terms)
+        return Fraction(self.pairs[0][0], self.ram) if self.pairs else None
 
     def leading_coeff(self) -> Scalar:
-        q = self.order()
-        if q is None:
+        if not self.pairs:
             raise DivisionByZero("leading coefficient of a zero series")
-        return self.field.scalar(self.terms[q])
+        return self.field.scalar(self.pairs[0][1])
 
     def _coerce(self, other):
         if isinstance(other, PuiseuxSeries):
@@ -406,15 +448,16 @@ class PuiseuxSeries:
 
     def __add__(self, other):
         other = self._coerce(other)
-        terms = dict(self.terms)
-        for q, c in other.terms.items():
-            terms[q] = terms.get(q, 0) + c
-        return PuiseuxSeries(self.field, terms, _tmin(self.trunc, other.trunc))
+        n = math.lcm(self.ram, other.ram)
+        grid = _grid_sum([_grid(self, n), _grid(other, n)], self.field.characteristic)
+        return PuiseuxSeries._from_grid(self.field, n, grid, check=True)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PuiseuxSeries(self.field, {q: -c for q, c in self.terms.items()}, self.trunc)
+        p = self.field.characteristic
+        pairs = [(k, -c % p if p else -c) for k, c in self.pairs]
+        return PuiseuxSeries._from_grid(self.field, self.ram, (pairs, self.top, 1), check=True)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -441,22 +484,23 @@ class PuiseuxSeries:
         else the explicit ``window``.  Only sums and products occur, so it is
         exact in every characteristic.
         """
-        q = self.order()
-        if q is None:
+        if not self.pairs:
             raise DivisionByZero("inverse of a zero series")
-        lead_inv = self.field.raw(self.leading_coeff().inverse())
-        if self.is_exact:
-            if len(self.terms) == 1:
-                return PuiseuxSeries(self.field, {-q: lead_inv})
-            if window is None:
-                raise InputError("inverse of an exact multi-term series needs a window")
-            window = Fraction(window)
+        field = self.field
+        lead_inv = field.raw(self.leading_coeff().inverse())
+        if self.top is not None:
+            n, width = self.ram, self.top - self.pairs[0][0]
+        elif len(self.pairs) == 1:
+            return PuiseuxSeries._from_grid(
+                field, self.ram, ([(-self.pairs[0][0], lead_inv)], None, 1))
+        elif window is None:
+            raise InputError("inverse of an exact multi-term series needs a window")
         else:
-            window = self.trunc - q
-        n = math.lcm(self.ram, window.denominator)
-        _check_slots(window, n)
-        width = window.numerator * (n // window.denominator)
-        p = self.field.characteristic
+            window = Fraction(window)
+            n = math.lcm(self.ram, window.denominator)
+            width = window.numerator * (n // window.denominator)
+        _check_slots(width, n)
+        p = field.characteristic
         ((q0, _), *rest), _, den = _grid(self, n)
         # a_j = (v_j / den) / c_0; over F_p den is 1
         scale = lead_inv if den == 1 else Fraction(lead_inv, den)
@@ -470,7 +514,7 @@ class PuiseuxSeries:
                 acc -= a * b[k - j]
             b.append(acc % p if p else acc)
         pairs = sorted(reduce_raw(((k - q0, v * lead_inv) for k, v in enumerate(b)), p).items())
-        return PuiseuxSeries._from_grid(self.field, n, (pairs, width - q0, 1))
+        return PuiseuxSeries._from_grid(field, n, (pairs, width - q0, 1))
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
@@ -481,21 +525,28 @@ class PuiseuxSeries:
         return PuiseuxSeries._from_grid(self.field, self.ram, grid)
 
     @classmethod
-    def _from_grid(cls, field, n, grid) -> "PuiseuxSeries":
-        """Series of a grid triple (pairs, top, den) on 1/n, as the grid
-        kernels produce it: ascending (index, nonzero numerator) pairs over
-        the common denominator den, all below the truncation index top (None
-        when exact).  Each value over den > 1 costs one gcd; with den = 1 the
-        values are stored as they come, so they must be canonical raw values."""
+    def _from_grid(cls, field, n, grid, check=False) -> "PuiseuxSeries":
+        """Series of a kernel triple (pairs, top, den) on 1/n: ascending
+        (index, nonzero numerator) pairs over the common denominator den, all
+        below the truncation index top (None when exact).  Each value over
+        den > 1 costs one gcd; with den = 1 the values are stored as they
+        come, so they must be canonical raw values.  One gcd over n, top and
+        the indices moves the series to its least grid; with ``check`` a
+        truncation beyond MAX_GRID_SLOTS there is refused, as the
+        constructor refuses it."""
         pairs, top, den = grid
+        if den != 1:
+            pairs = [(k, c.numerator if (c := Fraction(v, den)).denominator == 1 else c)
+                     for k, v in pairs]
+        g = math.gcd(n, top or 0, *(k for k, _ in pairs))
+        if g != 1:
+            n //= g
+            pairs = [(k // g, c) for k, c in pairs]
+            top = None if top is None else top // g
+        if check:
+            _check_slots(top, n)
         s = cls.__new__(cls)
-        s.field = field
-        s.trunc = None if top is None else Fraction(top, n)
-        if den == 1:
-            s.terms = {Fraction(k, n): v for k, v in pairs}
-        else:
-            s.terms = reduce_raw(((Fraction(k, n), Fraction(v, den)) for k, v in pairs), 0)
-        s.ram = n // math.gcd(n, top or 0, *(k for k, _ in pairs))
+        s.field, s.ram, s.pairs, s.top = field, n, tuple(pairs), top
         return s
 
     def truncated(self, trunc) -> "PuiseuxSeries":
@@ -506,12 +557,13 @@ class PuiseuxSeries:
             return NotImplemented
         return (
             self.field == other.field
-            and self.terms == other.terms
-            and self.trunc == other.trunc
+            and self.ram == other.ram
+            and self.top == other.top
+            and self.pairs == other.pairs
         )
 
     def __hash__(self):
-        return hash((self.field, frozenset(self.terms.items()), self.trunc))
+        return hash((self.field, self.ram, self.pairs, self.top))
 
     def __str__(self):
         return format_series(self)
@@ -533,7 +585,7 @@ def evaluate_monomials(field: FieldSpec, terms: dict, arc) -> PuiseuxSeries:
     p = field.characteristic
     grids = [_grid(s, n) for s in arc]
     powers = {}
-    pieces, top = [], None
+    pieces = []
     for mono, c in terms.items():
         piece = ([(0, c.numerator)], None, c.denominator)
         for i, e in enumerate(mono):
@@ -542,16 +594,7 @@ def evaluate_monomials(field: FieldSpec, terms: dict, arc) -> PuiseuxSeries:
                     powers[i, e] = _grid_pow(grids[i], e, p)
                 piece = _grid_mul(piece, powers[i, e], p)
         pieces.append(piece)
-        top = _tmin(top, piece[1])
-    den = math.lcm(*(d for _, _, d in pieces))
-    limit = math.inf if top is None else top
-    acc = {}
-    for pairs, _, d in pieces:
-        scale = den // d
-        for k, v in pairs:
-            if k < limit:
-                acc[k] = acc.get(k, 0) + v * scale
-    return PuiseuxSeries._from_grid(field, n, (_nonzero(acc, p), top, den))
+    return PuiseuxSeries._from_grid(field, n, _grid_sum(pieces, p))
 
 
 _TERM_RE = re.compile(
@@ -603,24 +646,22 @@ def parse_series(field: FieldSpec, text: str, default_trunc=None) -> PuiseuxSeri
 
 def format_series(s: PuiseuxSeries, with_annotations: bool = False) -> str:
     """Canonical form: ascending exponents, explicit ``*c`` coefficients."""
-    if not s.terms:
-        body = "0"
-    else:
-        chunks = []
-        for q in sorted(s.terms):
-            c = s.terms[q]
-            if q == 0:
-                chunks.append(str(c))
-                continue
-            if q.denominator == 1 and q >= 0:
-                head = "t" if q == 1 else f"t^{q}"
-            else:
-                head = f"t^({q})"
-            chunks.append(f"{head}*{c}")
-        body = " + ".join(chunks)
+    chunks = []
+    for k, c in s.pairs:
+        text = format_raw(c)
+        if k == 0:
+            chunks.append(text)
+            continue
+        q = Fraction(k, s.ram)
+        if q.denominator == 1 and q > 0:
+            head = "t" if q == 1 else f"t^{q}"
+        else:
+            head = f"t^({q})"
+        chunks.append(f"{head}*{text}")
+    body = " + ".join(chunks) or "0"
     if with_annotations:
         extra = []
-        if s.trunc is not None:
+        if s.top is not None:
             extra.append(f"trunc {s.trunc}")
         extra.append(f"N {s.ram}")
         return " | ".join([body] + extra)

@@ -332,6 +332,15 @@ class TestCanonicalForm:
     def test_rational_coefficients(self):
         assert format_polynomial(P("1/2*x1*x2^3")) == "1/2*x1*x2^3"
 
+    @pytest.mark.parametrize("value", [10**5000, -(10**5000), F(1, 10**5000)],
+                             ids=["5000-digits", "negative", "5000-digit-denominator"])
+    def test_value_beyond_the_digit_limit_raises_input_error(self, value):
+        # str() raises ValueError above 4300 digits; the printer turns it
+        # into InputError, inside the exit-code contract
+        for mono in ((1, 2), (0, 0)):
+            with pytest.raises(InputError, match="too long to print"):
+                format_polynomial(Polynomial(FR, Q, {mono: value, (0, 1): 1}))
+
     def test_ring_header(self):
         frame, field = parse_ring_header("ring m=2 char=0 n=1")
         assert frame == FR and field == Q

@@ -117,6 +117,15 @@ class TestChar0Translate:
         gamma = new.value(parse_polynomial(new.frame, new.field, "x2"))
         assert str(gamma) == "5/2"
 
+    def test_coefficient_without_a_monomial_part_is_unsupported(self):
+        # in three variables a_0 = (x1 + x2)^2 - x1^5 is not a monomial
+        # times a unit, so its value is not read off its exponents
+        doc = {**arcdoc(0, "x3^2 - 2*x1*x3 - 2*x2*x3 + x1^2 + 2*x1*x2 + x2^2 - x1^5",
+                        {"x1": "t", "x2": "t^2", "x3": "t + t^2 + t^(5/2)"}),
+               "ring": {"m": 3, "char": 0, "n": 2}}
+        with pytest.raises(Unsupported, match="a_0 is not a monomial times a unit"):
+            char0_translate(oracle_from_document(doc))
+
     def test_char2_coefficient_vanishes(self):
         oracle = oracle_from_document(CHAR2_CURVE)
         with pytest.raises(BinomialObstruction):
@@ -375,6 +384,7 @@ SIGMA_BLOCK_CURVES = [
                         {"x1": "t^4", "x2": "t^6 + t^7"}, trunc=30), id="quartic-c1"),
     pytest.param(arcdoc(0, "-16*x1^7 + x1^6 - 16*x1^5*x2 - 2*x1^3*x2^2 + x2^4",
                         {"x1": "t^4", "x2": "t^6 + t^7*-2"}, trunc=40), id="quartic-c-2"),
+    pytest.param(TACNODE, id="tacnode"),
 ]
 
 
@@ -392,25 +402,38 @@ def _oracle_sigma_block(oracle):
 
 
 class TestFactsTheReductionRestsOn:
-    """``lrm_step`` reads each term value off the exponents, and the strict
-    transform is never rescaled; both rest on the algebra checked here."""
+    """``lrm_step`` and ``char0_translate`` read each term value off the
+    exponents, and the strict transform is never rescaled; both rest on the
+    algebra checked here."""
 
     @pytest.mark.parametrize("doc", SIGMA_BLOCK_CURVES)
     def test_sigma_block_matches_the_oracle(self, doc, monkeypatch):
-        blocks = []
+        blocks = {"A1": [], "TRANSLATE-CHAR0": []}
 
-        def recording(oracle, bounds):
-            expected = _oracle_sigma_block(oracle)
+        def record(kind, oracle, step):
+            sigma = step.payload["sigma"]
+            blocks[kind].append(({"rho": sigma["rho"], "sigmas": sigma["sigmas"]},
+                                 _oracle_sigma_block(oracle)))
+
+        def recording_lrm(oracle, bounds):
             oracle1, steps = lrm_step(oracle, bounds)
-            sigma = steps[0].payload["sigma"]
-            blocks.append(({"rho": sigma["rho"], "sigmas": sigma["sigmas"]}, expected))
+            record("A1", oracle, steps[0])
             return oracle1, steps
 
-        monkeypatch.setattr(reduce_module, "lrm_step", recording)
-        assert run_reduction(oracle_from_document(doc)).status == "REDUCED-TO-SMOOTH"
-        assert blocks
-        for recorded, expected in blocks:
-            assert recorded == expected
+        def recording_translate(oracle):
+            oracle1, step = char0_translate(oracle)
+            record("TRANSLATE-CHAR0", oracle, step)
+            return oracle1, step
+
+        monkeypatch.setattr(reduce_module, "lrm_step", recording_lrm)
+        monkeypatch.setattr(reduce_module, "char0_translate", recording_translate)
+        res = run_reduction(oracle_from_document(doc))
+        assert res.status == "REDUCED-TO-SMOOTH"
+        assert blocks["A1"]
+        for kind, recorded in blocks.items():
+            assert len(recorded) == sum(1 for s in res.trace if s.kind == kind)
+            for block, expected in recorded:
+                assert block == expected
 
     def test_monic_f_keeps_a_leading_coefficient_of_one_or_non_constant(self):
         # M = [[a, b], [c, d]] nonnegative with det 1 sends x1^i x2^j to
@@ -549,6 +572,14 @@ class TestTraceReplay:
         doc = {"ring": "ring m=2 char=0 n=1", "oracle": {"f": "x1"}, "steps": [
             {"kind": "A1", "transform": {"kind": "A1", "matrix": [[1, 70000], [0, 1]], "c": "1"}}]}
         with pytest.raises(InputError, match="x_m-degree 70000 needs more than 65536 rows"):
+            replay_trace(doc)
+
+    def test_replay_refuses_to_print_a_value_beyond_the_digit_limit(self):
+        # translating x2^2 by h = 10^4000 * x1 gives a 8001-digit coefficient,
+        # more than str() converts: InputError (exit 2), not ValueError
+        doc = {"ring": "ring m=2 char=0 n=1", "oracle": {"f": "x2^2"}, "steps": [
+            {"kind": "TRANSLATE-CHAR0", "h": f"{10**4000}*x1", "f_after": "x2^2"}]}
+        with pytest.raises(InputError, match="too long to print"):
             replay_trace(doc)
 
 

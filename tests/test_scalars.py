@@ -195,6 +195,13 @@ class TestSeriesProperties:
 
 
 class TestSeriesLiterals:
+    @pytest.mark.parametrize("value", [10**5000, F(-1, 10**5000)],
+                             ids=["5000-digits", "5000-digit-denominator"])
+    def test_value_beyond_the_digit_limit_raises_input_error(self, value):
+        for q in (F(0), F(3, 2)):
+            with pytest.raises(InputError, match="too long to print"):
+                format_series(PuiseuxSeries(Q, {q: value, F(1): 1}, 4))
+
     def test_spec_literal(self):
         s = parse_series(Q, "t^(3/2)*1 + t^2*-1 | trunc 5 | N 2")
         assert Q.scalar(s.terms[F(3, 2)]) == Q.one
@@ -390,6 +397,19 @@ def _naive_mul(a, b, p):
     return _naive_cut(acc, trunc, p)
 
 
+def _naive_add(a, b, p):
+    (ta, trunc_a), (tb, trunc_b) = a, b
+    acc = dict(ta)
+    for q, c in tb.items():
+        acc[q] = acc.get(q, 0) + c
+    return _naive_cut(acc, _ref_tmin(trunc_a, trunc_b), p)
+
+
+def _naive_neg(a, p):
+    terms, trunc = a
+    return _naive_cut({q: -c for q, c in terms.items()}, trunc, p)
+
+
 def _naive_inverse(a, p, window=None):
     terms, trunc = a
     q = min(terms)
@@ -432,6 +452,9 @@ def _same_as_naive(got, want, p):
     terms, trunc = want
     ram = math.lcm(*(q.denominator for q in terms), trunc.denominator if trunc is not None else 1)
     assert (got.terms, got.trunc, got.ram) == (terms, trunc, ram)
+    # the stored grid form is what the views say
+    assert got.pairs == tuple((int(q * ram), c) for q, c in sorted(terms.items()))
+    assert got.top == (None if trunc is None else trunc * ram)
     for v in got.terms.values():  # canonical raw values
         if p:
             assert type(v) is int and 0 < v < p
@@ -459,6 +482,9 @@ def test_series_kernel_matches_naive_reference(field):
 
     for _ in range(60):
         a, b = draw(), draw()
+        _same_as_naive(a + b, _naive_add(naive(a), naive(b), p), p)
+        _same_as_naive(a - b, _naive_add(naive(a), _naive_neg(naive(b), p), p), p)
+        _same_as_naive(a - a, _naive_add(naive(a), _naive_neg(naive(a), p), p), p)
         _same_as_naive(a * b, _naive_mul(naive(a), naive(b), p), p)
         for k in range(-3, 7):
             if k < 0 and a.is_zero:
@@ -478,6 +504,23 @@ def test_series_kernel_matches_naive_reference(field):
         _same_as_naive(evaluate_monomials(field, terms, (a, b)),
                        _naive_evaluate(terms, (naive(a), naive(b)), p), p)
 
+
+class TestStoredGridForm:
+    def test_cancellation_returns_to_the_least_grid(self):
+        s = parse_series(Q, "t^(1/2) + t | trunc 5") - parse_series(Q, "t^(1/2)")
+        plain = parse_series(Q, "t | trunc 5")
+        assert s.ram == 1 and s.pairs == ((1, 1),) and s.top == 5
+        assert s == plain and hash(s) == hash(plain)
+
+    def test_views_are_read_only(self):
+        s = parse_series(Q, "t^(1/2) | trunc 3")
+        with pytest.raises(AttributeError):
+            s.terms = {}
+        with pytest.raises(AttributeError):
+            s.trunc = F(1)
+        assert s.terms == {F(1, 2): 1} and s.trunc == 3 and s.ram == 2
+
+
 class TestGridSize:
     def test_truncation_above_the_cap_is_refused_when_built(self):
         # 10^8 slots: refused before any coefficient is laid on the grid
@@ -486,6 +529,13 @@ class TestGridSize:
         assert parse_series(Q, f"t | trunc {MAX_GRID_SLOTS}").trunc == MAX_GRID_SLOTS
         with pytest.raises(InputError, match="slots"):
             parse_series(Q, f"t | trunc {MAX_GRID_SLOTS + 1}")
+
+    def test_sum_above_the_cap_is_refused(self):
+        fine = PuiseuxSeries(Q, {F(1, 1000003): 1})
+        with pytest.raises(InputError, match="slots"):
+            fine + parse_series(Q, "t | trunc 100")
+        with pytest.raises(InputError, match="slots"):
+            parse_series(Q, "t | trunc 100") - fine
 
     def test_inverse_window_above_the_cap_is_refused(self):
         s = parse_series(Q, f"t^(1/{MAX_GRID_SLOTS + 1}) + t")
