@@ -8,6 +8,7 @@ precondition, 3 defect suspected, 4 bound exhausted.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -22,7 +23,7 @@ from .oracle import (
     parse_trunc,
     read_document,
 )
-from .perron import build_a6_divide, monomialize
+from .perron import DEFAULT_STEP_BOUND, build_a6_divide, monomialize
 from .poly import parse_polynomial
 from .reduce import Bounds, run_reduction, trace_document
 from .scalars import parse_integer
@@ -154,6 +155,7 @@ def cmd_defect(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="perronval",
@@ -171,9 +173,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", required=True, help="arc oracle document (curve)")
     p.add_argument("--out", help="write the trace document here (default stdout)")
     p.add_argument("--trunc", help="override the arc truncation")
-    p.add_argument("--max-translations", default=64)
-    p.add_argument("--max-perron-steps", default=10_000)
-    p.add_argument("--max-approx-steps", default=64,
+    p.add_argument("--max-translations", default=Bounds.max_translations)
+    p.add_argument("--max-perron-steps", default=Bounds.max_perron_steps)
+    p.add_argument("--max-approx-steps", default=Bounds.max_approx_steps,
                    help="steps of the best-approximation ladder per translation")
     p.set_defaults(func=cmd_reduce)
 
@@ -183,12 +185,12 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--weights", required=True, help="monomial oracle document")
     d.add_argument("--m1", required=True)
     d.add_argument("--m2", required=True)
-    d.add_argument("--max-perron-steps", default=10_000)
+    d.add_argument("--max-perron-steps", default=DEFAULT_STEP_BOUND)
     d.set_defaults(func=cmd_perron_divide)
     mo = psub.add_parser("monomialize", help="monomial-times-unit factorization")
     mo.add_argument("--weights", required=True)
     mo.add_argument("--poly", required=True)
-    mo.add_argument("--max-perron-steps", default=10_000)
+    mo.add_argument("--max-perron-steps", default=DEFAULT_STEP_BOUND)
     mo.set_defaults(func=cmd_perron_monomialize)
 
     p = sub.add_parser("defect", help="defect from Ostrowski's identity")
@@ -213,8 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except PerronvalError as exc:

@@ -404,8 +404,7 @@ class AugmentedChain:
         rest = g
         i = 0
         while not rest.is_zero:
-            rest, coeff = rest.divmod_last(phi) if rest.degree_in_last() >= phi.degree_in_last() else (
-                Polynomial.zero(self.frame, self.field), rest)
+            rest, coeff = rest.divmod_last(phi)
             inner = self._value_at_level(level - 1, coeff)
             if inner.is_finite:
                 candidate = inner.value + gamma.scale(i)

@@ -23,6 +23,7 @@ from .scalars import (
     FieldSpec,
     PuiseuxSeries,
     Scalar,
+    binary_power,
     evaluate_monomials,
     format_raw,
     parse_integer,
@@ -96,10 +97,6 @@ class Polynomial:
         return cls(frame, field, {(0,) * frame.m: c})
 
     @classmethod
-    def one(cls, frame, field):
-        return cls.constant(frame, field, 1)
-
-    @classmethod
     def variable(cls, frame, field, i: int):
         if not 0 <= i < frame.m:
             raise InputError(f"variable index {i} out of range")
@@ -145,11 +142,6 @@ class Polynomial:
         return self._coerce(other) - self
 
     def __mul__(self, other):
-        if isinstance(other, (Scalar, int, Fraction)):
-            c0 = self.field.raw(other)
-            return Polynomial._from_raw(
-                self.frame, self.field, {m: c * c0 for m, c in self.terms.items()}
-            )
         other = self._coerce(other)
         raw = _raw_addmul({}, self.terms, other.terms, self.field.characteristic)
         return Polynomial._from_raw(self.frame, self.field, raw)
@@ -447,15 +439,8 @@ def _raw_addmul(acc: dict, a: dict, b: dict, p: int) -> dict:
 
 
 def _raw_pow(a: dict, k: int, p: int, unit: Mono) -> dict:
-    """a**k on a raw term map by binary powering with ``_raw_addmul``."""
-    result = {unit: 1}
-    while k:
-        if k & 1:
-            result = _raw_addmul({}, result, a, p)
-        k >>= 1
-        if k:
-            a = _raw_addmul({}, a, a, p)
-    return result
+    """a**k on a raw term map; ``unit`` is the zero exponent vector."""
+    return binary_power(a, k, lambda x, y: _raw_addmul({}, x, y, p), {unit: 1})
 
 
 # ---------------------------------------------------------------------------

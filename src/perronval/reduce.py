@@ -36,7 +36,7 @@ from .errors import (
 from .oracle import ArcValuation, _required, _typed
 # build_a6_divide is not called here; perfbench/test_perfbench.py reads it as
 # reduce.build_a6_divide when it checks that the tracer restores bindings
-from .perron import PerronTransform, build_a1, build_a6_divide
+from .perron import DEFAULT_STEP_BOUND, PerronTransform, build_a1, build_a6_divide
 from .poly import Polynomial, format_ring_header, parse_polynomial, parse_ring_header
 from .scalars import INFINITE, parse_rational
 from .valgroup import det_int, member, pairing
@@ -47,7 +47,7 @@ DOCUMENT_VERSION = 1
 @dataclass(frozen=True)
 class Bounds:
     max_translations: int = 64
-    max_perron_steps: int = 10_000
+    max_perron_steps: int = DEFAULT_STEP_BOUND
     max_approx_steps: int = 64
 
 

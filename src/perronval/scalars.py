@@ -3,8 +3,8 @@
 Field elements live in QQ (arbitrary-precision rationals) or in a prime
 field F_p.  Polynomials and series store them as canonical raw values (see
 ``FieldSpec.raw``): ints 0..p-1, or over QQ an int when integral, else a
-reduced Fraction.  ``Scalar`` wraps one value where a single element is
-handed out.
+reduced Fraction.  ``Scalar`` pairs one such value with its field where a
+single element is handed out.
 
 Puiseux series are finite sums of terms c * t^q with q rational, together
 with a truncation order below which the series is trusted.  A truncation of
@@ -103,15 +103,16 @@ class FieldSpec:
         return self.characteristic != 0
 
     def raw(self, value):
-        """Canonical raw value of a Scalar, int, Fraction or rational string:
-        an int in 0..p-1 in characteristic p; over Q an int when integral,
-        else a Fraction.  Polynomials and series store these values."""
+        """Canonical raw value of a Scalar, int, Fraction or rational literal
+        (``parse_rational``): an int in 0..p-1 in characteristic p; over Q an
+        int when integral, else a Fraction.  Polynomials, series and Scalars
+        store these values."""
         if isinstance(value, Scalar):
             if value.field != self:
                 raise InputError("scalar from a different field")
             value = value.value
         elif isinstance(value, str):
-            value = Fraction(value)
+            value = parse_rational(value)
         if isinstance(value, int):
             return value % self.characteristic if self.modular else value
         if not isinstance(value, Fraction):
@@ -125,10 +126,7 @@ class FieldSpec:
         return value.numerator * pow(den, -1, p) % p
 
     def scalar(self, value) -> "Scalar":
-        if isinstance(value, Scalar) and value.field == self:
-            return value
-        v = self.raw(value)
-        return Scalar(self, v if self.modular else Fraction(v))
+        return Scalar(self, self.raw(value))
 
     @property
     def zero(self) -> "Scalar":
@@ -141,10 +139,11 @@ class FieldSpec:
 
 @dataclass(frozen=True)
 class Scalar:
-    """Canonical field element; arithmetic is exact, never rounded."""
+    """Field element holding the canonical raw value of ``FieldSpec.raw``,
+    as polynomials and series store it; arithmetic is exact, never rounded."""
 
     field: FieldSpec
-    value: object  # Fraction (char 0) or int in 0..p-1 (char p)
+    value: object  # int in 0..p-1 (char p); over Q an int or a reduced Fraction
 
     def _coerce(self, other) -> "Scalar":
         if isinstance(other, Scalar):
@@ -158,17 +157,12 @@ class Scalar:
         return self.value == 0
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if self.field.modular:
-            return Scalar(self.field, (self.value + other.value) % self.field.characteristic)
-        return Scalar(self.field, self.value + other.value)
+        return self.field.scalar(self.value + self._coerce(other).value)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self.field.modular:
-            return Scalar(self.field, (-self.value) % self.field.characteristic)
-        return Scalar(self.field, -self.value)
+        return self.field.scalar(-self.value)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -177,19 +171,14 @@ class Scalar:
         return self._coerce(other) - self
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if self.field.modular:
-            return Scalar(self.field, (self.value * other.value) % self.field.characteristic)
-        return Scalar(self.field, self.value * other.value)
+        return self.field.scalar(self.value * self._coerce(other).value)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
         if self.is_zero:
             raise DivisionByZero("inverse of zero")
-        if self.field.modular:
-            return Scalar(self.field, pow(self.value, -1, self.field.characteristic))
-        return Scalar(self.field, 1 / self.value)
+        return self.field.scalar(Fraction(1, self.value))
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
@@ -202,14 +191,8 @@ class Scalar:
             raise InputError("scalar powers must be integers")
         if k < 0:
             return self.inverse() ** (-k)
-        result = self.field.one
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        # the modulus None makes it a plain power over Q
+        return self.field.scalar(pow(self.value, k, self.field.characteristic or None))
 
     def __str__(self):
         return format_raw(self.value)
@@ -282,7 +265,8 @@ def _tadd(a, b):
 # covers T * N of them, and ``PuiseuxSeries.inverse`` allocates one
 # coefficient per slot.  A larger truncation or inverse window raises
 # InputError before anything is allocated, so a literal such as
-# ``t^(1/1000003) + t | trunc 100`` (10^8 slots) is refused.
+# ``t^(1/1000003) + t | trunc 100`` (10^8 slots) is refused; so does any
+# series a sum, product or power would build beyond it.
 MAX_GRID_SLOTS = 2**16
 
 
@@ -340,16 +324,22 @@ def _grid_mul(a, b, p: int):
     return _nonzero(acc, p), top, da * db
 
 
-def _grid_pow(a, k: int, p: int):
-    """a**k for k >= 0 by binary powering with ``_grid_mul``."""
-    result = ([(0, 1)], None, 1)
+def binary_power(a, k: int, mul, one):
+    """a**k for k >= 0 by binary powering, with the product ``mul`` and its
+    identity ``one``; series and polynomial powers both run on it."""
+    result = one
     while k:
         if k & 1:
-            result = _grid_mul(result, a, p)
+            result = mul(result, a)
         k >>= 1
         if k:
-            a = _grid_mul(a, a, p)
+            a = mul(a, a)
     return result
+
+
+def _grid_pow(a, k: int, p: int):
+    """a**k for k >= 0 on a grid series."""
+    return binary_power(a, k, lambda x, y: _grid_mul(x, y, p), ([(0, 1)], None, 1))
 
 
 def _grid_sum(grids, p: int):
@@ -450,14 +440,14 @@ class PuiseuxSeries:
         other = self._coerce(other)
         n = math.lcm(self.ram, other.ram)
         grid = _grid_sum([_grid(self, n), _grid(other, n)], self.field.characteristic)
-        return PuiseuxSeries._from_grid(self.field, n, grid, check=True)
+        return PuiseuxSeries._from_grid(self.field, n, grid)
 
     __radd__ = __add__
 
     def __neg__(self):
         p = self.field.characteristic
         pairs = [(k, -c % p if p else -c) for k, c in self.pairs]
-        return PuiseuxSeries._from_grid(self.field, self.ram, (pairs, self.top, 1), check=True)
+        return PuiseuxSeries._from_grid(self.field, self.ram, (pairs, self.top, 1))
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -525,15 +515,15 @@ class PuiseuxSeries:
         return PuiseuxSeries._from_grid(self.field, self.ram, grid)
 
     @classmethod
-    def _from_grid(cls, field, n, grid, check=False) -> "PuiseuxSeries":
+    def _from_grid(cls, field, n, grid) -> "PuiseuxSeries":
         """Series of a kernel triple (pairs, top, den) on 1/n: ascending
         (index, nonzero numerator) pairs over the common denominator den, all
         below the truncation index top (None when exact).  Each value over
         den > 1 costs one gcd; with den = 1 the values are stored as they
         come, so they must be canonical raw values.  One gcd over n, top and
-        the indices moves the series to its least grid; with ``check`` a
-        truncation beyond MAX_GRID_SLOTS there is refused, as the
-        constructor refuses it."""
+        the indices moves the series to its least grid, and a truncation
+        beyond MAX_GRID_SLOTS there is refused, as the constructor refuses
+        it: every series the kernels build keeps to that bound."""
         pairs, top, den = grid
         if den != 1:
             pairs = [(k, c.numerator if (c := Fraction(v, den)).denominator == 1 else c)
@@ -543,8 +533,7 @@ class PuiseuxSeries:
             n //= g
             pairs = [(k // g, c) for k, c in pairs]
             top = None if top is None else top // g
-        if check:
-            _check_slots(top, n)
+        _check_slots(top, n)
         s = cls.__new__(cls)
         s.field, s.ram, s.pairs, s.top = field, n, tuple(pairs), top
         return s

@@ -34,6 +34,11 @@ class TestScalar:
     def test_division_by_zero(self):
         with pytest.raises(DivisionByZero):
             Q.one / Q.zero
+        for field in FIELDS:
+            with pytest.raises(DivisionByZero):
+                field.zero.inverse()
+            with pytest.raises(DivisionByZero):
+                field.zero ** -1
 
     def test_characteristic_must_be_prime(self):
         with pytest.raises(InputError):
@@ -68,6 +73,58 @@ class TestScalar:
     def test_pow_negative(self):
         assert Q.scalar(2) ** -2 == Q.scalar("1/4")
         assert F5.scalar(2) ** -1 == F5.scalar(3)
+
+    def test_value_is_the_canonical_raw_value(self):
+        assert type(Q.scalar(F(6, 3)).value) is int
+        assert type((Q.scalar(F(1, 2)) * 4).value) is int
+        assert type(Q.scalar(F(1, 2)).inverse().value) is int
+        assert Q.scalar("3/6").value == F(1, 2)
+        for field in FIELDS:
+            for x in (field.zero, field.one, field.scalar(5) ** 3, -field.one):
+                assert x.value == field.raw(x.value) and type(x.value) is type(field.raw(x.value))
+
+
+def _reduced(x: F, p: int):
+    """x as a canonical raw value, computed apart from ``FieldSpec.raw``:
+    over Q an int when integral, else x; mod p an int in 0..p-1."""
+    if p:
+        return x.numerator * pow(x.denominator, -1, p) % p
+    return x.numerator if x.denominator == 1 else x
+
+
+def _agrees(s, x: F, p: int):
+    want = _reduced(x, p)
+    assert s.value == want and type(s.value) is type(want), (s, x, p)
+
+
+class TestScalarArithmetic:
+    """+, -, *, / and ** on Scalars agree with Fraction arithmetic reduced mod p."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(-60, 60), st.integers(1, 12), st.integers(-60, 60), st.integers(1, 12),
+           st.integers(-7, 7))
+    def test_matches_fraction_arithmetic(self, an, ad, bn, bd, k):
+        a, b = F(an, ad), F(bn, bd)
+        for field in FIELDS:
+            p = field.characteristic
+            if p and (ad % p == 0 or bd % p == 0):
+                continue
+            x, y = field.scalar(a), field.scalar(b)
+            _agrees(x + y, a + b, p)
+            _agrees(x - y, a - b, p)
+            _agrees(-x, -a, p)
+            _agrees(x * y, a * b, p)
+            _agrees(2 - x, 2 - a, p)
+            if y.is_zero:
+                with pytest.raises(DivisionByZero):
+                    x / y
+            else:
+                _agrees(x / y, a / b, p)
+            if x.is_zero and k < 0:
+                with pytest.raises(DivisionByZero):
+                    x ** k
+            else:
+                _agrees(x ** k, a ** k, p)
 
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -227,6 +284,16 @@ class TestRationalLiterals:
     def test_rejected(self, text):
         with pytest.raises(InputError):
             parse_rational(text)
+
+    @pytest.mark.parametrize("text", ["1.5", "1e5", "1_0", "٣", "+3", "2/0"])
+    def test_field_values_read_the_same_grammar(self, text):
+        with pytest.raises(InputError):
+            Q.scalar(text)
+        with pytest.raises(InputError):
+            F5.raw(text)
+        with pytest.raises(InputError):
+            Polynomial(VariableFrame(2, 1), Q, {(1, 0): text})
+        assert Q.scalar(" -6/4 ") == Q.scalar(F(-3, 2))
 
 
 # References for the grid kernel: the product over Fraction-keyed dicts of
@@ -536,6 +603,21 @@ class TestGridSize:
             fine + parse_series(Q, "t | trunc 100")
         with pytest.raises(InputError, match="slots"):
             parse_series(Q, "t | trunc 100") - fine
+
+    def test_product_and_power_above_the_cap_are_refused(self):
+        # 60,000 and 60,060 slots each; their product would be stored on the
+        # grid 1/1001000 with a truncation spanning 6.0 * 10^7 slots
+        a = parse_series(Q, "t^(1/1000) | trunc 60")
+        b = parse_series(Q, "t^(1/1001) | trunc 60")
+        with pytest.raises(InputError, match="slots"):
+            a * b
+        with pytest.raises(InputError, match="slots"):
+            (a * b) ** 2
+        assert (a * a).trunc == F(60001, 1000)
+        # a base within the cap whose square, trusted below 110, is not
+        s = parse_series(Q, "t^50 + t^(50001/1000) | trunc 60")
+        with pytest.raises(InputError, match="slots"):
+            s ** 2
 
     def test_inverse_window_above_the_cap_is_refused(self):
         s = parse_series(Q, f"t^(1/{MAX_GRID_SLOTS + 1}) + t")
