@@ -35,7 +35,10 @@ EXIT_BOUND = 4
 
 
 def _dump(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    try:
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    except ValueError as exc:  # an integer above the int-to-text limit
+        raise InputError(f"value too long to print: {exc}") from exc
 
 
 def _parse_monomial(oracle, text):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, JumpNotGtOne, NotOstrowski
-from .scalars import is_prime
+from .scalars import format_raw, is_prime
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ def ostrowski(x: ExtensionData) -> int:
     """The unique delta with degree = e * fres * p^delta."""
     ef = x.e * x.fres
     if x.degree % ef != 0:
-        raise NotOstrowski(f"{x.degree} is not divisible by e*f = {ef}")
+        raise NotOstrowski(f"{x.degree} is not divisible by e*f = {format_raw(ef)}")
     q = x.degree // ef
     if x.p == 1:
         if q != 1:

@@ -37,6 +37,7 @@ from .valgroup import (
     Value,
     det_int,
     identity_matrix,
+    minor,
     pairing,
     rational_relation,
     unimodular_inverse,
@@ -65,7 +66,7 @@ class PerronTransform:
             raise InputError(f"{self.kind} matrix must be {size}x{size}")
         if any(e < 0 for row in self.matrix for e in row):
             raise InputError("Perron matrices have nonnegative entries")
-        if det_int([list(r) for r in self.matrix]) != 1:
+        if det_int(self.matrix) != 1:
             raise InputError("Perron matrices have determinant 1")
         if self.kind == "A1":
             if n >= self.frame.m:
@@ -113,7 +114,7 @@ class PerronTransform:
         return f.substitute_map(images)
 
     def inverse_matrix(self):
-        return unimodular_inverse([list(r) for r in self.matrix])
+        return unimodular_inverse(self.matrix)
 
     def transformed_weights(self, values):
         """Values of the new variables given the old active values.
@@ -218,10 +219,8 @@ def build_a6_divide(m1, m2, weights, frame: VariableFrame,
             raise StepBoundExceeded("no legal subtractive step remains")
         j_from = max(candidates, key=lambda j: (w[j], -j))
         # subtract w[i_sub] from w[j_from]; exponents move the other way
-        w[j_from] = w[j_from] - w[i_sub]
+        _elementary_step(matrix, w, i_sub, j_from)
         delta[i_sub] += delta[j_from]
-        for r in range(n):
-            matrix[r][i_sub] += matrix[r][j_from]
         steps += 1
     return PerronTransform(kind="A6", matrix=tuple(tuple(r) for r in matrix),
                            frame=frame)
@@ -343,18 +342,9 @@ def verify_cramer(tau: PerronTransform, d, e, values) -> bool:
         raise InputError("need the n+1 old active values")
     if pairing(d, values) != pairing(e, values):
         raise ValueMismatch("the two monomials do not have equal value")
-    matrix = [list(r) for r in tau.matrix]
-    a = [[matrix[j][i] for j in range(size)] for i in range(size)]  # transpose
     n = size - 1
-    gamma = sum(matrix[i][n] * (e[i] - d[i]) for i in range(size))
-    for i in range(size):
-        minor = [
-            [a[r][cc] for cc in range(size) if cc != i]
-            for r in range(size) if r != n
-        ]
-        # sign (-1)^(n+i) in 1-based indexing; i here is 0-based
-        expected = (-1) ** (n + 1 + i) * gamma * det_int(minor)
-        if d[i] - e[i] != expected:
-            return False
-    return True
-
+    gamma = sum(tau.matrix[i][n] * (e[i] - d[i]) for i in range(size))
+    # Det(A_{n+1,i}) of the transpose A is the (i, n) minor of the matrix;
+    # the sign (-1)^(n+i) is 1-based, i here 0-based
+    return all(d[i] - e[i] == (-1) ** (n + 1 + i) * gamma * minor(tau.matrix, i, n)
+               for i in range(size))

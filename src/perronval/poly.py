@@ -59,7 +59,7 @@ class VariableFrame:
 
     def var_name(self, i: int) -> str:
         base = f"x{i + 1}"
-        return f"{base}({self.generation})" if self.generation else base
+        return f"{base}({format_raw(self.generation)})" if self.generation else base
 
     def bumped(self) -> "VariableFrame":
         return replace(self, generation=self.generation + 1)
@@ -404,7 +404,7 @@ def _check_rows(d: int):
     x_m-degree d above MAX_GRID_SLOTS raises InputError before any row is
     allocated."""
     if d > MAX_GRID_SLOTS:
-        raise InputError(f"x_m-degree {d} needs more than {MAX_GRID_SLOTS} rows")
+        raise InputError(f"x_m-degree {format_raw(d)} needs more than {MAX_GRID_SLOTS} rows")
 
 
 def _rows(f: Polynomial, d: int) -> list:
@@ -458,7 +458,7 @@ def format_polynomial(f: Polynomial) -> str:
             if e == 1:
                 factors.append(frame.var_name(i))
             elif e > 1:
-                factors.append(f"{frame.var_name(i)}^{e}")
+                factors.append(f"{frame.var_name(i)}^{format_raw(e)}")
         body = "*".join(factors)
         sign, mag = ("+", c) if f.field.modular or c > 0 else ("-", -c)
         if body and mag == 1:
@@ -550,5 +550,5 @@ def parse_ring_header(line: str):
 def format_ring_header(frame: VariableFrame, field: FieldSpec) -> str:
     head = f"ring m={frame.m} char={field.characteristic} n={frame.n}"
     if frame.generation:
-        head += f" gen={frame.generation}"
+        head += f" gen={format_raw(frame.generation)}"
     return head

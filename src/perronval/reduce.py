@@ -39,7 +39,7 @@ from .oracle import ArcValuation, _required, _typed
 from .perron import DEFAULT_STEP_BOUND, PerronTransform, build_a1, build_a6_divide
 from .poly import Polynomial, format_ring_header, parse_polynomial, parse_ring_header
 from .scalars import INFINITE, parse_rational
-from .valgroup import det_int, member, pairing
+from .valgroup import identity_matrix, member, minor, pairing
 
 DOCUMENT_VERSION = 1
 
@@ -168,7 +168,7 @@ def lrm_step(oracle: ArcValuation, bounds: Bounds = Bounds()):
     s1 = sigmas[0]
     if any(taus[s] != taus[s1] for s in sigmas):
         raise InternalContradiction("tau exponents differ across the sigma block")
-    d_minor = det_int([list(row[:n]) for row in tau.matrix[:n]])
+    d_minor = minor(tau.matrix, n, n)
     if any((lambdas[s] - lambdas[s1]) * d_minor != s - s1 for s in sigmas):
         raise InternalContradiction("the (lambda, sigma) proportionality failed")
     # n = 1 here, so term l has value tau_l * w' after the transform, w' > 0
@@ -369,8 +369,8 @@ def case2_finish(oracle: ArcValuation):
     beta = oracle.residue(xm, unit_mono)
     if beta.is_zero:
         raise NotCase2("vanishing residue for the unit part")
-    matrix = [[1 if i == j else 0 for j in range(n + 1)] for i in range(n)]
-    matrix.append(b + [1])
+    matrix = identity_matrix(n + 1)
+    matrix[n][:n] = b
     tau = PerronTransform(kind="A1", matrix=tuple(tuple(r) for r in matrix),
                           frame=frame, c=beta)
 

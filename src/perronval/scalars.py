@@ -275,8 +275,8 @@ def _check_slots(top, n: int):
     spans more than MAX_GRID_SLOTS slots."""
     if top is not None and top > MAX_GRID_SLOTS:
         raise InputError(
-            f"truncation {Fraction(top, n)} on the grid 1/{n} spans more than "
-            f"{MAX_GRID_SLOTS} slots"
+            f"truncation {format_raw(Fraction(top, n))} on the grid "
+            f"1/{format_raw(n)} spans more than {MAX_GRID_SLOTS} slots"
         )
 
 
@@ -643,15 +643,15 @@ def format_series(s: PuiseuxSeries, with_annotations: bool = False) -> str:
             continue
         q = Fraction(k, s.ram)
         if q.denominator == 1 and q > 0:
-            head = "t" if q == 1 else f"t^{q}"
+            head = "t" if q == 1 else f"t^{format_raw(q)}"
         else:
-            head = f"t^({q})"
+            head = f"t^({format_raw(q)})"
         chunks.append(f"{head}*{text}")
     body = " + ".join(chunks) or "0"
     if with_annotations:
         extra = []
         if s.top is not None:
-            extra.append(f"trunc {s.trunc}")
-        extra.append(f"N {s.ram}")
+            extra.append(f"trunc {format_raw(s.trunc)}")
+        extra.append(f"N {format_raw(s.ram)}")
         return " | ".join([body] + extra)
     return body

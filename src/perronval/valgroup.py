@@ -5,10 +5,14 @@ either (1) for rational contexts or (1, sqrt(d)) for a positive nonsquare d.
 Both admit exact archimedean comparison, lattice membership and index via
 integer linear algebra (one diagonal reduction, `smith_normal_form`), and
 detection of the single rational dependence used to build Perron transforms.
+Every square-minor fact is one fraction-free determinant, `det_int`: that
+relation by Cramer's rule, and through `minor` the adjugate of
+`unimodular_inverse` and the minors that Perron checks read.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -21,7 +25,7 @@ from .errors import (
     NoRelation,
     NotASubgroup,
 )
-from .scalars import INFINITE, parse_rational
+from .scalars import INFINITE, format_raw, parse_rational
 
 
 def _is_square(n: int) -> bool:
@@ -161,8 +165,9 @@ class ValueLattice:
 # Integer matrix utilities (exact, small sizes)
 
 def det_int(m) -> int:
-    """Determinant of a square integer matrix by fraction-free elimination."""
-    a = [row[:] for row in m]
+    """Determinant of a square integer matrix (rows: lists or tuples) by
+    fraction-free elimination (Bareiss)."""
+    a = [list(row) for row in m]
     n = len(a)
     if n == 0:
         return 1
@@ -189,23 +194,17 @@ def identity_matrix(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+def minor(m, i, j) -> int:
+    """Determinant of the square matrix m without row i and column j."""
+    return det_int([[x for c, x in enumerate(row) if c != j] for r, row in enumerate(m) if r != i])
+
+
 def unimodular_inverse(m):
     """Inverse of a determinant +-1 integer matrix (integer adjugate)."""
-    n = len(m)
     d = det_int(m)
     if d not in (1, -1):
         raise InputError("matrix is not unimodular")
-    inv = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = [
-                [m[r][c] for c in range(n) if c != i]
-                for r in range(n) if r != j
-            ]
-            row.append(d * (-1) ** (i + j) * det_int(minor))
-        inv.append(row)
-    return inv
+    return [[d * (-1) ** (i + j) * minor(m, j, i) for j in range(len(m))] for i in range(len(m))]
 
 
 def smith_normal_form(m):
@@ -368,6 +367,10 @@ def rational_relation(values):
     """Primitive integer relation (q_1..q_n, -q), q > 0, for a tuple of
     values whose first n entries are independent and whose last entry is
     rationally dependent on them: q * v_last = sum q_i * v_i.
+
+    By Cramer's rule on the integerized coordinate rows: on the first n
+    columns where the leading rows have a nonzero minor, r_i is (-1)^i
+    times the minor without row i.  The relation is unique up to scale.
     """
     if len(values) < 2:
         raise InputError("need at least two values")
@@ -376,46 +379,18 @@ def rational_relation(values):
         if v.context != context:
             raise ContextMismatch("values from different contexts")
     n = len(values) - 1
-    dim = context.dim
-    # solve sum r_i * v_i = v_last over Q by Gaussian elimination
-    a = [[Fraction(values[j].coords[i]) for j in range(n)] for i in range(dim)]
-    b = [Fraction(values[n].coords[i]) for i in range(dim)]
-    pivots = []
-    row = 0
-    for col in range(n):
-        pivot = None
-        for r in range(row, dim):
-            if a[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        a[row], a[pivot] = a[pivot], a[row]
-        b[row], b[pivot] = b[pivot], b[row]
-        inv = 1 / a[row][col]
-        a[row] = [x * inv for x in a[row]]
-        b[row] = b[row] * inv
-        for r in range(dim):
-            if r != row and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[row])]
-                b[r] = b[r] - factor * b[row]
-        pivots.append(col)
-        row += 1
-    if len(pivots) < n:
+    rows, _ = _integerize([v.coords for v in values])
+    for cols in itertools.combinations(range(context.dim), n):
+        square = [[row[c] for c in cols] for row in rows]
+        if det_int(square[:n]):
+            break
+    else:
         raise AmbiguousRelation("the leading values are rationally dependent")
-    for r in range(row, dim):
-        if b[r] != 0:
-            raise NoRelation("last value is independent of the others")
-    solution = [Fraction(0)] * n
-    for r, col in enumerate(pivots):
-        solution[col] = b[r]
-    q = 1
-    for s in solution:
-        q = math.lcm(q, s.denominator)
-    ints = [int(s * q) for s in solution] + [-q]
-    g = math.gcd(*[abs(x) for x in ints if x != 0])
-    return tuple(x // g for x in ints)
+    r = [(-1) ** i * det_int(square[:i] + square[i + 1:]) for i in range(n + 1)]
+    if any(sum(x * row[c] for x, row in zip(r, rows)) for c in range(context.dim)):
+        raise NoRelation("last value is independent of the others")
+    g = math.gcd(*r) * (1 if r[-1] < 0 else -1)
+    return tuple(x // g for x in r)
 
 
 # ---------------------------------------------------------------------------
@@ -451,11 +426,11 @@ def parse_value(context: GeneratorContext, text: str) -> Value:
 
 def format_value(v: Value) -> str:
     if v.context.dim == 1:
-        return str(v.coords[0])
+        return format_raw(v.coords[0])
     a, b = v.coords
     if b == 0:
-        return str(a)
-    broot = f"{abs(b)}*sqrt({v.context.d})"
+        return format_raw(a)
+    broot = f"{format_raw(abs(b))}*sqrt({v.context.d})"
     if a == 0:
         return broot if b > 0 else f"-{broot}"
-    return f"{a} + {broot}" if b > 0 else f"{a} - {broot}"
+    return f"{format_raw(a)} {'+' if b > 0 else '-'} {broot}"

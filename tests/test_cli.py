@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from perronval.cli import main
+from perronval.cli import _dump, main
+from perronval.errors import InputError
 from perronval.reduce import replay_matches
 
 CUSP = {
@@ -191,6 +192,38 @@ def test_huge_characteristic_exits_2(tmp_path, capsys):
     assert "2^64" in capsys.readouterr().err
 
 
+# str() prints ints of at most 4300 digits; K + K = 10^4300 has 4301, and
+# the successor of the 4300-nines generation too
+K_NINES = "9" * 4299
+K_HALF = "5" + "0" * 4299
+GEN = "9" * 4300
+
+
+def _arc(f, x1, x2, **extra):
+    return {"version": 1, "kind": "arc", "ring": {"m": 2, "char": 0, "n": 1},
+            "f": f, "arc": {"x1": x1, "x2": x2}, **extra}
+
+
+@pytest.mark.parametrize("args, doc", [
+    (["valuate", "--poly", "x1"],
+     _arc("x2 - x1", f"t^{K_NINES}", f"t^{K_NINES}", normalization=K_NINES)),
+    (["reduce"], _arc(f"x2^2 - x1^{K_HALF}*x1^{K_HALF}", "t", f"t^{K_HALF}")),
+    (["reduce"], {**CUSP, "ring": {"m": 2, "char": 0, "n": 1, "gen": int(GEN)},
+                  "arc": {f"x1({GEN})": "t^2", f"x2({GEN})": "t^3"}}),
+    (["valuate", "--poly", f"x2^{K_HALF}*x2^{K_HALF}"], CUSP),
+], ids=["value", "exponent", "generation", "degree-message"])
+def test_number_above_the_print_limit_exits_2(tmp_path, capsys, args, doc):
+    oracle = write(tmp_path, "big.json", doc)
+    assert main(args[:1] + ["--oracle", oracle] + args[1:]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: INPUT") and "Traceback" not in err
+
+
+def test_dump_refuses_an_integer_above_the_print_limit():
+    with pytest.raises(InputError, match="too long to print"):
+        _dump({"generation": 10 ** 4300})
+
+
 class TestReduce:
     def test_cusp_trace(self, tmp_path, capsys):
         oracle = write(tmp_path, "cusp.json", CUSP)
@@ -371,6 +404,12 @@ class TestDefectCommand:
     def test_not_ostrowski_exits_2(self, capsys):
         assert main(["defect", "--degree", "6", "--e", "2", "--f", "1", "--p", "2"]) == 2
         assert "NOT-OSTROWSKI" in capsys.readouterr().err
+
+    def test_e_times_f_above_the_print_limit_exits_2(self, capsys):
+        # e * f has 8600 digits, too many for the NOT-OSTROWSKI message
+        assert main(["defect", "--degree", "3", "--e", GEN, "--f", GEN, "--p", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: INPUT") and "Traceback" not in err
 
 
 class TestChainCommand:

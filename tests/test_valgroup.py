@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -15,14 +16,17 @@ from perronval.scalars import INFINITE
 from perronval.valgroup import (
     RATIONAL,
     ValueLattice,
+    pairing,
     det_int,
     format_value,
+    identity_matrix,
     lattice_index,
     member,
     parse_value,
     quadratic,
     rational_relation,
     smith_normal_form,
+    unimodular_inverse,
 )
 
 Q2 = quadratic(2)
@@ -271,6 +275,77 @@ class TestRationalRelation:
             q1, mq = rel
             assert mq < 0
             assert gamma.scale(-mq) == w.scale(q1)
+
+
+    @staticmethod
+    def _independent(rng, ctx, n, digits=1):
+        """n rationally independent values of ctx (n <= ctx.dim), some with
+        zero coordinates."""
+        while True:
+            coords = [[F(rng.randint(-10 ** digits, 10 ** digits), rng.randint(1, 5))
+                       for _ in range(ctx.dim)] for _ in range(n)]
+            if n == 1 and any(coords[0]) or n == 2 and (
+                    coords[0][0] * coords[1][1] != coords[0][1] * coords[1][0]):
+                return [ctx.value(*c) for c in coords]
+
+    @staticmethod
+    def _planted(rng, lead, bound):
+        """v_last = sum q_i v_i / q for a primitive (q_1..q_n, q), q > 0, with
+        zero q_i (and a zero v_last) included; returns (values, relation)."""
+        qs = [rng.randint(-bound, bound) if rng.random() < 0.8 else 0 for _ in lead]
+        q = rng.randint(1, bound)
+        g = math.gcd(*qs, q)
+        qs, q = [x // g for x in qs], q // g
+        return lead + [pairing(qs, lead).scale(F(1, q))], tuple(qs) + (-q,)
+
+    @pytest.mark.parametrize("ctx", [RATIONAL, Q2, Q3], ids=["Q", "Q(sqrt2)", "Q(sqrt3)"])
+    def test_returns_the_planted_primitive_relation(self, ctx):
+        rng = random.Random(f"relation/{ctx.d}")
+        for n in (1, 2, 3):
+            for _ in range(150):
+                if n > ctx.dim:
+                    # n values in a dim-dimensional space are dependent
+                    lead = [self._independent(rng, ctx, 1)[0] for _ in range(n)]
+                    with pytest.raises(AmbiguousRelation):
+                        rational_relation(self._planted(rng, lead, 6)[0])
+                    continue
+                values, relation = self._planted(rng, self._independent(rng, ctx, n), 6)
+                assert rational_relation(values) == relation
+
+    def test_independent_last_value_and_dependent_leading_values(self):
+        rng = random.Random(5)
+        for _ in range(100):
+            v, w = self._independent(rng, Q2, 2)
+            with pytest.raises(NoRelation):
+                rational_relation([v, w])
+            with pytest.raises(AmbiguousRelation):
+                rational_relation([v, v.scale(F(rng.randint(-4, 4), 3)), w])
+
+    def test_large_coordinates(self):
+        rng = random.Random(4000)
+        a, b, c, d = (rng.randrange(10 ** 3999, 10 ** 4000) for _ in range(4))
+        assert a * d != b * c
+        with pytest.raises(NoRelation):
+            rational_relation([Q2.value(a, b), Q2.value(c, d)])
+        lead = [Q2.value(rng.randrange(10 ** 2000), rng.randrange(10 ** 2000)) for _ in range(2)]
+        values, relation = self._planted(rng, lead, 10 ** 2000)
+        assert rational_relation(values) == relation
+
+
+class TestUnimodularInverse:
+    def test_inverts_products_of_elementary_matrices(self):
+        rng = random.Random(29)
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            m = identity_matrix(n)
+            for _ in range(rng.randint(0, 10)):
+                i, j = rng.randrange(n), rng.randrange(n)
+                if i == j:  # determinant -1
+                    m[i] = [-x for x in m[i]]
+                else:
+                    k = rng.randint(-5, 5)
+                    m[i] = [x + k * y for x, y in zip(m[i], m[j])]
+            assert _matmul(m, unimodular_inverse(m)) == identity_matrix(n)
 
 
 class TestValueLiterals:
