@@ -11,7 +11,9 @@ consumes:
 * AugmentedChain: a finite chain of augmented valuations over a Gauss base,
   evaluated by recursive key-polynomial expansion.
 
-Oracles are immutable; every query is pure.
+Oracles are immutable; every query is pure.  An ArcValuation therefore
+answers each series, value and base-coordinate question once and keeps the
+answer for the life of the instance.
 """
 
 from __future__ import annotations
@@ -199,6 +201,11 @@ class ArcValuation:
         if self.normalization.sign() <= 0:
             raise InputError("the normalization must be positive")
         self.context = self.normalization.context
+        # answers by question, kept for the life of this instance
+        self._series = {}
+        self._values = {}
+        self._coords = {}
+        self._variable_values = None
 
     def _scaled(self, q: Fraction) -> Value:
         return self.normalization.scale(q)
@@ -206,11 +213,20 @@ class ArcValuation:
     def series_of(self, g: Polynomial) -> PuiseuxSeries:
         if g.frame != self.frame:
             raise FrameMismatch("polynomial frame does not match the oracle")
-        return g.evaluate_at_arc(self.arc)
+        series = self._series.get(g)
+        if series is None:
+            series = self._series[g] = g.evaluate_at_arc(self.arc)
+        return series
 
     def value(self, g: Polynomial) -> ValueResult:
         if g.frame != self.frame:
             raise FrameMismatch("polynomial frame does not match the oracle")
+        result = self._values.get(g)
+        if result is None:
+            result = self._values[g] = self._value(g)
+        return result
+
+    def _value(self, g: Polynomial) -> ValueResult:
         if g.is_zero:
             return ValueResult.infinite()
         if self._divides_exactly and g.divisible_by(self.f):
@@ -242,18 +258,27 @@ class ArcValuation:
         return out
 
     def variable_values(self):
-        out = []
-        for i in range(self.frame.m):
-            q = self.arc[i].order()
-            if q is None:
-                raise InputError(f"arc component {i + 1} vanishes to truncation")
-            out.append(self._scaled(q))
-        return out
+        if self._variable_values is None:
+            out = []
+            for i in range(self.frame.m):
+                q = self.arc[i].order()
+                if q is None:
+                    raise InputError(f"arc component {i + 1} vanishes to truncation")
+                out.append(self._scaled(q))
+            self._variable_values = tuple(out)
+        return list(self._variable_values)
 
     def base_lattice(self) -> ValueLattice:
         """Realized value lattice of the base ring k[x_1..x_{m-1}]."""
         vals = self.variable_values()[: self.frame.m - 1]
         return ValueLattice(self.context, tuple(vals))
+
+    def base_coords(self, v: Value):
+        """Integer coordinates of v over the values of x_1..x_{m-1}, or None
+        when v lies outside the base group."""
+        if v not in self._coords:
+            self._coords[v] = member(v, self.base_lattice())
+        return self._coords[v]
 
     def full_lattice(self) -> ValueLattice:
         return ValueLattice(self.context, tuple(self.variable_values()))
@@ -265,7 +290,7 @@ class ArcValuation:
     def translated(self, h: Polynomial, new_f: Polynomial) -> "ArcValuation":
         """Oracle after the change of variable x_m -> x_m + h (h in the base);
         the arc component of x_m drops by h(arc)."""
-        new_last = self.arc[-1] - h.evaluate_at_arc(self.arc)
+        new_last = self.arc[-1] - self.series_of(h)
         return self.with_arc(self.frame, new_f, self.arc[:-1] + (new_last,))
 
     def with_arc(self, new_frame, new_f, new_arc) -> "ArcValuation":
@@ -281,7 +306,6 @@ class ArcValuation:
         (MAX-OUTSIDE) or after ``bound`` steps / window exhaustion
         (NO-MAX-UP-TO-BOUND, with the reason recorded)."""
         frame, field = self.frame, self.field
-        lattice = self.base_lattice()
         h = Polynomial.zero(frame, field)
         xm = Polynomial.variable(frame, field, frame.m - 1)
         ladder = []
@@ -295,7 +319,7 @@ class ArcValuation:
                 return BestApprox(h, gamma, "NO-MAX-UP-TO-BOUND", tuple(ladder),
                                   reason="TRUNCATION")
             ladder.append(gamma.value)
-            coords = member(gamma.value, lattice)
+            coords = self.base_coords(gamma.value)
             if coords is None:
                 return BestApprox(h, gamma, "MAX-OUTSIDE", tuple(ladder))
             if steps >= bound:

@@ -39,7 +39,7 @@ from .oracle import ArcValuation, _required, _typed
 from .perron import DEFAULT_STEP_BOUND, PerronTransform, build_a1, build_a6_divide
 from .poly import Polynomial, format_ring_header, parse_polynomial, parse_ring_header
 from .scalars import INFINITE, parse_rational
-from .valgroup import identity_matrix, member, minor, pairing
+from .valgroup import identity_matrix, minor, pairing
 
 DOCUMENT_VERSION = 1
 
@@ -134,7 +134,7 @@ def lrm_step(oracle: ArcValuation, bounds: Bounds = Bounds()):
         raise TruncationExhausted("value of x_m is beyond the arc window")
     if gamma_z.is_infinite:
         raise InputError("x_m is a local equation of f; nothing to reduce")
-    if member(gamma_z.value, oracle.base_lattice()) is not None:
+    if oracle.base_coords(gamma_z.value) is not None:
         raise PreconditionValueInGroup(
             "value(x_m) lies in the base group; translate first"
         )
@@ -262,7 +262,7 @@ def _translation_gamma(oracle: ArcValuation):
     gamma_z = oracle.value(xm)
     if not gamma_z.is_finite:
         raise PreconditionError("value(x_m) must be finite")
-    if member(gamma_z.value, oracle.base_lattice()) is None:
+    if oracle.base_coords(gamma_z.value) is None:
         raise PreconditionError(
             "value(x_m) is already outside the base group; run the Perron step"
         )
@@ -334,7 +334,7 @@ def defectless_translate(oracle: ArcValuation, bounds: Bounds = Bounds()):
     f_new = oracle.f.translate_last(h)
     oracle_new = oracle.translated(h, f_new)
     new_gamma = oracle_new.value(xm)
-    if not new_gamma.is_finite or member(new_gamma.value, oracle_new.base_lattice()) is not None:
+    if not new_gamma.is_finite or oracle_new.base_coords(new_gamma.value) is not None:
         raise InternalContradiction("translation failed to leave the base group")
     if f_new.ord_last() != oracle.f.ord_last():
         raise InternalContradiction("translation changed the multiplicity")
@@ -358,7 +358,7 @@ def case2_finish(oracle: ArcValuation):
     gamma_z = oracle.value(xm)
     if not gamma_z.is_finite:
         raise NotCase2("value(x_m) is not finite")
-    coords = member(gamma_z.value, oracle.base_lattice())
+    coords = oracle.base_coords(gamma_z.value)
     if coords is None:
         raise NotCase2("value(x_m) is not in the base group")
     n = frame.n
@@ -403,6 +403,8 @@ def run_reduction(oracle: ArcValuation, bounds: Bounds = Bounds()) -> ReductionR
     """Loop translations and Perron steps until the multiplicity reaches 1,
     with terminal diagnostics for defect suspicion and exhausted bounds."""
     _check_input(oracle)
+    # a private copy: the oracle's memos start empty and end with the run
+    oracle = oracle.with_arc(oracle.frame, oracle.f, oracle.arc)
     r0 = oracle.f.ord_last()
     initial_ring = format_ring_header(oracle.frame, oracle.field)
     trace = []
@@ -426,7 +428,7 @@ def run_reduction(oracle: ArcValuation, bounds: Bounds = Bounds()) -> ReductionR
             return finish("BOUND-EXHAUSTED", reason="TRUNCATION")
         if gamma_z.is_infinite:
             raise InputError("x_m is a local equation of f; bad input")
-        in_group = member(gamma_z.value, oracle.base_lattice()) is not None
+        in_group = oracle.base_coords(gamma_z.value) is not None
         try:
             if not in_group:
                 oracle, steps = lrm_step(oracle, bounds)

@@ -2,8 +2,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from perronval.errors import DivisionByZero, FrameMismatch, InputError, Unsupported, ValueMismatch
+from perronval.errors import (
+    DivisionByZero, FrameMismatch, InputError, PerronvalError, Unsupported, ValueMismatch,
+)
 from perronval.oracle import (
     ArcValuation,
     AugmentedChain,
@@ -170,6 +173,88 @@ def _series_monomial_residue(oracle, exps):
     if num.is_zero or den.is_zero:
         raise DivisionByZero("monomial residue over a vanishing window")
     return num.leading_coeff() / den.leading_coeff()
+
+
+# arcs of the memo property test; f = x2^2 - x1^3 lies on the first one
+MEMO_ARCS = (("t^2", "t^3"), ("t^2", "t^3 + t^4"), ("t", "t + t^(5/2)"))
+
+
+@st.composite
+def memo_case(draw):
+    """An arc oracle document over Q or F_2..F_7, exact or truncated, a pool
+    of polynomials (random ones, multiples of f, and ones valued above a
+    truncated window) and queries of value, residue, series and base
+    coordinates (of pool values and of drawn rationals), each asked twice."""
+    char = draw(st.sampled_from((0, 2, 3, 5, 7)))
+    x1, x2 = draw(st.sampled_from(MEMO_ARCS))
+    doc = {"version": 1, "kind": "arc", "ring": {"m": 2, "char": char, "n": 1},
+           "f": "x2^2 - x1^3", "arc": {"x1": x1, "x2": x2}}
+    trunc = draw(st.sampled_from((None, 9, 16)))
+    if trunc is not None:
+        doc["trunc"] = trunc
+    if draw(st.booleans()):
+        doc["normalization"] = "2/3"
+    field = FieldSpec(char)
+    f = P(doc["f"], field=field)
+    x1_poly = P("x1", field=field)
+    pool = []
+    for _ in range(draw(st.integers(1, 4))):
+        terms = draw(st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 3)),
+                                     st.integers(-3, 3), max_size=4))
+        g = Polynomial(FR, field, terms)
+        kind = draw(st.sampled_from(("random", "multiple", "above")))
+        if kind == "multiple":
+            g = g * f
+        elif kind == "above":
+            g = f + x1_poly**10 * (g + 1)
+        pool.append(g)
+    fresh = oracle_from_document(doc)
+    values = [r.value for r in map(fresh.value, pool) if r.is_finite]
+    values += [RATIONAL.value(q) for q in draw(st.lists(
+        st.fractions(min_value=0, max_value=12, max_denominator=6), min_size=1, max_size=3))]
+    index = st.integers(0, len(pool) - 1)
+    queries = draw(st.lists(st.one_of(
+        st.tuples(st.sampled_from(("value", "series")), index),
+        st.tuples(st.just("residue"), index, index),
+        st.tuples(st.just("coords"), st.sampled_from(values)),
+    ), min_size=1, max_size=10))
+    repeats = draw(st.permutations(queries))
+    return doc, pool, queries + repeats
+
+
+def _memo_answer(oracle, query, pool):
+    op, *args = query
+    try:
+        if op == "value":
+            return oracle.value(pool[args[0]])
+        if op == "series":
+            return oracle.series_of(pool[args[0]])
+        if op == "residue":
+            return oracle.residue(pool[args[0]], pool[args[1]])
+        return oracle.base_coords(args[0])
+    except PerronvalError as exc:
+        return type(exc), str(exc)
+
+
+class TestMemo:
+    @settings(max_examples=80, deadline=None)
+    @given(memo_case())
+    def test_memoised_answers_equal_fresh_ones(self, case):
+        doc, pool, queries = case
+        oracle = oracle_from_document(doc)
+        for query in queries:
+            expected = _memo_answer(oracle_from_document(doc), query, pool)
+            assert _memo_answer(oracle, query, pool) == expected, query
+
+    def test_cases_reach_infinite_and_above(self):
+        # the property test draws both: a multiple of f is INFINITE through
+        # divisibility even on a truncated arc, and on the arc of f,
+        # f + x1^10 * g is above a window of 9 or 16
+        field = FieldSpec(3)
+        o = arc_oracle(3, "x2^2 - x1^3", {"x1": "t^2", "x2": "t^3"}, trunc=16)
+        f = P("x2^2 - x1^3", field=field)
+        assert o.value(f * P("x1 + x2", field=field)).is_infinite
+        assert o.value(f + P("x1^10", field=field)).is_above
 
 
 class TestBestApprox:

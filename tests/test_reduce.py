@@ -342,6 +342,53 @@ class TestLadderFamily:
                    for s in res.oracle.arc for c in s.terms.values())
 
 
+class TestRunScope:
+    """A run evaluates each arc series once, and leaves nothing on the
+    caller's oracle for the next run to find."""
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        # (arc, polynomial) of every evaluation; holding the arc keeps its id
+        # unique, and each oracle has an arc tuple of its own
+        seen = []
+        evaluate = Polynomial.evaluate_at_arc
+
+        def counting(g, arc):
+            seen.append((arc, g))
+            return evaluate(g, arc)
+
+        monkeypatch.setattr(Polynomial, "evaluate_at_arc", counting)
+        return seen
+
+    @pytest.mark.parametrize("doc, status, kind", [
+        (ladder_doc(5, 8, -2), "REDUCED-TO-SMOOTH", "TRANSLATE-CHAR0"),
+        (defect_doc(3), "DEFECT-SUSPECTED", None),
+    ], ids=["composed-ladder", "artin-schreier"])
+    def test_one_evaluation_per_series_and_equal_runs(self, evaluations, doc, status, kind):
+        oracle = oracle_from_document(doc)
+        counts, texts = [], []
+        for _ in range(2):
+            del evaluations[:]
+            res = run_reduction(oracle)
+            assert res.status == status
+            assert kind is None or kind in [s.kind for s in res.trace]
+            keys = [(id(arc), g) for arc, g in evaluations]
+            assert len(keys) == len(set(keys))
+            counts.append(len(keys))
+            texts.append(json.dumps(trace_document(res, doc), sort_keys=True))
+        assert counts[0] == counts[1] > 0
+        assert texts[0] == texts[1]
+
+    def test_residue_after_values_evaluates_nothing(self, evaluations):
+        oracle = oracle_from_document(TACNODE)
+        g, u = (parse_polynomial(oracle.frame, oracle.field, t) for t in ("x2", "x1"))
+        oracle.value(g)
+        oracle.value(u)
+        assert len(evaluations) == 2
+        assert str(oracle.residue(g, u)) == "1"
+        assert len(evaluations) == 2
+
+
 class TestHighLadderRungs:
     """The high rungs of x2^a - x1^b on (t^a, t^b), pinned by the sha256 of
     their trace documents.  Each takes one A1 step with lam = 168, 272 and
