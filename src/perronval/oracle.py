@@ -207,9 +207,6 @@ class ArcValuation:
         self._coords = {}
         self._variable_values = None
 
-    def _scaled(self, q: Fraction) -> Value:
-        return self.normalization.scale(q)
-
     def series_of(self, g: Polynomial) -> PuiseuxSeries:
         if g.frame != self.frame:
             raise FrameMismatch("polynomial frame does not match the oracle")
@@ -234,10 +231,10 @@ class ArcValuation:
         series = self.series_of(g)
         q = series.order()
         if q is not None:
-            return ValueResult.finite(self._scaled(q))
+            return ValueResult.finite(self.normalization.scale(q))
         if series.trunc is None:
             return ValueResult.infinite()
-        return ValueResult.above(self._scaled(series.trunc))
+        return ValueResult.above(self.normalization.scale(series.trunc))
 
     def residue(self, g: Polynomial, u: Polynomial) -> Scalar:
         vg, vu = self.value(g), self.value(u)
@@ -264,7 +261,7 @@ class ArcValuation:
                 q = self.arc[i].order()
                 if q is None:
                     raise InputError(f"arc component {i + 1} vanishes to truncation")
-                out.append(self._scaled(q))
+                out.append(self.normalization.scale(q))
             self._variable_values = tuple(out)
         return list(self._variable_values)
 
@@ -388,41 +385,18 @@ class AugmentedChain:
             prev_deg = d
             if gamma.context != self.context:
                 raise InputError("gamma from a different context")
-            if idx == 0:
-                prev = self._gauss_value(phi)
-            else:
-                prev = self._value_at_level(idx - 1, phi)
+            prev = self._value_at_level(idx - 1, phi)
             if not prev.is_finite or gamma <= prev.value:
                 raise InputError(
                     "augmented value must exceed the previous value of the key"
                 )
 
-    def _gauss_value(self, g: Polynomial) -> ValueResult:
-        # stage-zero Gauss valuation with x_m weighted 0, used only to
-        # validate the first augmentation
-        if g.is_zero:
-            return ValueResult.infinite()
-        best = None
-        for coeff in g.coeffs_last():
-            inner = self._base_value(coeff)
-            if inner.is_finite and (best is None or inner.value < best):
-                best = inner.value
-        return ValueResult.finite(best)
-
-    def _base_value(self, g: Polynomial) -> ValueResult:
-        # g is free of x_m: the Gauss base values it by its x_1-order
-        if g.is_zero:
-            return ValueResult.infinite()
-        k = min(mono[0] for mono in g.terms)
-        return ValueResult.finite(self.x1_value.scale(k))
-
     def _value_at_level(self, level: int, g: Polynomial) -> ValueResult:
         if g.is_zero:
             return ValueResult.infinite()
         if level < 0:
-            if g.degree_in_last() > 0:
-                raise InputError("Gauss base only values the coefficient ring")
-            return self._base_value(g)
+            # the Gauss base: x_1-order times value(x_1), x_m valued 0
+            return ValueResult.finite(self.x1_value.scale(min(mono[0] for mono in g.terms)))
         phi, gamma = self.steps[level]
         best = None
         rest = g
@@ -510,7 +484,7 @@ def oracle_from_document(doc: dict):
             name = frame.var_name(i)
             if name not in arc_doc:
                 raise InputError(f"arc document is missing {name}")
-            arc.append(parse_series(field, arc_doc[name], default_trunc=trunc))
+            arc.append(parse_series(field, arc_doc[name]))
         normalization = None
         if "normalization" in doc:
             context = parse_context(doc.get("context"))

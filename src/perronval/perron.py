@@ -21,7 +21,6 @@ satisfy d_i - e_i = (-1)^(n+i) * gamma * Det(A_{n+1,i}).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     InputError,
@@ -32,7 +31,7 @@ from .errors import (
 )
 from .oracle import _required, _typed
 from .poly import Polynomial, VariableFrame
-from .scalars import FieldSpec, PuiseuxSeries, Scalar, parse_integer, parse_rational
+from .scalars import FieldSpec, Scalar, parse_integer, parse_rational
 from .valgroup import (
     Value,
     det_int,
@@ -113,9 +112,6 @@ class PerronTransform:
             images.append(Polynomial.monomial(frame1, f.field, mono))
         return f.substitute_map(images)
 
-    def inverse_matrix(self):
-        return unimodular_inverse(self.matrix)
-
     def transformed_weights(self, values):
         """Values of the new variables given the old active values.
 
@@ -125,31 +121,28 @@ class PerronTransform:
         """
         if len(values) != self.size:
             raise InputError("value count does not match the matrix size")
-        out = [pairing(row, values) for row in self.inverse_matrix()]
+        out = [pairing(row, values) for row in unimodular_inverse(self.matrix)]
         if self.kind == "A1" and not out[-1].is_zero:
             raise InputError("A1 inverse did not send the unit slot to value 0")
         return out
 
     def transform_arc(self, arc):
-        """Arc components of the new variables, inverting the monomial map.
+        """Arc components of the new variables, inverting the monomial map:
+        each is the product of the old active components raised to a row of
+        the inverse matrix.
 
-        Intermediate Laurent factors may need series inversion, which raises
-        InputError for a component that is exact but not monomial.
+        A negative power inverts its series, which raises InputError for a
+        component that is exact but not monomial.
         """
-        field = arc[0].field
-        inv = self.inverse_matrix()
         n = self.frame.n
         active = self.active_indices()
-        old_active = [arc[i] for i in active]
         new_active = []
-        for i in range(self.size):
-            piece = PuiseuxSeries(field, {Fraction(0): field.one})
-            for j in range(self.size):
-                e = inv[i][j]
-                if e > 0:
-                    piece = piece * old_active[j] ** e
-                elif e < 0:
-                    piece = piece * old_active[j].inverse() ** (-e)
+        for row in unimodular_inverse(self.matrix):
+            piece = None
+            for j, e in zip(active, row):
+                if e:
+                    factor = arc[j] ** e
+                    piece = factor if piece is None else piece * factor
             new_active.append(piece)
         out = list(arc)
         for j in range(n):

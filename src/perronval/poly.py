@@ -78,11 +78,11 @@ class Polynomial:
         self.field = field
         acc = {}
         for mono, coeff in (terms or {}).items():
-            mono = tuple(int(e) for e in mono)
+            mono = tuple(mono)
             if len(mono) != frame.m:
                 raise InputError("exponent vector length does not match frame")
-            if any(e < 0 for e in mono):
-                raise InputError("negative exponent in polynomial")
+            if any(type(e) is not int or e < 0 for e in mono):
+                raise InputError(f"polynomial exponents are nonnegative ints, got {mono!r}")
             acc[mono] = acc.get(mono, 0) + field.raw(coeff)
         self.terms = reduce_raw(acc.items(), field.characteristic)
 

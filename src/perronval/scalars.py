@@ -246,6 +246,15 @@ def parse_integer(value, what: str) -> int:
     raise InputError(f"{what} must be an integer, got {value!r}")
 
 
+def _exponent(q) -> Fraction:
+    """A series exponent or truncation: a Fraction or an int (not a bool)."""
+    if isinstance(q, Fraction):
+        return q
+    if type(q) is not int:
+        raise InputError(f"series exponents are ints or Fractions, got {q!r}")
+    return Fraction(q)
+
+
 def _tmin(a, b):
     # min of truncations where None means +infinity
     if a is None:
@@ -382,12 +391,11 @@ class PuiseuxSeries:
     __slots__ = ("field", "ram", "pairs", "top")
 
     def __init__(self, field: FieldSpec, terms=None, trunc=None):
-        if trunc is not None and not isinstance(trunc, Fraction):
-            trunc = Fraction(trunc)
+        if trunc is not None:
+            trunc = _exponent(trunc)
         acc = {}
         for q, c in (terms or {}).items():
-            if not isinstance(q, Fraction):
-                q = Fraction(q)
+            q = _exponent(q)
             c = field.raw(c)
             if trunc is None or q < trunc:
                 acc[q] = acc.get(q, 0) + c
@@ -539,7 +547,7 @@ class PuiseuxSeries:
         return s
 
     def truncated(self, trunc) -> "PuiseuxSeries":
-        return PuiseuxSeries(self.field, self.terms, _tmin(self.trunc, Fraction(trunc)))
+        return PuiseuxSeries(self.field, self.terms, _tmin(self.trunc, _exponent(trunc)))
 
     def __eq__(self, other):
         if not isinstance(other, PuiseuxSeries):
@@ -593,7 +601,7 @@ _TERM_RE = re.compile(
 _CONST_RE = re.compile(r"^-?\d+(?:/\d+)?$")
 
 
-def parse_series(field: FieldSpec, text: str, default_trunc=None) -> PuiseuxSeries:
+def parse_series(field: FieldSpec, text: str) -> PuiseuxSeries:
     """Parse the series literal grammar: ``t^(3/2)*1 + t^2*-1 | trunc 5 | N 2``.
 
     The coefficient suffix ``*c`` defaults to 1, the exponent to 1 (bare
@@ -603,7 +611,7 @@ def parse_series(field: FieldSpec, text: str, default_trunc=None) -> PuiseuxSeri
     if not isinstance(text, str):
         raise InputError(f"series literal must be a string, got {text!r}")
     parts = [p.strip() for p in text.split("|")]
-    trunc = default_trunc
+    trunc = None
     for extra in parts[1:]:
         if extra.startswith("trunc"):
             trunc = parse_rational(extra[len("trunc"):])

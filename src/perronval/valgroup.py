@@ -326,41 +326,31 @@ def member(v: Value, lattice: ValueLattice):
     return tuple(x)
 
 
-def lattice_basis(lattice: ValueLattice):
-    """Independent generating values: the nonzero rows of U * A, where A is
-    the integerized generator matrix and U * A * V is diagonal."""
-    rows, denom = _integerize([g.coords for g in lattice.generators])
-    u, _, _ = smith_normal_form(rows)
-    basis = []
-    for ur in u:
-        coords = tuple(Fraction(sum(c * a for c, a in zip(ur, col)), denom) for col in zip(*rows))
-        if any(coords):
-            basis.append(Value(lattice.context, coords))
-    return basis
-
-
 def lattice_index(big: ValueLattice, small: ValueLattice):
     """Group index [big : small]; INFINITE when the ranks differ.
 
     Requires small to actually be a subgroup of big (NOT-A-SUBGROUP else).
+    Both generator matrices, over one common denominator, are brought to
+    diagonal form: the nonzero diagonal entries count the rank, and their
+    product is the index of the lattice in its saturation.  A subgroup of
+    equal rank has the same saturation, so the quotient of the two products
+    is the index.
     """
     if big.context != small.context:
         raise ContextMismatch("lattice contexts differ")
-    basis = lattice_basis(big)
-    if not basis and not all(g.is_zero for g in small.generators):
-        raise NotASubgroup("only zero lies in the zero lattice")
-    basis_lattice = ValueLattice(big.context, tuple(basis))
-    rows = []
     for g in small.generators:
-        coords = member(g, basis_lattice)
-        if coords is None:
+        if member(g, big) is None:
             raise NotASubgroup(f"{g} is not in the big lattice")
-        rows.append(list(coords))
-    _, s, _ = smith_normal_form(rows)
-    diagonal = [s[i][i] for i in range(min(len(rows), len(basis)))]
-    if len(diagonal) < len(basis) or 0 in diagonal:
+    rows, _ = _integerize([g.coords for g in big.generators + small.generators])
+    k = len(big.generators)
+
+    def nonzero_diagonal(part):
+        return [x for row in smith_normal_form(part)[1] for x in row if x]
+
+    big_diag, small_diag = nonzero_diagonal(rows[:k]), nonzero_diagonal(rows[k:])
+    if len(big_diag) != len(small_diag):
         return INFINITE
-    return math.prod(diagonal)
+    return math.prod(small_diag) // math.prod(big_diag)
 
 
 def rational_relation(values):

@@ -419,6 +419,15 @@ class TestChainCommand:
                      "--poly", "x2^2 - x1^3"]) == 0
         assert capsys.readouterr().out.strip() == "3"
 
+    @pytest.mark.parametrize("poly, expected", [
+        ("x2", "0"), ("x2^3 + x2", "1"), ("x1*x2", "1"), ("x2^2 + 1", "1"),
+    ])
+    def test_first_key_of_degree_two(self, tmp_path, capsys, poly, expected):
+        doc = dict(CHAIN, steps=[{"phi": "x2^2 + 1", "gamma": "1"}])
+        oracle = write(tmp_path, "chain.json", doc)
+        assert main(["chain", "value", "--oracle", oracle, "--poly", poly]) == 0
+        assert capsys.readouterr().out.strip() == expected
+
     def test_chain_rejects_arc_doc(self, tmp_path, capsys):
         oracle = write(tmp_path, "cusp.json", CUSP)
         assert main(["chain", "value", "--oracle", oracle, "--poly", "x2"]) == 2

@@ -38,6 +38,8 @@ CHAIN = {
     "steps": [{"phi": "x2", "gamma": "3/2"}],
 }
 
+QUADRATIC_KEY_CHAIN = dict(CHAIN, steps=[{"phi": "x2^2 + 1", "gamma": "1"}])
+
 
 def P(text, frame=FR, field=Q):
     return parse_polynomial(frame, field, text)
@@ -337,6 +339,15 @@ class TestAugmentedChain:
         assert str(ch.value(P("x2^2 - x1^3"))) == "4"
         assert str(ch.value(P("x2"))) == "3/2"
         assert str(ch.value(P("x2^2"))) == "3"
+
+    @pytest.mark.parametrize("poly, expected", [
+        ("x2", "0"), ("x2^3 + x2", "1"), ("x1*x2", "1"), ("x2^2 + 1", "1"),
+    ])
+    def test_first_key_of_degree_two(self, poly, expected):
+        # the Gauss base values x2 at 0, so x2^2 + 1 is a key over it, and
+        # every expansion coefficient, x2 included, has a base value
+        ch = oracle_from_document(QUADRATIC_KEY_CHAIN)
+        assert str(ch.value(P(poly))) == expected
 
     def test_residue_unsupported(self):
         ch = oracle_from_document(CHAIN)

@@ -254,7 +254,7 @@ def _divmod_by_terms(f, divisor):
 
 class TestArcEvaluation:
     def test_cusp_parametrization(self):
-        arc = (parse_series(Q, "t^2", default_trunc=40), parse_series(Q, "t^3", default_trunc=40))
+        arc = (parse_series(Q, "t^2 | trunc 40"), parse_series(Q, "t^3 | trunc 40"))
         assert P("x2^2 - x1^3").evaluate_at_arc(arc).is_zero
 
     def test_single_variable(self):
@@ -308,6 +308,15 @@ class TestTranslateAndDerivative:
     def test_partial_last(self):
         assert P("x2^2 - x1^3").partial_last() == P("2*x2")
         assert P("x2^2 + x1^3", field=F2).partial_last().is_zero
+
+
+class TestExponentTypes:
+    @pytest.mark.parametrize("mono", [(1.5, 0), (1.0, 0), ("2", True), (True, 0), (F(1), 0),
+                                      (-1, 0)])
+    def test_exponents_other_than_nonnegative_ints_are_refused(self, mono):
+        # int() would read (1.5, 0) as x1 and ("2", True) as x1^2*x2
+        with pytest.raises(InputError, match="exponents"):
+            Polynomial(FR, Q, {mono: 1})
 
 
 class TestCanonicalForm:

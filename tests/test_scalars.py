@@ -588,6 +588,24 @@ class TestStoredGridForm:
         assert s.terms == {F(1, 2): 1} and s.trunc == 3 and s.ram == 2
 
 
+class TestExponentTypes:
+    @pytest.mark.parametrize("bad", [1.5, 2.0, "1/2", True, None])
+    def test_exponents_and_truncations_are_ints_or_fractions(self, bad):
+        # Fraction(1.5) would take a float in as a binary fraction
+        with pytest.raises(InputError, match="exponents"):
+            PuiseuxSeries(Q, {bad: 1})
+        if bad is not None:
+            with pytest.raises(InputError, match="exponents"):
+                PuiseuxSeries(Q, {F(1): 1}, trunc=bad)
+            with pytest.raises(InputError, match="exponents"):
+                parse_series(Q, "t + t^2").truncated(bad)
+
+    def test_int_and_fraction_exponents_are_kept(self):
+        s = PuiseuxSeries(Q, {2: 1, F(5, 2): -1}, trunc=4)
+        assert s == parse_series(Q, "t^2 + t^(5/2)*-1 | trunc 4")
+        assert s.truncated(F(5, 2)) == PuiseuxSeries(Q, {F(2): 1}, trunc=F(5, 2))
+
+
 class TestGridSize:
     def test_truncation_above_the_cap_is_refused_when_built(self):
         # 10^8 slots: refused before any coefficient is laid on the grid

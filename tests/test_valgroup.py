@@ -214,6 +214,32 @@ class TestLatticeIndex:
         with pytest.raises(NotASubgroup):
             lattice_index(LATTICE_C, LATTICE_A)
 
+    @pytest.mark.parametrize("context", [RATIONAL, Q2], ids=["Q", "Q(sqrt2)"])
+    def test_index_is_the_determinant(self, context):
+        # small is spanned by M * basis for an integer matrix M, so
+        # [big : small] = |det M|, infinite when M is singular
+        rng = random.Random(context.dim)
+        k = context.dim
+
+        def rational():
+            return F(rng.randint(-9, 9), rng.choice((1, 2, 3, 6)))
+
+        for _ in range(150):
+            basis = [context.value(*(rational() for _ in range(k))) for _ in range(k)]
+            if det_int([[int(c * 6) for c in b.coords] for b in basis]) == 0:
+                continue
+            m = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(k)]
+            if rng.random() < 0.2:
+                m[-1] = [rng.randint(-2, 2) * x for x in m[0]]
+            small = [pairing(row, basis) for row in m]
+            expected = abs(det_int(m)) or INFINITE
+            assert lattice_index(ValueLattice(context, tuple(basis)),
+                                 ValueLattice(context, tuple(small))) == expected
+
+    def test_zero_lattice_has_index_one_in_itself(self):
+        zero = ValueLattice(Q2, (Q2.zero(), Q2.zero()))
+        assert lattice_index(zero, zero) == 1
+
     def test_zero_big_lattice(self):
         zero = ValueLattice(Q2, (Q2.zero(), Q2.zero()))
         with pytest.raises(NotASubgroup):
