@@ -20,7 +20,6 @@ from .oracle import (
     MonomialValuation,
     load_oracle,
     oracle_from_document,
-    parse_trunc,
     read_document,
 )
 from .perron import DEFAULT_STEP_BOUND, build_a6_divide, monomialize
@@ -44,7 +43,7 @@ def _dump(doc: dict) -> str:
 def _parse_monomial(oracle, text):
     poly = parse_polynomial(oracle.frame, oracle.field, text)
     if len(poly.terms) != 1:
-        raise PerronvalError(f"{text!r} is not a monomial")
+        raise InputError(f"{text!r} is not a monomial")
     (mono, _coeff), = poly.terms.items()
     return mono
 
@@ -68,7 +67,7 @@ def cmd_valuate(args) -> int:
 def cmd_chain_value(args) -> int:
     oracle = load_oracle(args.oracle)
     if not isinstance(oracle, AugmentedChain):
-        raise PerronvalError("chain value needs a chain oracle document")
+        raise InputError("chain value needs a chain oracle document")
     poly = parse_polynomial(oracle.frame, oracle.field, args.poly)
     print(oracle.value(poly))
     return EXIT_OK
@@ -81,17 +80,14 @@ def cmd_reduce(args) -> int:
         max_approx_steps=_bound(args.max_approx_steps, "--max-approx-steps"),
     )
     oracle_doc = read_document(args.oracle)
+    # --trunc replaces the document's window, and the trace records it
+    if args.trunc is not None and isinstance(oracle_doc, dict):
+        oracle_doc["trunc"] = args.trunc
     oracle = oracle_from_document(oracle_doc)
     if not isinstance(oracle, ArcValuation):
-        raise PerronvalError("reduce needs an arc oracle document")
-    if args.trunc is not None:
-        oracle = ArcValuation(
-            oracle.frame, oracle.field, oracle.f, oracle.arc,
-            trunc=parse_trunc(args.trunc), normalization=oracle.normalization,
-        )
-        oracle_doc["trunc"] = args.trunc
+        raise InputError("reduce needs an arc oracle document")
     if not oracle.arc_consistency():
-        raise PerronvalError("arc is inconsistent with the hypersurface")
+        raise InputError("arc is inconsistent with the hypersurface")
     result = run_reduction(oracle, bounds)
     doc = trace_document(result, oracle_doc)
     text = _dump(doc)
@@ -111,7 +107,7 @@ def cmd_perron_divide(args) -> int:
     bound = _bound(args.max_perron_steps, "--max-perron-steps")
     oracle = load_oracle(args.weights)
     if not isinstance(oracle, MonomialValuation):
-        raise PerronvalError("perron divide needs a monomial oracle document")
+        raise InputError("perron divide needs a monomial oracle document")
     m1 = _parse_monomial(oracle, args.m1)
     m2 = _parse_monomial(oracle, args.m2)
     tau = build_a6_divide(m1, m2, oracle.weights, oracle.frame, bound=bound)
@@ -124,7 +120,7 @@ def cmd_perron_monomialize(args) -> int:
     bound = _bound(args.max_perron_steps, "--max-perron-steps")
     oracle = load_oracle(args.weights)
     if not isinstance(oracle, MonomialValuation):
-        raise PerronvalError("perron monomialize needs a monomial oracle document")
+        raise InputError("perron monomialize needs a monomial oracle document")
     poly = parse_polynomial(oracle.frame, oracle.field, args.poly)
     result = monomialize(poly, oracle.weights, oracle.frame, bound=bound)
     doc = {

@@ -68,23 +68,16 @@ class BinomialObstruction(PerronvalError):
 
 
 class DefectSuspected(PerronvalError):
-    """Terminal diagnostic: the approximation ladder keeps increasing inside
-    the base value group up to the computation bound."""
+    """Terminal diagnostic: value(x_m) stays in the base value group, either
+    up the approximation ladder to the computation bound or through a case-2
+    certificate that fails.  ``diagnostics`` holds what the trace prints:
+    the ladder as strings, the reason, and case2_rejected when case 2
+    fails."""
     code = "DEFECT-SUSPECTED"
 
-    def __init__(self, message="", ladder=None, reason=None):
+    def __init__(self, message="", **diagnostics):
         super().__init__(message)
-        self.ladder = list(ladder or [])
-        self.reason = reason
-
-
-class Case2Signal(PerronvalError):
-    """The last variable agrees with an element of the base completion."""
-    code = "CASE2-SIGNAL"
-
-    def __init__(self, message="", approx=None):
-        super().__init__(message)
-        self.approx = approx
+        self.diagnostics = diagnostics
 
 
 class NotCase2(PerronvalError):

@@ -1,19 +1,22 @@
 """Reduction of multiplicity along a rank-1 valuation.
 
-One macro-step on a monic hypersurface f with 1 < r = ord f(0,..,0,x_m):
+One macro-step on a monic hypersurface f with 1 < r = ord f(0,..,0,x_m)
+asks where value(x_m) lies (``_xm_place``):
 
-* when value(x_m) lies outside the base value group, an A1 Perron transform
-  built from the coefficient expansion drops the multiplicity strictly
-  (``lrm_step``);
-* when it lies inside, a translation x_m -> x_m - h first pushes it out:
-  the characteristic-0 route translates by a residue multiple of a_{r-1},
-  and the general route translates by the best approximation of x_m from
-  the base ring, which either exits the group (defectless behaviour), keeps
-  climbing inside it (defect suspicion), or certifies that x_m agrees with
-  a base element (case 2, finished by a single monomial substitution).
+* outside the base value group, an A1 Perron transform built from the
+  coefficient expansion drops the multiplicity strictly (``lrm_step``);
+* inside it, a translation x_m -> x_m - h first pushes it out: the
+  characteristic-0 route translates by a residue multiple of a_{r-1}
+  (``char0_translate``), and the general route by the best approximation
+  of x_m from the base ring (``defectless_translate``), which either exits
+  the group (defectless behaviour), keeps climbing inside it (defect
+  suspicion), or certifies that x_m agrees with a base element (case 2,
+  finished by a single monomial substitution in ``case2_finish``).
 
-Every step appends a replayable TraceStep; ``replay_trace`` re-executes a
-trace document and must reproduce the recorded polynomials byte for byte.
+Each step function returns (new_oracle, steps), every step a replayable
+TraceStep, and every defect suspicion is one DefectSuspected carrying the
+diagnostics the trace prints.  ``replay_trace`` re-executes a trace
+document and must reproduce the recorded polynomials byte for byte.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import (
     BinomialObstruction,
-    Case2Signal,
     DefectSuspected,
     InputError,
     InternalContradiction,
@@ -109,17 +111,34 @@ def _term_exponents(f: Polynomial) -> dict:
     return out
 
 
-def _sigma_of(values) -> dict:
-    """The sigma block of the term values {l: value of a_l x_m^l}: the
-    minimal value rho and its achievers sigma_1 < .. < sigma_t, as the trace
-    prints them.  Since value(f) is infinite, at least two terms reach rho."""
-    rho = min(values.values())
-    sigmas = [l for l in sorted(values) if values[l] == rho]
+def _xm_place(oracle: ArcValuation):
+    """(x_m, value(x_m), its base-group coordinates or None outside the
+    group): the driver's case split.  A value beyond the arc window raises
+    TruncationExhausted, an infinite one InputError."""
+    xm = _xm(oracle)
+    gamma_z = oracle.value(xm)
+    if gamma_z.is_above:
+        raise TruncationExhausted("value of x_m is beyond the arc window")
+    if gamma_z.is_infinite:
+        raise InputError("x_m is a local equation of f; bad input")
+    return xm, gamma_z, oracle.base_coords(gamma_z.value)
+
+
+def _sigma_block(oracle: ArcValuation, gamma) -> tuple:
+    """(dvecs, sigma) for value(x_m) = gamma: dvecs is ``_term_exponents``
+    of f, and sigma the minimal term value rho with its achievers
+    sigma_1 < .. < sigma_t, as the trace prints them.  Since value(f) is
+    infinite, at least two terms reach rho."""
+    dvecs = _term_exponents(oracle.f)
+    values = oracle.variable_values()[: oracle.frame.m - 1] + [gamma]
+    term_values = {l: pairing(d + (l,), values) for l, d in dvecs.items()}
+    rho = min(term_values.values())
+    sigmas = [l for l in sorted(term_values) if term_values[l] == rho]
     if len(sigmas) <= 1:
         raise InternalContradiction(
             "a single minimal term contradicts value(f) = infinity"
         )
-    return {"rho": str(rho), "sigmas": sigmas}
+    return dvecs, {"rho": str(rho), "sigmas": sigmas}
 
 
 def lrm_step(oracle: ArcValuation, bounds: Bounds = Bounds()):
@@ -129,12 +148,8 @@ def lrm_step(oracle: ArcValuation, bounds: Bounds = Bounds()):
     r = oracle.f.ord_last()
     if r is INFINITE or r <= 1:
         raise PreconditionError(f"need 1 < r < infinity, got {r}")
-    gamma_z = oracle.value(_xm(oracle))
-    if gamma_z.is_above:
-        raise TruncationExhausted("value of x_m is beyond the arc window")
-    if gamma_z.is_infinite:
-        raise InputError("x_m is a local equation of f; nothing to reduce")
-    if oracle.base_coords(gamma_z.value) is not None:
+    _, gamma_z, coords = _xm_place(oracle)
+    if coords is not None:
         raise PreconditionValueInGroup(
             "value(x_m) lies in the base group; translate first"
         )
@@ -146,10 +161,9 @@ def lrm_step(oracle: ArcValuation, bounds: Bounds = Bounds()):
             "embedded monomialization of the base is implemented for plane "
             "curves; higher dimension needs a monomial base valuation"
         )
-    dvecs = _term_exponents(oracle.f)
+    dvecs, sigma = _sigma_block(oracle, gamma_z.value)
     n = frame.n
     old_values = oracle.variable_values()[:n] + [gamma_z.value]
-    sigma = _sigma_of({l: pairing(dv + (l,), old_values) for l, dv in dvecs.items()})
     sigmas = sigma["sigmas"]
     if sigmas[-1] > r:
         raise InternalContradiction("sigma_t exceeded r")
@@ -182,31 +196,34 @@ def lrm_step(oracle: ArcValuation, bounds: Bounds = Bounds()):
         d=d_minor,
     )
 
-    def check_order(r1):
-        if r1 is INFINITE:
-            raise InternalContradiction("strict transform vanished along the fiber")
-        if r1 == r:
-            # theorem: impossible under the entry precondition.  Before failing,
-            # record the forced shape: sigma_t = r, sigma_1 = 0, |d| = 1, and
-            # with d = 1 the divisibility r | d_i(sigma_1), which puts value(x_m)
-            # back in the base group and contradicts the precondition.
-            degenerate = sigmas[-1] == r and sigmas[0] == 0 and abs(d_minor) == 1
-            divisibility = None
-            if degenerate:
-                divisibility = all(x % r == 0 for x in dvecs[sigmas[0]])
-            raise InternalContradiction(
-                f"multiplicity did not drop (degenerate shape: {degenerate}, "
-                f"r divides d_i(sigma_1): {divisibility})"
-            )
-        if r1 > r:
-            raise InternalContradiction("multiplicity increased")
-
-    return _strict_step(oracle, tau, "A1", {
+    oracle1, steps = _strict_step(oracle, tau, "A1", {
         "transform": tau.document(),
         "sigma": sigma,
         "d_negative": d_minor < 0,
         "old_values": [str(v) for v in old_values],
-    }, InternalContradiction, check_order)
+    })
+    _strict_sanity(oracle1.f)
+    r1 = oracle1.f.ord_last()
+    if r1 is INFINITE:
+        raise InternalContradiction("strict transform vanished along the fiber")
+    if r1 == r:
+        # theorem: impossible under the entry precondition.  Before failing,
+        # record the forced shape: sigma_t = r, sigma_1 = 0, |d| = 1, and
+        # with d = 1 the divisibility r | d_i(sigma_1), which puts value(x_m)
+        # back in the base group and contradicts the precondition.
+        degenerate = sigmas[-1] == r and sigmas[0] == 0 and abs(d_minor) == 1
+        divisibility = None
+        if degenerate:
+            divisibility = all(x % r == 0 for x in dvecs[sigmas[0]])
+        raise InternalContradiction(
+            f"multiplicity did not drop (degenerate shape: {degenerate}, "
+            f"r divides d_i(sigma_1): {divisibility})"
+        )
+    if r1 > r:
+        raise InternalContradiction("multiplicity increased")
+    if not oracle1.arc_consistency():
+        raise InternalContradiction("transformed arc left the strict transform")
+    return oracle1, steps
 
 
 def _a1_image(f: Polynomial, tau: PerronTransform):
@@ -218,30 +235,17 @@ def _a1_image(f: Polynomial, tau: PerronTransform):
     return f1.times_unit_power(exps, lam, tau.c), exps, lam, f1
 
 
-def _strict_step(oracle: ArcValuation, tau: PerronTransform, kind: str,
-                 payload: dict, error: type, check_order):
+def _strict_step(oracle: ArcValuation, tau: PerronTransform, kind: str, payload: dict):
     """Substitute tau, pass to the strict transform f_1 and the new arc, and
     return (new_oracle, [``kind`` step with ``payload``, STRICT-TRANSFORM]).
     The ``kind`` step prints the image g, which ``_a1_image`` builds from
     f_1 with one binomial row, so the step takes one Taylor shift, the one
-    into f_1.  ``check_order`` raises on a bad order of f_1; ``error`` is
-    raised when the arc leaves f_1, and under NotCase2 also when f_1 is
-    reducible.  A monic f keeps f_1 monic or with a non-constant leading
-    coefficient, as tau is nonnegative with det 1, so f_1 is not rescaled."""
+    into f_1.  The caller checks f_1 and the new arc.  A monic f keeps f_1
+    monic or with a non-constant leading coefficient, as tau is nonnegative
+    with det 1, so f_1 is not rescaled."""
     g, exps, lam, f1 = _a1_image(oracle.f, tau)
-    arc1 = tau.transform_arc(oracle.arc)
     frame1 = tau.new_frame()
-    try:
-        _strict_sanity(f1)
-    except InputError as exc:
-        if error is not NotCase2:
-            raise
-        raise NotCase2(str(exc)) from exc
-    r1 = f1.ord_last()
-    check_order(r1)
-    oracle1 = oracle.with_arc(frame1, f1, arc1)
-    if not oracle1.arc_consistency():
-        raise error("transformed arc left the strict transform")
+    oracle1 = oracle.with_arc(frame1, f1, tau.transform_arc(oracle.arc))
     return oracle1, [
         TraceStep(kind, {**payload, "f_after": str(g), "generation": frame1.generation}),
         TraceStep("STRICT-TRANSFORM", {
@@ -249,33 +253,33 @@ def _strict_step(oracle: ArcValuation, tau: PerronTransform, kind: str,
             "exponents": list(exps),
             "lambda": lam,
             "f_after": str(f1),
-            "r_after": r1,
+            "r_after": f1.ord_last(),
             "generation": frame1.generation,
         }),
     ]
 
 
-def _translation_gamma(oracle: ArcValuation):
-    """(x_m, value(x_m)) for a translation, which needs value(x_m) finite
-    and inside the base group."""
-    xm = _xm(oracle)
-    gamma_z = oracle.value(xm)
-    if not gamma_z.is_finite:
-        raise PreconditionError("value(x_m) must be finite")
-    if oracle.base_coords(gamma_z.value) is None:
-        raise PreconditionError(
-            "value(x_m) is already outside the base group; run the Perron step"
-        )
-    return xm, gamma_z
+def _translate(oracle: ArcValuation, h: Polynomial):
+    """(oracle', value(x_m) under it) after x_m -> x_m + h, h in the base
+    ring; a translation keeps the multiplicity r."""
+    f_new = oracle.f.translate_last(h)
+    if f_new.ord_last() != oracle.f.ord_last():
+        raise InternalContradiction("translation changed the multiplicity")
+    oracle_new = oracle.translated(h, f_new)
+    return oracle_new, oracle_new.value(_xm(oracle_new))
 
 
 def char0_translate(oracle: ArcValuation):
     """Translate x_m by the residue multiple of a_{r-1} (the route that the
-    binomial theorem justifies in characteristic zero)."""
-    frame = oracle.frame
+    binomial theorem justifies in characteristic zero).  Returns
+    (new_oracle, [TRANSLATE-CHAR0])."""
     f = oracle.f
     r = f.ord_last()
-    xm, gamma_z = _translation_gamma(oracle)
+    xm, gamma_z, coords = _xm_place(oracle)
+    if coords is None:
+        raise PreconditionError(
+            "value(x_m) is already outside the base group; run the Perron step"
+        )
     a_prev = f.coeffs_last()[r - 1]
     if a_prev.is_zero:
         raise BinomialObstruction("a_{r-1} vanishes identically")
@@ -283,82 +287,75 @@ def char0_translate(oracle: ArcValuation):
     if not va.is_finite or va.value != gamma_z.value:
         raise BinomialObstruction("value(a_{r-1}) differs from value(x_m)")
 
-    values = oracle.variable_values()[: frame.m - 1] + [gamma_z.value]
-    sigma = {**_sigma_of({l: pairing(d + (l,), values)
-                          for l, d in _term_exponents(f).items()}), "dvecs": {}}
+    _, sigma = _sigma_block(oracle, gamma_z.value)
+    sigma["dvecs"] = {}
     subleading = sigma["sigmas"][-2] == r - 1
 
     omega = oracle.residue(xm, a_prev)
     h = a_prev * omega
-    f_new = f.translate_last(h)
-    oracle_new = oracle.translated(h, f_new)
-    new_gamma = oracle_new.value(xm)
+    oracle_new, new_gamma = _translate(oracle, h)
     if new_gamma.is_finite and not gamma_z.value < new_gamma.value:
         raise InternalContradiction("translation did not increase value(x_m)")
-    derivative_bound = oracle.value(f.partial_last())
-    step = TraceStep("TRANSLATE-CHAR0", {
+    return oracle_new, [TraceStep("TRANSLATE-CHAR0", {
         "omega": str(omega),
         "h": str(h),
         "sigma": sigma,
         "sigma_t_minus_1_eq_r_minus_1": subleading,
         "value_before": str(gamma_z),
         "value_after": str(new_gamma),
-        "derivative_value": str(derivative_bound),
-        "f_after": str(f_new),
-        "generation": frame.generation,
-    })
-    if f_new.ord_last() != r:
-        raise InternalContradiction("translation changed the multiplicity")
-    return oracle_new, step
+        "derivative_value": str(oracle.value(f.partial_last())),
+        "f_after": str(oracle_new.f),
+        "generation": oracle.frame.generation,
+    })]
 
 
 def defectless_translate(oracle: ArcValuation, bounds: Bounds = Bounds()):
     """Translate x_m by its best base-ring approximation.
 
-    MAX-OUTSIDE makes the Perron precondition hold.  NO-MAX with a finite
-    in-group ladder raises DEFECT-SUSPECTED (the no-largest-element
-    signature); an infinite gamma certifies that x_m agrees with a base
-    element and raises CASE2-SIGNAL instead.
+    MAX-OUTSIDE makes the Perron precondition hold: returns (new_oracle,
+    [TRANSLATE-DEFECTLESS]).  EXACT-MATCH certifies that x_m agrees with a
+    base element, and ``case2_finish`` ends the run.  Any other ladder, and
+    a case 2 that fails, raise DEFECT-SUSPECTED with the diagnostics the
+    trace prints.
     """
-    xm, _ = _translation_gamma(oracle)
+    _, _, coords = _xm_place(oracle)
+    if coords is None:
+        raise PreconditionError(
+            "value(x_m) is already outside the base group; run the Perron step"
+        )
     approx = oracle.best_approx(bounds.max_approx_steps)
+    ladder = [str(v) for v in approx.ladder]
+    if approx.reason == "EXACT-MATCH":
+        try:
+            return case2_finish(oracle)
+        except NotCase2 as exc:
+            raise DefectSuspected(f"case 2 failed: {exc}", case2_rejected=str(exc),
+                                  ladder=ladder, reason="NOT-CASE2") from exc
     if approx.status != "MAX-OUTSIDE":
-        if approx.gamma.is_infinite:
-            raise Case2Signal("x_m agrees with a base element", approx=approx)
         raise DefectSuspected(
             f"approximation ladder stayed in the base group ({approx.reason})",
-            ladder=approx.ladder,
-            reason=approx.reason,
+            ladder=ladder, reason=approx.reason,
         )
-    h = approx.h
-    f_new = oracle.f.translate_last(h)
-    oracle_new = oracle.translated(h, f_new)
-    new_gamma = oracle_new.value(xm)
+    oracle_new, new_gamma = _translate(oracle, approx.h)
     if not new_gamma.is_finite or oracle_new.base_coords(new_gamma.value) is not None:
         raise InternalContradiction("translation failed to leave the base group")
-    if f_new.ord_last() != oracle.f.ord_last():
-        raise InternalContradiction("translation changed the multiplicity")
-    step = TraceStep("TRANSLATE-DEFECTLESS", {
-        "h": str(h),
+    return oracle_new, [TraceStep("TRANSLATE-DEFECTLESS", {
+        "h": str(approx.h),
         "gamma": str(approx.gamma),
-        "ladder": [str(v) for v in approx.ladder],
-        "f_after": str(f_new),
+        "ladder": ladder,
+        "f_after": str(oracle_new.f),
         "generation": oracle.frame.generation,
-    })
-    return oracle_new, step
+    })]
 
 
 def case2_finish(oracle: ArcValuation):
     """Finish the run when x_m is (to the trusted window) a base element:
     substitute x_m = x^b (x_m' + beta) with beta the residue of the unit
-    part, then verify the strict transform is smooth.  Raises NOT-CASE2 when
-    the certificate fails re-verification."""
+    part, then verify the strict transform is smooth.  Returns (new_oracle,
+    [CASE2, STRICT-TRANSFORM]); raises NOT-CASE2 when the certificate fails
+    re-verification."""
     frame, field = oracle.frame, oracle.field
-    xm = _xm(oracle)
-    gamma_z = oracle.value(xm)
-    if not gamma_z.is_finite:
-        raise NotCase2("value(x_m) is not finite")
-    coords = oracle.base_coords(gamma_z.value)
+    xm, gamma_z, coords = _xm_place(oracle)
     if coords is None:
         raise NotCase2("value(x_m) is not in the base group")
     n = frame.n
@@ -374,18 +371,24 @@ def case2_finish(oracle: ArcValuation):
     tau = PerronTransform(kind="A1", matrix=tuple(tuple(r) for r in matrix),
                           frame=frame, c=beta)
 
-    def check_order(r1):
-        if r1 != 1:
-            raise NotCase2(f"strict transform has order {r1}, expected 1")
-
-    return _strict_step(oracle, tau, "CASE2", {
+    oracle1, steps = _strict_step(oracle, tau, "CASE2", {
         "transform": tau.document(),
         "beta": str(beta),
         "b": b,
         "old_values": [
             str(v) for v in oracle.variable_values()[:n] + [gamma_z.value]
         ],
-    }, NotCase2, check_order)
+    })
+    try:
+        _strict_sanity(oracle1.f)
+    except InputError as exc:
+        raise NotCase2(str(exc)) from exc
+    r1 = oracle1.f.ord_last()
+    if r1 != 1:
+        raise NotCase2(f"strict transform has order {r1}, expected 1")
+    if not oracle1.arc_consistency():
+        raise NotCase2("transformed arc left the strict transform")
+    return oracle1, steps
 
 
 @dataclass
@@ -420,51 +423,31 @@ def run_reduction(oracle: ArcValuation, bounds: Bounds = Bounds()) -> ReductionR
         return ReductionResult(status, oracle, trace, r0, r,
                                initial_ring, diagnostics)
 
-    while True:
-        if oracle.f.ord_last() == 1:
-            return finish("REDUCED-TO-SMOOTH")
-        gamma_z = oracle.value(_xm(oracle))
-        if gamma_z.is_above:
-            return finish("BOUND-EXHAUSTED", reason="TRUNCATION")
-        if gamma_z.is_infinite:
-            raise InputError("x_m is a local equation of f; bad input")
-        in_group = oracle.base_coords(gamma_z.value) is not None
-        try:
-            if not in_group:
+    try:
+        while oracle.f.ord_last() != 1:
+            _, _, coords = _xm_place(oracle)
+            if coords is None:
                 oracle, steps = lrm_step(oracle, bounds)
-                trace.extend(steps)
-                continue
-            if translations >= bounds.max_translations:
+            elif translations >= bounds.max_translations:
                 return finish("BOUND-EXHAUSTED", reason="TRANSLATION-BOUND")
-            translations += 1
-            if not oracle.field.modular:
-                try:
-                    oracle, step = char0_translate(oracle)
-                    trace.append(step)
-                    continue
-                except BinomialObstruction as exc:
-                    diagnostics.setdefault("binomial_obstruction", str(exc))
-            oracle, step = defectless_translate(oracle, bounds)
-            trace.append(step)
-        except DefectSuspected as exc:
-            return finish(
-                "DEFECT-SUSPECTED",
-                ladder=[str(v) for v in exc.ladder],
-                reason=exc.reason,
-            )
-        except Case2Signal as exc:
-            try:
-                oracle, steps = case2_finish(oracle)
-                trace.extend(steps)
-            except NotCase2 as inner:
-                return finish(
-                    "DEFECT-SUSPECTED",
-                    case2_rejected=str(inner),
-                    ladder=[str(v) for v in exc.approx.ladder] if exc.approx else [],
-                    reason="NOT-CASE2",
-                )
-        except (StepBoundExceeded, TruncationExhausted) as exc:
-            return finish("BOUND-EXHAUSTED", reason=exc.code, detail=str(exc))
+            else:
+                translations += 1
+                steps = None
+                if not oracle.field.modular:
+                    try:
+                        oracle, steps = char0_translate(oracle)
+                    except BinomialObstruction as exc:
+                        diagnostics.setdefault("binomial_obstruction", str(exc))
+                if steps is None:
+                    oracle, steps = defectless_translate(oracle, bounds)
+            trace.extend(steps)
+    except DefectSuspected as exc:
+        return finish("DEFECT-SUSPECTED", **exc.diagnostics)
+    except TruncationExhausted:
+        return finish("BOUND-EXHAUSTED", reason="TRUNCATION")
+    except StepBoundExceeded as exc:
+        return finish("BOUND-EXHAUSTED", reason=exc.code, detail=str(exc))
+    return finish("REDUCED-TO-SMOOTH")
 
 
 # ---------------------------------------------------------------------------

@@ -322,6 +322,23 @@ class TestReduce:
         assert main(["reduce", "--oracle", oracle, "--trunc", "abc"]) == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_trunc_override_is_the_window_recorded_and_run(self, tmp_path, capsys):
+        # the F_2 defect curve cut at 20; --trunc 60 widens the window to the
+        # arc's last term t^33, and the trace records the window the run used
+        terms = " + ".join(f"t^{1 + 2**i}" for i in range(6))
+        doc = {"version": 1, "kind": "arc", "ring": {"m": 2, "char": 2, "n": 1},
+               "f": "x2^2 + x1*x2 + x1^3", "arc": {"x1": "t", "x2": terms}, "trunc": 20}
+        oracle = write(tmp_path, "defect.json", doc)
+        assert main(["reduce", "--oracle", oracle, "--trunc", "60"]) == 3
+        trace = json.loads(capsys.readouterr().out)
+        assert trace["oracle"]["trunc"] == "60"
+        recorded = write(tmp_path, "recorded.json", trace["oracle"])
+        assert main(["reduce", "--oracle", recorded]) == 3
+        again = json.loads(capsys.readouterr().out)
+        assert again["oracle"]["trunc"] == "60"
+        assert trace["diagnostics"]["ladder"] == again["diagnostics"]["ladder"]
+        assert trace["diagnostics"]["ladder"] == ["2", "3", "5", "9", "17", "33"]
+
 
 class TestPerron:
     def test_divide_document(self, tmp_path, capsys):
@@ -451,3 +468,26 @@ class TestRoundTrip:
             assert main(["reduce", "--oracle", oracle, "--out", str(out)]) == 0
             emitted = json.loads(out.read_text())
             assert replay_matches(emitted)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["reduce", "--oracle", "{weights}"], "reduce needs an arc oracle document"),
+    (["reduce", "--oracle", "{bad_arc}"], "arc is inconsistent with the hypersurface"),
+    (["chain", "value", "--oracle", "{cusp}", "--poly", "x2"],
+     "chain value needs a chain oracle document"),
+    (["perron", "divide", "--weights", "{cusp}", "--m1", "x1", "--m2", "x2"],
+     "perron divide needs a monomial oracle document"),
+    (["perron", "divide", "--weights", "{weights}", "--m1", "x1 + x2", "--m2", "x2"],
+     "'x1 + x2' is not a monomial"),
+    (["perron", "monomialize", "--weights", "{cusp}", "--poly", "x1"],
+     "perron monomialize needs a monomial oracle document"),
+], ids=["reduce-kind", "reduce-inconsistent-arc", "chain-kind", "divide-kind",
+        "divide-non-monomial", "monomialize-kind"])
+def test_refusal_is_an_input_error(tmp_path, capsys, argv, message):
+    paths = {"cusp": write(tmp_path, "cusp.json", CUSP),
+             "weights": write(tmp_path, "w.json", WEIGHTS),
+             "bad_arc": write(tmp_path, "bad.json", {**CUSP, "f": "x2^2 - x1^5"})}
+    assert main([a.format(**paths) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: INPUT: {message}\n"

@@ -8,7 +8,6 @@ import pytest
 
 from perronval.errors import (
     BinomialObstruction,
-    Case2Signal,
     DefectSuspected,
     InputError,
     NotCase2,
@@ -107,7 +106,7 @@ class TestLrmStep:
 class TestChar0Translate:
     def test_tacnode(self):
         oracle = oracle_from_document(TACNODE)
-        new, step = char0_translate(oracle)
+        new, (step,) = char0_translate(oracle)
         assert step.payload["omega"] == "-1/2"
         assert step.payload["h"] == "x1"
         assert step.payload["sigma"]["sigmas"] == [0, 1, 2]
@@ -140,7 +139,7 @@ class TestChar0Translate:
 class TestDefectlessTranslate:
     def test_char2_curve(self):
         oracle = oracle_from_document(CHAR2_CURVE)
-        new, step = defectless_translate(oracle)
+        new, (step,) = defectless_translate(oracle)
         assert step.payload["h"] == "x1^2 + x1"
         assert step.payload["gamma"] == "5/2"
         assert str(new.f) == "x1^5 + x2^2"
@@ -151,7 +150,7 @@ class TestDefectlessTranslate:
         oracle = oracle_from_document(defect_doc(2))
         with pytest.raises(DefectSuspected) as err:
             defectless_translate(oracle)
-        assert [str(v) for v in err.value.ladder] == ["2", "3", "5", "9", "17", "33"]
+        assert err.value.diagnostics["ladder"] == ["2", "3", "5", "9", "17", "33"]
 
     def test_precondition_outside_group(self):
         oracle = oracle_from_document(CUSP)
@@ -186,7 +185,7 @@ class TestCase2:
             "arc": {"x1": "t", "x2": "t"},
         }
         oracle = oracle_from_document(doc)
-        with pytest.raises(Case2Signal):
+        with pytest.raises(DefectSuspected, match="splits off"):
             defectless_translate(oracle)
         with pytest.raises(NotCase2):
             case2_finish(oracle)
@@ -284,6 +283,35 @@ class TestDriver:
         assert [s.kind for s in res.trace] == ["A1", "STRICT-TRANSFORM"]
         assert res.trace[0].payload["sigma"]["sigmas"] == [0, 2, 4]
         assert replay_matches(trace_document(res, doc))
+
+    @pytest.mark.parametrize("doc, final_f, diagnostics", [
+        ({"version": 1, "kind": "arc", "ring": {"m": 2, "char": 5, "n": 1},
+          "f": "x2^2 - 3*x1*x2 + 2*x1^2", "arc": {"x1": "t", "x2": "t"}},
+         "2*x1^2 + 2*x1*x2 + x2^2",
+         {"case2_rejected": "strict transform splits off the last variable; "
+                            "the input hypersurface was reducible",
+          "ladder": ["1"], "reason": "NOT-CASE2"}),
+        (arcdoc(0, "x2^2 - x1^2 - x1^3", SQRT_ARC, trunc=9),
+         "-x1^3 - x1^2 + x2^2",
+         {"binomial_obstruction": "a_{r-1} vanishes identically",
+          "ladder": [str(k) for k in range(1, 9)], "reason": "TRUNCATION"}),
+    ], ids=["not-case2", "binomial-obstruction"])
+    def test_paths_the_corpus_never_reaches(self, doc, final_f, diagnostics):
+        """The whole trace document of a run that rejects case 2 (two lines
+        x2 = x1, x2 = 2*x1 over F_5 on the exact arc of the first) and of one
+        whose char-0 translation meets a vanishing a_{r-1} (the node
+        x2^2 - x1^2 - x1^3 on one branch).  Both pin today's behaviour, a
+        DEFECT-SUSPECTED end with no step; ROADMAP item 1 (an in-group Perron
+        step) is meant to change both, and then this expectation with it."""
+        res = run_reduction(oracle_from_document(doc))
+        expected = {
+            "version": 1, "status": "DEFECT-SUSPECTED", "r_initial": 2, "r_final": 2,
+            "ring": f"ring m=2 char={doc['ring']['char']} n=1", "steps": [],
+            "final_f": final_f, "final_generation": 0, "diagnostics": diagnostics,
+            "oracle": doc, "initial_f": doc["f"],
+        }
+        assert (json.dumps(trace_document(res, doc), sort_keys=True)
+                == json.dumps(expected, sort_keys=True))
 
 
 LADDER_PAIRS = [(a, b) for a in range(3, 9) for b in range(a + 1, 2 * a) if math.gcd(a, b) == 1]
@@ -468,9 +496,9 @@ class TestFactsTheReductionRestsOn:
             return oracle1, steps
 
         def recording_translate(oracle):
-            oracle1, step = char0_translate(oracle)
+            oracle1, (step,) = char0_translate(oracle)
             record("TRANSLATE-CHAR0", oracle, step)
-            return oracle1, step
+            return oracle1, [step]
 
         monkeypatch.setattr(reduce_module, "lrm_step", recording_lrm)
         monkeypatch.setattr(reduce_module, "char0_translate", recording_translate)
