@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -15,6 +16,8 @@ from perronval.errors import (
 from perronval.scalars import INFINITE
 from perronval.valgroup import (
     RATIONAL,
+    GeneratorContext,
+    Value,
     ValueLattice,
     pairing,
     det_int,
@@ -385,3 +388,196 @@ class TestValueLiterals:
     def test_wrong_d(self):
         with pytest.raises(InputError):
             parse_value(Q2, "sqrt(3)")
+
+
+class TestCoordinateTypes:
+    """Coordinates, scale factors and pairing coefficients are exact: an int
+    (not a bool) or a Fraction; a float or anything else raises InputError."""
+
+    BAD = [0.1, 0.5, True, "1/2", Decimal("0.5"), None]
+
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    def test_context_value(self, bad):
+        with pytest.raises(InputError):
+            RATIONAL.value(bad)
+        with pytest.raises(InputError):
+            Q2.value(1, bad)
+
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    def test_constructor(self, bad):
+        with pytest.raises(InputError):
+            Value(Q2, (bad, 0))
+
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    def test_scale(self, bad):
+        with pytest.raises(InputError):
+            Q2.value(1, 1).scale(bad)
+
+    @pytest.mark.parametrize("bad", BAD + [F(1, 2), F(2)], ids=repr)
+    def test_pairing_coefficient(self, bad):
+        with pytest.raises(InputError):
+            pairing((1, bad), (Q2.value(1, 0), Q2.value(0, 1)))
+
+    @pytest.mark.parametrize("bad", [2.0, True, "2", F(2)], ids=repr)
+    def test_quadratic_d(self, bad):
+        with pytest.raises(InputError):
+            quadratic(bad)
+
+    def test_exact_coordinates_are_stored_over_one_denominator(self):
+        v = Q2.value(F(3, 4), F(-5, 6))
+        assert (v.nums, v.den) == ((9, -10), 12)
+        assert v.coords == (F(3, 4), F(-5, 6))
+        w = v.scale(F(4, 3))  # (1, -10/9)
+        assert (w.nums, w.den) == ((9, -10), 9)
+        assert Q2.value(2, F(4, 2)).den == 1
+
+    def test_one_context_object_per_d(self):
+        assert quadratic(2) is quadratic(2)
+        assert quadratic(2) == GeneratorContext("quadratic", 2)
+        assert Q2.value(1, 0) == GeneratorContext("quadratic", 2).value(1, 0)
+
+
+# ---------------------------------------------------------------------------
+# Value against a naive Fraction reference: a value is a tuple of Fraction
+# coordinates, and a + b*sqrt(d) has the sign of a when a and b agree, else
+# the sign of a times the sign of a^2 - d*b^2.
+
+CONTEXTS = [RATIONAL, quadratic(2), quadratic(3), quadratic(5)]
+PELL_UNITS = {2: (1, 1), 3: (2, 1), 5: (2, 1)}  # fundamental x + y*sqrt(d)
+
+
+def _pell(d, k):
+    """(x, y) with x + y*sqrt(d) the k-th power of the fundamental unit, so
+    x^2 - d*y^2 = +-1."""
+    x0, y0 = PELL_UNITS[d]
+    x, y = 1, 0
+    for _ in range(k):
+        x, y = x * x0 + d * y * y0, x * y0 + y * x0
+    return x, y
+
+
+def _ref_sign(coords, d):
+    a = coords[0]
+    b = coords[1] if d is not None else 0
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sb == 0 or sa == sb:
+        return sa
+    if sa == 0:
+        return sb
+    norm = a * a - d * b * b
+    return sa * ((norm > 0) - (norm < 0))
+
+
+_BIG = st.integers(min_value=10 ** 200, max_value=10 ** 240)
+_HUGE = st.builds(lambda s, n: s * n, st.sampled_from((1, -1)), _BIG)
+_COORD = st.one_of(
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    st.integers(min_value=-50, max_value=50),
+    _HUGE,
+    st.builds(F, _HUGE, _BIG),
+)
+_SCALE = st.one_of(st.integers(min_value=-30, max_value=30), _HUGE,
+                   st.fractions(max_denominator=40), st.builds(F, _HUGE, _BIG))
+
+
+@st.composite
+def _coords(draw, ctx):
+    """Coordinates of a value of ctx; in a quadratic context one draw in
+    four is a near-cancellation s*(x - y*sqrt(d)) from a Pell solution."""
+    if ctx.d is not None and draw(st.integers(0, 3)) == 0:
+        x, y = _pell(ctx.d, draw(st.integers(1, 700)))
+        s = draw(st.fractions(min_value=-5, max_value=5, max_denominator=9).filter(bool))
+        return (s * x, -s * y)
+    return tuple(F(draw(_COORD)) for _ in range(ctx.dim))
+
+
+@st.composite
+def _context_and_coords(draw, n):
+    ctx = draw(st.sampled_from(CONTEXTS))
+    return ctx, [draw(_coords(ctx)) for _ in range(n)]
+
+
+def _canonical(v):
+    return v.den > 0 and math.gcd(v.den, *v.nums) == 1
+
+
+class TestValueAgainstFractionReference:
+    @settings(max_examples=150, deadline=None)
+    @given(_context_and_coords(2), _SCALE)
+    def test_arithmetic(self, data, q):
+        ctx, (a, b) = data
+        u, v = ctx.value(*a), ctx.value(*b)
+        assert u.coords == a and _canonical(u)
+        cases = [(u + v, [x + y for x, y in zip(a, b)]),
+                 (u - v, [x - y for x, y in zip(a, b)]),
+                 (-u, [-x for x in a]),
+                 (u.scale(q), [F(q) * x for x in a])]
+        for got, want in cases:
+            assert got.coords == tuple(want) and _canonical(got)
+            assert got.is_zero == (not any(want))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_context_and_coords(2))
+    def test_sign_and_comparisons(self, data):
+        ctx, (a, b) = data
+        u, v = ctx.value(*a), ctx.value(*b)
+        assert u.sign() == _ref_sign(a, ctx.d)
+        s = _ref_sign([x - y for x, y in zip(a, b)], ctx.d)
+        assert ((u < v), (u <= v), (u > v), (u >= v), (u == v)) == (
+            s < 0, s <= 0, s > 0, s >= 0, s == 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_context_and_coords(2), st.integers(min_value=2, max_value=10 ** 30))
+    def test_equal_values_hash_equal(self, data, k):
+        ctx, (a, b) = data
+        u, v = ctx.value(*a), ctx.value(*b)
+        routes = [u + v - v, (u - v) + v, -(-u), u.scale(k).scale(F(1, k)),
+                  u.scale(F(k, 2 * k)).scale(2), ctx.value(*u.coords),
+                  pairing((k, 1 - k), (u, u)), parse_value(ctx, format_value(u))]
+        memo = {u: "u"}
+        for w in routes:
+            assert w == u and hash(w) == hash(u) and memo.get(w) == "u"
+            assert (w.nums, w.den) == (u.nums, u.den)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_context_and_coords(3), st.lists(st.integers(-10 ** 40, 10 ** 40), min_size=1, max_size=4))
+    def test_pairing(self, data, exps):
+        ctx, coords = data
+        values = [ctx.value(*c) for c in coords]
+        want = [sum((e * c[i] for e, c in zip(exps, coords)), F(0)) for i in range(ctx.dim)]
+        got = pairing(exps, values)
+        assert got.coords == tuple(want) and _canonical(got)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_context_and_coords(1))
+    def test_literal_round_trip(self, data):
+        ctx, (a,) = data
+        u = ctx.value(*a)
+        assert parse_value(ctx, format_value(u)) == u
+
+    @pytest.mark.parametrize("d", sorted(PELL_UNITS))
+    def test_pell_near_cancellations(self, d):
+        ctx = quadratic(d)
+        for k in range(1, 701, 7):
+            x, y = _pell(d, k)
+            norm = x * x - d * y * y
+            assert norm in (1, -1)
+            # x - y*sqrt(d) = norm / (x + y*sqrt(d)): tiny, with the sign of norm
+            assert ctx.value(x, -y).sign() == norm
+            assert ctx.value(-x, y).sign() == -norm
+            assert (ctx.value(x, 0) > ctx.value(0, y)) == (norm > 0)
+            assert ctx.value(F(x, 3), F(-y, 3)).sign() == norm
+
+    def test_group_operations_build_no_fraction(self, monkeypatch):
+        u, v, q = Q2.value(F(3, 4), F(-5, 6)), Q2.value(F(7, 2), 1), F(2, 9)
+
+        def refuse(cls, *args, **kwargs):
+            raise AssertionError("a Fraction was built")
+
+        monkeypatch.setattr(F, "__new__", staticmethod(refuse))
+        results = [u + v, u - v, -u, u.scale(q), u.scale(3), pairing((2, -3), (u, v)),
+                   u.sign(), u < v, u <= v, u > v, u >= v, u == v, hash(u)]
+        monkeypatch.undo()
+        assert results[:6] == [Q2.value(F(17, 4), F(1, 6)), Q2.value(F(-11, 4), F(-11, 6)),
+                               Q2.value(F(-3, 4), F(5, 6)), Q2.value(F(1, 6), F(-5, 27)),
+                               Q2.value(F(9, 4), F(-5, 2)), Q2.value(-9, F(-14, 3))]
