@@ -15,6 +15,7 @@ import sys
 from .defect import ExtensionData, FamilyDecomposition, SimpleFamily, consistency, jump_total, ostrowski
 from .errors import InputError, PerronvalError
 from .oracle import (
+    DOCUMENT_VERSION,
     ArcValuation,
     AugmentedChain,
     MonomialValuation,
@@ -111,7 +112,7 @@ def cmd_perron_divide(args) -> int:
     m1 = _parse_monomial(oracle, args.m1)
     m2 = _parse_monomial(oracle, args.m2)
     tau = build_a6_divide(m1, m2, oracle.weights, oracle.frame, bound=bound)
-    doc = {"version": 1, **tau.document()}
+    doc = {"version": DOCUMENT_VERSION, **tau.document()}
     sys.stdout.write(_dump(doc))
     return EXIT_OK
 
@@ -124,7 +125,7 @@ def cmd_perron_monomialize(args) -> int:
     poly = parse_polynomial(oracle.frame, oracle.field, args.poly)
     result = monomialize(poly, oracle.weights, oracle.frame, bound=bound)
     doc = {
-        "version": 1,
+        "version": DOCUMENT_VERSION,
         "transforms": [t.document() for t in result.transforms],
         "exponents": list(result.exponents),
         "unit": str(result.unit),

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, JumpNotGtOne, NotOstrowski
-from .scalars import format_raw, is_prime
+from .scalars import check_ints, format_raw, is_prime
 
 
 @dataclass(frozen=True)
@@ -33,6 +33,7 @@ class ExtensionData:
     p: int = 1
 
     def __post_init__(self):
+        check_ints("degree, e, f or p", self.degree, self.e, self.fres, self.p)
         if self.degree <= 0 or self.e <= 0 or self.fres <= 0:
             raise InputError("degree, e and f must be positive")
         if self.p != 1 and not is_prime(self.p):
@@ -67,6 +68,7 @@ class SimpleFamily:
     stable_degree: int
 
     def __post_init__(self):
+        check_ints("a key polynomial degree", self.first_degree, self.stable_degree)
         if self.first_degree <= 0 or self.stable_degree <= 0:
             raise InputError("key polynomial degrees are positive")
         if self.stable_degree < self.first_degree:

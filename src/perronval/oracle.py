@@ -33,7 +33,7 @@ from .errors import (
 )
 from .poly import Polynomial, VariableFrame, parse_polynomial
 from .scalars import (
-    FieldSpec, PuiseuxSeries, Scalar, format_series, parse_integer, parse_rational, parse_series,
+    FieldSpec, PuiseuxSeries, Scalar, parse_integer, parse_rational, parse_series,
 )
 from .valgroup import (
     GeneratorContext,
@@ -48,6 +48,7 @@ from .valgroup import (
     rational_relation,
 )
 
+# the version every document carries: oracle, trace and CLI output
 DOCUMENT_VERSION = 1
 
 
@@ -68,7 +69,7 @@ class ValueResult:
         return cls("infinite")
 
     @classmethod
-    def above(cls, bound: Value | None) -> "ValueResult":
+    def above(cls, bound: Value) -> "ValueResult":
         return cls("above", bound)
 
     @property
@@ -88,8 +89,7 @@ class ValueResult:
             return format_value(self.value)
         if self.kind == "infinite":
             return "INFINITE"
-        inner = format_value(self.value) if self.value is not None else "?"
-        return f"ABOVE-TRUNCATION({inner})"
+        return f"ABOVE-TRUNCATION({format_value(self.value)})"
 
 
 class MonomialValuation:
@@ -137,22 +137,14 @@ class MonomialValuation:
                 best = v
         return ValueResult.finite(best)
 
-    def min_monomials(self, g: Polynomial):
-        """Monomials of g achieving the minimal weight."""
-        target = self.value(g)
-        if not target.is_finite:
-            raise InputError("no minimal monomial for the zero polynomial")
-        return [
-            mono for mono in g.terms
-            if pairing(mono, self.weights) == target.value
-        ]
-
     def residue(self, g: Polynomial, u: Polynomial) -> Scalar:
         vg, vu = self.value(g), self.value(u)
         if not (vg.is_finite and vu.is_finite) or vg.value != vu.value:
             raise ValueMismatch("residue needs equal finite values")
-        mg, mu = self.min_monomials(g), self.min_monomials(u)
-        if len(mg) != 1 or len(mu) != 1 or mg[0] != mu[0]:
+        # the monomials of g and of u that reach the common value
+        mg, mu = ([mono for mono in p.terms if pairing(mono, self.weights) == vg.value]
+                  for p in (g, u))
+        if len(mg) != 1 or mg != mu:
             raise Unsupported("residue needs a unique shared leading monomial")
         # stored values are raw: over Q, int / int would be a float
         return self.field.scalar(g.terms[mg[0]]) / u.terms[mu[0]]
@@ -160,11 +152,12 @@ class MonomialValuation:
 
 @dataclass(frozen=True)
 class BestApprox:
-    """Result of the greedy approximation of the last variable from below."""
+    """Result of the greedy approximation of the last variable from below:
+    a ``reason`` of None means MAX-OUTSIDE, any other reason that the
+    ladder found no maximum up to its bound (NO-MAX-UP-TO-BOUND)."""
 
     h: Polynomial
     gamma: ValueResult
-    status: str  # "MAX-OUTSIDE" | "NO-MAX-UP-TO-BOUND"
     ladder: tuple
     reason: str | None = None  # "STEP-BOUND" | "TRUNCATION" | "EXACT-MATCH"
 
@@ -196,7 +189,6 @@ class ArcValuation:
             if q is not None and q <= 0:
                 raise InputError("arc series must vanish at the origin")
         self.arc = arc
-        self.trunc = Fraction(trunc) if trunc is not None else None
         self.normalization = normalization if normalization is not None else RATIONAL.value(1)
         if self.normalization.sign() <= 0:
             raise InputError("the normalization must be positive")
@@ -300,8 +292,8 @@ class ArcValuation:
         """Greedy residue-matching approximation of z (the class of x_m) by
         base-ring polynomials h'.  Each step strictly increases
         value(x_m - h'); stops at a value outside the base group
-        (MAX-OUTSIDE) or after ``bound`` steps / window exhaustion
-        (NO-MAX-UP-TO-BOUND, with the reason recorded)."""
+        (MAX-OUTSIDE, no reason) or after ``bound`` steps / window
+        exhaustion (NO-MAX-UP-TO-BOUND, with the reason recorded)."""
         frame, field = self.frame, self.field
         h = Polynomial.zero(frame, field)
         xm = Polynomial.variable(frame, field, frame.m - 1)
@@ -310,18 +302,15 @@ class ArcValuation:
         while True:
             gamma = self.value(xm - h)
             if gamma.is_infinite:
-                return BestApprox(h, gamma, "NO-MAX-UP-TO-BOUND", tuple(ladder),
-                                  reason="EXACT-MATCH")
+                return BestApprox(h, gamma, tuple(ladder), "EXACT-MATCH")
             if gamma.is_above:
-                return BestApprox(h, gamma, "NO-MAX-UP-TO-BOUND", tuple(ladder),
-                                  reason="TRUNCATION")
+                return BestApprox(h, gamma, tuple(ladder), "TRUNCATION")
             ladder.append(gamma.value)
             coords = self.base_coords(gamma.value)
             if coords is None:
-                return BestApprox(h, gamma, "MAX-OUTSIDE", tuple(ladder))
+                return BestApprox(h, gamma, tuple(ladder))
             if steps >= bound:
-                return BestApprox(h, gamma, "NO-MAX-UP-TO-BOUND", tuple(ladder),
-                                  reason="STEP-BOUND")
+                return BestApprox(h, gamma, tuple(ladder), "STEP-BOUND")
             if any(c < 0 for c in coords):
                 raise Unsupported(
                     "witness monomial needs negative exponents; outside the "
@@ -332,28 +321,6 @@ class ArcValuation:
             rho = self.residue(xm - h, witness)
             h = h + witness * rho
             steps += 1
-
-    def document(self) -> dict:
-        doc = {
-            "version": DOCUMENT_VERSION,
-            "kind": "arc",
-            "ring": {
-                "m": self.frame.m,
-                "n": self.frame.n,
-                "char": self.field.characteristic,
-                "gen": self.frame.generation,
-            },
-            "f": str(self.f),
-            "arc": {
-                self.frame.var_name(i): format_series(self.arc[i])
-                for i in range(self.frame.m)
-            },
-        }
-        if self.trunc is not None:
-            doc["trunc"] = str(self.trunc)
-        if self.normalization != RATIONAL.value(1):
-            doc["normalization"] = format_value(self.normalization)
-        return doc
 
 
 class AugmentedChain:
@@ -455,6 +422,15 @@ def _typed(value, kind: type, what: str):
     return value
 
 
+def _versioned(doc, what: str) -> dict:
+    """``doc`` when it is a JSON object whose ``version``, if given, is the
+    int DOCUMENT_VERSION (not ``true`` or ``1.0``); otherwise InputError."""
+    version = _typed(doc, dict, what).get("version", DOCUMENT_VERSION)
+    if type(version) is not int or version != DOCUMENT_VERSION:
+        raise InputError(f"unsupported document version {version!r}")
+    return doc
+
+
 def _required(doc: dict, key: str, kind: str):
     if key not in _typed(doc, dict, f"{kind} document"):
         raise InputError(f"{kind} document is missing {key!r}")
@@ -470,10 +446,7 @@ def parse_trunc(text) -> Fraction:
 
 def oracle_from_document(doc: dict):
     """Build an oracle from its JSON document (see the README for formats)."""
-    _typed(doc, dict, "oracle document")
-    if doc.get("version") not in (None, DOCUMENT_VERSION):
-        raise InputError(f"unsupported document version {doc.get('version')!r}")
-    kind = doc.get("kind")
+    kind = _versioned(doc, "oracle document").get("kind")
     if kind == "arc":
         frame, field = parse_ring(doc.get("ring", {}))
         trunc = parse_trunc(doc["trunc"]) if "trunc" in doc else None

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .oracle import _required, _typed
 from .poly import Polynomial, VariableFrame
-from .scalars import FieldSpec, Scalar, parse_integer, parse_rational
+from .scalars import FieldSpec, Scalar, check_ints, parse_integer, parse_rational
 from .valgroup import (
     Value,
     det_int,
@@ -63,8 +63,8 @@ class PerronTransform:
             raise InputError(f"unknown transform kind {self.kind!r}")
         if len(self.matrix) != size or any(len(r) != size for r in self.matrix):
             raise InputError(f"{self.kind} matrix must be {size}x{size}")
-        if any(e < 0 for row in self.matrix for e in row):
-            raise InputError("Perron matrices have nonnegative entries")
+        if any(type(e) is not int or e < 0 for row in self.matrix for e in row):
+            raise InputError("Perron matrix entries are nonnegative ints")
         if det_int(self.matrix) != 1:
             raise InputError("Perron matrices have determinant 1")
         if self.kind == "A1":
@@ -219,15 +219,14 @@ def build_a6_divide(m1, m2, weights, frame: VariableFrame,
                            frame=frame)
 
 
-def build_a1(weights, gamma: Value, frame: VariableFrame, *, residue=None,
-             c: Scalar | None = None,
+def build_a1(weights, gamma: Value, frame: VariableFrame, *, residue,
              bound: int = DEFAULT_STEP_BOUND) -> PerronTransform:
     """Perron transform of type A1 for active values (w_1..w_n) and a
     rationally dependent positive gamma = value(x_m).
 
     ``residue`` is a callable taking the Laurent exponent vector of the unit
-    monomial over (x_1..x_n, x_m) and returning its residue; it supplies the
-    nonzero constant c unless ``c`` is given directly.
+    monomial over (x_1..x_n, x_m) and returning its residue, the nonzero
+    constant c.
     """
     n = frame.n
     if len(weights) < n:
@@ -257,13 +256,8 @@ def build_a1(weights, gamma: Value, frame: VariableFrame, *, residue=None,
     for i in range(n):
         if values[i].sign() <= 0:
             raise StepBoundExceeded("subtractive loop lost positivity")
-    if c is None:
-        if residue is None:
-            raise InputError("build_a1 needs a residue callable or explicit c")
-        inv = unimodular_inverse(matrix)
-        c = residue(tuple(inv[last]))
-    if c.is_zero:
-        raise InputError("the A1 constant must be nonzero")
+    # PerronTransform refuses a zero residue
+    c = residue(tuple(unimodular_inverse(matrix)[last]))
     return PerronTransform(kind="A1", matrix=tuple(tuple(r) for r in matrix),
                            frame=frame, c=c)
 
@@ -327,8 +321,8 @@ def verify_cramer(tau: PerronTransform, d, e, values) -> bool:
     if tau.kind != "A1":
         raise InputError("the Cramer identity concerns A1 transforms")
     size = tau.size
-    d = tuple(int(x) for x in d)
-    e = tuple(int(x) for x in e)
+    d, e = tuple(d), tuple(e)
+    check_ints("an exponent", *d, *e)
     if len(d) != size or len(e) != size:
         raise InputError("exponent vectors must have length n+1")
     if len(values) != size:

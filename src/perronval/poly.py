@@ -24,6 +24,7 @@ from .scalars import (
     PuiseuxSeries,
     Scalar,
     binary_power,
+    check_ints,
     evaluate_monomials,
     format_raw,
     parse_integer,
@@ -50,6 +51,7 @@ class VariableFrame:
     generation: int = 0
 
     def __post_init__(self):
+        check_ints("m, n or the generation", self.m, self.n, self.generation)
         if not (1 <= self.n <= self.m):
             raise InputError(f"need 1 <= n <= m, got n={self.n}, m={self.m}")
         if self.m > MAX_VARIABLES:

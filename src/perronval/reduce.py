@@ -35,15 +35,13 @@ from .errors import (
     TruncationExhausted,
     Unsupported,
 )
-from .oracle import ArcValuation, _required, _typed
+from .oracle import DOCUMENT_VERSION, ArcValuation, _required, _typed, _versioned
 # build_a6_divide is not called here; perfbench/test_perfbench.py reads it as
 # reduce.build_a6_divide when it checks that the tracer restores bindings
 from .perron import DEFAULT_STEP_BOUND, PerronTransform, build_a1, build_a6_divide
 from .poly import Polynomial, format_ring_header, parse_polynomial, parse_ring_header
 from .scalars import INFINITE, parse_rational
 from .valgroup import identity_matrix, minor, pairing
-
-DOCUMENT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -55,7 +53,9 @@ class Bounds:
 
 @dataclass(frozen=True)
 class TraceStep:
-    kind: str  # A6 | A1 | TRANSLATE-CHAR0 | TRANSLATE-DEFECTLESS | CASE2 | STRICT-TRANSFORM
+    # A1 | TRANSLATE-CHAR0 | TRANSLATE-DEFECTLESS | CASE2 | STRICT-TRANSFORM;
+    # replay also accepts A6, which the driver never emits
+    kind: str
     payload: dict
 
 
@@ -331,7 +331,7 @@ def defectless_translate(oracle: ArcValuation, bounds: Bounds = Bounds()):
         except NotCase2 as exc:
             raise DefectSuspected(f"case 2 failed: {exc}", case2_rejected=str(exc),
                                   ladder=ladder, reason="NOT-CASE2") from exc
-    if approx.status != "MAX-OUTSIDE":
+    if approx.reason is not None:
         raise DefectSuspected(
             f"approximation ladder stayed in the base group ({approx.reason})",
             ladder=ladder, reason=approx.reason,
@@ -453,9 +453,11 @@ def run_reduction(oracle: ArcValuation, bounds: Bounds = Bounds()) -> ReductionR
 # ---------------------------------------------------------------------------
 # Trace documents and replay
 
-def trace_document(result: ReductionResult, oracle_doc: dict | None = None) -> dict:
+def trace_document(result: ReductionResult, oracle_doc: dict) -> dict:
+    """The trace of ``result`` with ``oracle_doc``, the document the run
+    read, as its oracle block: ``replay_trace`` starts from it."""
     final = result.oracle
-    doc = {
+    return {
         "version": DOCUMENT_VERSION,
         "status": result.status,
         "r_initial": result.r_initial,
@@ -465,18 +467,16 @@ def trace_document(result: ReductionResult, oracle_doc: dict | None = None) -> d
         "final_f": str(final.f),
         "final_generation": final.frame.generation,
         "diagnostics": result.diagnostics,
+        "oracle": oracle_doc,
+        "initial_f": oracle_doc.get("f"),
     }
-    if oracle_doc is not None:
-        doc["oracle"] = oracle_doc
-        doc["initial_f"] = oracle_doc.get("f")
-    return doc
 
 
 def replay_trace(doc: dict) -> str:
     """Re-run the recorded substitutions and translations from the initial
     document; returns the canonical final polynomial, which must equal the
     recorded one byte for byte."""
-    oracle_doc = _typed(doc, dict, "trace document").get("oracle")
+    oracle_doc = _versioned(doc, "trace document").get("oracle")
     if oracle_doc is None:
         raise InputError("trace document lacks the oracle block")
     frame, field = parse_ring_header(_required(doc, "ring", "trace"))

@@ -95,6 +95,7 @@ class FieldSpec:
 
     def __post_init__(self):
         p = self.characteristic
+        check_ints("the characteristic", p)
         if p != 0 and not is_prime(p):
             raise InputError(f"characteristic must be 0 or prime, got {p}")
 
@@ -230,6 +231,13 @@ def format_raw(value) -> str:
         raise InputError(f"value too long to print: {exc}") from exc
 
 
+def check_ints(what: str, *values):
+    """InputError unless every value is an int; a bool or a float is not."""
+    for v in values:
+        if type(v) is not int:
+            raise InputError(f"expected an int for {what}, got {v!r}")
+
+
 _INTEGER_RE = re.compile(r"\s*-?[0-9]+\s*")
 
 
@@ -272,10 +280,10 @@ def _tadd(a, b):
 
 # Grid slots a truncated series may span: a truncation T on the grid 1/N
 # covers T * N of them, and ``PuiseuxSeries.inverse`` allocates one
-# coefficient per slot.  A larger truncation or inverse window raises
-# InputError before anything is allocated, so a literal such as
-# ``t^(1/1000003) + t | trunc 100`` (10^8 slots) is refused; so does any
-# series a sum, product or power would build beyond it.
+# coefficient per slot.  A larger truncation raises InputError before
+# anything is allocated, so a literal such as ``t^(1/1000003) + t | trunc
+# 100`` (10^8 slots) is refused; so does any series a sum, product, power
+# or inverse would build beyond it.
 MAX_GRID_SLOTS = 2**16
 
 
@@ -424,10 +432,6 @@ class PuiseuxSeries:
         """True when no term survives below the truncation."""
         return not self.pairs
 
-    @property
-    def is_exact(self) -> bool:
-        return self.top is None
-
     def order(self):
         """Minimum exponent with nonzero coefficient, or None if empty."""
         return Fraction(self.pairs[0][0], self.ram) if self.pairs else None
@@ -471,39 +475,34 @@ class PuiseuxSeries:
 
     __rmul__ = __mul__
 
-    def inverse(self, window=None) -> "PuiseuxSeries":
+    def inverse(self) -> "PuiseuxSeries":
         """Multiplicative inverse.
 
-        For an exact single-term series the inverse is exact.  Otherwise the
-        series is c t^q (1 + u) and (1 + u)^-1 = b_0 + b_1 t^(1/N) + ... is
-        read off the recurrence b_0 = 1, b_k = -sum_{j>=1} a_j b_{k-j}, where
-        a_j is the coefficient of t^(j/N) in u, over the W = U N slots below
-        u's truncation U: the series' own truncation less q when it has one,
-        else the explicit ``window``.  Only sums and products occur, so it is
-        exact in every characteristic.
+        For an exact single-term series the inverse is exact, and an exact
+        series of more terms raises InputError.  Otherwise the series is
+        c t^q (1 + u) and (1 + u)^-1 = b_0 + b_1 t^(1/N) + ... is read off the
+        recurrence b_0 = 1, b_k = -sum_{j>=1} a_j b_{k-j}, where a_j is the
+        coefficient of t^(j/N) in u, over the W = U N slots below u's
+        truncation U, the series' own truncation less q.  Only sums and
+        products occur, so it is exact in every characteristic.
         """
         if not self.pairs:
             raise DivisionByZero("inverse of a zero series")
         field = self.field
         lead_inv = field.raw(self.leading_coeff().inverse())
-        if self.top is not None:
-            n, width = self.ram, self.top - self.pairs[0][0]
-        elif len(self.pairs) == 1:
-            return PuiseuxSeries._from_grid(
-                field, self.ram, ([(-self.pairs[0][0], lead_inv)], None, 1))
-        elif window is None:
-            raise InputError("inverse of an exact multi-term series needs a window")
-        else:
-            window = Fraction(window)
-            n = math.lcm(self.ram, window.denominator)
-            width = window.numerator * (n // window.denominator)
+        n = self.ram
+        if self.top is None:
+            if len(self.pairs) > 1:
+                raise InputError("inverse of an exact multi-term series needs a truncation")
+            return PuiseuxSeries._from_grid(field, n, ([(-self.pairs[0][0], lead_inv)], None, 1))
+        width = self.top - self.pairs[0][0]
         _check_slots(width, n)
         p = field.characteristic
         ((q0, _), *rest), _, den = _grid(self, n)
         # a_j = (v_j / den) / c_0; over F_p den is 1
         scale = lead_inv if den == 1 else Fraction(lead_inv, den)
         unit = [(k - q0, v * scale) for k, v in rest]
-        b = [1] if width > 0 else []
+        b = [1]  # width > 0: every term lies below the truncation
         for k in range(1, width):
             acc = 0
             for j, a in unit:
@@ -641,7 +640,7 @@ def parse_series(field: FieldSpec, text: str) -> PuiseuxSeries:
     return PuiseuxSeries(field, terms, trunc)
 
 
-def format_series(s: PuiseuxSeries, with_annotations: bool = False) -> str:
+def format_series(s: PuiseuxSeries) -> str:
     """Canonical form: ascending exponents, explicit ``*c`` coefficients."""
     chunks = []
     for k, c in s.pairs:
@@ -655,11 +654,4 @@ def format_series(s: PuiseuxSeries, with_annotations: bool = False) -> str:
         else:
             head = f"t^({format_raw(q)})"
         chunks.append(f"{head}*{text}")
-    body = " + ".join(chunks) or "0"
-    if with_annotations:
-        extra = []
-        if s.top is not None:
-            extra.append(f"trunc {format_raw(s.trunc)}")
-        extra.append(f"N {format_raw(s.ram)}")
-        return " | ".join([body] + extra)
-    return body
+    return " + ".join(chunks) or "0"

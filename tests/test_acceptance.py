@@ -287,7 +287,7 @@ def test_criterion_6_cramer_suite():
     for _ in range(100):
         w = RATIONAL.value(F(rng.randint(1, 9), rng.randint(1, 5)))
         gamma = w.scale(F(rng.randint(1, 9), rng.randint(1, 9)))
-        tau = build_a1([w], gamma, FR, c=Q.one)
+        tau = build_a1([w], gamma, FR, residue=lambda _: Q.one)
         values = [w, gamma]
         pairs = _equal_value_pairs(rng, tau, 20)
         assert len(pairs) >= 20
@@ -317,7 +317,8 @@ def test_criterion_7_homomorphism_and_conservation():
             return build_a6_divide(m1, m2, weights, frame2), frame2, weights
         w = RATIONAL.value(F(rng.randint(1, 7), rng.randint(1, 4)))
         gamma = w.scale(F(rng.randint(1, 7), rng.randint(1, 7)))
-        tau = build_a1([w], gamma, FR, c=Q.scalar(rng.randint(1, 4)))
+        c = Q.scalar(rng.randint(1, 4))
+        tau = build_a1([w], gamma, FR, residue=lambda _: c)
         return tau, FR, [w, gamma]
 
     hom_checked = 0

@@ -4,16 +4,22 @@ Polynomials and series store canonical raw values (``FieldSpec.raw``): an int
 in 0..p-1 in characteristic p, over Q an int when integral, else a Fraction
 with denominator > 1.  Printing and parsing must round-trip them, and no
 text or JSON document may make a reader raise anything but PerronvalError.
+The API's integer fields take ints only: a float or a bool raises
+InputError rather than be truncated or stored.
 """
 
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from perronval.errors import PerronvalError
+from perronval.defect import ExtensionData, SimpleFamily, ostrowski
+from perronval.errors import InputError, PerronvalError
 from perronval.oracle import oracle_from_document
+from perronval.perron import PerronTransform, verify_cramer
 from perronval.poly import Polynomial, VariableFrame, parse_polynomial
 from perronval.scalars import FieldSpec, PuiseuxSeries, format_series, parse_series
+from perronval.valgroup import RATIONAL
 
 FIELDS = [FieldSpec(p) for p in (0, 2, 3, 5, 7)]
 # Structured draws cost about 5 ms each, so they get fewer examples than
@@ -98,7 +104,9 @@ class TestStoredFormat:
         for q, c in given_terms.items():
             if s.trunc is None or q < s.trunc:
                 assert field.scalar(s.terms.get(q, 0)) == field.scalar(c)
-        back = parse_series(field, format_series(s, True))
+        trunc = "" if s.trunc is None else f" | trunc {s.trunc}"
+        text = f"{format_series(s)}{trunc} | N {s.ram}"
+        back = parse_series(field, text)
         assert (back, back.ram) == (s, s.ram)
         assert all(_canonical(field, v) for v in back.terms.values())
 
@@ -171,3 +179,28 @@ class TestReadersRaiseOnlyPerronvalError:
             oracle_from_document(doc)
         except PerronvalError:
             pass
+
+
+CUSP_A1 = PerronTransform("A1", ((2, 1), (3, 2)), VariableFrame(m=2, n=1), c=FieldSpec(0).one)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: FieldSpec(2.0),
+    lambda: FieldSpec(True),
+    lambda: VariableFrame(m=2.5, n=1),
+    lambda: VariableFrame(m=2, n=True),
+    lambda: VariableFrame(m=2, n=1, generation=1.0),
+    lambda: ostrowski(ExtensionData(degree=4.0, e=2, p=2)),
+    lambda: ExtensionData(degree=4, e=2, fres=True, p=2),
+    lambda: SimpleFamily(1.5, 2),
+    lambda: PerronTransform("A1", ((1.0, 0), (1, 1)), VariableFrame(m=2, n=1),
+                            c=FieldSpec(0).one),
+    lambda: PerronTransform("A6", ((True,),), VariableFrame(m=2, n=1)),
+    lambda: verify_cramer(CUSP_A1, (3.7, 0.2), (0.9, 2.0),
+                          [RATIONAL.value(2), RATIONAL.value(3)]),
+], ids=["char-float", "char-bool", "frame-m-float", "frame-n-bool", "frame-generation-float",
+        "extension-degree-float", "extension-f-bool", "family-float", "a1-entry-float",
+        "a6-entry-bool", "cramer-float-vectors"])
+def test_integer_fields_refuse_floats_and_bools(build):
+    with pytest.raises(InputError, match="int"):
+        build()

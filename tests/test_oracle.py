@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 
@@ -14,6 +15,7 @@ from perronval.oracle import (
     oracle_from_document,
 )
 from perronval.poly import Polynomial, VariableFrame, parse_polynomial
+from perronval.reduce import run_reduction, trace_document
 from perronval.scalars import FieldSpec, PuiseuxSeries
 from perronval.valgroup import RATIONAL, member, quadratic
 
@@ -126,6 +128,32 @@ class TestResidue:
         with pytest.raises(ValueMismatch):
             o.residue(P("x2"), P("x1"))
 
+
+    def test_monomial_oracle_ratio_of_leading_coefficients(self):
+        frame = VariableFrame(m=2, n=2)
+        ctx = quadratic(2)
+        for field, want in ((Q, "3/2"), (FieldSpec(5), "4")):
+            o = MonomialValuation(frame, [ctx.value(1, 0), ctx.value(0, 1)], field)
+            g = parse_polynomial(frame, field, "3*x1*x2 + x1^2*x2 + x2^2")
+            u = parse_polynomial(frame, field, "2*x1*x2 + x1^5")
+            assert str(o.residue(g, u)) == want
+
+    def test_monomial_oracle_value_mismatch(self):
+        frame = VariableFrame(m=2, n=2)
+        ctx = quadratic(2)
+        o = MonomialValuation(frame, [ctx.value(1, 0), ctx.value(0, 1)])
+        x1, x2 = parse_polynomial(frame, Q, "x1"), parse_polynomial(frame, Q, "x2")
+        for g, u in ((x1, x2), (x1, Polynomial.zero(frame, Q)), (Polynomial.zero(frame, Q), x1)):
+            with pytest.raises(ValueMismatch):
+                o.residue(g, u)
+
+    @pytest.mark.parametrize("g, u", [("x1 + x2", "x1"), ("x1", "x1 + x2"), ("x1", "x2")],
+                             ids=["two-leading-in-g", "two-leading-in-u", "distinct-leading"])
+    def test_monomial_oracle_without_a_shared_leading_monomial(self, g, u):
+        # x2 is dependent: its weight equals that of x1
+        o = MonomialValuation(FR, [RATIONAL.value(1), RATIONAL.value(1)])
+        with pytest.raises(Unsupported):
+            o.residue(P(g), P(u))
 
     def test_monomial_residue_matches_series_products(self):
         rng = random.Random(41)
@@ -263,7 +291,7 @@ class TestBestApprox:
     def test_first_value_already_outside(self):
         o = oracle_from_document(CUSP)
         got = o.best_approx(10)
-        assert got.status == "MAX-OUTSIDE"
+        assert got.reason is None  # MAX-OUTSIDE
         assert got.h.is_zero
         assert str(got.gamma) == "3"
         assert member(got.gamma.value, o.base_lattice()) is None
@@ -272,7 +300,7 @@ class TestBestApprox:
         o = arc_oracle(0, "x2^2 - 2*x1*x2 + x1^2 - x1^3",
                        {"x1": "t^2", "x2": "t^2 + t^3"})
         got = o.best_approx(10)
-        assert got.status == "MAX-OUTSIDE"
+        assert got.reason is None  # MAX-OUTSIDE
         assert got.h == P("x1")
         assert str(got.gamma) == "3"
 
@@ -283,7 +311,6 @@ class TestBestApprox:
         o = arc_oracle(2, "x2^2 + x1*x2 + x1^3", {"x1": "t", "x2": terms})
         assert o.arc_consistency()
         got = o.best_approx(64)
-        assert got.status == "NO-MAX-UP-TO-BOUND"
         assert got.reason == "TRUNCATION"
         assert [str(v) for v in got.ladder] == ["2", "3", "5", "9", "17", "33"]
 
@@ -291,7 +318,7 @@ class TestBestApprox:
         terms = " + ".join(f"t^{1 + 2**i}" for i in range(6))
         o = arc_oracle(2, "x2^2 + x1*x2 + x1^3", {"x1": "t", "x2": terms})
         got = o.best_approx(2)
-        assert got.status == "NO-MAX-UP-TO-BOUND" and got.reason == "STEP-BOUND"
+        assert got.reason == "STEP-BOUND"
         assert [str(v) for v in got.ladder] == ["2", "3", "5"]
 
     def test_strictly_increasing_ladder(self):
@@ -379,8 +406,10 @@ class TestCrossOracle:
 
 class TestDocuments:
     def test_arc_document_roundtrip(self):
+        # a trace records the arc document its run read, and that record
+        # rebuilds the same oracle
         o = oracle_from_document(CUSP)
-        doc = o.document()
+        doc = json.loads(json.dumps(trace_document(run_reduction(o), CUSP)))["oracle"]
         o2 = oracle_from_document(doc)
         assert o2.f == o.f and o2.arc == o.arc
 

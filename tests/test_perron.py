@@ -130,24 +130,28 @@ class TestBuildA1:
         assert str(tau.c) == "1"
 
     def test_equal_values_single_step(self):
-        tau = build_a1([RATIONAL.value(1)], RATIONAL.value(1), FR1, c=Q.one)
+        tau = build_a1([RATIONAL.value(1)], RATIONAL.value(1), FR1, residue=lambda _: Q.one)
         assert tau.matrix == ((1, 0), (1, 1))
 
+    def test_zero_residue_is_refused(self):
+        with pytest.raises(InputError, match="nonzero constant"):
+            build_a1([RATIONAL.value(2)], RATIONAL.value(3), FR1, residue=lambda _: Q.zero)
+
     def test_half_integer(self):
-        tau = build_a1([RATIONAL.value(2)], RATIONAL.value(F(5, 2)), FR1, c=Q.one)
+        tau = build_a1([RATIONAL.value(2)], RATIONAL.value(F(5, 2)), FR1, residue=lambda _: Q.one)
         new = tau.transformed_weights([RATIONAL.value(2), RATIONAL.value(F(5, 2))])
         assert str(new[0]) == "1/2" and new[1].is_zero
 
     def test_no_relation(self):
         with pytest.raises(NoRelation):
-            build_a1([Q2.value(1, 0)], Q2.value(0, 1), FR1, c=Q.one)
+            build_a1([Q2.value(1, 0)], Q2.value(0, 1), FR1, residue=lambda _: Q.one)
 
     def test_new_values_positive_random(self):
         rng = random.Random(77)
         for _ in range(100):
             w = RATIONAL.value(F(rng.randint(1, 9), rng.randint(1, 5)))
             gamma = w.scale(F(rng.randint(1, 9), rng.randint(1, 9)))
-            tau = build_a1([w], gamma, FR1, c=Q.one)
+            tau = build_a1([w], gamma, FR1, residue=lambda _: Q.one)
             new = tau.transformed_weights([w, gamma])
             assert new[0].sign() > 0 and new[1].is_zero
 
@@ -155,7 +159,7 @@ class TestBuildA1:
         # gamma = w1 + w2 terminates with the obvious matrix
         frame = VariableFrame(m=3, n=2)
         tau = build_a1([Q2.value(1, 0), Q2.value(0, 1)], Q2.value(1, 1),
-                       frame, c=Q.one)
+                       frame, residue=lambda _: Q.one)
         assert tau.matrix == ((1, 0, 0), (0, 1, 0), (1, 1, 1))
         new = tau.transformed_weights([Q2.value(1, 0), Q2.value(0, 1), Q2.value(1, 1)])
         assert [str(v) for v in new] == ["1", "1*sqrt(2)", "0"]
@@ -167,7 +171,7 @@ class TestBuildA1:
         frame = VariableFrame(m=3, n=2)
         with pytest.raises(StepBoundExceeded):
             build_a1([Q2.value(1, 0), Q2.value(0, 1)], Q2.value(2, 3),
-                     frame, c=Q.one, bound=500)
+                     frame, residue=lambda _: Q.one, bound=500)
 
 
 class TestTransformedWeights:

@@ -602,6 +602,36 @@ class TestTraceReplay:
         trace["final_f"] = "x1(1)"
         assert not replay_matches(trace)
 
+    def test_replay_accepts_an_identity_a6_step(self):
+        # the driver emits no A6 step, but replay takes one: here the
+        # identity A6 only renames x1, x2 to x1(1), x2(1) before the cusp's
+        # A1 step and its strict transform
+        doc = {"ring": "ring m=2 char=0 n=1", "oracle": {"f": "x2^2 - x1^3"}, "steps": [
+            {"kind": "A6", "transform": {"kind": "A6", "matrix": [[1]]},
+             "f_after": "-x1(1)^3 + x2(1)^2"},
+            {"kind": "A1", "transform": {"kind": "A1", "matrix": [[2, 1], [3, 2]], "c": "1"},
+             "f_after": "x1(2)^6*x2(2)^4 + 3*x1(2)^6*x2(2)^3 + 3*x1(2)^6*x2(2)^2 + x1(2)^6*x2(2)"},
+            {"kind": "STRICT-TRANSFORM", "c": "1", "exponents": [6, 0], "lambda": 3,
+             "f_after": "x2(2)"},
+        ], "final_f": "x2(2)"}
+        assert replay_matches(doc)
+        # a STRICT-TRANSFORM step cannot follow an A6 step
+        del doc["steps"][1]
+        with pytest.raises(InputError, match="must follow an A1 or CASE2 step"):
+            replay_trace(doc)
+
+    @pytest.mark.parametrize("version", [0, 2, "1", True, 1.0])
+    def test_replay_refuses_an_unknown_version(self, version):
+        # a copy: the oracle block is CUSP itself
+        trace = json.loads(json.dumps(
+            trace_document(run_reduction(oracle_from_document(CUSP)), CUSP)))
+        for doc in (trace, trace["oracle"]):  # the trace, then its oracle block
+            doc["version"] = version
+        with pytest.raises(InputError, match="unsupported document version"):
+            replay_trace(trace)
+        with pytest.raises(InputError, match="unsupported document version"):
+            oracle_from_document(trace["oracle"])
+
     def test_replay_rejects_malformed_document(self):
         for doc in (5, []):
             with pytest.raises(InputError, match="must be a JSON object"):

@@ -234,7 +234,9 @@ class TestSeriesProperties:
     @settings(max_examples=60, deadline=None)
     @given(small_series())
     def test_parse_format_roundtrip(self, s):
-        text = format_series(s, with_annotations=True)
+        # the truncation, and the advisory grid N, follow the body
+        trunc = "" if s.trunc is None else f" | trunc {s.trunc}"
+        text = f"{format_series(s)}{trunc} | N {s.ram}"
         assert parse_series(Q, text) == s
 
     @settings(max_examples=60, deadline=None)
@@ -320,17 +322,15 @@ def _ref_mul(a, b):
     return PuiseuxSeries(a.field, terms, trunc)
 
 
-def _ref_inverse(s, window=None):
+def _ref_inverse(s):
     field = s.field
     q = s.order()
     head = PuiseuxSeries(field, {-q: field.scalar(s.terms[q]).inverse()})
-    if len(s.terms) == 1 and s.is_exact:
+    if len(s.terms) == 1 and s.trunc is None:
         return head
     u = _ref_mul(s, head) - field.one
     if u.trunc is None:
-        if window is None:
-            raise InputError("needs a window")
-        u = PuiseuxSeries(field, u.terms, F(window))
+        raise InputError("an exact multi-term series has no finite inverse")
     acc = PuiseuxSeries(field, {F(0): field.one}, u.trunc)
     power = acc
     if u.order() is not None:
@@ -373,7 +373,8 @@ KERNEL_CASES = [
     ("t^(5/6)*4 + t^(7/6) + t^(13/6)*-3 | trunc 31/6", "t^(-1/2)*2 + t | trunc 3", None),
     # exact single-term series
     ("t^(7/6)*3", "t^(-5/4)*2", None),
-    # exact multi-term series with a window, on and off the grid
+    # exact multi-term series, whose inverse is refused; the third entry W
+    # cuts them at ord + W, on and off the grid, and the cut series invert
     ("t^(1/2) + t^(3/2)*-1 + t^3*2", "t^(1/3)*2 + t^(4/3)", 6),
     ("t^(-1/3) + t^(2/3)*3 + t^(5/3)", "t + t^2*-1", F(17, 5)),
     ("t^(2/3) + t^(5/3)*-1", "t^2", F(0)),
@@ -387,8 +388,8 @@ KERNEL_IDS = ["ramified", "negative-orders", "ramified-negative", "single-term",
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"char{f.characteristic}")
-@pytest.mark.parametrize("left, right, window", KERNEL_CASES, ids=KERNEL_IDS)
-def test_grid_kernel_matches_reference(field, left, right, window):
+@pytest.mark.parametrize("left, right, width", KERNEL_CASES, ids=KERNEL_IDS)
+def test_grid_kernel_matches_reference(field, left, right, width):
     a, b = parse_series(field, left), parse_series(field, right)
     _same(a * b, _ref_mul(a, b))
     _same(b * a, _ref_mul(b, a))
@@ -396,17 +397,18 @@ def test_grid_kernel_matches_reference(field, left, right, window):
         _same(a ** k, _ref_pow(a, k))
         _same(b ** k, _ref_pow(b, k))
     for s in (a, b):
-        if s.is_zero:
-            with pytest.raises(DivisionByZero):
-                s.inverse(window)
-            continue
-        if s.is_exact and len(s.terms) > 1 and window is None:
+        if s.trunc is None and len(s.terms) > 1:
             with pytest.raises(InputError):
                 s.inverse()
+            if width is None:
+                continue
+            s = s.truncated(s.order() + width)
+        if s.is_zero:  # a zero series, or one cut at its order (W = 0)
+            with pytest.raises(DivisionByZero):
+                s.inverse()
             continue
-        _same(s.inverse(window), _ref_inverse(s, window))
-        if window is None:
-            _same(s ** -2, _ref_pow(s, -2))
+        _same(s.inverse(), _ref_inverse(s))
+        _same(s ** -2, _ref_pow(s, -2))
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"char{f.characteristic}")
@@ -477,14 +479,14 @@ def _naive_neg(a, p):
     return _naive_cut({q: -c for q, c in terms.items()}, trunc, p)
 
 
-def _naive_inverse(a, p, window=None):
+def _naive_inverse(a, p):
     terms, trunc = a
     q = min(terms)
     lead_inv = F(pow(terms[q].numerator, -1, p)) if p else 1 / terms[q]
     head = ({-q: lead_inv}, None)
     if trunc is None and len(terms) == 1:
         return head
-    width = trunc - q if trunc is not None else F(window)
+    width = trunc - q
     minus_u = ({e - q: -c * lead_inv for e, c in terms.items() if e != q}, width)
     acc, power = {F(0): F(1)}, ({F(0): F(1)}, width)
     while power[0]:
@@ -557,14 +559,19 @@ def test_series_kernel_matches_naive_reference(field):
             if k < 0 and a.is_zero:
                 with pytest.raises(DivisionByZero):
                     a ** k
-            elif k < 0 and a.is_exact and len(a.terms) > 1:
+            elif k < 0 and a.trunc is None and len(a.terms) > 1:
                 with pytest.raises(InputError):
                     a ** k
             else:
                 _same_as_naive(a ** k, _naive_pow(naive(a), k, p), p)
         if not a.is_zero:
-            window = F(rng.randint(0, 8), rng.choice((1, 2, 3)))
-            _same_as_naive(a.inverse(window), _naive_inverse(naive(a), p, window), p)
+            # a cut at ord a + W, W on and off the grid; W = 0 leaves no term
+            cut = a.truncated(a.order() + F(rng.randint(0, 8), rng.choice((1, 2, 3))))
+            if cut.is_zero:
+                with pytest.raises(DivisionByZero):
+                    cut.inverse()
+            else:
+                _same_as_naive(cut.inverse(), _naive_inverse(naive(cut), p), p)
         terms = {(rng.randint(0, 3), rng.randint(0, 3)): F(rng.randint(1, 9), rng.choice(dens))
                  for _ in range(rng.randint(1, 4))}
         terms = {mono: c for mono, c0 in terms.items() if (c := field.raw(c0))}
@@ -638,6 +645,8 @@ class TestGridSize:
             s ** 2
 
     def test_inverse_window_above_the_cap_is_refused(self):
-        s = parse_series(Q, f"t^(1/{MAX_GRID_SLOTS + 1}) + t")
+        # the inverse spans the truncation less the order: 40,000 slots
+        # hold this series, and the 80,000 of its inverse are refused
+        s = parse_series(Q, "t^(-40000) + t | trunc 40000")
         with pytest.raises(InputError, match="slots"):
-            s.inverse(window=1)
+            s.inverse()

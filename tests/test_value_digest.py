@@ -103,7 +103,7 @@ def _a1(rng, ctx):
         gamma = pairing([rng.randint(0, 5) for _ in w], w).scale(F(1, rng.randint(1, 5)))
     else:
         gamma = _value(rng, ctx)
-    tau = _outcome(build_a1, w, gamma, frame, c=QQ.one, bound=300)
+    tau = _outcome(build_a1, w, gamma, frame, residue=lambda _: QQ.one, bound=300)
     return tau if isinstance(tau, str) else tau.matrix
 
 
