@@ -21,6 +21,7 @@ satisfy d_i - e_i = (-1)^(n+i) * gamma * Det(A_{n+1,i}).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     InputError,
@@ -86,30 +87,49 @@ class PerronTransform:
             idx.append(self.frame.m - 1)
         return idx
 
-    def new_frame(self) -> VariableFrame:
+    @cached_property
+    def _new_frame(self) -> VariableFrame:
         return self.frame.bumped()
+
+    def new_frame(self) -> VariableFrame:
+        """The frame of the new variables, built once per transform."""
+        return self._new_frame
+
+    @cached_property
+    def _images(self) -> dict:
+        """field -> the image monomial of each old variable over that field,
+        read from the matrix rows on the first substitution over it; x_m's
+        new slot is the unit slot for A1."""
+        return {}
 
     def substitute(self, f: Polynomial) -> Polynomial:
         """The monomial image of f, one monomial per old variable read from
         the matrix rows.  For A1 the new last variable stands for the unit
         u = x_m(1) + c, so the image in x_m(1) is this one under the shift
         u -> x_m(1) + c; ``Polynomial.strict_transform`` reads it as it is.
+
+        Each image is one term, so ``Polynomial.substitute_map`` sends each
+        term of f to one term.  The images and the new frame are built once
+        per transform and shared by every substitution through it.
         """
         if f.frame != self.frame:
             raise InputError("polynomial frame does not match the transform")
-        frame1 = self.new_frame()
-        n = self.frame.n
-        rows = dict(zip(self.active_indices(), self.matrix))
-        images = []
-        for i in range(self.frame.m):
-            mono = [0] * frame1.m
-            if i in rows:
-                mono[:n] = rows[i][:n]
-                if self.kind == "A1":
-                    mono[-1] = rows[i][n]
-            else:
-                mono[i] = 1
-            images.append(Polynomial.monomial(frame1, f.field, mono))
+        images = self._images.get(f.field)
+        if images is None:
+            frame1 = self.new_frame()
+            n = self.frame.n
+            rows = dict(zip(self.active_indices(), self.matrix))
+            images = []
+            for i in range(self.frame.m):
+                mono = [0] * frame1.m
+                if i in rows:
+                    mono[:n] = rows[i][:n]
+                    if self.kind == "A1":
+                        mono[-1] = rows[i][n]
+                else:
+                    mono[i] = 1
+                images.append(Polynomial._from_raw(frame1, f.field, {tuple(mono): 1}))
+            self._images[f.field] = images
         return f.substitute_map(images)
 
     def transformed_weights(self, values):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 
 from .errors import DivisionByZero, FrameMismatch, InputError
 from .scalars import (
@@ -282,7 +282,16 @@ class Polynomial:
 
     def substitute_map(self, images) -> "Polynomial":
         """Ring homomorphism sending x_i to images[i] (all in one common
-        target frame)."""
+        target frame).
+
+        The branch is chosen by the shape of the images.  When each image is
+        one term a_i x^{E_i}, as every Perron substitution's is, each term
+        c x^e goes to the one term c prod a_i^{e_i} x^{sum e_i E_i}: one pass
+        over the terms in integer exponent arithmetic, with the powers of
+        a_i taken mod p and the terms that land on one exponent vector
+        summed.  Other images are expanded by powers and products of their
+        term maps.
+        """
         if len(images) != self.frame.m:
             raise InputError("need one image per variable")
         target_frame = images[0].frame
@@ -290,6 +299,9 @@ class Polynomial:
             if img.frame != target_frame or img.field != self.field:
                 raise FrameMismatch("images live in different frames")
         p = self.field.characteristic
+        if all(len(img.terms) == 1 for img in images):
+            return Polynomial._from_raw(target_frame, self.field,
+                                        _exponent_map(self.terms, images, p))
         unit = (0,) * target_frame.m
         bases = [img.terms for img in images]
         powers = {}
@@ -438,6 +450,27 @@ def _raw_addmul(acc: dict, a: dict, b: dict, p: int) -> dict:
             else:
                 del acc[mono]
     return acc
+
+
+def _exponent_map(terms: dict, images, p: int) -> dict:
+    """Raw term map of the substitution x_i -> a_i x^{E_i}, read from the
+    one-term ``images``: c x^e goes to c prod a_i^{e_i} x^{sum e_i E_i}.
+    Terms that collide are summed; ``reduce_raw`` drops a zero sum."""
+    exps, scaled = [], []
+    for i, img in enumerate(images):
+        ((e, a),) = img.terms.items()
+        exps.append(e)
+        if a != 1:
+            scaled.append((i, a))
+    columns = list(zip(*exps))
+    out = {}
+    for mono, c in terms.items():
+        for i, a in scaled:
+            if mono[i]:
+                c *= pow(a, mono[i], p) if p else a ** mono[i]
+        key = tuple([sum(map(mul, mono, col)) for col in columns])
+        out[key] = out.get(key, 0) + c
+    return out
 
 
 def _raw_pow(a: dict, k: int, p: int, unit: Mono) -> dict:

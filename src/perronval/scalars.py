@@ -104,10 +104,10 @@ class FieldSpec:
         return self.characteristic != 0
 
     def raw(self, value):
-        """Canonical raw value of a Scalar, int, Fraction or rational literal
-        (``parse_rational``): an int in 0..p-1 in characteristic p; over Q an
-        int when integral, else a Fraction.  Polynomials, series and Scalars
-        store these values."""
+        """Canonical raw value of a Scalar, int (not a bool), Fraction or
+        rational literal (``parse_rational``): an int in 0..p-1 in
+        characteristic p; over Q an int when integral, else a Fraction.
+        Polynomials, series and Scalars store these values."""
         if isinstance(value, Scalar):
             if value.field != self:
                 raise InputError("scalar from a different field")
@@ -115,6 +115,8 @@ class FieldSpec:
         elif isinstance(value, str):
             value = parse_rational(value)
         if isinstance(value, int):
+            if type(value) is bool:
+                raise InputError(f"cannot build scalar from {value!r}")
             return value % self.characteristic if self.modular else value
         if not isinstance(value, Fraction):
             raise InputError(f"cannot build scalar from {value!r}")

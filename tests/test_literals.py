@@ -204,3 +204,18 @@ CUSP_A1 = PerronTransform("A1", ((2, 1), (3, 2)), VariableFrame(m=2, n=1), c=Fie
 def test_integer_fields_refuse_floats_and_bools(build):
     with pytest.raises(InputError, match="int"):
         build()
+
+
+@pytest.mark.parametrize("p", [0, 2, 5])
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize("build", [
+    lambda field, flag: field.scalar(flag),
+    lambda field, flag: field.one + flag,
+    lambda field, flag: Polynomial(VariableFrame(m=2, n=1), field, {(1, 0): flag}),
+    lambda field, flag: PuiseuxSeries(field, {F(1, 2): flag}),
+], ids=["scalar", "scalar-sum", "polynomial", "series"])
+def test_coefficients_refuse_bools(build, flag, p):
+    # a bool is an int to Python, but True is not a field element: it would
+    # print as "True" in a scalar and pass for 1 in a term map
+    with pytest.raises(InputError, match="scalar"):
+        build(FieldSpec(p), flag)

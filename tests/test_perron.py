@@ -78,6 +78,29 @@ class TestTransformValidation:
         tau = PerronTransform(kind="A1", matrix=((2, 1), (3, 2)), frame=FR1, c=Q.scalar(F(-3, 2)))
         assert PerronTransform.from_document(tau.document(), FR1, Q) == tau
 
+    @pytest.mark.parametrize("kind, matrix, frame, c, fields", [
+        ("A1", ((2, 1), (3, 2)), FR1, Q.scalar(F(-3, 2)), (Q,)),
+        ("A6", ((2, 1), (1, 1)), FR2, None, (Q, FieldSpec(5))),
+        ("A6", ((1, 0), (1, 1)), VariableFrame(m=3, n=2), None, (FieldSpec(2), Q)),
+    ], ids=["A1", "A6", "A6-passive-x3"])
+    def test_images_and_frame_are_built_once(self, kind, matrix, frame, c, fields):
+        tau = PerronTransform(kind, matrix, frame, c)
+        assert tau.new_frame() is tau.new_frame()
+        assert tau.new_frame() == frame.bumped()
+        rebuilt = PerronTransform.from_document(tau.document(), frame, fields[0])
+        names = [frame.var_name(i) for i in range(frame.m)]
+        texts = [f"{names[-1]}^2 - {names[0]}^3", f"3*{names[0]}*{names[-1]} + 1",
+                 " + ".join(names)]
+        # twice through one transform, fields interleaved, then once through
+        # a rebuilt and a fresh transform each
+        for text in texts * 2:
+            for field in fields:
+                f = parse_polynomial(frame, field, text)
+                fresh = PerronTransform(kind, matrix, frame, c)
+                got = tau.substitute(f)
+                assert got.frame is tau.new_frame()
+                assert got == rebuilt.substitute(f) == fresh.substitute(f)
+
 
 class TestBuildA6Divide:
     def test_single_step(self):

@@ -1,9 +1,12 @@
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from perronval.errors import InputError
+from perronval.perron import PerronTransform
 from perronval.poly import (
     Polynomial,
     VariableFrame,
@@ -115,6 +118,103 @@ class TestSubstitute:
             sub = lambda h: h.substitute_map(images)
             assert sub(f * g) == sub(f) * sub(g)
             assert sub(f + g) == sub(f) + sub(g)
+
+
+def _naive_image(f: Polynomial, images) -> Polynomial:
+    """sum of c * prod images[i] ** e_i over the terms c x^e of f, from the
+    ring operations alone"""
+    frame1, total = images[0].frame, Polynomial.zero(images[0].frame, f.field)
+    for mono, c in f.terms.items():
+        piece = Polynomial.constant(frame1, f.field, c)
+        for img, e in zip(images, mono):
+            piece = piece * img**e
+        total = total + piece
+    return total
+
+
+def _nonzero(field):
+    return st.sampled_from(range(1, field.characteristic) if field.modular
+                           else [1, -1, 2, 3, F(-3, 2), F(5, 4)]).map(field.scalar)
+
+
+def _weight(images, mono):
+    """prod a_i^{e_i} for the one-term images a_i x^{E_i}"""
+    w = images[0].field.one
+    for img, e in zip(images, mono):
+        w = w * img.field.scalar(next(iter(img.terms.values())))**e
+    return w
+
+
+@st.composite
+def _one_term_map(draw):
+    """(f, images, cancelling): one-term images x_i -> a_i x^{E_i}, drawn
+    from at most two exponent vectors E so that the map is often not
+    injective, a polynomial f, and a polynomial whose terms all land on one
+    exponent vector with coefficients summing to zero there."""
+    field = draw(st.sampled_from(FIELDS))
+    m, m1 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    frame, frame1 = VariableFrame(m=m, n=1), VariableFrame(m=m1, n=1, generation=1)
+    exps = draw(st.lists(st.tuples(*[st.integers(0, 2)] * m1), min_size=1, max_size=2))
+    images = [Polynomial.monomial(frame1, field, draw(st.sampled_from(exps)), draw(_nonzero(field)))
+              for _ in range(m)]
+    small = st.tuples(*[st.integers(0, 3)] * m)
+    f = Polynomial(frame, field, draw(st.dictionaries(small, st.integers(-4, 4), max_size=6)))
+    # every exponent vector of the box 0..3 sharing the image of a drawn one
+    columns = list(zip(*(next(iter(img.terms)) for img in images)))
+    image = lambda mono: tuple(sum(e * E for e, E in zip(mono, col)) for col in columns)
+    base = draw(small)
+    group = [mono for mono in itertools.product(range(4), repeat=m) if image(mono) == image(base)]
+    group = draw(st.permutations(group))[:4]
+    terms, total = {}, field.zero
+    for mono in group[:-1]:
+        terms[mono] = c = draw(_nonzero(field))
+        total = total + c * _weight(images, mono)
+    terms[group[-1]] = -total / _weight(images, group[-1])
+    return f, images, Polynomial(frame, field, terms)
+
+
+@st.composite
+def _perron_case(draw):
+    """(f, tau, images): a Perron transform with a random nonnegative
+    det-1 matrix, a product of elementary steps I + E_ij, A6 with n = 2, 3
+    or A1, and the image monomials read from its rows."""
+    field = draw(st.sampled_from(FIELDS))
+    kind, n = draw(st.sampled_from([("A6", 2), ("A6", 3), ("A1", 1), ("A1", 2)]))
+    m = n + draw(st.integers(0, 1)) if kind == "A6" else n + 1 + draw(st.integers(0, 1))
+    size = n if kind == "A6" else n + 1
+    matrix = [[int(i == j) for j in range(size)] for i in range(size)]
+    for i, j in draw(st.lists(st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))
+                              .filter(lambda ij: ij[0] != ij[1]), max_size=5)):
+        for row in matrix:
+            row[i] += row[j]
+    frame = VariableFrame(m=m, n=n)
+    c = field.scalar(draw(st.integers(1, field.characteristic - 1 if field.modular else 5)))
+    tau = PerronTransform(kind, tuple(map(tuple, matrix)), frame, c if kind == "A1" else None)
+    active = list(range(n)) + ([m - 1] if kind == "A1" else [])
+    images = []
+    for i in range(m):
+        mono = [0] * m
+        if i in active:
+            row = matrix[active.index(i)]
+            for k, j in enumerate(active):
+                mono[j] = row[k]
+        else:
+            mono[i] = 1
+        images.append(Polynomial.monomial(frame.bumped(), field, mono))
+    small = st.tuples(*[st.integers(0, 3)] * m)
+    f = Polynomial(frame, field, draw(st.dictionaries(small, st.integers(-4, 4), max_size=6)))
+    return f, tau, images
+
+
+@settings(max_examples=200, deadline=None)
+@given(_one_term_map(), _perron_case())
+def test_exponent_map_matches_products(case, perron):
+    f, images, cancelling = case
+    assert f.substitute_map(images) == _naive_image(f, images)
+    assert cancelling.substitute_map(images).is_zero
+    assert (f + cancelling).substitute_map(images) == _naive_image(f + cancelling, images)
+    f, tau, images = perron
+    assert tau.substitute(f) == _naive_image(f, images)
 
 
 class TestStrictTransform:
