@@ -96,6 +96,12 @@ class PerronTransform:
         return self._new_frame
 
     @cached_property
+    def _inverse(self) -> list:
+        """The integer inverse of the matrix, computed once per transform
+        (``build_a1`` hands over the one it read the residue from)."""
+        return unimodular_inverse(self.matrix)
+
+    @cached_property
     def _images(self) -> dict:
         """field -> the image monomial of each old variable over that field,
         read from the matrix rows on the first substitution over it; x_m's
@@ -114,6 +120,8 @@ class PerronTransform:
         """
         if f.frame != self.frame:
             raise InputError("polynomial frame does not match the transform")
+        if self.c is not None and f.field != self.c.field:
+            raise InputError("polynomial over another field than the transform's constant")
         images = self._images.get(f.field)
         if images is None:
             frame1 = self.new_frame()
@@ -141,7 +149,7 @@ class PerronTransform:
         """
         if len(values) != self.size:
             raise InputError("value count does not match the matrix size")
-        out = [pairing(row, values) for row in unimodular_inverse(self.matrix)]
+        out = [pairing(row, values) for row in self._inverse]
         if self.kind == "A1" and not out[-1].is_zero:
             raise InputError("A1 inverse did not send the unit slot to value 0")
         return out
@@ -157,7 +165,7 @@ class PerronTransform:
         n = self.frame.n
         active = self.active_indices()
         new_active = []
-        for row in unimodular_inverse(self.matrix):
+        for row in self._inverse:
             piece = None
             for j, e in zip(active, row):
                 if e:
@@ -276,10 +284,12 @@ def build_a1(weights, gamma: Value, frame: VariableFrame, *, residue,
     for i in range(n):
         if values[i].sign() <= 0:
             raise StepBoundExceeded("subtractive loop lost positivity")
+    matrix = tuple(tuple(r) for r in matrix)
+    inverse = unimodular_inverse(matrix)
     # PerronTransform refuses a zero residue
-    c = residue(tuple(unimodular_inverse(matrix)[last]))
-    return PerronTransform(kind="A1", matrix=tuple(tuple(r) for r in matrix),
-                           frame=frame, c=c)
+    tau = PerronTransform(kind="A1", matrix=matrix, frame=frame, c=residue(tuple(inverse[last])))
+    tau.__dict__["_inverse"] = inverse  # the cached property's value: one inversion
+    return tau
 
 
 @dataclass(frozen=True)

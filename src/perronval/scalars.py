@@ -16,10 +16,14 @@ Fraction exponents appear only when a series is parsed or printed.
 
 from __future__ import annotations
 
+import array
 import math
+import operator
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, repeat
 
 from .errors import DivisionByZero, InputError
 
@@ -398,7 +402,8 @@ class PuiseuxSeries:
     intermediate computations; declared arc components are checked elsewhere.
     """
 
-    __slots__ = ("field", "ram", "pairs", "top")
+    # _packing: (n, its ``_component`` on the grid 1/n), set on first use
+    __slots__ = ("field", "ram", "pairs", "top", "_packing")
 
     def __init__(self, field: FieldSpec, terms=None, trunc=None):
         if trunc is not None:
@@ -481,39 +486,56 @@ class PuiseuxSeries:
         """Multiplicative inverse.
 
         For an exact single-term series the inverse is exact, and an exact
-        series of more terms raises InputError.  Otherwise the series is
-        c t^q (1 + u) and (1 + u)^-1 = b_0 + b_1 t^(1/N) + ... is read off the
-        recurrence b_0 = 1, b_k = -sum_{j>=1} a_j b_{k-j}, where a_j is the
-        coefficient of t^(j/N) in u, over the W = U N slots below u's
-        truncation U, the series' own truncation less q.  Only sums and
-        products occur, so it is exact in every characteristic.
+        series of more terms raises InputError.  Otherwise write the series
+        on its grid 1/N as t^q V / d, where V = v_0 + v_1 t^(1/N) + ... has
+        int numerators over one denominator d (1 over F_p), trusted over the
+        W = U N slots below U, the truncation less q.  The inverse is
+        d t^-q / V, and V^-1 = sum_k B_k t^(k/N) / v_0^(k+1) below U, where
+        B_0 = 1 and B_k = -sum_{j>=1} v_j v_0^(j-1) B_(k-j): these are
+        v_0^k b_k for the b_k of the recurrence b_k = -sum_j (v_j/v_0)
+        b_(k-j) that inverts 1 + (V - v_0)/v_0.  The recurrence runs on ints,
+        mod p in characteristic p, and builds no Fraction; a series of one
+        term has every B_k = 0 for k >= 1 and runs no recurrence.  Only sums
+        and products occur, so it is exact in every characteristic.
         """
         if not self.pairs:
             raise DivisionByZero("inverse of a zero series")
-        field = self.field
-        lead_inv = field.raw(self.leading_coeff().inverse())
-        n = self.ram
-        if self.top is None:
-            if len(self.pairs) > 1:
-                raise InputError("inverse of an exact multi-term series needs a truncation")
-            return PuiseuxSeries._from_grid(field, n, ([(-self.pairs[0][0], lead_inv)], None, 1))
-        width = self.top - self.pairs[0][0]
-        _check_slots(width, n)
-        p = field.characteristic
-        ((q0, _), *rest), _, den = _grid(self, n)
-        # a_j = (v_j / den) / c_0; over F_p den is 1
-        scale = lead_inv if den == 1 else Fraction(lead_inv, den)
-        unit = [(k - q0, v * scale) for k, v in rest]
-        b = [1]  # width > 0: every term lies below the truncation
-        for k in range(1, width):
-            acc = 0
-            for j, a in unit:
-                if j > k:
-                    break
-                acc -= a * b[k - j]
-            b.append(acc % p if p else acc)
-        pairs = sorted(reduce_raw(((k - q0, v * lead_inv) for k, v in enumerate(b)), p).items())
-        return PuiseuxSeries._from_grid(field, n, (pairs, width - q0, 1))
+        if self.top is None and len(self.pairs) > 1:
+            raise InputError("inverse of an exact multi-term series needs a truncation")
+        n, p = self.ram, self.field.characteristic
+        ((q0, v0), *rest), width, den = _grid(self, n)
+        if width is not None:
+            width -= q0  # W > 0: every term lies below the truncation
+            _check_slots(width, n)
+        b = [1]
+        if rest:
+            unit = [(k - q0, v * pow(v0, k - q0 - 1, p or None)) for k, v in rest]
+            for k in range(1, width):
+                acc = 0
+                for j, a in unit:
+                    if j > k:
+                        break
+                    acc -= a * b[k - j]
+                b.append(acc % p if p else acc)
+        top = None if width is None else width - q0
+        pairs = []
+        if p:
+            inv0 = scale = pow(v0, -1, p)
+            for k, bk in enumerate(b):
+                if bk:
+                    pairs.append((k - q0, bk * scale % p))
+                scale = scale * inv0 % p
+            grid = (pairs, top, 1)
+        else:
+            # den B_k / v_0^(k+1), all over v_0^len(b)
+            scale = den
+            for k in range(len(b) - 1, -1, -1):
+                if b[k]:
+                    pairs.append((k - q0, b[k] * scale))
+                scale *= v0
+            pairs.reverse()
+            grid = (pairs, top, v0 ** len(b))
+        return PuiseuxSeries._from_grid(self.field, n, grid)
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
@@ -570,29 +592,198 @@ class PuiseuxSeries:
         return f"PuiseuxSeries({format_series(self)!r})"
 
 
+def _clog2(x: int) -> int:
+    """The least b >= 0 with x <= 2^b, for an int x >= 1."""
+    return (x - 1).bit_length()
+
+
+# array type codes by item size, for reading 1-, 2-, 4- and 8-byte digits
+_DIGIT_CODES = {array.array(code).itemsize: code for code in "qlihb"}
+
+
+def _twos_digits(x: int, size: int, nbytes: int) -> list:
+    """The ``size`` digits of 0 <= x < 256^(nbytes size) in base
+    256^nbytes, low digit first, each read as a two's-complement number."""
+    raw = x.to_bytes(nbytes * size, "little")
+    code = _DIGIT_CODES.get(nbytes)
+    if code is None:
+        return [int.from_bytes(raw[i:i + nbytes], "little", signed=True)
+                for i in range(0, nbytes * size, nbytes)]
+    digits = array.array(code, raw)
+    if sys.byteorder == "big":
+        digits.byteswap()
+    return digits.tolist()
+
+
 def evaluate_monomials(field: FieldSpec, terms: dict, arc) -> PuiseuxSeries:
-    """Sum of c * arc[0]^e_0 * ... * arc[m-1]^e_{m-1} over the items
-    (e, c) of ``terms``, computed on one grid 1/N (N the lcm of the arc's
-    ramifications) with the series product and power, and cut at the least
-    truncation of its terms.  Each term's piece starts from the numerator
-    and denominator of its coefficient; the pieces are summed on the lcm of
-    their denominators."""
-    if any(s.field != field for s in arc):
-        raise InputError("mixed-field series arithmetic")
-    n = math.lcm(*(s.ram for s in arc))
+    """Sum of c * arc[0]^e_0 * ... * arc[m-1]^e_{m-1} over the items (e, c)
+    of ``terms``, on the grid 1/n, n the lcm of the arc's ramifications, as
+    one evaluation on packed integers (Kronecker substitution; Harvey,
+    J. Symb. Comput. 2009).  It returns what the series product, power and
+    sum return term by term, value for value, with the same ``trunc`` and
+    ``ram``.
+
+    Window.  Component i has order o_i on 1/n and truncation index T_i
+    (None when exact); a zero component counts T_i as its order.  A product
+    a b is trusted below min(T_a + ord b, T_b + ord a), so by induction a^e
+    has order e o and truncation e o + (T - o), and a term c prod a_i^e_i
+    has order O = sum e_i o_i and truncation O + min (T_i - o_i) over the
+    truncated components it uses (exact if none).  A term that uses an
+    exactly zero component is exactly 0 and sets no truncation.  The sum is
+    cut at ``top``, the least truncation of a term, so ``trunc`` comes from
+    orders and truncations alone.  A nonzero term has no index below O nor
+    at or past O + sum e_i s_i + 1, s_i the span from o_i to the last index
+    of component i, so the ``size`` slots from the least O of a nonzero
+    term below ``top`` up to ``top`` or the greatest such reach, whichever
+    is lower, hold the whole result.
+
+    Digits.  Each component a_i = t^(o_i/n) P_i(t^(1/n)) / d_i that a
+    nonzero term uses is packed once, the int numerators of P_i below
+    ``size`` as the digits of P_i(2^w).  Over the common denominator
+    D = C prod d_i^E_i, C the lcm of the coefficients' denominators and E_i
+    the greatest exponent of component i, a term's numerators are those of
+    u prod P_i^e_i with u = c D / prod d_i^e_i, shifted by O less the
+    window's start.  Powers and products are taken mod 2^(w size): each
+    power once, a component's exponents in ascending order, each from the
+    one below it times a binary power of their difference.  No coefficient
+    of the packed sum exceeds sum |u| prod |a_i|_1^e_i, |a|_1 the sum of the
+    |numerators| of a (at least that of its packed digits), which is below
+    2^(w-1) once w >= max over the terms of clog2 |u| + sum e_i clog2
+    |a_i|_1, plus clog2 of the term count, plus 2 (clog2 x the least b with
+    x <= 2^b); w is that rounded up to 8, 16, 32 or 64 bits, or above 64 to
+    whole bytes, so that each digit is whole bytes.  Hence the digits read
+    back in one borrow pass are the exact numerators (over F_p none is
+    negative and none borrows); mod p they are reduced only then.  Before
+    any of these integers is built, an evaluation of more than
+    MAX_GRID_SLOTS slots, or of more than 64 MAX_GRID_SLOTS bits in w size
+    or in D, raises InputError: an exact power such as (t + t^2)^(10^9) is
+    refused rather than computed.
+    """
+    for s in arc:
+        if s.field is not field and s.field != field:
+            raise InputError("mixed-field series arithmetic")
+    n = math.lcm(*[s.ram for s in arc])
     p = field.characteristic
-    grids = [_grid(s, n) for s in arc]
-    powers = {}
-    pieces = []
+    comps = [None] * len(arc)
+    top = None
+    cden = 1  # lcm of the coefficients' denominators
+    live = []  # (order, reach, coefficient, {component: exponent}) of each nonzero term
     for mono, c in terms.items():
-        piece = ([(0, c.numerator)], None, c.denominator)
+        order = reach = 0
+        width = None
+        used = {}
         for i, e in enumerate(mono):
             if e:
-                if (i, e) not in powers:
-                    powers[i, e] = _grid_pow(grids[i], e, p)
-                piece = _grid_mul(piece, powers[i, e], p)
-        pieces.append(piece)
-    return PuiseuxSeries._from_grid(field, n, _grid_sum(pieces, p))
+                comp = comps[i]
+                if comp is None:
+                    comp = comps[i] = _component(arc[i], n)
+                _, _, _, o, span, wide, _ = comp
+                if o is None:
+                    break
+                order += e * o
+                if wide is not None and (width is None or wide < width):
+                    width = wide
+                reach = None if span is None or reach is None else reach + e * span
+                used[i] = e
+        else:
+            if width is not None and (top is None or order + width < top):
+                top = order + width
+            if reach is not None:
+                live.append((order, order + reach + 1, c, used))
+                if type(c) is not int:
+                    cden = math.lcm(cden, c.denominator)
+    if top is not None:
+        live = [term for term in live if term[0] < top]
+    if not live:
+        return PuiseuxSeries._from_grid(field, n, ([], top, 1))
+    low = min([term[0] for term in live])
+    size = max([term[1] for term in live])
+    size = (size if top is None or size < top else top) - low
+    if size > MAX_GRID_SLOTS:
+        raise InputError(f"arc evaluation spans {format_raw(size)} slots, more than {MAX_GRID_SLOTS}")
+    limit = 64 * MAX_GRID_SLOTS
+    exps = {}  # component -> the exponents nonzero terms give it
+    for term in live:
+        for i, e in term[3].items():
+            if i in exps:
+                exps[i].add(e)
+            else:
+                exps[i] = {e}
+    most = {i: max(es) for i, es in exps.items() if comps[i][2] != 1}  # E_i where d_i != 1
+    den = cden
+    if most:
+        if _clog2(cden) + sum([e * _clog2(comps[i][2]) for i, e in most.items()]) > limit:
+            raise InputError(f"arc evaluation needs a denominator of more than {limit} bits")
+        den *= math.prod([comps[i][2] ** e for i, e in most.items()])
+    mults, bits = [], 0
+    for _, _, c, used in live:
+        u = c * cden if type(c) is int else c.numerator * (cden // c.denominator)
+        b = 0
+        for i, e in used.items():
+            b += e * comps[i][6]
+        for i, e in most.items():
+            if e != used.get(i, 0):
+                u *= comps[i][2] ** (e - used.get(i, 0))
+        mults.append(u)
+        b += _clog2(abs(u))
+        if b > bits:
+            bits = b
+    # digits of whole bytes, 1, 2, 4 or 8 of them up to 64 bits
+    w = bits + _clog2(len(live)) + 2
+    w = 8 << _clog2(-(-w // 8)) if w <= 64 else -(-w // 8) * 8
+    if w * size > limit:
+        raise InputError(f"arc evaluation needs more than {limit} packed bits")
+    mask = (1 << w * size) - 1
+    powers = {}
+    for i, es in exps.items():
+        pairs, _, _, o, _, _, _ = comps[i]
+        if pairs[-1][0] >= o + size:
+            pairs = [kv for kv in pairs if kv[0] < o + size]
+        x, prev = 0, pairs[-1][0]
+        for k, v in reversed(pairs):
+            x = (x << w * (prev - k)) + v
+            prev = k
+        x &= mask
+        steps, prev, acc = {1: x}, 0, 1
+        for e in sorted(es):
+            step = steps.get(e - prev)
+            if step is None:
+                step = steps[e - prev] = binary_power(x, e - prev, lambda a, b: a * b & mask, 1)
+            acc = powers[i, e] = acc * step & mask
+            prev = e
+    total = 0
+    for (order, _, _, used), u in zip(live, mults):
+        for f in used.items():
+            u = u * powers[f] & mask
+        total += u << w * (order - low)
+    digits = _twos_digits(total & mask, size, w >> 3)
+    if min(digits) < 0:  # the borrow pass: a negative digit took 1 from the next one
+        digits = list(map(operator.add, digits, map(operator.lt, [0] + digits, repeat(0))))
+    pairs = list(zip(compress(range(low, low + size), digits), filter(None, digits)))
+    if p:
+        pairs = [(k, r) for k, v in pairs if (r := v % p)]
+    return PuiseuxSeries._from_grid(field, n, (pairs, top, den))
+
+
+def _component(s: PuiseuxSeries, n: int) -> tuple:
+    """The kernel triple (pairs, top, den) of s on the grid 1/n, followed by
+    its order, the span from its order to its last index, its trusted width
+    top - order and clog2 of the sum of |numerators|.  A zero series has no
+    span and counts its truncation as its order; an exactly zero one has no
+    order either.  Kept on s for the next evaluation on the same grid, as an
+    arc oracle evaluates many polynomials on one arc."""
+    packing = getattr(s, "_packing", None)
+    if packing is not None and packing[0] == n:
+        return packing[1]
+    pairs, top, den = _grid(s, n)
+    if pairs:
+        o = pairs[0][0]
+        comp = (pairs, top, den, o, pairs[-1][0] - o, None if top is None else top - o,
+                _clog2(sum([abs(v) for _, v in pairs])))
+    else:
+        comp = (pairs, top, den, top, None, None if top is None else 0, 0)
+    s._packing = (n, comp)
+    return comp
 
 
 _TERM_RE = re.compile(

@@ -74,6 +74,27 @@ class TestValuate:
         assert main(["valuate", "--oracle", oracle, "--poly", "x2^200"]) == 0
         assert capsys.readouterr().out.strip() == "200"
 
+    # x1 = x2 = t + t^2 exactly: x1^k is the exact series (t + t^2)^k
+    EXACT_LINE = {
+        "version": 1, "kind": "arc",
+        "ring": {"m": 2, "char": 0, "n": 1},
+        "f": "x2 - x1",
+        "arc": {"x1": "t + t^2", "x2": "t + t^2"},
+    }
+
+    def test_exact_power_is_evaluated(self, tmp_path, capsys):
+        oracle = write(tmp_path, "exact.json", self.EXACT_LINE)
+        assert main(["valuate", "--oracle", oracle, "--poly", "x1^1000"]) == 0
+        assert capsys.readouterr().out.strip() == "1000"
+
+    def test_huge_exact_power_exits_2(self, tmp_path, capsys):
+        # (t + t^2)^(10^9) spans 10^9 + 1 slots: refused from the orders and
+        # bit lengths, before any large integer is built
+        oracle = write(tmp_path, "exact.json", self.EXACT_LINE)
+        assert main(["valuate", "--oracle", oracle, "--poly", "x1^1000000000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: INPUT") and "slots" in err and "Traceback" not in err
+
     def test_huge_last_exponent_exits_2(self, tmp_path, capsys):
         # dividing x2^(10^9) by f in x_m would lay out 10^9 + 1 rows
         oracle = write(tmp_path, "cusp.json", CUSP)

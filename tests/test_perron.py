@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from perronval.errors import InputError, NoRelation, PreconditionError, ValueMismatch
+from perronval import perron
 from perronval.oracle import oracle_from_document
 from perronval.perron import (
     PerronTransform,
@@ -41,6 +42,15 @@ class TestTransformValidation:
         with pytest.raises(InputError):
             PerronTransform("A1", ((2, 1), (3, 2)), FR1, c=Q.zero)
         PerronTransform("A1", ((2, 1), (3, 2)), FR1, c=Q.one)  # fine
+
+    def test_a1_refuses_a_polynomial_over_another_field(self):
+        # c lives in Q; an F_5 polynomial is refused at the substitution,
+        # not at the strict transform that reads c next
+        tau = PerronTransform("A1", ((2, 1), (3, 2)), FR1, c=Q.scalar(3))
+        f = parse_polynomial(FR1, FieldSpec(5), "x2^2 - x1^3")
+        with pytest.raises(InputError, match="field"):
+            tau.substitute(f)
+        assert tau.substitute(parse_polynomial(FR1, Q, "x2^2 - x1^3")).field == Q
 
     def test_a1_needs_dependent_last_variable(self):
         with pytest.raises(InputError):
@@ -155,6 +165,25 @@ class TestBuildA1:
     def test_equal_values_single_step(self):
         tau = build_a1([RATIONAL.value(1)], RATIONAL.value(1), FR1, residue=lambda _: Q.one)
         assert tau.matrix == ((1, 0), (1, 1))
+
+    def test_matrix_is_inverted_once_per_transform(self, monkeypatch):
+        # the residue row, transform_arc and transformed_weights share one
+        # inverse, and it is the inverse of the matrix
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return unimodular_inverse(m)
+
+        monkeypatch.setattr(perron, "unimodular_inverse", counted)
+        rows = []
+        tau = build_a1([RATIONAL.value(2)], RATIONAL.value(3), FR1,
+                       residue=lambda row: rows.append(row) or Q.one)
+        for _ in range(2):
+            tau.transform_arc(CUSP_ORACLE.arc)
+            tau.transformed_weights([RATIONAL.value(2), RATIONAL.value(3)])
+        assert len(calls) == 1
+        assert rows == [tuple(unimodular_inverse(tau.matrix)[-1])]
 
     def test_zero_residue_is_refused(self):
         with pytest.raises(InputError, match="nonzero constant"):

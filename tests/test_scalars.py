@@ -579,6 +579,95 @@ def test_series_kernel_matches_naive_reference(field):
                        _naive_evaluate(terms, (naive(a), naive(b)), p), p)
 
 
+def _naive_of(s):
+    return {q: F(c) for q, c in s.terms.items()}, s.trunc
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"char{f.characteristic}")
+def test_packed_evaluation_matches_naive_reference(field):
+    # the packed kernel against the term-by-term Fraction reference on arcs
+    # of two or three components: ramified grids, exact, truncated and zero
+    # components, sparse ones with wide gaps, coefficients over several
+    # denominators and of both signs, x_m-degree up to 12, the zero
+    # polynomial; trunc, ram and every value must agree
+    p = field.characteristic
+    rng = random.Random(f"packed-evaluation/{p}")
+    dens = [d for d in (1, 1, 1, 2, 3, 4, 7, 12, 2**20) if not p or d % p]
+
+    def coeff():
+        return F(rng.choice((-1, 1)) * rng.randint(1, 40), rng.choice(dens))
+
+    def component():
+        kind = rng.choice(("dense", "dense", "sparse", "monomial", "zero"))
+        n = rng.choice((1, 1, 2, 3, 6))
+        exact = rng.random() < 0.3
+        if kind == "zero":
+            return PuiseuxSeries(field, {}, None if exact else F(rng.randint(1, 12), n))
+        order = F(rng.randint(0, 4), n)
+        if kind == "monomial":
+            exps = [order]
+        elif kind == "sparse":
+            exps = [order] + [order + F(rng.randint(5, 30), n) for _ in range(rng.randint(1, 2))]
+        else:
+            exps = [order + F(k, n) for k in range(rng.randint(2, 7))]
+        terms = {q: coeff() for q in exps}
+        trunc = None if exact else max(exps) + F(rng.randint(1, 6), rng.choice((1, n)))
+        return PuiseuxSeries(field, terms, trunc)
+
+    for _ in range(40):
+        m = rng.choice((2, 2, 3))
+        arc = tuple(component() for _ in range(m))
+        terms = {}
+        for _ in range(rng.choice((0, 1, 2, 4, 6))):
+            mono = tuple(rng.randint(0, 3) for _ in range(m - 1)) + (rng.randint(0, 12),)
+            terms[mono] = field.raw(coeff())
+        terms = {mono: c for mono, c in terms.items() if c}
+        _same_as_naive(evaluate_monomials(field, terms, arc),
+                       _naive_evaluate(terms, tuple(_naive_of(s) for s in arc), p), p)
+
+
+@pytest.mark.parametrize("field", [f for f in FIELDS if f.characteristic != 2],
+                         ids=lambda f: f"char{f.characteristic}")
+def test_packed_evaluation_at_the_digit_bound(field):
+    # one term with a single-digit component of value +-2 makes the largest
+    # coefficient reach the digit bound: 2^e needs e + 2 bits signed, and the
+    # widths round to 8, 16, 32, 64 and whole bytes above, so a width one bit
+    # short of the bound is wrong at e = 7, 15, 31, 63, 71, ...
+    p = field.characteristic
+    frame = VariableFrame(2, 1)
+    for lead in (2, -2):
+        arc = (parse_series(field, f"t*{lead}"), parse_series(field, f"t^(1/2)*{lead} | trunc 9"))
+        for e in range(1, 140):
+            got = Polynomial(frame, field, {(e, 0): 1}).evaluate_at_arc(arc)
+            assert got == PuiseuxSeries(field, {F(e): lead ** e})
+        for e in (1, 2, 7, 15, 16, 31, 63):
+            got = Polynomial(frame, field, {(0, e): 1, (1, 0): -1}).evaluate_at_arc(arc)
+            want = _naive_evaluate({(0, e): 1, (1, 0): field.raw(-1)},
+                                   tuple(_naive_of(s) for s in arc), p)
+            _same_as_naive(got, want, p)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"char{f.characteristic}")
+def test_integer_inverse_matches_naive_reference(field):
+    # leads 1, -1, 16 and 3/4 (where the field has them), ramified grids,
+    # one-term truncated series, which take no recurrence, and tails over
+    # several denominators
+    p = field.characteristic
+    rng = random.Random(f"integer-inverse/{p}")
+    leads = [c for c in (F(1), F(-1), F(16), F(3, 4)) if not p or c.numerator % p and c.denominator % p]
+    dens = [d for d in (1, 1, 2, 5, 9) if not p or d % p]
+    for _ in range(60):
+        n = rng.choice((1, 2, 3, 4))
+        q = F(rng.randint(-3, 5), n)
+        terms = {q: rng.choice(leads)}
+        for _ in range(rng.choice((0, 1, 3, 8))):
+            terms[q + F(rng.randint(1, 24), n)] = F(rng.randint(-9, 9), rng.choice(dens))
+        s = PuiseuxSeries(field, terms, q + F(rng.randint(1, 30), rng.choice((1, n))))
+        _same_as_naive(s.inverse(), _naive_inverse(_naive_of(s), p), p)
+    single = PuiseuxSeries(field, {F(3, 2): leads[-1]}, F(9))
+    _same_as_naive(single.inverse(), _naive_inverse(_naive_of(single), p), p)
+
+
 class TestStoredGridForm:
     def test_cancellation_returns_to_the_least_grid(self):
         s = parse_series(Q, "t^(1/2) + t | trunc 5") - parse_series(Q, "t^(1/2)")
