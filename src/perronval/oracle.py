@@ -200,7 +200,7 @@ class ArcValuation:
         self._variable_values = None
 
     def series_of(self, g: Polynomial) -> PuiseuxSeries:
-        if g.frame != self.frame:
+        if g.frame is not self.frame and g.frame != self.frame:
             raise FrameMismatch("polynomial frame does not match the oracle")
         series = self._series.get(g)
         if series is None:
@@ -208,7 +208,7 @@ class ArcValuation:
         return series
 
     def value(self, g: Polynomial) -> ValueResult:
-        if g.frame != self.frame:
+        if g.frame is not self.frame and g.frame != self.frame:
             raise FrameMismatch("polynomial frame does not match the oracle")
         result = self._values.get(g)
         if result is None:

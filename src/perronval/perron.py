@@ -118,9 +118,9 @@ class PerronTransform:
         term of f to one term.  The images and the new frame are built once
         per transform and shared by every substitution through it.
         """
-        if f.frame != self.frame:
+        if f.frame is not self.frame and f.frame != self.frame:
             raise InputError("polynomial frame does not match the transform")
-        if self.c is not None and f.field != self.c.field:
+        if self.c is not None and f.field is not self.c.field and f.field != self.c.field:
             raise InputError("polynomial over another field than the transform's constant")
         images = self._images.get(f.field)
         if images is None:

@@ -67,11 +67,6 @@ class VariableFrame:
         return replace(self, generation=self.generation + 1)
 
 
-def _mono_key(mono: Mono):
-    # graded lexicographic, x_1 most significant, x_m last
-    return (sum(mono), mono)
-
-
 class Polynomial:
     __slots__ = ("frame", "field", "terms")
 
@@ -114,7 +109,9 @@ class Polynomial:
 
     def _coerce(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
-            if other.frame != self.frame or other.field != self.field:
+            # identity first: a dataclass __eq__ costs several times an ``is``
+            if (other.frame is not self.frame and other.frame != self.frame
+                    or other.field is not self.field and other.field != self.field):
                 raise FrameMismatch("mixed-frame polynomial arithmetic")
             return other
         return Polynomial.constant(self.frame, self.field, other)
@@ -296,7 +293,8 @@ class Polynomial:
             raise InputError("need one image per variable")
         target_frame = images[0].frame
         for img in images:
-            if img.frame != target_frame or img.field != self.field:
+            if (img.frame is not target_frame and img.frame != target_frame
+                    or img.field is not self.field and img.field != self.field):
                 raise FrameMismatch("images live in different frames")
         p = self.field.characteristic
         if all(len(img.terms) == 1 for img in images):
@@ -482,32 +480,44 @@ def _raw_pow(a: dict, k: int, p: int, unit: Mono) -> dict:
 # Canonical printing and parsing
 
 def format_polynomial(f: Polynomial) -> str:
-    if f.is_zero:
+    """Canonical text of f: its terms in graded lexicographic order, highest
+    first, with x_1 most significant and x_m last.  One pass: the variable
+    names are read once, the order comes from sorting (degree, exponents,
+    value) triples, which never compares two values since no two terms share
+    exponents, and each factor's text is built once per call.  A number with
+    more digits than the interpreter converts to text raises InputError, as
+    ``format_raw`` does."""
+    terms = f.terms
+    if not terms:
         return "0"
-    frame = f.frame
-    chunks = []
-    for mono in sorted(f.terms, key=_mono_key, reverse=True):
-        c = f.terms[mono]
-        factors = []
-        for i, e in enumerate(mono):
-            if e == 1:
-                factors.append(frame.var_name(i))
-            elif e > 1:
-                factors.append(f"{frame.var_name(i)}^{format_raw(e)}")
-        body = "*".join(factors)
-        sign, mag = ("+", c) if f.field.modular or c > 0 else ("-", -c)
-        if body and mag == 1:
-            text = body
-        elif body:
-            text = f"{format_raw(mag)}*{body}"
-        else:
-            text = format_raw(mag)
-        chunks.append((sign, text))
-    first_sign, first = chunks[0]
-    out = first if first_sign == "+" else f"-{first}"
-    for sign, text in chunks[1:]:
-        out += f" {sign} {text}"
-    return out
+    names = [f.frame.var_name(i) for i in range(f.frame.m)]
+    modular = f.field.modular
+    factors = {}  # (i, e) -> the text of x_i^e
+    out = []
+    try:
+        for _, mono, c in sorted(zip(map(sum, terms), terms, terms.values()), reverse=True):
+            body = []
+            for i, e in enumerate(mono):
+                if e:
+                    text = factors.get((i, e))
+                    if text is None:
+                        text = factors[i, e] = names[i] if e == 1 else f"{names[i]}^{e}"
+                    body.append(text)
+            body = "*".join(body)
+            if modular or c > 0:
+                out.append(" + ")
+            else:
+                out.append(" - ")
+                c = -c
+            if not body:
+                body = str(c)
+            elif c != 1:
+                body = f"{c!s}*{body}"
+            out.append(body)
+    except ValueError as exc:
+        raise InputError(f"value too long to print: {exc}") from exc
+    out[0] = "" if out[0] == " + " else "-"
+    return "".join(out)
 
 
 _VAR_RE = re.compile(r"^x(?P<idx>[0-9]+)(?:\((?P<gen>[0-9]+)\))?(?:\^(?P<exp>[0-9]+))?$")

@@ -10,8 +10,9 @@ Puiseux series are finite sums of terms c * t^q with q rational, together
 with a truncation order below which the series is trusted.  A truncation of
 ``None`` means the series is exact (all omitted coefficients are zero);
 declared arc data normally carries a finite truncation.  A series is stored
-on its integer grid 1/N as (index, raw value) pairs and a truncation index;
-Fraction exponents appear only when a series is parsed or printed.
+on its integer grid 1/N as (index, int numerator) pairs over one
+denominator, and a truncation index; Fraction exponents and values appear
+only when a series is parsed or printed, or read through its views.
 """
 
 from __future__ import annotations
@@ -316,18 +317,28 @@ def reduce_raw(items, p: int) -> dict:
 # the kernels lift it to a common grid 1/n with ``_grid``: a kernel triple
 # (pairs, top, den) of ascending (index k, nonzero int numerator v) pairs,
 # standing for the terms (v / den) t^(k/n), the truncation index top and
-# one common denominator den.  Over F_p, den is 1 and the numerators are the
-# raw values, so both fields run the same int arithmetic; values become
-# canonical raw values again only in ``PuiseuxSeries._from_grid``.
+# one common denominator den.  That is the stored form with its indices
+# scaled, so lifting costs no gcd and no value is rescaled.  Over F_p, den
+# is 1 and the numerators are the raw values, so both fields run the same
+# int arithmetic; ``PuiseuxSeries._from_grid`` brings a result to lowest
+# terms with one gcd.
 
 def _grid(s: "PuiseuxSeries", n: int):
     """Kernel triple of s on the grid 1/n; n must be a multiple of s.ram."""
     f = n // s.ram
-    pairs = s.pairs if f == 1 else [(k * f, v) for k, v in s.pairs]
-    den = math.lcm(*[v.denominator for _, v in pairs if type(v) is not int])
-    if den != 1:
-        pairs = [(k, v.numerator * (den // v.denominator)) for k, v in pairs]
-    return pairs, None if s.top is None else s.top * f, den
+    if f == 1:
+        return s.pairs, s.top, s.den
+    return [(k * f, v) for k, v in s.pairs], None if s.top is None else s.top * f, s.den
+
+
+def _raw(v: int, den: int):
+    """The canonical raw value of the stored numerator v over den: v when
+    den = 1 (always over F_p), else a reduced Fraction, or an int when
+    integral."""
+    if den == 1:
+        return v
+    c = Fraction(v, den)
+    return c.numerator if c.denominator == 1 else c
 
 
 def _grid_mul(a, b, p: int):
@@ -393,17 +404,21 @@ def _nonzero(acc: dict, p: int) -> list:
 class PuiseuxSeries:
     """Finite sum of terms c * t^q with rational q, trusted below ``trunc``.
 
-    Stored on the grid 1/``ram``: ``pairs`` holds the ascending (index k,
-    canonical raw value c) pairs of the terms c t^(k/ram) and ``top`` the
-    truncation index trunc * ram, None when the series is exact.  ``ram`` is
-    always the least such grid, the lcm of the exponent denominators and the
-    truncation's, so equal series compare equal.  ``terms`` and ``trunc``
-    are read-only views in Fraction exponents.  Exponents may be negative in
-    intermediate computations; declared arc components are checked elsewhere.
+    Stored on the grid 1/``ram`` as a ``Value`` is stored: ``pairs`` holds
+    the ascending (index k, nonzero int numerator v) pairs of the terms
+    (v / den) t^(k/ram), ``den`` is one positive denominator with
+    gcd(den, every v) = 1 (1 over F_p, where each v is the raw value in
+    1..p-1), and ``top`` is the truncation index trunc * ram, None when the
+    series is exact.  ``ram`` is always the least such grid, the lcm of the
+    exponent denominators and the truncation's, so equal series compare
+    equal.  ``terms`` and ``trunc`` are read-only views in Fraction
+    exponents and canonical raw values, built on each read.  Exponents may
+    be negative in intermediate computations; declared arc components are
+    checked elsewhere.
     """
 
     # _packing: (n, its ``_component`` on the grid 1/n), set on first use
-    __slots__ = ("field", "ram", "pairs", "top", "_packing")
+    __slots__ = ("field", "ram", "pairs", "den", "top", "_packing")
 
     def __init__(self, field: FieldSpec, terms=None, trunc=None):
         if trunc is not None:
@@ -422,12 +437,20 @@ class PuiseuxSeries:
         self.field, self.ram = field, n
         self.top = None if trunc is None else trunc.numerator * (n // trunc.denominator)
         _check_slots(self.top, n)
-        self.pairs = tuple(sorted((q.numerator * (n // q.denominator), c) for q, c in terms.items()))
+        # lowest terms: a prime power in den divides the denominator of one
+        # value whose numerator it does not divide
+        den = self.den = math.lcm(*[c.denominator for c in terms.values() if type(c) is not int])
+        self.pairs = tuple(sorted(
+            (q.numerator * (n // q.denominator),
+             c * den if type(c) is int else c.numerator * (den // c.denominator))
+            for q, c in terms.items()
+        ))
 
     @property
     def terms(self) -> dict:
         """{Fraction exponent: raw value}, built on each call."""
-        return {Fraction(k, self.ram): c for k, c in self.pairs}
+        den = self.den
+        return {Fraction(k, self.ram): _raw(v, den) for k, v in self.pairs}
 
     @property
     def trunc(self):
@@ -446,11 +469,11 @@ class PuiseuxSeries:
     def leading_coeff(self) -> Scalar:
         if not self.pairs:
             raise DivisionByZero("leading coefficient of a zero series")
-        return self.field.scalar(self.pairs[0][1])
+        return self.field.scalar(_raw(self.pairs[0][1], self.den))
 
     def _coerce(self, other):
         if isinstance(other, PuiseuxSeries):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise InputError("mixed-field series arithmetic")
             return other
         return PuiseuxSeries(self.field, {Fraction(0): other})
@@ -465,8 +488,8 @@ class PuiseuxSeries:
 
     def __neg__(self):
         p = self.field.characteristic
-        pairs = [(k, -c % p if p else -c) for k, c in self.pairs]
-        return PuiseuxSeries._from_grid(self.field, self.ram, (pairs, self.top, 1))
+        pairs = [(k, -v % p if p else -v) for k, v in self.pairs]
+        return PuiseuxSeries._from_grid(self.field, self.ram, (pairs, self.top, self.den))
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -548,29 +571,42 @@ class PuiseuxSeries:
     @classmethod
     def _from_grid(cls, field, n, grid) -> "PuiseuxSeries":
         """Series of a kernel triple (pairs, top, den) on 1/n: ascending
-        (index, nonzero numerator) pairs over the common denominator den, all
-        below the truncation index top (None when exact).  Each value over
-        den > 1 costs one gcd; with den = 1 the values are stored as they
-        come, so they must be canonical raw values.  One gcd over n, top and
-        the indices moves the series to its least grid, and a truncation
+        (index, nonzero int numerator) pairs over the common denominator
+        den != 0, all below the truncation index top (None when exact).  Over
+        F_p, den must be 1 and the numerators raw values.  One gcd of den
+        and the numerators, its sign that of den, brings the values to
+        lowest terms over a positive denominator, and one gcd over n, top
+        and the indices moves the series to its least grid; a truncation
         beyond MAX_GRID_SLOTS there is refused, as the constructor refuses
         it: every series the kernels build keeps to that bound."""
         pairs, top, den = grid
         if den != 1:
-            pairs = [(k, c.numerator if (c := Fraction(v, den)).denominator == 1 else c)
-                     for k, v in pairs]
-        g = math.gcd(n, top or 0, *(k for k, _ in pairs))
+            g = math.gcd(den, *[v for _, v in pairs])
+            if den < 0:
+                g = -g
+            if g != 1:
+                den //= g
+                pairs = [(k, v // g) for k, v in pairs]
+        g = math.gcd(n, top or 0, *[k for k, _ in pairs])
         if g != 1:
             n //= g
-            pairs = [(k // g, c) for k, c in pairs]
+            pairs = [(k // g, v) for k, v in pairs]
             top = None if top is None else top // g
         _check_slots(top, n)
         s = cls.__new__(cls)
-        s.field, s.ram, s.pairs, s.top = field, n, tuple(pairs), top
+        s.field, s.ram, s.pairs, s.den, s.top = field, n, tuple(pairs), den, top
         return s
 
     def truncated(self, trunc) -> "PuiseuxSeries":
-        return PuiseuxSeries(self.field, self.terms, _tmin(self.trunc, _exponent(trunc)))
+        """The series trusted below the lesser of its truncation and
+        ``trunc``: its pairs cut on the grid that holds both."""
+        trunc = _exponent(trunc)
+        n = math.lcm(self.ram, trunc.denominator)
+        pairs, top, den = _grid(self, n)
+        cut = trunc.numerator * (n // trunc.denominator)
+        if top is None or cut < top:
+            pairs, top = [kv for kv in pairs if kv[0] < cut], cut
+        return PuiseuxSeries._from_grid(self.field, n, (pairs, top, den))
 
     def __eq__(self, other):
         if not isinstance(other, PuiseuxSeries):
@@ -579,11 +615,12 @@ class PuiseuxSeries:
             self.field == other.field
             and self.ram == other.ram
             and self.top == other.top
+            and self.den == other.den
             and self.pairs == other.pairs
         )
 
     def __hash__(self):
-        return hash((self.field, self.ram, self.pairs, self.top))
+        return hash((self.field, self.ram, self.pairs, self.den, self.top))
 
     def __str__(self):
         return format_series(self)
@@ -836,8 +873,8 @@ def parse_series(field: FieldSpec, text: str) -> PuiseuxSeries:
 def format_series(s: PuiseuxSeries) -> str:
     """Canonical form: ascending exponents, explicit ``*c`` coefficients."""
     chunks = []
-    for k, c in s.pairs:
-        text = format_raw(c)
+    for k, v in s.pairs:
+        text = format_raw(_raw(v, s.den))
         if k == 0:
             chunks.append(text)
             continue

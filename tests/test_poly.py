@@ -1,11 +1,15 @@
+import importlib.util
 import itertools
+import json
 import random
+from pathlib import Path
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from perronval.errors import InputError
+from perronval.oracle import oracle_from_document
 from perronval.perron import PerronTransform
 from perronval.poly import (
     Polynomial,
@@ -15,7 +19,8 @@ from perronval.poly import (
     parse_polynomial,
     parse_ring_header,
 )
-from perronval.scalars import INFINITE, FieldSpec, parse_series
+from perronval.reduce import run_reduction, trace_document
+from perronval.scalars import INFINITE, FieldSpec, format_raw, parse_series
 
 Q = FieldSpec(0)
 F2 = FieldSpec(2)
@@ -479,6 +484,95 @@ class TestCanonicalForm:
     def test_polynomial_refuses_non_ascii_digits(self, text):
         with pytest.raises(InputError):
             P(text)
+
+
+def _reference_key(mono):
+    # graded lexicographic, x_1 most significant, x_m last
+    return (sum(mono), mono)
+
+
+def _reference_format(f):
+    """The printer before its one-pass form, kept as the reference: a
+    Python sort key per term, and the names and numbers formatted per
+    factor."""
+    if f.is_zero:
+        return "0"
+    frame = f.frame
+    chunks = []
+    for mono in sorted(f.terms, key=_reference_key, reverse=True):
+        c = f.terms[mono]
+        factors = []
+        for i, e in enumerate(mono):
+            if e == 1:
+                factors.append(frame.var_name(i))
+            elif e > 1:
+                factors.append(f"{frame.var_name(i)}^{format_raw(e)}")
+        body = "*".join(factors)
+        sign, mag = ("+", c) if f.field.modular or c > 0 else ("-", -c)
+        if body and mag == 1:
+            text = body
+        elif body:
+            text = f"{format_raw(mag)}*{body}"
+        else:
+            text = format_raw(mag)
+        chunks.append((sign, text))
+    first_sign, first = chunks[0]
+    out = first if first_sign == "+" else f"-{first}"
+    for sign, text in chunks[1:]:
+        out += f" {sign} {text}"
+    return out
+
+
+@st.composite
+def _printable(draw):
+    """A polynomial over Q or F_2..F_7 in m = 1..3 variables of generation
+    0, 1 or 12, with coefficients +-1, other ints and Fractions; zero and
+    constant polynomials included."""
+    field = draw(st.sampled_from(FIELDS))
+    p = field.characteristic
+    m = draw(st.integers(1, 3))
+    frame = VariableFrame(m, draw(st.integers(1, m)), draw(st.sampled_from((0, 1, 12))))
+    coeff = st.one_of(
+        st.sampled_from((1, -1)),
+        st.integers(-10**12, 10**12),
+        st.fractions(max_denominator=10**4).filter(lambda c: not p or c.denominator % p),
+    )
+    shape = draw(st.sampled_from(("general", "general", "constant", "zero")))
+    if shape == "zero":
+        return Polynomial.zero(frame, field)
+    if shape == "constant":
+        return Polynomial.constant(frame, field, draw(coeff))
+    mono = st.tuples(*[st.one_of(st.integers(0, 3), st.integers(0, 120))] * m)
+    return Polynomial(frame, field, draw(st.dictionaries(mono, coeff, min_size=1, max_size=12)))
+
+
+class TestPrinterMatchesReference:
+    @settings(max_examples=250, deadline=None)
+    @given(_printable())
+    def test_drawn_polynomials(self, f):
+        assert format_polynomial(f) == _reference_format(f)
+
+    def test_a1_images_of_the_benchmark_traces(self):
+        # every A1 image g printed in the seed-1 ladder and pairs traces,
+        # up to 64 terms, read back and printed by both printers
+        spec = importlib.util.spec_from_file_location(
+            "perronval_bench_corpus", Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py")
+        corpus = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(corpus)
+        sizes = set()
+        for workload in ("ladder", "pairs"):
+            docs = {json.dumps(item["doc"], sort_keys=True): item["doc"]
+                    for item in corpus.generate(workload, 1)}
+            for doc in docs.values():
+                oracle = oracle_from_document(doc)
+                trace = trace_document(run_reduction(oracle), doc)
+                for step in trace["steps"]:
+                    if step["kind"] == "A1":
+                        frame = VariableFrame(2, 1, step["generation"])
+                        g = parse_polynomial(frame, oracle.field, step["f_after"])
+                        assert format_polynomial(g) == _reference_format(g) == step["f_after"]
+                        sizes.add(len(g.terms))
+        assert {16, 23} <= sizes
 
 
 def _random_poly(rng, frame, field, max_terms=5, max_exp=4):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from perronval.errors import DivisionByZero, InputError
+from perronval.perron import PerronTransform
 from perronval.poly import Polynomial, VariableFrame
 from perronval.scalars import (
     MAX_GRID_SLOTS,
@@ -517,12 +518,29 @@ def _naive_evaluate(terms, arc, p):
     return _naive_cut(acc, trunc, p)
 
 
+def _stored_form_is_canonical(s):
+    """The stored form: ascending indices with nonzero int numerators over
+    one positive denominator, in lowest terms, 1 over F_p (where each
+    numerator is the raw value in 1..p-1)."""
+    p = s.field.characteristic
+    nums = [v for _, v in s.pairs]
+    assert type(s.pairs) is tuple
+    assert [k for k, _ in s.pairs] == sorted({k for k, _ in s.pairs})
+    assert type(s.den) is int and s.den >= 1 and math.gcd(s.den, *nums) == 1
+    assert all(type(v) is int and v != 0 for v in nums)
+    if p:
+        assert s.den == 1 and all(0 < v < p for v in nums)
+
+
 def _same_as_naive(got, want, p):
     terms, trunc = want
     ram = math.lcm(*(q.denominator for q in terms), trunc.denominator if trunc is not None else 1)
     assert (got.terms, got.trunc, got.ram) == (terms, trunc, ram)
-    # the stored grid form is what the views say
-    assert got.pairs == tuple((int(q * ram), c) for q, c in sorted(terms.items()))
+    # the stored grid form is what the views say: each numerator over den is
+    # the reference term, and the canonical form makes the pairs unique
+    _stored_form_is_canonical(got)
+    assert [(k, F(v, got.den)) for k, v in got.pairs] == [
+        (int(q * ram), terms[q]) for q in sorted(terms)]
     assert got.top == (None if trunc is None else trunc * ram)
     for v in got.terms.values():  # canonical raw values
         if p:
@@ -682,6 +700,53 @@ class TestStoredGridForm:
         with pytest.raises(AttributeError):
             s.trunc = F(1)
         assert s.terms == {F(1, 2): 1} and s.trunc == 3 and s.ram == 2
+
+    def test_values_are_numerators_over_one_denominator(self):
+        s = parse_series(Q, "t*1/6 + t^2*-3/4 + t^3*2 | trunc 5")
+        assert (s.pairs, s.den) == (((1, 2), (2, -9), (3, 24)), 12)
+        assert s.terms == {F(1): F(1, 6), F(2): F(-3, 4), F(3): 2}
+        assert s.leading_coeff() == Q.scalar("1/6")
+        assert format_series(s) == "t*1/6 + t^2*-3/4 + t^3*2"
+        s = parse_series(F5, "t*1/2 + t^2*3")
+        assert (s.pairs, s.den) == (((1, 3), (2, 3)), 1)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"char{f.characteristic}")
+    def test_every_operation_stores_the_canonical_form(self, field):
+        # after each operation the stored form is in lowest terms, and the
+        # series equals, and hashes as, the one built afresh from its views;
+        # the numerators and denominators are primes above 7 and their
+        # products, so no term vanishes over F_2..F_7
+        def check(s):
+            _stored_form_is_canonical(s)
+            again = PuiseuxSeries(field, s.terms, s.trunc)
+            assert (s.pairs, s.den, s.top, s.ram) == (again.pairs, again.den, again.top, again.ram)
+            assert s == again and hash(s) == hash(again)
+
+        def series(terms, trunc):
+            return PuiseuxSeries(field, {q: F(c) for q, c in terms.items()}, trunc)
+
+        a = series({F(1, 2): F(-11, 13), F(1): F(17, 143), F(2): 19}, 9)
+        b = series({F(1): F(1, 11), F(3, 2): F(-13, 17)}, 6)
+        c = series({F(1, 2): F(11, 13), F(1): F(1, 13)}, 9)  # a + c: the lead cancels
+        for s in (a, b, c, a + b, a + c, a - b, a - a, -a, a * b, a * c):
+            check(s)
+        for k in (-3, -2, -1, 0, 1, 2, 5):
+            check(a ** k)
+            check(b ** k)
+        # negative leads: over Q the inverse hands over the denominator
+        # v_0^len(b), negative for an odd length (3 here, and 1)
+        check(a.inverse())
+        check(series({F(1): F(-13, 11), F(2): 1}, 4).inverse())
+        check(series({F(1): F(-13, 11)}, 4).inverse())
+        for cut in (F(1, 2), F(1), F(4, 3), F(3), 12):
+            check(a.truncated(cut))
+            check(b.truncated(cut))
+        terms = {(2, 0): 1, (1, 1): field.raw(F(-1, 11)), (0, 3): field.raw(F(17, 13))}
+        check(evaluate_monomials(field, terms, (a, b)))
+        check(evaluate_monomials(field, {(1, 0): 1, (0, 1): 1}, (c, -c)))
+        a1 = PerronTransform("A1", ((1, 1), (1, 2)), VariableFrame(2, 1), field.scalar(1))
+        for s in a1.transform_arc((b, a)):
+            check(s)
 
 
 class TestExponentTypes:
