@@ -5,7 +5,10 @@ Cremona map; A1 additionally mixes in the last variable through a translated
 factor (x_m(1) + c) with c a nonzero residue.  Matrices are built by
 generalized subtractive (Euclidean) steps on the value vector: at each step
 the coordinate of minimal positive value is subtracted from another
-coordinate, composing elementary unimodular matrices.  For a single
+coordinate, composing elementary unimodular matrices.  The walks run on the
+integer numerator rows of the values over one common denominator, ordered
+by the exact sign of a or a + b*sqrt(d) (`valgroup._sign`), so no `Value`
+is built or compared inside a loop; equal values have equal rows.  For a single
 independent variable this is exactly the continued-fraction expansion of
 the dependent value and terminates; in higher rank the divisibility goal of
 the A6 loop terminates by the classical Perron-algorithm argument, and a
@@ -22,8 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 
 from .errors import (
+    ContextMismatch,
     InputError,
     PreconditionError,
     StepBoundExceeded,
@@ -35,6 +40,9 @@ from .poly import Polynomial, VariableFrame
 from .scalars import FieldSpec, Scalar, check_ints, parse_integer, parse_rational
 from .valgroup import (
     Value,
+    _check_context,
+    _rows,
+    _sign,
     det_int,
     identity_matrix,
     minor,
@@ -203,12 +211,62 @@ class PerronTransform:
         )
 
 
-def _elementary_step(matrix, values, i_sub, j_from):
-    """values[j_from] -= values[i_sub]; column i_sub of the matrix absorbs
-    column j_from, keeping old = matrix * values invariant."""
-    values[j_from] = values[j_from] - values[i_sub]
-    for r in range(len(matrix)):
-        matrix[r][i_sub] += matrix[r][j_from]
+def _cmp(a, b, d) -> int:
+    """sign(a - b) for integer value rows a, b over one denominator, exact
+    in Q (d None) and in Q(sqrt d)."""
+    return _sign([x - y for x, y in zip(a, b)], d)
+
+
+def _extreme(rows, indices, d, s):
+    """The first of ``indices`` whose row is largest (s = 1) or smallest
+    (s = -1), None for no indices: argmax by (value, -index), argmin by
+    (value, index)."""
+    best = None
+    for i in indices:
+        if best is None or s * _cmp(rows[i], rows[best], d) > 0:
+            best = i
+    return best
+
+
+def _step(matrix, rows, i_sub, j_from):
+    """One step of both walks, on the integer value rows they order by the
+    exact sign rule (`_cmp`): rows[j_from] -= rows[i_sub], and column i_sub
+    of the matrix absorbs column j_from, keeping old = matrix * new."""
+    rows[j_from] = [x - y for x, y in zip(rows[j_from], rows[i_sub])]
+    for r in matrix:
+        r[i_sub] += r[j_from]
+
+
+def _a6_checks(m1, m2, n):
+    """The exponent vectors' checks of an A6 division."""
+    if len(m1) < n or len(m2) < n:
+        raise InputError("exponent vectors shorter than the active block")
+    if any(m1[n:]) or any(m2[n:]):
+        raise PreconditionError("monomials must be supported on x_1..x_n")
+
+
+def _a6_walk(delta, rows, d, bound):
+    """The A6 matrix making the exponent difference ``delta`` nonnegative.
+
+    Each step subtracts the smallest row from the largest other one, and
+    ``rows`` are left as the rows of the new variables' values; a ``delta``
+    without negative entries gives the identity and reads no row."""
+    n = len(delta)
+    matrix = identity_matrix(n)
+    steps = 0
+    while any(x < 0 for x in delta):
+        if steps >= bound:
+            raise StepBoundExceeded("A6 divisibility loop exceeded the bound")
+        i_sub = _extreme(rows, range(n), d, -1)
+        # the minimum's row is below every row that differs from it
+        j_from = _extreme(rows, [j for j in range(n) if rows[j] != rows[i_sub]], d, 1)
+        if j_from is None:
+            raise StepBoundExceeded("no legal subtractive step remains")
+        # subtract row i_sub from row j_from; exponents move the other way
+        _step(matrix, rows, i_sub, j_from)
+        delta[i_sub] += delta[j_from]
+        steps += 1
+    return tuple(tuple(r) for r in matrix)
 
 
 def build_a6_divide(m1, m2, weights, frame: VariableFrame,
@@ -219,31 +277,19 @@ def build_a6_divide(m1, m2, weights, frame: VariableFrame,
     n = frame.n
     m1 = tuple(m1)
     m2 = tuple(m2)
-    if len(m1) < n or len(m2) < n:
-        raise InputError("exponent vectors shorter than the active block")
-    if any(e for e in m1[n:]) or any(e for e in m2[n:]):
-        raise PreconditionError("monomials must be supported on x_1..x_n")
+    _a6_checks(m1, m2, n)
     if len(weights) < n:
         raise InputError("need a weight per active variable")
     w = list(weights[:n])
     if not pairing(m1, w) < pairing(m2, w):
         raise PreconditionError("need value(M1) < value(M2)")
     delta = [m2[j] - m1[j] for j in range(n)]
-    matrix = identity_matrix(n)
-    steps = 0
-    while any(d < 0 for d in delta):
-        if steps >= bound:
-            raise StepBoundExceeded("A6 divisibility loop exceeded the bound")
-        i_sub = min(range(n), key=lambda i: (w[i], i))
-        candidates = [j for j in range(n) if j != i_sub and w[j] > w[i_sub]]
-        if not candidates:
-            raise StepBoundExceeded("no legal subtractive step remains")
-        j_from = max(candidates, key=lambda j: (w[j], -j))
-        # subtract w[i_sub] from w[j_from]; exponents move the other way
-        _elementary_step(matrix, w, i_sub, j_from)
-        delta[i_sub] += delta[j_from]
-        steps += 1
-    return PerronTransform(kind="A6", matrix=tuple(tuple(r) for r in matrix),
+    rows = None
+    if min(delta) < 0:  # the walk compares the weights
+        for v in w:
+            _check_context(v.context, w[0].context, "values from different contexts")
+        rows = _rows(w)
+    return PerronTransform(kind="A6", matrix=_a6_walk(delta, rows, w[0].context.d, bound),
                            frame=frame)
 
 
@@ -266,24 +312,21 @@ def build_a1(weights, gamma: Value, frame: VariableFrame, *, residue,
     if gamma.sign() <= 0:
         raise PreconditionError("gamma must be positive")
     rational_relation(w + [gamma])  # raises NO-RELATION / AMBIGUOUS
-    values = w + [gamma]
+    rows, d = _rows(w + [gamma]), context.d
     matrix = identity_matrix(n + 1)
     last = n
     steps = 0
-    while values[last].sign() > 0:
+    while _sign(rows[last], d) > 0:
         if steps >= bound:
             raise StepBoundExceeded("A1 construction exceeded the step bound")
-        below = [i for i in range(n) if values[i] <= values[last]]
+        below = [i for i in range(n) if _cmp(rows[i], rows[last], d) <= 0]
         if below:
-            i_sub = max(below, key=lambda i: (values[i], -i))
-            _elementary_step(matrix, values, i_sub, last)
+            _step(matrix, rows, _extreme(rows, below, d, 1), last)
         else:
-            j_from = max(range(n), key=lambda j: (values[j], -j))
-            _elementary_step(matrix, values, last, j_from)
+            _step(matrix, rows, last, _extreme(rows, range(n), d, 1))
         steps += 1
-    for i in range(n):
-        if values[i].sign() <= 0:
-            raise StepBoundExceeded("subtractive loop lost positivity")
+    if any(_sign(rows[i], d) <= 0 for i in range(n)):
+        raise StepBoundExceeded("subtractive loop lost positivity")
     matrix = tuple(tuple(r) for r in matrix)
     inverse = unimodular_inverse(matrix)
     # PerronTransform refuses a zero residue
@@ -302,16 +345,28 @@ class MonomializeResult:
 def monomialize(g: Polynomial, weights, frame: VariableFrame,
                 bound: int = DEFAULT_STEP_BOUND) -> MonomializeResult:
     """Repeated Lemma-11 divisions turning g (supported on x_1..x_n up to
-    unused variables) into monomial times unit."""
+    unused variables) into monomial times unit.  Each round values the terms
+    by integer dot products with the weights' rows, which its A6 walk leaves
+    as the rows of the new variables (old = M * new): no round inverts."""
     if g.is_zero:
         raise PreconditionError("cannot monomialize zero")
     n = frame.n
     for mono in g.terms:
-        if any(mono[j] for j in range(n, frame.m)):
+        if any(mono[n:]):
             raise Unsupported(
                 "monomialization needs support in the independent block"
             )
+    if len(weights) < n:
+        raise InputError("need a weight per active variable")
     w = list(weights[:n])
+    context = w[0].context
+    # a weight of another context is refused where it is first compared:
+    # at a term that uses it, else when the first walk starts
+    odd = [j for j, v in enumerate(w) if v.context != context]
+    if any(mono[j] for mono in g.terms for j in odd):
+        raise ContextMismatch("values from different contexts")
+    rows = _rows([context.zero() if j in odd else v for j, v in enumerate(w)])
+    d = context.d
     transforms = []
     current = g
     rounds = 0
@@ -320,10 +375,11 @@ def monomialize(g: Polynomial, weights, frame: VariableFrame,
             raise StepBoundExceeded("monomialization exceeded the step bound")
         rounds += 1
         support = sorted(current.terms)
-        values = [pairing(mono, w) for mono in support]
-        best = min(range(len(support)), key=lambda i: values[i])
-        ties = [i for i in range(len(support)) if values[i] == values[best]]
-        if len(ties) > 1:
+        cols = list(zip(*rows))
+        values = [[sum(map(mul, mono, col)) for col in cols] for mono in support]
+        best = _extreme(values, range(len(values)), d, -1)
+        # one denominator and one representation: equal values, equal rows
+        if values.count(values[best]) > 1:
             raise Unsupported("minimal-value monomial is not unique")
         mmin = support[best]
         offender = None
@@ -337,12 +393,15 @@ def monomialize(g: Polynomial, weights, frame: VariableFrame,
             if unit.constant_term().is_zero:
                 raise Unsupported("residual factor is not a unit at the origin")
             return MonomializeResult(tuple(transforms), exponents, unit)
-        tau = build_a6_divide(mmin, offender, w, frame, bound=bound)
+        if odd:
+            raise ContextMismatch("values from different contexts")
+        # value(mmin) < value(offender): mmin is the unique minimum
+        _a6_checks(mmin, offender, n)
+        delta = [offender[j] - mmin[j] for j in range(n)]
+        tau = PerronTransform(kind="A6", matrix=_a6_walk(delta, rows, d, bound), frame=frame)
         transforms.append(tau)
-        new_active = tau.transformed_weights(w)
         current = tau.substitute(current)
         frame = tau.new_frame()
-        w = new_active[:n]
 
 
 def verify_cramer(tau: PerronTransform, d, e, values) -> bool:

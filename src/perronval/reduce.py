@@ -510,7 +510,3 @@ def replay_trace(doc: dict) -> str:
         if recorded is not None and str(f) != recorded:
             raise InputError(f"replay diverged at a {kind} step")
     return str(f)
-
-
-def replay_matches(doc: dict) -> bool:
-    return replay_trace(doc) == _required(doc, "final_f", "trace")

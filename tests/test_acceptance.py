@@ -20,7 +20,6 @@ from perronval.perron import PerronTransform, build_a1, build_a6_divide, verify_
 from perronval.poly import Polynomial, VariableFrame, parse_polynomial
 from perronval.reduce import (
     char0_translate,
-    replay_matches,
     replay_trace,
     run_reduction,
     trace_document,
@@ -34,6 +33,7 @@ from perronval.valgroup import (
     quadratic,
     unimodular_inverse,
 )
+from replay_check import replay_matches
 
 GOLDEN = Path(__file__).parent / "golden"
 

@@ -4,7 +4,7 @@ import pytest
 
 from perronval.cli import _dump, main
 from perronval.errors import InputError
-from perronval.reduce import replay_matches
+from replay_check import replay_matches
 
 CUSP = {
     "version": 1,

@@ -1,12 +1,23 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from perronval.errors import InputError, NoRelation, PreconditionError, ValueMismatch
+from perronval.errors import (
+    InputError,
+    NoRelation,
+    PerronvalError,
+    PreconditionError,
+    StepBoundExceeded,
+    Unsupported,
+    ValueMismatch,
+)
 from perronval import perron
 from perronval.oracle import oracle_from_document
 from perronval.perron import (
+    DEFAULT_STEP_BOUND,
+    MonomializeResult,
     PerronTransform,
     build_a1,
     build_a6_divide,
@@ -15,13 +26,21 @@ from perronval.perron import (
 )
 from perronval.poly import Polynomial, VariableFrame, parse_polynomial
 from perronval.scalars import FieldSpec
-from perronval.valgroup import RATIONAL, quadratic, unimodular_inverse
+from perronval.valgroup import (
+    RATIONAL,
+    identity_matrix,
+    pairing,
+    quadratic,
+    rational_relation,
+    unimodular_inverse,
+)
 
 Q = FieldSpec(0)
 FR1 = VariableFrame(m=2, n=1)
 FR2 = VariableFrame(m=2, n=2)
 Q2 = quadratic(2)
 Q3 = quadratic(3)
+CONTEXTS = (RATIONAL, Q2, Q3, quadratic(5))
 
 CUSP_ORACLE = oracle_from_document({
     "version": 1, "kind": "arc", "ring": {"m": 2, "char": 0, "n": 1},
@@ -329,6 +348,334 @@ class TestMonomialize:
                 got.unit.frame, Q, got.exponents
             )
             assert not got.unit.constant_term().is_zero
+
+    @pytest.mark.parametrize("text, weights", [
+        ("x1 + x2", []),
+        ("x2", [Q2.value(1, 0)]),
+        ("x2 + x2^2", [Q2.value(1, 0)]),
+    ], ids=["no-weights", "one-term", "two-terms"])
+    def test_a_missing_weight_is_refused(self, text, weights):
+        # before the first round, as build_a6_divide refuses it
+        with pytest.raises(InputError, match="need a weight per active variable"):
+            monomialize(parse_polynomial(FR2, Q, text), weights, FR2)
+
+    def test_walk_rows_are_the_transformed_weights(self, monkeypatch):
+        # each round's walk leaves the rows of transformed_weights(old) over
+        # the weights' common denominator, and the next round starts from
+        # them: so monomialize needs no inverse matrix
+        walks = []
+        walk = perron._a6_walk
+
+        def recorded(delta, rows, d, bound):
+            before = [list(r) for r in rows]
+            matrix = walk(delta, rows, d, bound)
+            walks.append((before, matrix, [list(r) for r in rows]))
+            return matrix
+
+        monkeypatch.setattr(perron, "_a6_walk", recorded)
+        rng = random.Random(2026)
+        checked = 0
+        for ctx in CONTEXTS:
+            for _ in range(40):
+                weights = [_draw_positive(rng, ctx) for _ in range(2)]
+                walks.clear()
+                try:
+                    got = monomialize(_draw_polynomial(rng, FR2, 2), weights, FR2)
+                except PerronvalError:
+                    continue
+                den = math.lcm(*(v.den for v in weights))
+
+                def numerators(values):
+                    return [[x * (den // v.den) for x in v.nums] for v in values]
+
+                old = weights
+                assert len(walks) == len(got.transforms)
+                for (before, matrix, after), tau in zip(walks, got.transforms):
+                    new = tau.transformed_weights(old)
+                    assert matrix == tau.matrix
+                    assert before == numerators(old)
+                    assert after == numerators(new)
+                    old = new
+                    checked += 1
+        assert checked >= 50
+
+
+class TestWalksMatchReference:
+    """The integer walks against the former bodies on `Value`s (kept below
+    as ``_reference_*``), on seeded draws over Q and Q(sqrt d), d = 2, 3, 5:
+    the same transforms (matrix, frame, constant), residue rows, exponents
+    and units, and the same error code and message.  The draws hold equal
+    weights, ties between terms, step bounds 0-3, exponent differences
+    without a negative entry, weights of two contexts and rank-2 A1
+    relations."""
+
+    @pytest.mark.parametrize("ctx", CONTEXTS, ids=lambda c: f"d={c.d}")
+    def test_build_a6_divide(self, ctx):
+        for args, bound in _a6_draws(ctx):
+            assert _outcome(build_a6_divide, *args, bound=bound) == \
+                _outcome(_reference_build_a6_divide, *args, bound=bound)
+
+    @pytest.mark.parametrize("ctx", CONTEXTS, ids=lambda c: f"d={c.d}")
+    def test_build_a1(self, ctx):
+        for args, bound in _a1_draws(ctx):
+            got, want = [], []
+            assert _outcome(build_a1, *args, bound=bound,
+                            residue=lambda row: got.append(row) or Q.one) == \
+                _outcome(_reference_build_a1, *args, bound=bound,
+                         residue=lambda row: want.append(row) or Q.one)
+            assert got == want
+
+    @pytest.mark.parametrize("ctx", CONTEXTS, ids=lambda c: f"d={c.d}")
+    def test_monomialize(self, ctx):
+        for args, bound in _monomialize_draws(ctx):
+            assert _outcome(monomialize, *args, bound=bound) == \
+                _outcome(_reference_monomialize, *args, bound=bound)
+
+    def test_the_draws_reach_every_outcome(self):
+        # a change to the draws that loses one of these fails here
+        seen = set()
+        for ctx in CONTEXTS:
+            for args, bound in _a6_draws(ctx):
+                got = _outcome(build_a6_divide, *args, bound=bound)
+                seen.add(("A6", got[2] if isinstance(got, tuple) else
+                          got.matrix == tuple(map(tuple, identity_matrix(len(got.matrix))))))
+            for args, bound in _a1_draws(ctx):
+                got = _outcome(build_a1, *args, bound=bound, residue=lambda _: Q.one)
+                seen.add(("A1", got[2] if isinstance(got, tuple) else got.size))
+            for args, bound in _monomialize_draws(ctx):
+                got = _outcome(monomialize, *args, bound=bound)
+                seen.add(("M", got[2] if isinstance(got, tuple) else min(len(got.transforms), 2)))
+        assert seen >= {
+            ("A6", True), ("A6", False), ("A6", "A6 divisibility loop exceeded the bound"),
+            ("A6", "no legal subtractive step remains"), ("A6", "values from different contexts"),
+            ("A6", "need value(M1) < value(M2)"),
+            ("A1", 2), ("A1", 3), ("A1", "A1 construction exceeded the step bound"),
+            ("A1", "subtractive loop lost positivity"), ("A1", "values from different contexts"),
+            ("A1", "gamma from a different context"), ("A1", "gamma must be positive"),
+            ("M", 0), ("M", 1), ("M", 2), ("M", "minimal-value monomial is not unique"),
+            ("M", "A6 divisibility loop exceeded the bound"),
+            ("M", "no legal subtractive step remains"), ("M", "values from different contexts"),
+        }
+
+
+def _a6_draws(ctx):
+    """(m1, m2, weights, frame), bound: mostly in value order, now and then
+    with m2 - m1 >= 0 or an exponent on a passive variable."""
+    rng = random.Random(f"a6/{ctx.d}")
+    for _ in range(250):
+        n = rng.choice((1, 2, 2, 3, 3))
+        frame = VariableFrame(m=n + rng.randint(0, 1), n=n)
+        weights = _draw_weights(rng, ctx, n)
+        m1 = [rng.randint(0, 6) for _ in range(n)] + [0] * (frame.m - n)
+        if rng.random() < 0.15:
+            m2 = [e + rng.randint(0, 3) for e in m1[:n]] + m1[n:]
+        else:
+            m2 = [rng.randint(0, 6) for _ in range(n)] + [0] * (frame.m - n)
+        v1, v2 = _outcome(pairing, m1, weights), _outcome(pairing, m2, weights)
+        if rng.random() < 0.8 and not isinstance(v1, tuple) and not isinstance(v2, tuple) \
+                and v2 < v1:
+            m1, m2 = m2, m1
+        if frame.m > n and rng.random() < 0.05:
+            m2[-1] += 1
+        yield (m1, m2, weights, frame), _draw_bound(rng)
+
+
+def _a1_draws(ctx):
+    """(weights, gamma, frame), bound: gamma mostly a positive rational
+    combination of the weights, now and then equal to one, of any sign or
+    of another context."""
+    rng = random.Random(f"a1/{ctx.d}")
+    for _ in range(250):
+        n = rng.randint(1, ctx.dim)
+        weights = _draw_weights(rng, ctx, n)
+        r = rng.random()
+        if r < 0.15:
+            gamma = rng.choice(weights)
+        elif r < 0.25:
+            gamma = _draw_value(rng, rng.choice(CONTEXTS))
+        else:
+            gamma = _outcome(pairing, [rng.randint(0, 4) for _ in weights], weights)
+            if isinstance(gamma, tuple):
+                gamma = _draw_positive(rng, ctx)
+            else:
+                gamma = gamma.scale(F(1, rng.randint(1, 4)))
+        yield (weights, gamma, VariableFrame(m=n + 1, n=n)), _draw_bound(rng)
+
+
+def _monomialize_draws(ctx):
+    rng = random.Random(f"monomialize/{ctx.d}")
+    for _ in range(120):
+        n = rng.choice((1, 2, 2, 3))
+        frame = VariableFrame(m=n + rng.randint(0, 1), n=n)
+        weights = _draw_weights(rng, ctx, n)
+        yield (_draw_polynomial(rng, frame, n), weights, frame), _draw_bound(rng)
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except PerronvalError as exc:
+        return type(exc).__name__, exc.code, str(exc)
+
+
+def _draw_value(rng, ctx, size=6):
+    return ctx.value(*(F(rng.randint(-size, size), rng.choice((1, 1, 2, 3, 5)))
+                       for _ in range(ctx.dim)))
+
+
+def _draw_positive(rng, ctx):
+    while True:
+        v = _draw_value(rng, ctx)
+        if v.sign() > 0:
+            return v
+
+
+def _draw_weights(rng, ctx, n):
+    """n weights of ctx, mostly positive; one in four repeats an earlier
+    weight, and one draw in ten has a weight of another context."""
+    weights = []
+    for _ in range(n):
+        if weights and rng.random() < 0.25:
+            weights.append(rng.choice(weights))
+        elif rng.random() < 0.05:
+            weights.append(_draw_value(rng, ctx))
+        else:
+            weights.append(_draw_positive(rng, ctx))
+    if rng.random() < 0.1:
+        other = rng.choice([c for c in CONTEXTS if c != ctx])
+        weights[rng.randrange(n)] = _draw_positive(rng, other)
+    return weights
+
+
+def _draw_bound(rng):
+    return rng.choice((0, 1, 2, 3, 50, 300))
+
+
+def _draw_polynomial(rng, frame, n):
+    """One to six terms in x_1..x_n, now and then one in a passive variable
+    or the zero polynomial."""
+    if rng.random() < 0.02:
+        return Polynomial(frame, Q, {})
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        mono = [rng.randint(0, 5) for _ in range(n)] + [0] * (frame.m - n)
+        if frame.m > n and rng.random() < 0.03:
+            mono[-1] = 1
+        terms[tuple(mono)] = Q.scalar(rng.choice((-3, -1, 1, 2, F(1, 2))))
+    return Polynomial(frame, Q, terms)
+
+
+# The bodies of build_a6_divide, build_a1 and monomialize on `Value`s, from
+# before the walks ran on integer rows.
+
+def _reference_step(matrix, values, i_sub, j_from):
+    values[j_from] = values[j_from] - values[i_sub]
+    for r in range(len(matrix)):
+        matrix[r][i_sub] += matrix[r][j_from]
+
+
+def _reference_build_a6_divide(m1, m2, weights, frame, bound=DEFAULT_STEP_BOUND):
+    n = frame.n
+    m1 = tuple(m1)
+    m2 = tuple(m2)
+    if len(m1) < n or len(m2) < n:
+        raise InputError("exponent vectors shorter than the active block")
+    if any(e for e in m1[n:]) or any(e for e in m2[n:]):
+        raise PreconditionError("monomials must be supported on x_1..x_n")
+    if len(weights) < n:
+        raise InputError("need a weight per active variable")
+    w = list(weights[:n])
+    if not pairing(m1, w) < pairing(m2, w):
+        raise PreconditionError("need value(M1) < value(M2)")
+    delta = [m2[j] - m1[j] for j in range(n)]
+    matrix = identity_matrix(n)
+    steps = 0
+    while any(d < 0 for d in delta):
+        if steps >= bound:
+            raise StepBoundExceeded("A6 divisibility loop exceeded the bound")
+        i_sub = min(range(n), key=lambda i: (w[i], i))
+        candidates = [j for j in range(n) if j != i_sub and w[j] > w[i_sub]]
+        if not candidates:
+            raise StepBoundExceeded("no legal subtractive step remains")
+        j_from = max(candidates, key=lambda j: (w[j], -j))
+        _reference_step(matrix, w, i_sub, j_from)
+        delta[i_sub] += delta[j_from]
+        steps += 1
+    return PerronTransform(kind="A6", matrix=tuple(tuple(r) for r in matrix), frame=frame)
+
+
+def _reference_build_a1(weights, gamma, frame, *, residue, bound=DEFAULT_STEP_BOUND):
+    n = frame.n
+    if len(weights) < n:
+        raise InputError("need a weight per active variable")
+    w = list(weights[:n])
+    context = w[0].context
+    if gamma.context != context:
+        raise InputError("gamma from a different context")
+    if gamma.sign() <= 0:
+        raise PreconditionError("gamma must be positive")
+    rational_relation(w + [gamma])
+    values = w + [gamma]
+    matrix = identity_matrix(n + 1)
+    last = n
+    steps = 0
+    while values[last].sign() > 0:
+        if steps >= bound:
+            raise StepBoundExceeded("A1 construction exceeded the step bound")
+        below = [i for i in range(n) if values[i] <= values[last]]
+        if below:
+            i_sub = max(below, key=lambda i: (values[i], -i))
+            _reference_step(matrix, values, i_sub, last)
+        else:
+            j_from = max(range(n), key=lambda j: (values[j], -j))
+            _reference_step(matrix, values, last, j_from)
+        steps += 1
+    for i in range(n):
+        if values[i].sign() <= 0:
+            raise StepBoundExceeded("subtractive loop lost positivity")
+    matrix = tuple(tuple(r) for r in matrix)
+    inverse = unimodular_inverse(matrix)
+    return PerronTransform(kind="A1", matrix=matrix, frame=frame, c=residue(tuple(inverse[last])))
+
+
+def _reference_monomialize(g, weights, frame, bound=DEFAULT_STEP_BOUND):
+    if g.is_zero:
+        raise PreconditionError("cannot monomialize zero")
+    n = frame.n
+    for mono in g.terms:
+        if any(mono[j] for j in range(n, frame.m)):
+            raise Unsupported("monomialization needs support in the independent block")
+    w = list(weights[:n])
+    transforms = []
+    current = g
+    rounds = 0
+    while True:
+        if rounds > bound:
+            raise StepBoundExceeded("monomialization exceeded the step bound")
+        rounds += 1
+        support = sorted(current.terms)
+        values = [pairing(mono, w) for mono in support]
+        best = min(range(len(support)), key=lambda i: values[i])
+        ties = [i for i in range(len(support)) if values[i] == values[best]]
+        if len(ties) > 1:
+            raise Unsupported("minimal-value monomial is not unique")
+        mmin = support[best]
+        offender = None
+        for mono in support:
+            if any(a < b for a, b in zip(mono, mmin)):
+                offender = mono
+                break
+        if offender is None:
+            unit = current.divide_by_monomial(mmin)
+            if unit.constant_term().is_zero:
+                raise Unsupported("residual factor is not a unit at the origin")
+            return MonomializeResult(tuple(transforms), mmin, unit)
+        tau = _reference_build_a6_divide(mmin, offender, w, frame, bound=bound)
+        transforms.append(tau)
+        new_active = tau.transformed_weights(w)
+        current = tau.substitute(current)
+        frame = tau.new_frame()
+        w = new_active[:n]
 
 
 def _random_lemma11_instance(rng):

@@ -27,12 +27,12 @@ from perronval.reduce import (
     char0_translate,
     defectless_translate,
     lrm_step,
-    replay_matches,
     replay_trace,
     run_reduction,
     trace_document,
 )
 from perronval.scalars import FieldSpec, parse_rational
+from replay_check import replay_matches
 
 
 def arcdoc(char, f, arc, trunc=40):
