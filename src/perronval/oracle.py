@@ -200,8 +200,15 @@ class ArcValuation:
         self._variable_values = None
 
     def series_of(self, g: Polynomial) -> PuiseuxSeries:
+        """g(arc), evaluated once per polynomial.  A variable x_i is its arc
+        component, which is exactly what ``evaluate_monomials`` returns for
+        it, so it evaluates nothing."""
         if g.frame is not self.frame and g.frame != self.frame:
             raise FrameMismatch("polynomial frame does not match the oracle")
+        if len(g.terms) == 1 and (g.field is self.field or g.field == self.field):
+            (mono, c), = g.terms.items()
+            if c == 1 and sum(mono) == 1:
+                return self.arc[mono.index(1)]
         series = self._series.get(g)
         if series is None:
             series = self._series[g] = g.evaluate_at_arc(self.arc)
@@ -293,14 +300,21 @@ class ArcValuation:
         base-ring polynomials h'.  Each step strictly increases
         value(x_m - h'); stops at a value outside the base group
         (MAX-OUTSIDE, no reason) or after ``bound`` steps / window
-        exhaustion (NO-MAX-UP-TO-BOUND, with the reason recorded)."""
+        exhaustion (NO-MAX-UP-TO-BOUND, with the reason recorded).
+
+        Each rung's series of x_m - h' is the previous rung's less
+        rho * series(witness), the witness series that the residue
+        evaluates: the arc component of x_m is not evaluated again."""
         frame, field = self.frame, self.field
         h = Polynomial.zero(frame, field)
         xm = Polynomial.variable(frame, field, frame.m - 1)
+        series = self.arc[-1]  # of x_m - h
         ladder = []
         steps = 0
         while True:
-            gamma = self.value(xm - h)
+            g = xm - h
+            self._series.setdefault(g, series)
+            gamma = self.value(g)
             if gamma.is_infinite:
                 return BestApprox(h, gamma, tuple(ladder), "EXACT-MATCH")
             if gamma.is_above:
@@ -318,8 +332,9 @@ class ArcValuation:
                 )
             exps = list(coords) + [0] * (frame.m - len(coords))
             witness = Polynomial.monomial(frame, field, exps)
-            rho = self.residue(xm - h, witness)
+            rho = self.residue(g, witness)
             h = h + witness * rho
+            series = series - self.series_of(witness) * rho
             steps += 1
 
 

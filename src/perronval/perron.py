@@ -8,12 +8,19 @@ the coordinate of minimal positive value is subtracted from another
 coordinate, composing elementary unimodular matrices.  The walks run on the
 integer numerator rows of the values over one common denominator, ordered
 by the exact sign of a or a + b*sqrt(d) (`valgroup._sign`), so no `Value`
-is built or compared inside a loop; equal values have equal rows.  For a single
-independent variable this is exactly the continued-fraction expansion of
-the dependent value and terminates; in higher rank the divisibility goal of
-the A6 loop terminates by the classical Perron-algorithm argument, and a
-step bound guards the A1 loop in higher rank, where only existence is
-classical and the subtractive walk may wander.
+is built or compared inside a loop; equal values have equal rows.  For a
+single independent variable (n = 1, every plane-curve macro-step) the A1
+walk is the continued-fraction expansion of value(x_m) / value(x_1): the
+two rows are proportional, and one floor division per partial quotient
+takes a whole run of equal subtractive steps and gives the same matrix.
+The step bound (``--max-perron-steps``) still counts subtractive steps,
+the sum of the partial quotients.  In higher rank the divisibility goal of
+the A6 loop terminates by the classical Perron-algorithm argument, and the
+step bound guards the subtractive A1 loop, where only existence is
+classical and the walk may wander.  A matrix a walk composes is
+nonnegative with determinant 1 by construction, so its transform skips
+the constructor's entry scan and determinant; a matrix read from a
+document or passed to the constructor keeps every check.
 
 The Cramer identity checker uses the sign-corrected consequence of the
 equal-value linear system: with A the transposed matrix and
@@ -28,8 +35,10 @@ from functools import cached_property
 from operator import mul
 
 from .errors import (
+    AmbiguousRelation,
     ContextMismatch,
     InputError,
+    NoRelation,
     PreconditionError,
     StepBoundExceeded,
     Unsupported,
@@ -76,13 +85,26 @@ class PerronTransform:
             raise InputError("Perron matrix entries are nonnegative ints")
         if det_int(self.matrix) != 1:
             raise InputError("Perron matrices have determinant 1")
+        self._check_constant()
+
+    def _check_constant(self):
         if self.kind == "A1":
-            if n >= self.frame.m:
+            if self.frame.n >= self.frame.m:
                 raise InputError("A1 transforms need a dependent last variable (n < m)")
             if self.c is None or self.c.is_zero:
                 raise InputError("A1 transforms need a nonzero constant c")
         elif self.c is not None:
             raise InputError("A6 transforms take no constant")
+
+    @classmethod
+    def _walked(cls, kind: str, matrix: tuple, frame: VariableFrame, c: Scalar | None = None):
+        """The transform of a matrix that a walk composed from elementary
+        steps on nonnegative ints, each of determinant 1, so the entry scan
+        and ``det_int`` are skipped; the kind's checks on n and c remain."""
+        tau = object.__new__(cls)
+        tau.__dict__.update(kind=kind, matrix=matrix, frame=frame, c=c)
+        tau._check_constant()
+        return tau
 
     @property
     def size(self) -> int:
@@ -289,8 +311,67 @@ def build_a6_divide(m1, m2, weights, frame: VariableFrame,
         for v in w:
             _check_context(v.context, w[0].context, "values from different contexts")
         rows = _rows(w)
-    return PerronTransform(kind="A6", matrix=_a6_walk(delta, rows, w[0].context.d, bound),
-                           frame=frame)
+    return PerronTransform._walked("A6", _a6_walk(delta, rows, w[0].context.d, bound), frame)
+
+
+def _a1_division(rows, d, bound):
+    """The A1 matrix for n = 1: the continued fraction of value(x_m) / w on
+    the numerator rows (w, gamma) of the two values, one floor division per
+    partial quotient.
+
+    The subtractive walk subtracts w from gamma while w <= gamma and gamma
+    from w while w > gamma, until gamma is 0; a run of q equal steps is
+    one division, and the matrix is the product of the same elementary
+    steps.  The relation is row proportionality, and ``bound`` counts
+    subtractive steps, the sum of the partial quotients, so each error is
+    raised on exactly the inputs where the walk raises it."""
+    w, g = rows
+    k = next((k for k, x in enumerate(w) if x), None)
+    if k is None:
+        raise AmbiguousRelation("the leading values are rationally dependent")
+    if any(x * g[k] != y * w[k] for x, y in zip(w, g)):
+        raise NoRelation("last value is independent of the others")
+    if _sign(w, d) < 0:  # the walk would add |w| to gamma at every step
+        raise StepBoundExceeded("A1 construction exceeded the step bound")
+    # gamma / w = b / a with a, b > 0: the walk compares the ints a and b
+    a, b = abs(w[k]), abs(g[k])
+    m00, m01, m10, m11 = 1, 0, 0, 1
+    steps = 0
+    while b:
+        if a <= b:  # gamma -= w, q times: column 0 absorbs column 1
+            q, b = divmod(b, a)
+            m00 += q * m01
+            m10 += q * m11
+        else:  # w -= gamma while w > gamma: column 1 absorbs column 0
+            q = (a - 1) // b
+            a -= q * b
+            m01 += q * m00
+            m11 += q * m10
+        steps += q
+        if steps > bound:
+            raise StepBoundExceeded("A1 construction exceeded the step bound")
+    return (m00, m01), (m10, m11)
+
+
+def _a1_walk(rows, d, bound):
+    """The A1 matrix for n >= 2 by the subtractive walk on the numerator
+    rows (w_1..w_n, gamma): the largest w_i not above gamma is subtracted
+    from gamma, or, with none, gamma from the largest w_i."""
+    n = len(rows) - 1
+    matrix = identity_matrix(n + 1)
+    steps = 0
+    while _sign(rows[n], d) > 0:
+        if steps >= bound:
+            raise StepBoundExceeded("A1 construction exceeded the step bound")
+        below = [i for i in range(n) if _cmp(rows[i], rows[n], d) <= 0]
+        if below:
+            _step(matrix, rows, _extreme(rows, below, d, 1), n)
+        else:
+            _step(matrix, rows, n, _extreme(rows, range(n), d, 1))
+        steps += 1
+    if any(_sign(rows[i], d) <= 0 for i in range(n)):
+        raise StepBoundExceeded("subtractive loop lost positivity")
+    return tuple(tuple(r) for r in matrix)
 
 
 def build_a1(weights, gamma: Value, frame: VariableFrame, *, residue,
@@ -311,26 +392,15 @@ def build_a1(weights, gamma: Value, frame: VariableFrame, *, residue,
         raise InputError("gamma from a different context")
     if gamma.sign() <= 0:
         raise PreconditionError("gamma must be positive")
-    rational_relation(w + [gamma])  # raises NO-RELATION / AMBIGUOUS
-    rows, d = _rows(w + [gamma]), context.d
-    matrix = identity_matrix(n + 1)
-    last = n
-    steps = 0
-    while _sign(rows[last], d) > 0:
-        if steps >= bound:
-            raise StepBoundExceeded("A1 construction exceeded the step bound")
-        below = [i for i in range(n) if _cmp(rows[i], rows[last], d) <= 0]
-        if below:
-            _step(matrix, rows, _extreme(rows, below, d, 1), last)
-        else:
-            _step(matrix, rows, last, _extreme(rows, range(n), d, 1))
-        steps += 1
-    if any(_sign(rows[i], d) <= 0 for i in range(n)):
-        raise StepBoundExceeded("subtractive loop lost positivity")
-    matrix = tuple(tuple(r) for r in matrix)
+    rows = _rows(w + [gamma])
+    if n == 1:
+        matrix = _a1_division(rows, context.d, bound)
+    else:
+        rational_relation(w + [gamma])  # raises NO-RELATION / AMBIGUOUS
+        matrix = _a1_walk(rows, context.d, bound)
     inverse = unimodular_inverse(matrix)
     # PerronTransform refuses a zero residue
-    tau = PerronTransform(kind="A1", matrix=matrix, frame=frame, c=residue(tuple(inverse[last])))
+    tau = PerronTransform._walked("A1", matrix, frame, residue(tuple(inverse[n])))
     tau.__dict__["_inverse"] = inverse  # the cached property's value: one inversion
     return tau
 
@@ -398,7 +468,7 @@ def monomialize(g: Polynomial, weights, frame: VariableFrame,
         # value(mmin) < value(offender): mmin is the unique minimum
         _a6_checks(mmin, offender, n)
         delta = [offender[j] - mmin[j] for j in range(n)]
-        tau = PerronTransform(kind="A6", matrix=_a6_walk(delta, rows, d, bound), frame=frame)
+        tau = PerronTransform._walked("A6", _a6_walk(delta, rows, d, bound), frame)
         transforms.append(tau)
         current = tau.substitute(current)
         frame = tau.new_frame()

@@ -22,6 +22,7 @@ document and must reproduce the recorded polynomials byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from operator import mul
 
 from .errors import (
     BinomialObstruction,
@@ -38,10 +39,10 @@ from .errors import (
 from .oracle import DOCUMENT_VERSION, ArcValuation, _required, _typed, _versioned
 # build_a6_divide is not called here; perfbench/test_perfbench.py reads it as
 # reduce.build_a6_divide when it checks that the tracer restores bindings
-from .perron import DEFAULT_STEP_BOUND, PerronTransform, build_a1, build_a6_divide
+from .perron import DEFAULT_STEP_BOUND, PerronTransform, _extreme, build_a1, build_a6_divide
 from .poly import Polynomial, format_ring_header, parse_polynomial, parse_ring_header
 from .scalars import INFINITE, parse_rational
-from .valgroup import identity_matrix, minor, pairing
+from .valgroup import _rows, identity_matrix, minor, pairing
 
 
 @dataclass(frozen=True)
@@ -95,19 +96,24 @@ def _strict_sanity(f1: Polynomial):
 
 
 def _term_exponents(f: Polynomial) -> dict:
-    """{l: d(l)} over the nonzero x_m-coefficients a_l of f, d(l) the least
-    exponents of a_l, when each a_l is x^d(l) times a unit: the term
-    a_l x_m^l then has value (d(l), l) . values, with no oracle query.  On a
-    plane curve every a_l is x1^k times a unit; in more variables a
-    coefficient that is not a monomial times a unit raises Unsupported."""
+    """{l: d(l)} over the nonzero x_m-coefficients a_l of f, in ascending l,
+    d(l) the least exponents of a_l, when each a_l is x^d(l) times a unit:
+    the term a_l x_m^l then has value (d(l), l) . values, with no oracle
+    query.  One pass over f's terms takes the least exponents of each
+    x_m-degree l; a_l is x^d(l) times a unit when x^d(l) x_m^l is a term of
+    f.  On a plane curve every a_l is x1^k times a unit; in more variables
+    a coefficient that is not a monomial times a unit raises Unsupported,
+    at the least such l."""
+    least = {}
+    for mono in f.terms:
+        l, base = mono[-1], mono[:-1]
+        d = least.get(l)
+        least[l] = base if d is None else tuple(map(min, d, base))
     out = {}
-    for l, a in enumerate(f.coeffs_last()):
-        if a.is_zero:
-            continue
-        d = a.min_exponents()
-        if d not in a.terms:
+    for l in sorted(least):
+        d = out[l] = least[l]
+        if d + (l,) not in f.terms:
             raise Unsupported(f"coefficient a_{l} is not a monomial times a unit")
-        out[l] = d[:-1]
     return out
 
 
@@ -127,17 +133,23 @@ def _xm_place(oracle: ArcValuation):
 def _sigma_block(oracle: ArcValuation, gamma) -> tuple:
     """(dvecs, sigma) for value(x_m) = gamma: dvecs is ``_term_exponents``
     of f, and sigma the minimal term value rho with its achievers
-    sigma_1 < .. < sigma_t, as the trace prints them.  Since value(f) is
-    infinite, at least two terms reach rho."""
+    sigma_1 < .. < sigma_t, as the trace prints them.  Each term's value is
+    an int dot product of (d(l), l) with the numerator rows of
+    (value(x_1..x_{m-1}), gamma) over one denominator, ordered by the exact
+    sign rule, so equal values have equal rows; only rho is built as a
+    Value.  Since value(f) is infinite, at least two terms reach rho."""
     dvecs = _term_exponents(oracle.f)
     values = oracle.variable_values()[: oracle.frame.m - 1] + [gamma]
-    term_values = {l: pairing(d + (l,), values) for l, d in dvecs.items()}
-    rho = min(term_values.values())
-    sigmas = [l for l in sorted(term_values) if term_values[l] == rho]
+    cols = list(zip(*_rows(values)))
+    ls = list(dvecs)
+    rows = [[sum(map(mul, dvecs[l] + (l,), col)) for col in cols] for l in ls]
+    least = rows[_extreme(rows, range(len(rows)), gamma.context.d, -1)]
+    sigmas = [l for l, row in zip(ls, rows) if row == least]
     if len(sigmas) <= 1:
         raise InternalContradiction(
             "a single minimal term contradicts value(f) = infinity"
         )
+    rho = pairing(dvecs[sigmas[0]] + (sigmas[0],), values)
     return dvecs, {"rho": str(rho), "sigmas": sigmas}
 
 
@@ -368,8 +380,8 @@ def case2_finish(oracle: ArcValuation):
         raise NotCase2("vanishing residue for the unit part")
     matrix = identity_matrix(n + 1)
     matrix[n][:n] = b
-    tau = PerronTransform(kind="A1", matrix=tuple(tuple(r) for r in matrix),
-                          frame=frame, c=beta)
+    # I with b >= 0 in the last row: nonnegative with det 1
+    tau = PerronTransform._walked("A1", tuple(tuple(r) for r in matrix), frame, beta)
 
     oracle1, steps = _strict_step(oracle, tau, "CASE2", {
         "transform": tau.document(),

@@ -309,10 +309,14 @@ class TestReduce:
         (CUSP, ["--trunc", "3"], "TRUNCATION"),
         ({**CUSP, "f": "x2^7 - x1^11", "arc": {"x1": "t^7", "x2": "t^11"}, "trunc": 200},
          ["--max-perron-steps", "3"], "STEP-BOUND-EXCEEDED"),
-    ], ids=["truncation", "perron-step-bound"])
+        ({**CUSP, "f": "x2^2 - x1^20001", "arc": {"x1": "t^2", "x2": "t^20001"}, "trunc": 20002},
+         [], "STEP-BOUND-EXCEEDED"),
+    ], ids=["truncation", "perron-step-bound", "a1-default-bound"])
     def test_bound_exhausted_exits_4(self, tmp_path, capsys, doc, args, reason):
         # trunc 3 cuts t^3 off the arc of x2, so value(x2) reads as above the
-        # window; the A1 matrix for (t^7, t^11) takes more than three steps
+        # window; the A1 matrix for (t^7, t^11) takes more than three steps;
+        # 20001/2 = [10000; 2] takes 10002 subtractive steps, which the
+        # default bound of 10000 refuses although the walk divides
         oracle = write(tmp_path, "c.json", doc)
         out = tmp_path / "trace.json"
         assert main(["reduce", "--oracle", oracle, "--out", str(out)] + args) == 4

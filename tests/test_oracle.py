@@ -327,6 +327,130 @@ class TestBestApprox:
         ladder = o.best_approx(64).ladder
         assert all(a < b for a, b in zip(ladder, ladder[1:]))
 
+    @pytest.mark.parametrize("p", (2, 3, 5, 7))
+    def test_rungs_match_fresh_evaluations(self, p):
+        # each rung's series is the previous one less rho * series(witness);
+        # the reference values each x_m - h on a fresh oracle, which
+        # evaluates it, and must give the same ladder, h, gamma and reason
+        for depth in (2, 3):
+            for trunc in (None, 1 + p**depth, 2 + p ** (depth - 1)):
+                doc = _artin_schreier_doc(p, depth, trunc)
+                for bound in (0, 1, 2, 64):
+                    got = oracle_from_document(doc).best_approx(bound)
+                    assert (got.h, got.gamma, list(got.ladder), got.reason) == \
+                        _reference_best_approx(doc, bound), (p, depth, trunc, bound)
+
+    def test_the_family_reaches_every_stop(self):
+        reasons = {oracle_from_document(_artin_schreier_doc(2, 3, trunc)).best_approx(bound).reason
+                   for trunc in (None, 9, 4) for bound in (1, 64)}
+        assert reasons == {"EXACT-MATCH", "TRUNCATION", "STEP-BOUND"}
+
+
+def _artin_schreier_doc(p, depth, trunc):
+    """The family of tests/test_reduce.py::defect_doc, f = x2^p -
+    x1^(p-1) x2 - x1^(p+1) on the arc x2 = sum (p-1) t^(1+p^i), i < depth,
+    with the window ``trunc`` (None: the finite arc is exact)."""
+    if p == 2:
+        f, coeff = "x2^2 + x1*x2 + x1^3", ""
+    else:
+        f, coeff = f"x2^{p} + {p - 1}*x1^{p - 1}*x2 + {p - 1}*x1^{p + 1}", f"*{p - 1}"
+    doc = {"version": 1, "kind": "arc", "ring": {"m": 2, "char": p, "n": 1}, "f": f,
+           "arc": {"x1": "t", "x2": " + ".join(f"t^{1 + p**i}{coeff}" for i in range(depth))}}
+    if trunc is not None:
+        doc["trunc"] = trunc
+    return doc
+
+
+def _reference_best_approx(doc, bound):
+    """(h, gamma, ladder, reason) of ``best_approx`` as it read before each
+    rung carried its series: every x_m - h is valued on a fresh oracle."""
+    oracle = oracle_from_document(doc)
+    frame, field = oracle.frame, oracle.field
+    h = Polynomial.zero(frame, field)
+    xm = Polynomial.variable(frame, field, frame.m - 1)
+    ladder = []
+    while True:
+        fresh = oracle_from_document(doc)
+        gamma = fresh.value(xm - h)
+        if gamma.is_infinite:
+            return h, gamma, ladder, "EXACT-MATCH"
+        if gamma.is_above:
+            return h, gamma, ladder, "TRUNCATION"
+        ladder.append(gamma.value)
+        coords = fresh.base_coords(gamma.value)
+        if coords is None:
+            return h, gamma, ladder, None
+        if len(ladder) - 1 >= bound:
+            return h, gamma, ladder, "STEP-BOUND"
+        witness = Polynomial.monomial(frame, field, list(coords) + [0])
+        h = h + witness * fresh.residue(xm - h, witness)
+
+
+class _Evaluating(ArcValuation):
+    """The reference for the variable shortcut: every series is evaluated."""
+
+    def series_of(self, g):
+        return g.evaluate_at_arc(self.arc)
+
+
+def _check_variables(frame, field, arc, trunc, normalization):
+    """series_of(x_i) is the arc component itself and equals x_i's
+    evaluation at the arc; value(x_i) equals the evaluated one.  -x_i and
+    x_i^2, one term but not a variable, are evaluated."""
+    m = frame.m
+    f = Polynomial.variable(frame, field, m - 1) ** 2 - Polynomial.variable(frame, field, 0) ** 3
+    oracle = ArcValuation(frame, field, f, arc, trunc=trunc, normalization=normalization)
+    reference = _Evaluating(frame, field, f, arc, trunc=trunc, normalization=normalization)
+    for i in range(m):
+        x = Polynomial.variable(frame, field, i)
+        assert oracle.series_of(x) is oracle.arc[i]
+        assert oracle.series_of(x) == x.evaluate_at_arc(oracle.arc)
+        assert oracle.value(x) == reference.value(x)
+        for g in (-x, x**2):
+            assert oracle.series_of(g) == g.evaluate_at_arc(oracle.arc)
+            assert oracle.value(g) == reference.value(g)
+
+
+NORMALIZATIONS = (None, RATIONAL.value(F(2, 3)), quadratic(2).value(-1, 1),
+                  quadratic(3).value(2, -1))
+
+
+@st.composite
+def variable_case(draw):
+    """Two or three arc components over Q or F_2..F_7 on grids 1, 1/2 or
+    1/3, each exact or with its own truncation, now and then zero (exactly
+    or below its truncation), under an oracle window or none and a rational
+    or quadratic normalization."""
+    field = FieldSpec(draw(st.sampled_from((0, 2, 3, 5, 7))))
+    m = draw(st.integers(2, 3))
+    arc = []
+    for _ in range(m):
+        ram = draw(st.sampled_from((1, 2, 3)))
+        low = 1 if draw(st.integers(0, 4)) else 12 * ram  # 12: at or past any truncation
+        terms = draw(st.dictionaries(st.integers(low, 12 * ram).map(lambda k: F(k, ram)),
+                                     st.integers(-4, 4), max_size=4))
+        arc.append(PuiseuxSeries(field, terms, trunc=draw(st.sampled_from((None, 5, F(17, 2))))))
+    trunc = draw(st.sampled_from((None, 7, F(19, 2), F(25, 3))))
+    return VariableFrame(m=m, n=m - 1), field, tuple(arc), trunc, draw(st.sampled_from(NORMALIZATIONS))
+
+
+class TestVariableSeries:
+    @settings(max_examples=150, deadline=None)
+    @given(variable_case())
+    def test_a_variable_is_its_arc_component(self, case):
+        _check_variables(*case)
+
+    @pytest.mark.parametrize("char", (0, 2, 3, 5, 7))
+    @pytest.mark.parametrize("normalization", NORMALIZATIONS, ids=str)
+    def test_ramified_truncated_and_vanishing_components(self, char, normalization):
+        field = FieldSpec(char)
+        arc = (PuiseuxSeries(field, {F(1, 2): 1, F(7, 3): 2}, trunc=F(17, 2)),
+               PuiseuxSeries(field, {F(9): 1}, trunc=5),  # zero to its truncation
+               PuiseuxSeries(field, {F(3, 2): -1, F(5): 3}))
+        for trunc in (None, F(25, 3)):
+            _check_variables(VariableFrame(m=3, n=2), field, arc, trunc, normalization)
+        _check_variables(FR, field, arc[:2], None, normalization)
+
 
 class TestArcConsistency:
     def test_cusp(self):

@@ -28,6 +28,7 @@ from perronval.poly import Polynomial, VariableFrame, parse_polynomial
 from perronval.scalars import FieldSpec
 from perronval.valgroup import (
     RATIONAL,
+    det_int,
     identity_matrix,
     pairing,
     quadratic,
@@ -225,6 +226,43 @@ class TestBuildA1:
             tau = build_a1([w], gamma, FR1, residue=lambda _: Q.one)
             new = tau.transformed_weights([w, gamma])
             assert new[0].sign() > 0 and new[1].is_zero
+
+    def test_division_walk_returns_the_subtractive_matrix_without_its_steps(self, monkeypatch):
+        # 200001/2 = [100000; 2]: three divisions stand for 100002 steps
+        def no_step(*args):
+            raise AssertionError("the n = 1 walk took a subtractive step")
+
+        monkeypatch.setattr(perron, "_step", no_step)
+        tau = build_a1([RATIONAL.value(2)], RATIONAL.value(200001), FR1,
+                       residue=lambda _: Q.one, bound=10**6)
+        assert tau.matrix == ((2, 1), (200001, 100001))
+
+    @pytest.mark.parametrize("w, gamma", [
+        (RATIONAL.value(2), RATIONAL.value(2001)),
+        (RATIONAL.value(1000), RATIONAL.value(1)),
+        (RATIONAL.value(F(1, 7)), RATIONAL.value(F(3001, 5))),
+        (RATIONAL.value(F(113, 2)), RATIONAL.value(F(40000, 3))),
+        (Q2.value(0, 3), Q2.value(0, F(1501, 2))),
+        (Q3.value(-2, 3), Q3.value(F(-6002, 3), 3001)),
+    ], ids=str)
+    def test_the_bound_counts_subtractive_steps(self, w, gamma):
+        # S, the sum of the partial quotients of gamma / w, is the step
+        # count of the subtractive walk: bound S builds the same transform,
+        # bound S - 1 raises the same error
+        ratio = _ratio(gamma, w)
+        s = sum(_partial_quotients(ratio.numerator, ratio.denominator))
+        assert s >= 200
+        outcomes = {}
+        for bound in (s, s - 1):
+            got, want = [], []
+            outcomes[bound] = _outcome(build_a1, [w], gamma, FR1, bound=bound,
+                                       residue=lambda row: got.append(row) or Q.one)
+            assert outcomes[bound] == _outcome(_reference_build_a1, [w], gamma, FR1, bound=bound,
+                                               residue=lambda row: want.append(row) or Q.one)
+            assert got == want
+        assert isinstance(outcomes[s], PerronTransform)
+        assert outcomes[s - 1] == ("StepBoundExceeded", "STEP-BOUND-EXCEEDED",
+                                   "A1 construction exceeded the step bound")
 
     def test_rank_two_simple_relation(self):
         # gamma = w1 + w2 terminates with the obvious matrix
@@ -456,6 +494,47 @@ class TestWalksMatchReference:
             ("M", "A6 divisibility loop exceeded the bound"),
             ("M", "no legal subtractive step remains"), ("M", "values from different contexts"),
         }
+
+
+class TestWalkMatrices:
+    def test_walk_matrices_are_nonnegative_with_det_one(self):
+        # the walks build their transforms without the entry scan and
+        # det_int of PerronTransform's constructor; this is that check, over
+        # the draws of TestWalksMatchReference
+        checked = 0
+        for ctx in CONTEXTS:
+            taus = []
+            for args, bound in _a6_draws(ctx):
+                taus.append(_outcome(build_a6_divide, *args, bound=bound))
+            for args, bound in _a1_draws(ctx):
+                taus.append(_outcome(build_a1, *args, bound=bound, residue=lambda _: Q.one))
+            for args, bound in _monomialize_draws(ctx):
+                got = _outcome(monomialize, *args, bound=bound)
+                taus += got.transforms if isinstance(got, MonomializeResult) else []
+            for tau in taus:
+                if isinstance(tau, PerronTransform):
+                    assert len(tau.matrix) == tau.size == len(tau.active_indices())
+                    assert all(type(e) is int and e >= 0 for row in tau.matrix for e in row)
+                    assert det_int(tau.matrix) == 1
+                    checked += 1
+        assert checked >= 1000
+
+
+def _ratio(gamma, w):
+    """gamma / w for proportional values, as a Fraction."""
+    k = next(k for k, x in enumerate(w.nums) if x)
+    return F(gamma.nums[k] * w.den, w.nums[k] * gamma.den)
+
+
+def _partial_quotients(p, q):
+    """The partial quotients of the continued fraction of p / q > 0, the
+    last one at least 2 unless p / q is an integer."""
+    out = []
+    while q:
+        a, r = divmod(p, q)
+        out.append(a)
+        p, q = q, r
+    return out
 
 
 def _a6_draws(ctx):

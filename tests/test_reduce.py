@@ -329,6 +329,20 @@ def ladder_doc(a, b, c):
     return doc
 
 
+def charp_branch_doc(p, a, b, sign, c):
+    """x2^a + sign*x1^b composed with x2 -> x2 + c*x1 over F_p, on the exact
+    arc of x2^a + sign*x1^b: (t^a, t^b) for sign -1; for sign +1,
+    (-t^a, t^b) when b is odd and (t^a, -t^b) otherwise (a is then odd)."""
+    frame, field = VariableFrame(m=2, n=1), FieldSpec(p)
+    x1, x2 = (Polynomial.variable(frame, field, i) for i in range(2))
+    f = (x2 - x1 * c) ** a + x1**b * sign
+    s1 = -1 if sign == 1 and b % 2 else 1
+    s2 = -1 if sign == 1 and not b % 2 else 1
+    doc = arcdoc(p, str(f), {"x1": f"t^{a}*{s1}", "x2": f"t^{b}*{s2} + t^{a}*{c * s1}"})
+    del doc["trunc"]
+    return doc
+
+
 class TestLadderFamily:
     def test_one_perron_step_to_smooth(self):
         for k, (a, b) in enumerate(LADDER_PAIRS):
@@ -408,13 +422,16 @@ class TestRunScope:
         assert texts[0] == texts[1]
 
     def test_residue_after_values_evaluates_nothing(self, evaluations):
+        # a variable's series is its arc component, so x2 and x1 evaluate
+        # nothing; the other pair is evaluated once each, by value
         oracle = oracle_from_document(TACNODE)
-        g, u = (parse_polynomial(oracle.frame, oracle.field, t) for t in ("x2", "x1"))
-        oracle.value(g)
-        oracle.value(u)
-        assert len(evaluations) == 2
-        assert str(oracle.residue(g, u)) == "1"
-        assert len(evaluations) == 2
+        for texts, count in ((("x2", "x1"), 0), (("x2 + x1^3", "x1 + x1^2"), 2)):
+            g, u = (parse_polynomial(oracle.frame, oracle.field, t) for t in texts)
+            oracle.value(g)
+            oracle.value(u)
+            assert len(evaluations) == count
+            assert str(oracle.residue(g, u)) == "1"
+            assert len(evaluations) == count
 
 
 class TestHighLadderRungs:
@@ -460,6 +477,18 @@ SIGMA_BLOCK_CURVES = [
     pytest.param(arcdoc(0, "-16*x1^7 + x1^6 - 16*x1^5*x2 - 2*x1^3*x2^2 + x2^4",
                         {"x1": "t^4", "x2": "t^6 + t^7*-2"}, trunc=40), id="quartic-c-2"),
     pytest.param(TACNODE, id="tacnode"),
+] + [
+    pytest.param(charp_branch_doc(p, a, b, sign, c), id=f"F{p}-{a}-{b}-{sign:+d}-c{c}")
+    for p, a, b, sign in ((3, 3, 5, -1), (3, 4, 5, 1), (5, 4, 7, -1), (5, 5, 6, 1))
+    for c in (1, p - 1)
+] + [
+    # values are multiples of a + b*sqrt(2) with a or b negative, so an
+    # order read off one coordinate alone reverses them
+    pytest.param({**arcdoc(0, "x2^4 - 2*x1^3*x2^2 - 4*x1^5*x2 + x1^6 - x1^7",
+                           {"x1": "t^4", "x2": "t^6 + t^7"}, trunc=30),
+                  "context": {"kind": "quadratic", "d": 2}, "normalization": norm},
+                 id=f"quartic-normalized-{norm}")
+    for norm in ("-1 + sqrt(2)", "3 - 2*sqrt(2)")
 ]
 
 
