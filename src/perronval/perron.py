@@ -20,7 +20,9 @@ step bound guards the subtractive A1 loop, where only existence is
 classical and the walk may wander.  A matrix a walk composes is
 nonnegative with determinant 1 by construction, so its transform skips
 the constructor's entry scan and determinant; a matrix read from a
-document or passed to the constructor keeps every check.
+document or passed to the constructor keeps every check.  ``monomialize``
+relabels exponent vectors, e -> e M, and no round substitutes a polynomial.
+Values of two contexts are refused up front.
 
 The Cramer identity checker uses the sign-corrected consequence of the
 equal-value linear system: with A the transposed matrix and
@@ -31,12 +33,10 @@ satisfy d_i - e_i = (-1)^(n+i) * gamma * Det(A_{n+1,i}).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from operator import mul
 
 from .errors import (
     AmbiguousRelation,
-    ContextMismatch,
     InputError,
     NoRelation,
     PreconditionError,
@@ -74,6 +74,8 @@ class PerronTransform:
     frame: VariableFrame  # frame the transform acts on
     c: Scalar | None = None
 
+    _inv = _images = None  # memo entries, set in the instance dict
+
     def __post_init__(self):
         n = self.frame.n
         size = n if self.kind == "A6" else n + 1
@@ -86,6 +88,7 @@ class PerronTransform:
         if det_int(self.matrix) != 1:
             raise InputError("Perron matrices have determinant 1")
         self._check_constant()
+        self.__dict__["_new_frame"] = self.frame.bumped()
 
     def _check_constant(self):
         if self.kind == "A1":
@@ -102,7 +105,7 @@ class PerronTransform:
         steps on nonnegative ints, each of determinant 1, so the entry scan
         and ``det_int`` are skipped; the kind's checks on n and c remain."""
         tau = object.__new__(cls)
-        tau.__dict__.update(kind=kind, matrix=matrix, frame=frame, c=c)
+        tau.__dict__.update(kind=kind, matrix=matrix, frame=frame, c=c, _new_frame=frame.bumped())
         tau._check_constant()
         return tau
 
@@ -117,26 +120,18 @@ class PerronTransform:
             idx.append(self.frame.m - 1)
         return idx
 
-    @cached_property
-    def _new_frame(self) -> VariableFrame:
-        return self.frame.bumped()
-
     def new_frame(self) -> VariableFrame:
-        """The frame of the new variables, built once per transform."""
+        """The frame of the new variables, set when the transform is built
+        (no ``cached_property``, which locks on first access before 3.12)."""
         return self._new_frame
 
-    @cached_property
     def _inverse(self) -> list:
-        """The integer inverse of the matrix, computed once per transform
-        (``build_a1`` hands over the one it read the residue from)."""
-        return unimodular_inverse(self.matrix)
-
-    @cached_property
-    def _images(self) -> dict:
-        """field -> the image monomial of each old variable over that field,
-        read from the matrix rows on the first substitution over it; x_m's
-        new slot is the unit slot for A1."""
-        return {}
+        """The integer inverse of the matrix, computed on first use (``build_a1``
+        hands over the one it read the residue from)."""
+        inverse = self._inv
+        if inverse is None:
+            inverse = self.__dict__["_inv"] = unimodular_inverse(self.matrix)
+        return inverse
 
     def substitute(self, f: Polynomial) -> Polynomial:
         """The monomial image of f, one monomial per old variable read from
@@ -145,14 +140,17 @@ class PerronTransform:
         u -> x_m(1) + c; ``Polynomial.strict_transform`` reads it as it is.
 
         Each image is one term, so ``Polynomial.substitute_map`` sends each
-        term of f to one term.  The images and the new frame are built once
-        per transform and shared by every substitution through it.
+        term of f to one term.  The images are read from the matrix rows on
+        the first substitution over a field and kept in a plain memo.
         """
         if f.frame is not self.frame and f.frame != self.frame:
             raise InputError("polynomial frame does not match the transform")
         if self.c is not None and f.field is not self.c.field and f.field != self.c.field:
             raise InputError("polynomial over another field than the transform's constant")
-        images = self._images.get(f.field)
+        memo = self._images
+        if memo is None:
+            memo = self.__dict__["_images"] = {}
+        images = memo.get(f.field)
         if images is None:
             frame1 = self.new_frame()
             n = self.frame.n
@@ -167,7 +165,7 @@ class PerronTransform:
                 else:
                     mono[i] = 1
                 images.append(Polynomial._from_raw(frame1, f.field, {tuple(mono): 1}))
-            self._images[f.field] = images
+            memo[f.field] = images
         return f.substitute_map(images)
 
     def transformed_weights(self, values):
@@ -179,7 +177,7 @@ class PerronTransform:
         """
         if len(values) != self.size:
             raise InputError("value count does not match the matrix size")
-        out = [pairing(row, values) for row in self._inverse]
+        out = [pairing(row, values) for row in self._inverse()]
         if self.kind == "A1" and not out[-1].is_zero:
             raise InputError("A1 inverse did not send the unit slot to value 0")
         return out
@@ -195,7 +193,7 @@ class PerronTransform:
         n = self.frame.n
         active = self.active_indices()
         new_active = []
-        for row in self._inverse:
+        for row in self._inverse():
             piece = None
             for j, e in zip(active, row):
                 if e:
@@ -259,6 +257,15 @@ def _step(matrix, rows, i_sub, j_from):
         r[i_sub] += r[j_from]
 
 
+def _one_context(values):
+    """The context of ``values``: every Perron construction refuses values
+    of two contexts up front, whether or not a comparison would read them."""
+    context = values[0].context
+    for v in values:
+        _check_context(v.context, context, "values from different contexts")
+    return context
+
+
 def _a6_checks(m1, m2, n):
     """The exponent vectors' checks of an A6 division."""
     if len(m1) < n or len(m2) < n:
@@ -303,15 +310,12 @@ def build_a6_divide(m1, m2, weights, frame: VariableFrame,
     if len(weights) < n:
         raise InputError("need a weight per active variable")
     w = list(weights[:n])
+    d = _one_context(w).d
     if not pairing(m1, w) < pairing(m2, w):
         raise PreconditionError("need value(M1) < value(M2)")
     delta = [m2[j] - m1[j] for j in range(n)]
-    rows = None
-    if min(delta) < 0:  # the walk compares the weights
-        for v in w:
-            _check_context(v.context, w[0].context, "values from different contexts")
-        rows = _rows(w)
-    return PerronTransform._walked("A6", _a6_walk(delta, rows, w[0].context.d, bound), frame)
+    rows = _rows(w) if min(delta) < 0 else None  # only the walk reads them
+    return PerronTransform._walked("A6", _a6_walk(delta, rows, d, bound), frame)
 
 
 def _a1_division(rows, d, bound):
@@ -387,9 +391,7 @@ def build_a1(weights, gamma: Value, frame: VariableFrame, *, residue,
     if len(weights) < n:
         raise InputError("need a weight per active variable")
     w = list(weights[:n])
-    context = w[0].context
-    if gamma.context != context:
-        raise InputError("gamma from a different context")
+    context = _one_context(w + [gamma])
     if gamma.sign() <= 0:
         raise PreconditionError("gamma must be positive")
     rows = _rows(w + [gamma])
@@ -401,7 +403,7 @@ def build_a1(weights, gamma: Value, frame: VariableFrame, *, residue,
     inverse = unimodular_inverse(matrix)
     # PerronTransform refuses a zero residue
     tau = PerronTransform._walked("A1", matrix, frame, residue(tuple(inverse[n])))
-    tau.__dict__["_inverse"] = inverse  # the cached property's value: one inversion
+    tau.__dict__["_inv"] = inverse  # the memo entry of _inverse: one inversion
     return tau
 
 
@@ -415,9 +417,15 @@ class MonomializeResult:
 def monomialize(g: Polynomial, weights, frame: VariableFrame,
                 bound: int = DEFAULT_STEP_BOUND) -> MonomializeResult:
     """Repeated Lemma-11 divisions turning g (supported on x_1..x_n up to
-    unused variables) into monomial times unit.  Each round values the terms
-    by integer dot products with the weights' rows, which its A6 walk leaves
-    as the rows of the new variables (old = M * new): no round inverts."""
+    unused variables) into monomial times unit.
+
+    The rounds run on g's term map.  Each values the terms by integer dot
+    products with the weights' rows, which its A6 walk leaves as the rows
+    of the new variables (old = M * new), so no round inverts.  An A6
+    transform is unimodular and sends x^e to x'^(e M), distinct terms to
+    distinct terms with the same coefficient, so a round relabels the
+    exponent vectors and substitutes no polynomial; the unit is built once,
+    in the last frame."""
     if g.is_zero:
         raise PreconditionError("cannot monomialize zero")
     n = frame.n
@@ -429,22 +437,16 @@ def monomialize(g: Polynomial, weights, frame: VariableFrame,
     if len(weights) < n:
         raise InputError("need a weight per active variable")
     w = list(weights[:n])
-    context = w[0].context
-    # a weight of another context is refused where it is first compared:
-    # at a term that uses it, else when the first walk starts
-    odd = [j for j, v in enumerate(w) if v.context != context]
-    if any(mono[j] for mono in g.terms for j in odd):
-        raise ContextMismatch("values from different contexts")
-    rows = _rows([context.zero() if j in odd else v for j, v in enumerate(w)])
-    d = context.d
+    d = _one_context(w).d
+    rows = _rows(w)
     transforms = []
-    current = g
+    terms, here = g.terms, g.frame  # the term map and the frame it lives in
     rounds = 0
     while True:
         if rounds > bound:
             raise StepBoundExceeded("monomialization exceeded the step bound")
         rounds += 1
-        support = sorted(current.terms)
+        support = sorted(terms)
         cols = list(zip(*rows))
         values = [[sum(map(mul, mono, col)) for col in cols] for mono in support]
         best = _extreme(values, range(len(values)), d, -1)
@@ -458,20 +460,24 @@ def monomialize(g: Polynomial, weights, frame: VariableFrame,
                 offender = mono
                 break
         if offender is None:
-            exponents = mmin
-            unit = current.divide_by_monomial(mmin)
+            unit = Polynomial._from_raw(here, g.field, {
+                tuple([a - b for a, b in zip(mono, mmin)]): c for mono, c in terms.items()})
             if unit.constant_term().is_zero:
                 raise Unsupported("residual factor is not a unit at the origin")
-            return MonomializeResult(tuple(transforms), exponents, unit)
-        if odd:
-            raise ContextMismatch("values from different contexts")
+            return MonomializeResult(tuple(transforms), mmin, unit)
         # value(mmin) < value(offender): mmin is the unique minimum
         _a6_checks(mmin, offender, n)
         delta = [offender[j] - mmin[j] for j in range(n)]
-        tau = PerronTransform._walked("A6", _a6_walk(delta, rows, d, bound), frame)
+        matrix = _a6_walk(delta, rows, d, bound)
+        if here is not frame and here != frame:  # as tau.substitute would
+            raise InputError("polynomial frame does not match the transform")
+        tau = PerronTransform._walked("A6", matrix, frame)
         transforms.append(tau)
-        current = tau.substitute(current)
-        frame = tau.new_frame()
+        # x^e -> x'^(e M) on x_1..x_n; the passive exponents are kept
+        mcols = list(zip(*matrix))
+        terms = {tuple([sum(map(mul, mono, col)) for col in mcols]) + mono[n:]: c
+                 for mono, c in terms.items()}
+        here = frame = tau.new_frame()
 
 
 def verify_cramer(tau: PerronTransform, d, e, values) -> bool:

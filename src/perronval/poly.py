@@ -12,7 +12,7 @@ files are deterministic.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul
 
@@ -64,7 +64,9 @@ class VariableFrame:
         return f"{base}({format_raw(self.generation)})" if self.generation else base
 
     def bumped(self) -> "VariableFrame":
-        return replace(self, generation=self.generation + 1)
+        """The frame of the next renaming, built by the validating
+        constructor directly (``dataclasses.replace`` adds a call layer)."""
+        return VariableFrame(self.m, self.n, self.generation + 1)
 
 
 class Polynomial:

@@ -271,13 +271,14 @@ def _strict_step(oracle: ArcValuation, tau: PerronTransform, kind: str, payload:
     ]
 
 
-def _translate(oracle: ArcValuation, h: Polynomial):
+def _translate(oracle: ArcValuation, h: Polynomial, new_last):
     """(oracle', value(x_m) under it) after x_m -> x_m + h, h in the base
-    ring; a translation keeps the multiplicity r."""
+    ring, with ``new_last`` the series (x_m - h)(arc) the caller holds; a
+    translation keeps the multiplicity r."""
     f_new = oracle.f.translate_last(h)
     if f_new.ord_last() != oracle.f.ord_last():
         raise InternalContradiction("translation changed the multiplicity")
-    oracle_new = oracle.translated(h, f_new)
+    oracle_new = oracle.translated(f_new, new_last)
     return oracle_new, oracle_new.value(_xm(oracle_new))
 
 
@@ -305,7 +306,9 @@ def char0_translate(oracle: ArcValuation):
 
     omega = oracle.residue(xm, a_prev)
     h = a_prev * omega
-    oracle_new, new_gamma = _translate(oracle, h)
+    # value(a_prev) evaluated a_prev, so h(arc) is that series times omega
+    new_last = oracle.arc[-1] - oracle.series_of(a_prev) * omega
+    oracle_new, new_gamma = _translate(oracle, h, new_last)
     if new_gamma.is_finite and not gamma_z.value < new_gamma.value:
         raise InternalContradiction("translation did not increase value(x_m)")
     return oracle_new, [TraceStep("TRANSLATE-CHAR0", {
@@ -330,7 +333,7 @@ def defectless_translate(oracle: ArcValuation, bounds: Bounds = Bounds()):
     a case 2 that fails, raise DEFECT-SUSPECTED with the diagnostics the
     trace prints.
     """
-    _, _, coords = _xm_place(oracle)
+    xm, _, coords = _xm_place(oracle)
     if coords is None:
         raise PreconditionError(
             "value(x_m) is already outside the base group; run the Perron step"
@@ -348,7 +351,8 @@ def defectless_translate(oracle: ArcValuation, bounds: Bounds = Bounds()):
             f"approximation ladder stayed in the base group ({approx.reason})",
             ladder=ladder, reason=approx.reason,
         )
-    oracle_new, new_gamma = _translate(oracle, approx.h)
+    # best_approx left the series of x_m - h in the oracle's memo
+    oracle_new, new_gamma = _translate(oracle, approx.h, oracle.series_of(xm - approx.h))
     if not new_gamma.is_finite or oracle_new.base_coords(new_gamma.value) is not None:
         raise InternalContradiction("translation failed to leave the base group")
     return oracle_new, [TraceStep("TRANSLATE-DEFECTLESS", {

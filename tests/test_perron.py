@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction as F
@@ -5,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from perronval.errors import (
+    ContextMismatch,
     InputError,
     NoRelation,
     PerronvalError,
@@ -438,6 +440,100 @@ class TestMonomialize:
         assert checked >= 50
 
 
+class TestMonomializeOnExponents:
+    """The rounds relabel g's term map by each walk's matrix, x^e -> x'^(e M),
+    and build the unit once; ``_reference_monomialize`` substitutes the
+    whole polynomial through each transform instead."""
+
+    FRAME = VariableFrame(m=3, n=2)
+
+    @pytest.mark.parametrize("p", (0, 2, 3, 5, 7), ids=lambda p: f"F{p}" if p else "Q")
+    def test_rounds_match_a_substitution_per_round(self, p):
+        field = FieldSpec(p)
+        rng = random.Random(f"exponents/{p}")
+        # two polynomials that take two rounds, then seeded draws
+        cases = [([Q2.value(1, 0), Q2.value(0, 1)], parse_polynomial(self.FRAME, field, text))
+                 for text in ("x1^5 + x2^3 + x1*x2", "x1^2*x2 + x2^5 + x1^7")]
+        for _ in range(300):
+            weights = [_draw_positive(rng, rng.choice(CONTEXTS)) for _ in range(2)]
+            if weights[0].context != weights[1].context:
+                weights[1] = _draw_positive(rng, weights[0].context)
+            cases.append((weights, _draw_polynomial(rng, self.FRAME, 2, field)))
+        transforms, multi = 0, 0
+        for weights, g in cases:
+            got = _outcome(monomialize, g, weights, self.FRAME)
+            assert got == _outcome(_reference_monomialize, g, weights, self.FRAME)
+            if isinstance(got, MonomializeResult):
+                assert got.unit.field == field
+                if got.transforms:
+                    assert got.unit.frame is got.transforms[-1].new_frame()
+                    assert got.unit.frame.generation == len(got.transforms)
+                else:
+                    assert got.unit.frame is g.frame
+                transforms += len(got.transforms)
+                multi += len(got.transforms) > 1
+        assert transforms >= 60 and multi >= 2
+
+    def test_a_round_checks_the_polynomial_frame_after_its_walk(self):
+        # as the substitution through the round's transform did: no round,
+        # no check; a round, InputError; a walk that fails, its own error
+        other = VariableFrame(m=2, n=2, generation=1)
+        weights = [Q2.value(1, 0), Q2.value(0, 1)]
+        got = monomialize(parse_polynomial(other, Q, "x1(1) + x1(1)^2"), weights, FR2)
+        assert got.unit.frame is other
+        with pytest.raises(InputError, match="polynomial frame does not match"):
+            monomialize(parse_polynomial(other, Q, "x1(1) + x2(1)"), weights, FR2)
+        with pytest.raises(StepBoundExceeded):
+            monomialize(parse_polynomial(other, Q, "x1(1) + x2(1)"), weights, FR2, bound=0)
+
+
+class TestMemos:
+    """A transform bumps its frame once, when it is built, and inverts its
+    matrix once, on first use; no ``cached_property`` is involved."""
+
+    def test_bumped_runs_once_per_transform(self, monkeypatch):
+        calls = []
+        bumped = VariableFrame.bumped
+
+        def counted(frame):
+            calls.append(frame)
+            return bumped(frame)
+
+        monkeypatch.setattr(VariableFrame, "bumped", counted)
+        weights = [Q2.value(1, 0), Q2.value(0, 1)]
+        g = parse_polynomial(FR2, Q, "x1^5 + x2^3 + x1*x2")
+        taus = list(monomialize(g, weights, FR2).transforms)
+        assert len(taus) == 2 and len(calls) == 2
+        taus.append(build_a6_divide((0, 1), (2, 0), weights, FR2))
+        taus.append(build_a1([RATIONAL.value(2)], RATIONAL.value(3), FR1, residue=lambda _: Q.one))
+        taus.append(PerronTransform("A6", ((2, 1), (1, 1)), FR2))
+        taus.append(PerronTransform.from_document(taus[-1].document(), FR2, Q))
+        assert len(calls) == len(taus)
+        for tau in taus:
+            x1 = Polynomial.variable(tau.frame, Q, 0)
+            for _ in range(2):
+                assert tau.substitute(x1).frame is tau.new_frame()
+        assert len(calls) == len(taus)
+        for frame, tau in zip(calls, taus):
+            assert frame is tau.frame
+            assert tau.new_frame() == dataclasses.replace(frame, generation=frame.generation + 1)
+
+    def test_a_built_transform_inverts_its_matrix_once(self, monkeypatch):
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return unimodular_inverse(m)
+
+        monkeypatch.setattr(perron, "unimodular_inverse", counted)
+        tau = PerronTransform("A1", ((2, 1), (3, 2)), FR1, c=Q.one)
+        assert calls == []
+        for _ in range(2):
+            tau.transform_arc(CUSP_ORACLE.arc)
+            tau.transformed_weights([RATIONAL.value(2), RATIONAL.value(3)])
+        assert calls == [tau.matrix]
+
+
 class TestWalksMatchReference:
     """The integer walks against the former bodies on `Value`s (kept below
     as ``_reference_*``), on seeded draws over Q and Q(sqrt d), d = 2, 3, 5:
@@ -489,7 +585,7 @@ class TestWalksMatchReference:
             ("A6", "need value(M1) < value(M2)"),
             ("A1", 2), ("A1", 3), ("A1", "A1 construction exceeded the step bound"),
             ("A1", "subtractive loop lost positivity"), ("A1", "values from different contexts"),
-            ("A1", "gamma from a different context"), ("A1", "gamma must be positive"),
+            ("A1", "gamma must be positive"),
             ("M", 0), ("M", 1), ("M", 2), ("M", "minimal-value monomial is not unique"),
             ("M", "A6 divisibility loop exceeded the bound"),
             ("M", "no legal subtractive step remains"), ("M", "values from different contexts"),
@@ -630,18 +726,19 @@ def _draw_bound(rng):
     return rng.choice((0, 1, 2, 3, 50, 300))
 
 
-def _draw_polynomial(rng, frame, n):
+def _draw_polynomial(rng, frame, n, field=Q):
     """One to six terms in x_1..x_n, now and then one in a passive variable
-    or the zero polynomial."""
+    or the zero polynomial; over F_p a coefficient may vanish."""
     if rng.random() < 0.02:
-        return Polynomial(frame, Q, {})
+        return Polynomial(frame, field, {})
+    coeffs = (-3, -1, 1, 2, F(1, 2)) if field.characteristic != 2 else (-3, -1, 1, 2, 5)
     terms = {}
     for _ in range(rng.randint(1, 6)):
         mono = [rng.randint(0, 5) for _ in range(n)] + [0] * (frame.m - n)
         if frame.m > n and rng.random() < 0.03:
             mono[-1] = 1
-        terms[tuple(mono)] = Q.scalar(rng.choice((-3, -1, 1, 2, F(1, 2))))
-    return Polynomial(frame, Q, terms)
+        terms[tuple(mono)] = field.scalar(rng.choice(coeffs))
+    return Polynomial(frame, field, terms)
 
 
 # The bodies of build_a6_divide, build_a1 and monomialize on `Value`s, from
@@ -651,6 +748,11 @@ def _reference_step(matrix, values, i_sub, j_from):
     values[j_from] = values[j_from] - values[i_sub]
     for r in range(len(matrix)):
         matrix[r][i_sub] += matrix[r][j_from]
+
+
+def _reference_one_context(values):
+    if any(v.context != values[0].context for v in values):
+        raise ContextMismatch("values from different contexts")
 
 
 def _reference_build_a6_divide(m1, m2, weights, frame, bound=DEFAULT_STEP_BOUND):
@@ -664,6 +766,7 @@ def _reference_build_a6_divide(m1, m2, weights, frame, bound=DEFAULT_STEP_BOUND)
     if len(weights) < n:
         raise InputError("need a weight per active variable")
     w = list(weights[:n])
+    _reference_one_context(w)
     if not pairing(m1, w) < pairing(m2, w):
         raise PreconditionError("need value(M1) < value(M2)")
     delta = [m2[j] - m1[j] for j in range(n)]
@@ -688,9 +791,7 @@ def _reference_build_a1(weights, gamma, frame, *, residue, bound=DEFAULT_STEP_BO
     if len(weights) < n:
         raise InputError("need a weight per active variable")
     w = list(weights[:n])
-    context = w[0].context
-    if gamma.context != context:
-        raise InputError("gamma from a different context")
+    _reference_one_context(w + [gamma])
     if gamma.sign() <= 0:
         raise PreconditionError("gamma must be positive")
     rational_relation(w + [gamma])
@@ -725,6 +826,7 @@ def _reference_monomialize(g, weights, frame, bound=DEFAULT_STEP_BOUND):
         if any(mono[j] for j in range(n, frame.m)):
             raise Unsupported("monomialization needs support in the independent block")
     w = list(weights[:n])
+    _reference_one_context(w)
     transforms = []
     current = g
     rounds = 0

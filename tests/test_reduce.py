@@ -434,6 +434,72 @@ class TestRunScope:
             assert len(evaluations) == count
 
 
+class TestTranslationSeries:
+    """A translation x_m -> x_m + h is handed the series (x_m - h)(arc) the
+    run already holds: in characteristic 0 the series of a_{r-1} that its
+    value evaluated, times omega, taken from x_m's component; after a best
+    approximation the memo's series of x_m - h.  So h is not evaluated."""
+
+    DOCS = [ladder_doc(a, b, (1, -2, 3)[k % 3]) for k, (a, b) in enumerate(LADDER_PAIRS)] + [
+        charp_branch_doc(p, a, b, sign, c)
+        for p, a, b, sign in ((3, 3, 5, -1), (3, 4, 5, 1), (5, 4, 7, -1), (5, 5, 6, 1))
+        for c in (1, p - 1)
+    ]
+
+    def test_the_series_handed_over_is_a_fresh_evaluation(self, monkeypatch):
+        handed = []
+        translate = reduce_module._translate
+
+        def recording(oracle, h, new_last):
+            handed.append((oracle, h, new_last))
+            return translate(oracle, h, new_last)
+
+        monkeypatch.setattr(reduce_module, "_translate", recording)
+        kinds = set()
+        for doc in self.DOCS:
+            del handed[:]
+            res = run_reduction(oracle_from_document(doc))
+            steps = [s for s in res.trace if s.kind.startswith("TRANSLATE")]
+            assert len(handed) == len(steps) >= 1, doc["f"]
+            kinds.update(s.kind for s in steps)
+            for oracle, h, new_last in handed:
+                xm = Polynomial.variable(oracle.frame, oracle.field, oracle.frame.m - 1)
+                assert new_last == (xm - h).evaluate_at_arc(oracle.arc)
+                assert new_last == oracle.arc[-1] - h.evaluate_at_arc(oracle.arc)
+        assert kinds == {"TRANSLATE-CHAR0", "TRANSLATE-DEFECTLESS"}
+
+    @pytest.mark.parametrize("doc, kind, evaluated", [
+        # a_{r-1} for its value, and f's x_m-derivative for the trace
+        (ladder_doc(5, 8, -2), "TRANSLATE-CHAR0",
+         ["10*x1", "80*x1^4 + 160*x1^3*x2 + 120*x1^2*x2^2 + 40*x1*x2^3 + 5*x2^4"]),
+        (charp_branch_doc(5, 4, 7, -1, 2), "TRANSLATE-DEFECTLESS", []),
+    ], ids=["composed-ladder", "F5-composed"])
+    def test_one_evaluation_fewer_per_translation(self, monkeypatch, doc, kind, evaluated):
+        seen = []
+        evaluate = Polynomial.evaluate_at_arc
+
+        def counting(g, arc):
+            seen.append(g)
+            return evaluate(g, arc)
+
+        monkeypatch.setattr(Polynomial, "evaluate_at_arc", counting)
+        res = run_reduction(oracle_from_document(doc))
+        now = list(seen)
+        hs = [s.payload["h"] for s in res.trace if s.kind == kind]
+        assert len(hs) == 1
+        assert [str(g) for g in now] == evaluated
+        # the former translation evaluated h afresh: one evaluation more,
+        # of h, for the same trace
+        translate = reduce_module._translate
+        monkeypatch.setattr(reduce_module, "_translate", lambda oracle, h, _: translate(
+            oracle, h, oracle.arc[-1] - oracle.series_of(h)))
+        del seen[:]
+        before = run_reduction(oracle_from_document(doc))
+        assert trace_document(before, doc) == trace_document(res, doc)
+        assert len(seen) == len(now) + 1
+        assert [str(g) for g in seen if g not in now] == hs
+
+
 class TestHighLadderRungs:
     """The high rungs of x2^a - x1^b on (t^a, t^b), pinned by the sha256 of
     their trace documents.  Each takes one A1 step with lam = 168, 272 and
