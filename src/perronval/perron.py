@@ -439,8 +439,10 @@ def monomialize(g: Polynomial, weights, frame: VariableFrame,
     w = list(weights[:n])
     d = _one_context(w).d
     rows = _rows(w)
+    if g.frame is not frame and g.frame != frame:  # as tau.substitute would
+        raise InputError("polynomial frame does not match the transform")
     transforms = []
-    terms, here = g.terms, g.frame  # the term map and the frame it lives in
+    terms = g.terms
     rounds = 0
     while True:
         if rounds > bound:
@@ -460,7 +462,7 @@ def monomialize(g: Polynomial, weights, frame: VariableFrame,
                 offender = mono
                 break
         if offender is None:
-            unit = Polynomial._from_raw(here, g.field, {
+            unit = Polynomial._from_raw(frame, g.field, {
                 tuple([a - b for a, b in zip(mono, mmin)]): c for mono, c in terms.items()})
             if unit.constant_term().is_zero:
                 raise Unsupported("residual factor is not a unit at the origin")
@@ -469,15 +471,13 @@ def monomialize(g: Polynomial, weights, frame: VariableFrame,
         _a6_checks(mmin, offender, n)
         delta = [offender[j] - mmin[j] for j in range(n)]
         matrix = _a6_walk(delta, rows, d, bound)
-        if here is not frame and here != frame:  # as tau.substitute would
-            raise InputError("polynomial frame does not match the transform")
         tau = PerronTransform._walked("A6", matrix, frame)
         transforms.append(tau)
         # x^e -> x'^(e M) on x_1..x_n; the passive exponents are kept
         mcols = list(zip(*matrix))
         terms = {tuple([sum(map(mul, mono, col)) for col in mcols]) + mono[n:]: c
                  for mono, c in terms.items()}
-        here = frame = tau.new_frame()
+        frame = tau.new_frame()
 
 
 def verify_cramer(tau: PerronTransform, d, e, values) -> bool:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import add, mul
 
 from .errors import DivisionByZero, FrameMismatch, InputError
@@ -70,7 +69,11 @@ class VariableFrame:
 
 
 class Polynomial:
-    __slots__ = ("frame", "field", "terms")
+    """An immutable polynomial.  ``terms`` is read-only: the hash, the
+    x_m-degree, the order and lead in x_m and the canonical text are each
+    computed on first use and kept in a memo entry of the object."""
+
+    __slots__ = ("frame", "field", "terms", "_hash", "_degree", "_ord", "_lead", "_text")
 
     def __init__(self, frame: VariableFrame, field: FieldSpec, terms=None):
         self.frame = frame
@@ -84,6 +87,7 @@ class Polynomial:
                 raise InputError(f"polynomial exponents are nonnegative ints, got {mono!r}")
             acc[mono] = acc.get(mono, 0) + field.raw(coeff)
         self.terms = reduce_raw(acc.items(), field.characteristic)
+        self._hash = self._degree = self._ord = self._lead = self._text = None
 
     # -- constructors --------------------------------------------------
 
@@ -166,33 +170,36 @@ class Polynomial:
         )
 
     def __hash__(self):
-        return hash((self.frame, self.field, frozenset(self.terms.items())))
+        if self._hash is None:
+            self._hash = hash((self.frame, self.field, frozenset(self.terms.items())))
+        return self._hash
 
     # -- structure in the last variable ----------------------------------
 
     def degree_in_last(self) -> int:
-        if self.is_zero:
-            return -1
-        return max(m[-1] for m in self.terms)
+        if self._degree is None:
+            self._degree = max((m[-1] for m in self.terms), default=-1)
+        return self._degree
 
     def ord_last(self):
         """Order of f(0,..,0,x_m): smallest i with a pure x_m^i term,
         INFINITE when f(0,..,0,x_m) vanishes identically."""
-        best = None
-        for mono in self.terms:
-            if all(e == 0 for e in mono[:-1]):
-                if best is None or mono[-1] < best:
-                    best = mono[-1]
-        return INFINITE if best is None else best
+        if self._ord is None:
+            self._ord = min((mono[-1] for mono in self.terms if not any(mono[:-1])),
+                            default=INFINITE)
+        return self._ord
 
     def lead_constant_last(self) -> Scalar | None:
         """The x_m-leading coefficient when it is a constant (hence nonzero),
         else None; None for the zero polynomial."""
-        d = self.degree_in_last()
-        c = self.terms.get((0,) * (self.frame.m - 1) + (d,))
-        if c is None or sum(1 for mono in self.terms if mono[-1] == d) != 1:
-            return None
-        return self.field.scalar(c)
+        if self._lead is None:  # the memo holds (lead,), as the lead may be None
+            d = self.degree_in_last()
+            c = self.terms.get((0,) * (self.frame.m - 1) + (d,))
+            if c is None or sum(1 for mono in self.terms if mono[-1] == d) != 1:
+                self._lead = (None,)
+            else:
+                self._lead = (self.field.scalar(c),)
+        return self._lead[0]
 
     def coeffs_last(self) -> list:
         """The x_m-coefficients a_0..a_e of f = a_e x_m^e + .. + a_0, each
@@ -249,7 +256,7 @@ class Polynomial:
         # a dividend of lower x_m-degree is its own remainder; most of the
         # divisibility checks in ArcValuation.value end here
         if self.degree_in_last() < d:
-            return Polynomial.zero(self.frame, self.field), self
+            return Polynomial._from_raw(self.frame, self.field, {}), self
         p = self.field.characteristic
         lc_inv = self.field.raw(lc.inverse())
         lower = [{base: -v for base, v in row.items()} for row in _rows(divisor, d)[:d]]
@@ -344,12 +351,13 @@ class Polynomial:
     @classmethod
     def _from_raw(cls, frame, field, raw) -> "Polynomial":
         """Polynomial from raw values on valid exponent vectors of
-        ``frame``, as the kernels below and the ring operations produce
-        them; ``reduce_raw`` reduces them and drops the zeros."""
+        ``frame``, as the kernels below, the ring operations and the parser
+        produce them; ``reduce_raw`` reduces them and drops the zeros."""
         poly = cls.__new__(cls)
         poly.frame = frame
         poly.field = field
         poly.terms = reduce_raw(raw.items(), field.characteristic)
+        poly._hash = poly._degree = poly._ord = poly._lead = poly._text = None
         return poly
 
     # -- strict transform ---------------------------------------------------
@@ -407,10 +415,12 @@ class Polynomial:
     # -- printing ---------------------------------------------------------------
 
     def __str__(self):
-        return format_polynomial(self)
+        if self._text is None:
+            self._text = format_polynomial(self)
+        return self._text
 
     def __repr__(self):
-        return f"Polynomial({format_polynomial(self)!r})"
+        return f"Polynomial({str(self)!r})"
 
 
 def _check_rows(d: int):
@@ -524,11 +534,15 @@ def format_polynomial(f: Polynomial) -> str:
 
 _VAR_RE = re.compile(r"^x(?P<idx>[0-9]+)(?:\((?P<gen>[0-9]+)\))?(?:\^(?P<exp>[0-9]+))?$")
 _RAT_RE = re.compile(r"^[0-9]+(?:/[0-9]+)?$")
+_TOKEN_RE = re.compile(r"([+-]?)\s*([^+-]+)")
 
 
 def parse_polynomial(frame: VariableFrame, field: FieldSpec, text: str) -> Polynomial:
     """Parse terms joined by + and -; a term is an optional rational
-    coefficient times ``x<i>[^k]`` factors joined by ``*``."""
+    coefficient times ``x<i>[^k]`` factors joined by ``*``.  The grammar
+    admits only valid exponent vectors of ``frame``, so the term map goes to
+    ``_from_raw``; an integral coefficient stays an int, and only a literal
+    with ``/`` is read as a Fraction."""
     if not isinstance(text, str):
         raise InputError(f"polynomial literal must be a string, got {text!r}")
     text = text.strip()
@@ -536,7 +550,7 @@ def parse_polynomial(frame: VariableFrame, field: FieldSpec, text: str) -> Polyn
         raise InputError("empty polynomial literal")
     if text == "0":
         return Polynomial.zero(frame, field)
-    tokens = re.findall(r"([+-]?)\s*([^+-]+)", text)
+    tokens = _TOKEN_RE.findall(text)
     if not tokens or "".join(s + t for s, t in tokens).replace(" ", "") != text.replace(" ", ""):
         raise InputError(f"cannot tokenize polynomial {text!r}")
     terms = {}
@@ -544,14 +558,20 @@ def parse_polynomial(frame: VariableFrame, field: FieldSpec, text: str) -> Polyn
         chunk = chunk.strip()
         if not chunk:
             raise InputError(f"dangling sign in {text!r}")
-        coeff = Fraction(-1 if sign == "-" else 1)
+        coeff = -1 if sign == "-" else 1
         mono = [0] * frame.m
         for factor in chunk.split("*"):
             factor = factor.strip()
             if not factor:
                 raise InputError(f"empty factor in term {chunk!r}")
             if _RAT_RE.match(factor):
-                coeff *= parse_rational(factor)
+                if "/" in factor:
+                    coeff *= parse_rational(factor)
+                else:
+                    try:
+                        coeff *= int(factor)
+                    except ValueError as exc:  # worded as in parse_rational
+                        raise InputError(f"rational literal too long: {exc}") from exc
                 continue
             m = _VAR_RE.match(factor)
             if not m:
@@ -572,7 +592,7 @@ def parse_polynomial(frame: VariableFrame, field: FieldSpec, text: str) -> Polyn
             mono[idx - 1] += exp
         # each term is reduced by itself, as in ``parse_series``
         terms[tuple(mono)] = terms.get(tuple(mono), 0) + field.raw(coeff)
-    return Polynomial(frame, field, terms)
+    return Polynomial._from_raw(frame, field, terms)
 
 
 _RING_RE = re.compile(

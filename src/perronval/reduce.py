@@ -61,7 +61,8 @@ class TraceStep:
 
 
 def _xm(oracle: ArcValuation) -> Polynomial:
-    return Polynomial.variable(oracle.frame, oracle.field, oracle.frame.m - 1)
+    m = oracle.frame.m
+    return Polynomial._from_raw(oracle.frame, oracle.field, {(0,) * (m - 1) + (1,): 1})
 
 
 def _check_input(oracle):

@@ -8,17 +8,19 @@ The API's integer fields take ints only: a float or a bool raises
 InputError rather than be truncated or stored.
 """
 
+import random
+import re
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from perronval.defect import ExtensionData, SimpleFamily, ostrowski
-from perronval.errors import InputError, PerronvalError
+from perronval.errors import DivisionByZero, InputError, PerronvalError
 from perronval.oracle import oracle_from_document
 from perronval.perron import PerronTransform, verify_cramer
-from perronval.poly import Polynomial, VariableFrame, parse_polynomial
-from perronval.scalars import FieldSpec, PuiseuxSeries, format_series, parse_series
+from perronval.poly import _RAT_RE, _VAR_RE, Polynomial, VariableFrame, parse_polynomial
+from perronval.scalars import FieldSpec, PuiseuxSeries, format_series, parse_rational, parse_series
 from perronval.valgroup import RATIONAL
 
 FIELDS = [FieldSpec(p) for p in (0, 2, 3, 5, 7)]
@@ -179,6 +181,125 @@ class TestReadersRaiseOnlyPerronvalError:
             oracle_from_document(doc)
         except PerronvalError:
             pass
+
+
+def _reference_parse_polynomial(frame, field, text):
+    """``parse_polynomial`` with every coefficient read as a Fraction and the
+    term map handed to the validating constructor, as it was before integral
+    coefficients stayed ints; kept as the reference."""
+    if not isinstance(text, str):
+        raise InputError(f"polynomial literal must be a string, got {text!r}")
+    text = text.strip()
+    if not text:
+        raise InputError("empty polynomial literal")
+    if text == "0":
+        return Polynomial.zero(frame, field)
+    tokens = re.findall(r"([+-]?)\s*([^+-]+)", text)
+    if not tokens or "".join(s + t for s, t in tokens).replace(" ", "") != text.replace(" ", ""):
+        raise InputError(f"cannot tokenize polynomial {text!r}")
+    terms = {}
+    for sign, chunk in tokens:
+        chunk = chunk.strip()
+        if not chunk:
+            raise InputError(f"dangling sign in {text!r}")
+        coeff = F(-1 if sign == "-" else 1)
+        mono = [0] * frame.m
+        for factor in chunk.split("*"):
+            factor = factor.strip()
+            if not factor:
+                raise InputError(f"empty factor in term {chunk!r}")
+            if _RAT_RE.match(factor):
+                coeff *= parse_rational(factor)
+                continue
+            m = _VAR_RE.match(factor)
+            if not m:
+                raise InputError(f"bad factor {factor!r}")
+            idx, gen, exp = m.group("idx", "gen", "exp")
+            try:
+                idx, exp = int(idx), int(exp or 1)
+                gen = None if gen is None else int(gen)
+            except ValueError as exc:
+                raise InputError(f"factor {factor[:40]!r}... is too long") from exc
+            if not 1 <= idx <= frame.m:
+                raise InputError(f"variable x{idx} outside the frame")
+            if gen is not None and gen != frame.generation:
+                raise InputError(
+                    f"generation ({gen}) does not match frame generation "
+                    f"{frame.generation}"
+                )
+            mono[idx - 1] += exp
+        terms[tuple(mono)] = terms.get(tuple(mono), 0) + field.raw(coeff)
+    return Polynomial(frame, field, terms)
+
+
+def _parsed(parse, frame, field, text):
+    """The term map of ``parse``'s result as (exponents, raw type, value)
+    triples in stored order, or the class and message of its error."""
+    try:
+        f = parse(frame, field, text)
+    except PerronvalError as exc:
+        return type(exc), str(exc)
+    return [(mono, type(v), v) for mono, v in f.terms.items()]
+
+
+def _seeded_literal(rng, frame):
+    """Terms with int and a/b coefficients anywhere among their factors,
+    exponents 0..5 with and without the generation suffix, and copies of
+    earlier terms, repeated or negated so that they cancel."""
+    def var(i):
+        gen = f"({frame.generation})" if frame.generation and rng.random() < 0.7 else ""
+        return f"x{i}{gen}" + rng.choice(["", "^0", "^1", f"^{rng.randint(2, 5)}"])
+
+    terms = []
+    for _ in range(rng.randint(1, 5)):
+        factors = [var(rng.randint(1, frame.m)) for _ in range(rng.randint(0, 3))]
+        for _ in range(rng.randint(0, 2)):
+            den = rng.choice([None, None, rng.randint(1, 12)])
+            num = rng.randint(0, 40)
+            factors.insert(rng.randint(0, len(factors)), f"{num}/{den}" if den else str(num))
+        terms.append([rng.choice("+-"), "*".join(factors) or "1"])
+    for _ in range(rng.randint(0, 3)):
+        sign, body = rng.choice(terms)
+        terms.append([rng.choice([sign, "-" if sign == "+" else "+"]), body])
+    rng.shuffle(terms)
+    text = "".join(f" {sign}{rng.choice(['', ' '])}{body}" for sign, body in terms)
+    return text[2:] if text[1] == "+" and rng.random() < 0.5 else text
+
+
+class TestParserMatchesReference:
+    def test_seeded_literals(self):
+        rng = random.Random(11)
+        kinds = set()
+        for field in FIELDS:
+            for frame in (VariableFrame(2, 1), VariableFrame(3, 2, 1)):
+                for _ in range(150):
+                    text = _seeded_literal(rng, frame)
+                    got = _parsed(parse_polynomial, frame, field, text)
+                    assert got == _parsed(_reference_parse_polynomial, frame, field, text), text
+                    if isinstance(got, list):
+                        assert all(_canonical(field, v) for _, _, v in got)
+                        kinds |= {t for _, t, _ in got} | ({"zero"} if not got else set())
+                    else:
+                        kinds.add(got[0])
+        assert kinds >= {int, F, "zero", DivisionByZero}
+
+    @pytest.mark.parametrize("text", [
+        "1" + "0" * 5000 + "*x1", "x1 + 2*" + "7" * 5000, "1/" + "3" * 5000 + "*x2",
+        "3/0*x1", "1/5*x2", "10/3*x1 + 2/25", "x1 + ", "x1 ++ x2", "2**x1", "x3 + 1",
+        "x1(2) - x2", "x2^" + "9" * 5000, "1.5*x1", "x1 - -2", "0", " 0 ", "", "-0*x1",
+    ])
+    def test_fixed_literals(self, text):
+        frame = VariableFrame(2, 1)
+        for field in FIELDS:
+            assert (_parsed(parse_polynomial, frame, field, text)
+                    == _parsed(_reference_parse_polynomial, frame, field, text))
+
+    @TEXT
+    @given(_TEXT, st.sampled_from(FIELDS))
+    def test_arbitrary_text(self, text, field):
+        frame = VariableFrame(m=2, n=1)
+        assert (_parsed(parse_polynomial, frame, field, text)
+                == _parsed(_reference_parse_polynomial, frame, field, text))
 
 
 CUSP_A1 = PerronTransform("A1", ((2, 1), (3, 2)), VariableFrame(m=2, n=1), c=FieldSpec(0).one)

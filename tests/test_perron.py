@@ -474,17 +474,17 @@ class TestMonomializeOnExponents:
                 multi += len(got.transforms) > 1
         assert transforms >= 60 and multi >= 2
 
-    def test_a_round_checks_the_polynomial_frame_after_its_walk(self):
-        # as the substitution through the round's transform did: no round,
-        # no check; a round, InputError; a walk that fails, its own error
+    def test_the_polynomial_frame_is_checked_before_any_round(self):
+        # one outcome whether a round would run or not, and at bound 0
         other = VariableFrame(m=2, n=2, generation=1)
         weights = [Q2.value(1, 0), Q2.value(0, 1)]
-        got = monomialize(parse_polynomial(other, Q, "x1(1) + x1(1)^2"), weights, FR2)
-        assert got.unit.frame is other
-        with pytest.raises(InputError, match="polynomial frame does not match"):
-            monomialize(parse_polynomial(other, Q, "x1(1) + x2(1)"), weights, FR2)
-        with pytest.raises(StepBoundExceeded):
-            monomialize(parse_polynomial(other, Q, "x1(1) + x2(1)"), weights, FR2, bound=0)
+        for text, bound in [("x1(1) + x1(1)^2", DEFAULT_STEP_BOUND),
+                            ("x1(1) + x2(1)", DEFAULT_STEP_BOUND),
+                            ("x1(1) + x2(1)", 0), ("1 + x1(1)", 0)]:
+            with pytest.raises(InputError, match="^polynomial frame does not match the transform$"):
+                monomialize(parse_polynomial(other, Q, text), weights, FR2, bound=bound)
+        got = monomialize(parse_polynomial(FR2, Q, "1 + x1"), weights, FR2, bound=0)
+        assert got.transforms == () and got.unit.frame is FR2
 
 
 class TestMemos:

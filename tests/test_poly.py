@@ -585,3 +585,76 @@ def _random_poly(rng, frame, field, max_terms=5, max_exp=4):
             c = F(rng.randint(-6, 6), rng.randint(1, 4))
         terms[mono] = field.scalar(c) + terms.get(mono, field.zero)
     return Polynomial(frame, field, terms)
+
+
+# ---------------------------------------------------------------------------
+# Memoized facts
+
+_FACTS = (hash, Polynomial.degree_in_last, Polynomial.ord_last,
+          Polynomial.lead_constant_last, str)
+
+
+def _reference_facts(f):
+    """The memoized facts of f, read off its term map directly."""
+    terms = f.terms
+    degree = max((mono[-1] for mono in terms), default=-1)
+    pure = [mono[-1] for mono in terms if not any(mono[:-1])]
+    top = [mono for mono in terms if mono[-1] == degree]
+    lead = None
+    if top == [(0,) * (f.frame.m - 1) + (degree,)]:
+        lead = f.field.scalar(terms[top[0]])
+    return (hash((f.frame, f.field, frozenset(terms.items()))), degree,
+            min(pure, default=INFINITE), lead, _reference_format(f))
+
+
+@st.composite
+def _memo_case(draw):
+    """(f, order of the facts to read): f over Q or F_2..F_7 in m = 2 or 3
+    variables, zero and constants included, made by the validating
+    constructor, a ring operation, the parser or ``divmod_last``."""
+    field = draw(st.sampled_from(FIELDS))
+    p = field.characteristic
+    m = draw(st.sampled_from((2, 3)))
+    frame = VariableFrame(m, draw(st.integers(1, m)), draw(st.sampled_from((0, 1))))
+    coeff = st.integers(-4, 4) | st.fractions(max_denominator=6).filter(
+        lambda c: not p or c.denominator % p)
+    mono = st.tuples(*[st.integers(0, 3)] * m)
+    a, b = (Polynomial(frame, field, draw(st.dictionaries(mono, coeff, max_size=5)))
+            for _ in range(2))
+    xm = Polynomial.variable(frame, field, m - 1)
+    divisor = xm ** draw(st.integers(1, 3)) + b.coeffs_last()[0]
+    route = draw(st.sampled_from(("init", "constant", "zero", "product", "difference",
+                                  "parsed", "quotient", "remainder")))
+    f = {
+        "init": lambda: a,
+        "constant": lambda: Polynomial.constant(frame, field, draw(coeff)),
+        "zero": lambda: a - a,
+        "product": lambda: a * b,
+        "difference": lambda: a - b,
+        "parsed": lambda: parse_polynomial(frame, field, format_polynomial(a)),
+        "quotient": lambda: a.divmod_last(divisor)[0],
+        "remainder": lambda: a.divmod_last(divisor)[1],
+    }[route]()
+    return f, draw(st.permutations(range(len(_FACTS))))
+
+
+class TestMemoizedFacts:
+    @settings(max_examples=300, deadline=None)
+    @given(_memo_case())
+    def test_facts_read_twice_equal_a_fresh_polynomials(self, case):
+        f, order = case
+        fresh = Polynomial(f.frame, f.field, dict(f.terms))
+        first = {k: _FACTS[k](f) for k in order}
+        second = {k: _FACTS[k](f) for k in order}
+        want = tuple(fact(fresh) for fact in _FACTS)
+        assert tuple(first[k] for k in range(len(_FACTS))) == want
+        assert tuple(second[k] for k in range(len(_FACTS))) == want
+        assert want == _reference_facts(f)
+        assert repr(f) == f"Polynomial({want[-1]!r})"
+
+    def test_the_early_exit_quotient_is_a_fresh_zero(self):
+        f = P("x1^2*x2 + 3")
+        q, r = f.divmod_last(P("x2^2 + x1"))
+        assert r is f and q == Polynomial.zero(FR, Q)
+        assert (q.degree_in_last(), q.ord_last(), q.lead_constant_last(), str(q)) == (
+            -1, INFINITE, None, "0")

@@ -15,6 +15,7 @@ from perronval.errors import (
     PreconditionValueInGroup,
     Unsupported,
 )
+import perronval.poly as poly_module
 import perronval.reduce as reduce_module
 from perronval.cli import main
 from perronval.oracle import oracle_from_document
@@ -385,8 +386,8 @@ class TestLadderFamily:
 
 
 class TestRunScope:
-    """A run evaluates each arc series once, and leaves nothing on the
-    caller's oracle for the next run to find."""
+    """A run evaluates each arc series once, prints each polynomial once,
+    and leaves nothing on the caller's oracle for the next run to find."""
 
     @pytest.fixture
     def evaluations(self, monkeypatch):
@@ -420,6 +421,37 @@ class TestRunScope:
             texts.append(json.dumps(trace_document(res, doc), sort_keys=True))
         assert counts[0] == counts[1] > 0
         assert texts[0] == texts[1]
+
+    @pytest.mark.parametrize("doc", [
+        ladder_doc(5, 8, -2),
+        arcdoc(0, "x2^4 - 2*x1^3*x2^2 - 4*x1^5*x2 + x1^6 - x1^7",
+               {"x1": "t^4", "x2": "t^6 + t^7"}, trunc=30),
+        charp_branch_doc(5, 2, 3, -1, 2),
+        defect_doc(3),
+    ], ids=["composed-ladder", "two-pair-quartic", "F5-composed", "artin-schreier"])
+    def test_each_polynomial_is_printed_once(self, monkeypatch, doc):
+        # every polynomial printed; holding it keeps its id unique
+        printed = []
+        format_polynomial = poly_module.format_polynomial
+
+        def counting(f):
+            printed.append(f)
+            return format_polynomial(f)
+
+        monkeypatch.setattr(poly_module, "format_polynomial", counting)
+        res = run_reduction(oracle_from_document(doc))
+        trace = trace_document(res, doc)
+        final = replay_trace(trace)
+        ids = [id(f) for f in printed]
+        assert len(ids) == len(set(ids)) > 0
+        # the final text is the one the last step printed
+        strict = [s["f_after"] for s in trace["steps"] if s["kind"] == "STRICT-TRANSFORM"]
+        if strict:
+            assert trace["steps"][-1]["kind"] == "STRICT-TRANSFORM"
+            assert final == trace["final_f"] == strict[-1]
+        else:
+            frame, field = parse_ring_header(trace["ring"])
+            assert final == trace["final_f"] == str(parse_polynomial(frame, field, doc["f"]))
 
     def test_residue_after_values_evaluates_nothing(self, evaluations):
         # a variable's series is its arc component, so x2 and x1 evaluate
