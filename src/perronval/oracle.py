@@ -147,7 +147,7 @@ class MonomialValuation:
         if len(mg) != 1 or mg != mu:
             raise Unsupported("residue needs a unique shared leading monomial")
         # stored values are raw: over Q, int / int would be a float
-        return self.field.scalar(g.terms[mg[0]]) / u.terms[mu[0]]
+        return Scalar(self.field, self.field.div(g.terms[mg[0]], u.terms[mu[0]]))
 
 
 @dataclass(frozen=True)
@@ -172,7 +172,8 @@ class ArcValuation:
         self.frame = frame
         self.field = field
         self.f = f
-        if f.frame != frame or f.field != field:
+        # identity first: a dataclass __eq__ costs several times an ``is``
+        if f.frame is not frame and f.frame != frame or f.field is not field and f.field != field:
             raise FrameMismatch("hypersurface does not match the oracle frame")
         # a multiple of f is certified by exact division in x_m, which needs
         # an x_m-leading coefficient that is a nonzero constant
@@ -183,10 +184,9 @@ class ArcValuation:
             s if trunc is None else s.truncated(trunc) for s in arc
         )
         for s in arc:
-            if s.field != field:
+            if s.field is not field and s.field != field:
                 raise InputError("arc series over the wrong field")
-            q = s.order()
-            if q is not None and q <= 0:
+            if s.pairs and s.pairs[0][0] <= 0:  # the least grid index is the order
                 raise InputError("arc series must vanish at the origin")
         self.arc = arc
         self.normalization = normalization if normalization is not None else RATIONAL.value(1)
@@ -239,19 +239,27 @@ class ArcValuation:
         vg, vu = self.value(g), self.value(u)
         if not (vg.is_finite and vu.is_finite) or vg.value != vu.value:
             raise ValueMismatch("residue needs equal finite values")
-        return self.series_of(g).leading_coeff() / self.series_of(u).leading_coeff()
+        # lc = v / den from the stored leading numerators (den = 1 over F_p)
+        sg, su = self.series_of(g), self.series_of(u)
+        return Scalar(self.field, self.field.div(sg.pairs[0][1] * su.den, su.pairs[0][1] * sg.den))
 
     def monomial_residue(self, exps) -> Scalar:
         """Leading coefficient of a (Laurent) monomial in the arc series: the
         product of lc(s_j)^{e_j}.  A nonzero s of order q < trunc T has s^e
-        trusted below T + (e - 1) q > e q, so lc(s^e) = lc(s)^e."""
-        out = self.field.one
+        trusted below T + (e - 1) q > e q, so lc(s^e) = lc(s)^e.  With
+        lc(s_j) = v_j / d_j from the stored numerators, it is one quotient of
+        two int products, num / den."""
+        num = den = 1
         for e, s in zip(exps, self.arc):
             if e:
                 if s.is_zero:
                     raise DivisionByZero("monomial residue over a vanishing window")
-                out = out * s.leading_coeff() ** e
-        return out
+                v, d = s.pairs[0][1], s.den
+                if e < 0:
+                    v, d, e = d, v, -e
+                num *= pow(v, e, self.field.characteristic or None)
+                den *= pow(d, e, self.field.characteristic or None)
+        return Scalar(self.field, self.field.div(num, den))
 
     def variable_values(self):
         if self._variable_values is None:
@@ -306,34 +314,39 @@ class ArcValuation:
         rho * series(witness), the witness series that the residue
         evaluates: the arc component of x_m is not evaluated again."""
         frame, field = self.frame, self.field
-        h = Polynomial.zero(frame, field)
-        xm = Polynomial.variable(frame, field, frame.m - 1)
+        xm = (0,) * (frame.m - 1) + (1,)
+        h = {}  # raw term map of h; each rung's witness has a larger value, so a new monomial
         series = self.arc[-1]  # of x_m - h
         ladder = []
         steps = 0
+
+        def result(reason=None):
+            return BestApprox(Polynomial._from_raw(frame, field, h), gamma, tuple(ladder), reason)
+
         while True:
-            g = xm - h
+            # g = x_m - h and the witness x^b are built on valid exponent vectors
+            g = Polynomial._from_raw(frame, field, {xm: 1, **{mono: -c for mono, c in h.items()}})
             self._series.setdefault(g, series)
             gamma = self.value(g)
             if gamma.is_infinite:
-                return BestApprox(h, gamma, tuple(ladder), "EXACT-MATCH")
+                return result("EXACT-MATCH")
             if gamma.is_above:
-                return BestApprox(h, gamma, tuple(ladder), "TRUNCATION")
+                return result("TRUNCATION")
             ladder.append(gamma.value)
             coords = self.base_coords(gamma.value)
             if coords is None:
-                return BestApprox(h, gamma, tuple(ladder))
+                return result()
             if steps >= bound:
-                return BestApprox(h, gamma, tuple(ladder), "STEP-BOUND")
+                return result("STEP-BOUND")
             if any(c < 0 for c in coords):
                 raise Unsupported(
                     "witness monomial needs negative exponents; outside the "
                     "implemented scope"
                 )
-            exps = list(coords) + [0] * (frame.m - len(coords))
-            witness = Polynomial.monomial(frame, field, exps)
+            exps = tuple(coords) + (0,) * (frame.m - len(coords))
+            witness = Polynomial._from_raw(frame, field, {exps: 1})
             rho = self.residue(g, witness)
-            h = h + witness * rho
+            h[exps] = rho.value
             series = series - self.series_of(witness) * rho
             steps += 1
 

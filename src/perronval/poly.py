@@ -91,13 +91,16 @@ class Polynomial:
 
     # -- constructors --------------------------------------------------
 
+    # zero, constant and variable build valid exponent vectors themselves,
+    # so only ``monomial`` runs the validating constructor
+
     @classmethod
     def zero(cls, frame, field):
-        return cls(frame, field, {})
+        return cls._from_raw(frame, field, {})
 
     @classmethod
     def constant(cls, frame, field, c):
-        return cls(frame, field, {(0,) * frame.m: c})
+        return cls._from_raw(frame, field, {(0,) * frame.m: field.raw(c)})
 
     @classmethod
     def variable(cls, frame, field, i: int):
@@ -105,7 +108,7 @@ class Polynomial:
             raise InputError(f"variable index {i} out of range")
         mono = [0] * frame.m
         mono[i] = 1
-        return cls(frame, field, {tuple(mono): 1})
+        return cls._from_raw(frame, field, {tuple(mono): 1})
 
     @classmethod
     def monomial(cls, frame, field, exponents, coeff=1):

@@ -136,6 +136,14 @@ class FieldSpec:
     def scalar(self, value) -> "Scalar":
         return Scalar(self, self.raw(value))
 
+    def div(self, a, b):
+        """a / b on raw values, itself a raw value; b = 0 raises
+        DivisionByZero.  Over Q an int / int would be a float."""
+        if not b:
+            raise DivisionByZero("inverse of zero")
+        p = self.characteristic
+        return a * pow(b, -1, p) % p if p else self.raw(Fraction(a, b))
+
     @property
     def zero(self) -> "Scalar":
         return self.scalar(0)
@@ -184,12 +192,10 @@ class Scalar:
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
-        if self.is_zero:
-            raise DivisionByZero("inverse of zero")
-        return self.field.scalar(Fraction(1, self.value))
+        return Scalar(self.field, self.field.div(1, self.value))
 
     def __truediv__(self, other):
-        return self * self._coerce(other).inverse()
+        return Scalar(self.field, self.field.div(self.value, self._coerce(other).value))
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
@@ -360,15 +366,32 @@ def _grid_mul(a, b, p: int):
 
 def binary_power(a, k: int, mul, one):
     """a**k for k >= 0 by binary powering, with the product ``mul`` and its
-    identity ``one``; series and polynomial powers both run on it."""
-    result = one
+    identity ``one``; series and polynomial powers both run on it.  The
+    result starts from its first factor, not from ``one``: k > 0 takes
+    floor(log2 k) + popcount(k) - 1 products, and k = 1 returns ``a``
+    itself, which callers only read."""
+    result = None
     while k:
         if k & 1:
-            result = mul(result, a)
+            result = a if result is None else mul(result, a)
         k >>= 1
         if k:
             a = mul(a, a)
-    return result
+    return one if result is None else result
+
+
+def _check_power(pairs, den, k: int):
+    """Refuse the k-th power of an exact nonzero series (its grid pairs over
+    den) before any product, as ``evaluate_monomials`` refuses: beyond
+    MAX_GRID_SLOTS slots (k times the span, plus one), or beyond 64
+    MAX_GRID_SLOTS bits in those slots times k (clog2 of the sum of
+    |numerators| plus clog2 den), a bound on the bits of a coefficient."""
+    slots = k * (pairs[-1][0] - pairs[0][0]) + 1
+    if slots > MAX_GRID_SLOTS:
+        raise InputError(f"series power spans {format_raw(slots)} slots, more than {MAX_GRID_SLOTS}")
+    limit = 64 * MAX_GRID_SLOTS
+    if slots * k * (_clog2(sum([abs(v) for _, v in pairs])) + _clog2(den)) > limit:
+        raise InputError(f"series power needs more than {limit} bits")
 
 
 def _grid_pow(a, k: int, p: int):
@@ -476,7 +499,9 @@ class PuiseuxSeries:
             if other.field is not self.field and other.field != self.field:
                 raise InputError("mixed-field series arithmetic")
             return other
-        return PuiseuxSeries(self.field, {Fraction(0): other})
+        c = self.field.raw(other)  # an exact constant: one pair over its denominator
+        pairs = [(0, c.numerator)] if c else []
+        return PuiseuxSeries._from_grid(self.field, 1, (pairs, None, c.denominator))
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -565,7 +590,17 @@ class PuiseuxSeries:
             raise InputError("series powers must be integers")
         if k < 0:
             return self.inverse() ** (-k)
-        grid = _grid_pow(_grid(self, self.ram), k, self.field.characteristic)
+        pairs, top, p = self.pairs, self.top, self.field.characteristic
+        if k and pairs and top is None:
+            _check_power(pairs, self.den, k)
+        if k and len(pairs) == 1:
+            # (v/den) t^(q/N) to the k is (v^k/den^k) t^(kq/N), trusted below
+            # kq + (T - q) as the products' windows are (see ``_grid_mul``)
+            ((q, v),) = pairs
+            top = None if top is None else k * q + top - q
+            grid = ([(k * q, pow(v, k, p or None))], top, self.den**k)
+        else:
+            grid = _grid_pow(_grid(self, self.ram), k, p)
         return PuiseuxSeries._from_grid(self.field, self.ram, grid)
 
     @classmethod

@@ -16,7 +16,7 @@ from perronval.oracle import (
 )
 from perronval.poly import Polynomial, VariableFrame, parse_polynomial
 from perronval.reduce import run_reduction, trace_document
-from perronval.scalars import FieldSpec, PuiseuxSeries
+from perronval.scalars import FieldSpec, PuiseuxSeries, parse_series
 from perronval.valgroup import RATIONAL, member, quadratic
 
 Q = FieldSpec(0)
@@ -165,6 +165,35 @@ class TestResidue:
                 exps = (rng.randint(-9, 9), rng.randint(-9, 9))
                 assert oracle.monomial_residue(exps) == _series_monomial_residue(oracle, exps)
 
+    @pytest.mark.parametrize("field", [Q, FieldSpec(5)], ids=["char0", "char5"])
+    def test_residues_follow_the_leading_coefficient_rule(self, field):
+        # fractional leading coefficients on both sides; the rule is the
+        # quotient of the leading coefficients, taken here in Fractions
+        arc = (parse_series(field, "t^(2/3)*-3/4 + t^(5/3)*3/7 | trunc 6"),
+               parse_series(field, "t^2*7/9 + t^(7/3)*-1/2 | trunc 6"))
+        oracle = ArcValuation(FR, field, P("x2^2 - x1^3", field=field), arc)
+
+        def lc(s):
+            return F(s.leading_coeff().value)
+
+        got = []
+        for g, u in (("x2", "x1^3"), ("3/2*x2^2 + x1^7", "-2/3*x1^6"),
+                     ("5/3*x1^3 + 2*x2", "4/7*x2"), ("x1*x2", "x1^4*11/13")):
+            g, u = P(g, field=field), P(u, field=field)
+            want = field.scalar(lc(oracle.series_of(g)) / lc(oracle.series_of(u)))
+            got.append(oracle.residue(g, u))
+            assert got[-1] == want, (g, u)
+        assert field.modular or all(type(r.value) is F for r in got)
+        for exps in ((3, -1), (-2, 1), (-1, -2), (4, 0), (0, -3), (2, 1), (0, 0)):
+            want = F(1)
+            for e, s in zip(exps, arc):
+                want *= lc(s) ** e
+            assert oracle.monomial_residue(exps) == field.scalar(want), exps
+        x1, x2 = P("x1", field=field), P("x2", field=field)
+        for g, u in ((x2, x1), (Polynomial.zero(FR, field), x1), (x1, Polynomial.zero(FR, field))):
+            with pytest.raises(ValueMismatch):
+                oracle.residue(g, u)
+
     def test_monomial_residue_zero_component(self):
         x1 = PuiseuxSeries(Q, {F(2): 3, F(5, 2): -1}, trunc=7)
         zero = PuiseuxSeries(Q, {}, trunc=5)
@@ -287,6 +316,32 @@ class TestMemo:
         assert o.value(f + P("x1^10", field=field)).is_above
 
 
+def _composed_branch_doc(p, a, b, c, trunc):
+    """(x2 - c*x1)^a - x1^b over F_p on the arc (t^a, t^b + c*t^a), with the
+    window ``trunc`` (None: exact)."""
+    field = FieldSpec(p)
+    x1, x2 = (Polynomial.variable(FR, field, i) for i in range(2))
+    f = (x2 - x1 * c) ** a - x1**b
+    doc = {"version": 1, "kind": "arc", "ring": {"m": 2, "char": p, "n": 1}, "f": str(f),
+           "arc": {"x1": f"t^{a}", "x2": f"t^{b} + t^{a}*{c}"}}
+    if trunc is not None:
+        doc["trunc"] = trunc
+    return doc
+
+
+def _fractional_doc(trunc):
+    """A Q arc whose ladder matches the residues 15/14 and -27/16:
+    x2 = 15/14 x1 - 27/16 x1^2 + t^5/3 on x1 = 2/3 t^2, the curve
+    (x2 - 15/14 x1 + 27/16 x1^2)^2 = 27/32 x1^5."""
+    x1, x2 = (Polynomial.variable(FR, Q, i) for i in range(2))
+    f = (x2 - x1 * F(15, 14) + x1**2 * F(27, 16)) ** 2 - x1**5 * F(27, 32)
+    doc = {"version": 1, "kind": "arc", "ring": {"m": 2, "char": 0, "n": 1}, "f": str(f),
+           "arc": {"x1": "t^2*2/3", "x2": "t^2*5/7 + t^4*-3/4 + t^5*1/3"}}
+    if trunc is not None:
+        doc["trunc"] = trunc
+    return doc
+
+
 class TestBestApprox:
     def test_first_value_already_outside(self):
         o = oracle_from_document(CUSP)
@@ -339,6 +394,36 @@ class TestBestApprox:
                     got = oracle_from_document(doc).best_approx(bound)
                     assert (got.h, got.gamma, list(got.ladder), got.reason) == \
                         _reference_best_approx(doc, bound), (p, depth, trunc, bound)
+
+    @pytest.mark.parametrize("doc, h", [
+        *[(_composed_branch_doc(p, a, b, c, trunc), f"{c % p}*x1")
+          for p, a, b, c in ((2, 2, 3, 1), (3, 2, 5, 2), (5, 3, 4, -1), (7, 2, 9, 3))
+          for trunc in (None, 40)],
+        *[(_fractional_doc(trunc), "15/14*x1 - 27/16*x1^2") for trunc in (None, 12)],
+        (_fractional_doc(5), None),
+    ], ids=lambda x: f"char{x['ring']['char']}-{x['arc']['x2']}-trunc{x.get('trunc')}"
+       if isinstance(x, dict) else None)
+    def test_composed_and_fractional_ladders_match_the_reference(self, doc, h, monkeypatch):
+        # a composed branch over F_p climbs one rung, c*x1, to MAX-OUTSIDE;
+        # the Q arc's residues 15/14 and -27/16 are not integers
+        for bound in (0, 1, 2, 64):
+            oracle = oracle_from_document(doc)
+            got = oracle.best_approx(bound)
+            assert (got.h, got.gamma, list(got.ladder), got.reason) == \
+                _reference_best_approx(doc, bound), bound
+            # the series of x_m - h is left in the memo for the translation
+            evaluated = []
+            monkeypatch.setattr(Polynomial, "evaluate_at_arc",
+                                lambda g, arc: evaluated.append(g))
+            xm = Polynomial.variable(oracle.frame, oracle.field, 1)
+            series = oracle.series_of(xm - got.h)
+            monkeypatch.undo()
+            assert not evaluated
+            assert series == (xm - got.h).evaluate_at_arc(oracle.arc)
+        # at the bound 64: MAX-OUTSIDE after the last rung, or, in the
+        # window 5 of the Q arc, TRUNCATION there
+        want = (None, h) if h is not None else ("TRUNCATION", "15/14*x1 - 27/16*x1^2")
+        assert (got.reason, got.h) == (want[0], P(want[1], field=oracle.field))
 
     def test_the_family_reaches_every_stop(self):
         reasons = {oracle_from_document(_artin_schreier_doc(2, 3, trunc)).best_approx(bound).reason

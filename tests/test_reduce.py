@@ -453,6 +453,25 @@ class TestRunScope:
             frame, field = parse_ring_header(trace["ring"])
             assert final == trace["final_f"] == str(parse_polynomial(frame, field, doc["f"]))
 
+    @pytest.mark.parametrize("doc", [ladder_doc(5, 8, -2), defect_doc(3)],
+                             ids=["composed-ladder", "artin-schreier"])
+    def test_no_validating_construction(self, monkeypatch, doc):
+        # every polynomial of a run, its trace and its replay is built from
+        # term maps the library made, or by the parser: none is re-validated
+        oracle = oracle_from_document(doc)
+        built = []
+        init = Polynomial.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Polynomial, "__init__", counting)
+        res = run_reduction(oracle)
+        replay_trace(trace_document(res, doc))
+        assert res.status in ("REDUCED-TO-SMOOTH", "DEFECT-SUSPECTED")
+        assert built == []
+
     def test_residue_after_values_evaluates_nothing(self, evaluations):
         # a variable's series is its arc component, so x2 and x1 evaluate
         # nothing; the other pair is evaluated once each, by value

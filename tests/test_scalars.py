@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -12,6 +13,7 @@ from perronval.scalars import (
     MAX_GRID_SLOTS,
     FieldSpec,
     PuiseuxSeries,
+    binary_power,
     evaluate_monomials,
     format_series,
     is_prime,
@@ -383,9 +385,14 @@ KERNEL_CASES = [
     ("0 | trunc 13/2", "t^(1/2) + t^2*3 | trunc 8", None),
     # non-integral leading coefficient
     ("t^(3/4)*13/11 + t^(5/4)*-1/13 + t^3 | trunc 9", "t^(1/2)*-17/19 + t | trunc 6", None),
+    # truncated single-term series, whose powers are taken in closed form:
+    # a non-integral coefficient and a negative order
+    ("t^(-2/3)*13/11 | trunc 3", "t^(5/4)*-17/19 | trunc 7/2", None),
+    ("t^(1/3)*-5/11 | trunc 1/2", "t^(-1)*4/13 | trunc 0", None),  # truncation index 0
 ]
 KERNEL_IDS = ["ramified", "negative-orders", "ramified-negative", "single-term", "window",
-              "window-off-grid", "window-zero", "zero-truncated", "fractional-lead"]
+              "window-off-grid", "window-zero", "zero-truncated", "fractional-lead",
+              "single-term-truncated", "single-term-zero-top"]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"char{f.characteristic}")
@@ -798,9 +805,98 @@ class TestGridSize:
         with pytest.raises(InputError, match="slots"):
             s ** 2
 
+    @pytest.mark.parametrize("base, k, match", [
+        ("t + t^2", 70000, "slots"),  # 70,001 slots
+        ("t + t^2", 3000, "bits"),  # 3,001 slots of up to 3,000 bits each
+        ("t*3", 2**21 + 1, "bits"),  # one slot, 3^k has more than 2^22 bits
+        ("t*1/3", -(2**21 + 1), "bits"),  # its inverse t^-1*3, then the power
+        ("t^(1/2) + t^(3/2)*2", 40000, "slots"),  # a span of 2 slots on the grid 1/2
+        ("t + t^40000", 2, "slots"),  # three terms, but 79,999 slots
+    ])
+    def test_exact_power_above_the_budget_is_refused_before_any_product(self, base, k, match):
+        for field in (Q, F5):
+            s = parse_series(field, base)
+            t0 = time.perf_counter()
+            with pytest.raises(InputError, match=match):
+                s ** k
+            assert time.perf_counter() - t0 < 1.0
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"char{f.characteristic}")
+    def test_exact_power_within_the_budget_is_unchanged(self, field):
+        s = parse_series(field, "t + t^2")
+        _same(s ** 100, _ref_pow(s, 100))
+        # a single term costs no product at any exponent, and t^k no bits
+        assert (s ** 0, parse_series(field, "t") ** 10**9) == (
+            PuiseuxSeries(field, {0: 1}), PuiseuxSeries(field, {10**9: 1}))
+        t3 = parse_series(field, "t*3")
+        assert t3 ** 2**16 == PuiseuxSeries(field, {2**16: pow(3, 2**16, field.characteristic or None)})
+
     def test_inverse_window_above_the_cap_is_refused(self):
         # the inverse spans the truncation less the order: 40,000 slots
         # hold this series, and the 80,000 of its inverse are refused
         s = parse_series(Q, "t^(-40000) + t | trunc 40000")
         with pytest.raises(InputError, match="slots"):
             s.inverse()
+
+
+def test_binary_power_counts_its_products():
+    # floor(log2 k) squarings and popcount(k) - 1 products into the result,
+    # which starts from the first factor: k = 1 returns the argument itself
+    products = []
+
+    def mul(x, y):
+        products.append(None)
+        return x + y
+
+    one, a = object(), object()
+    assert binary_power(a, 0, mul, one) is one
+    assert binary_power(a, 1, mul, one) is a
+    assert not products
+    for k in range(1, 65):
+        del products[:]
+        assert binary_power(1, k, mul, 0) == k
+        assert len(products) == k.bit_length() - 1 + bin(k).count("1") - 1, k
+
+
+class TestConstantOperands:
+    """A constant operand (an int, a Fraction, a literal or a Scalar) acts as
+    the constant polynomial or series the validating constructors build, and
+    a value that is none of these raises as those constructors do."""
+
+    CONSTANTS = [3, -2, F(5, 13), "-7/11", "4", None]  # None: a Scalar of the field
+    BAD = [(True, "cannot build scalar from True"), (1.5, "cannot build scalar from 1.5"),
+           ("1.5", "bad rational literal '1.5'"),
+           (FieldSpec(11).scalar(2), "scalar from a different field")]
+
+    @staticmethod
+    def _operands(field):
+        frame = VariableFrame(2, 1)
+        f = Polynomial(frame, field, {(1, 2): 3, (0, 1): 1, (2, 0): -1, (0, 0): 2})
+        s = parse_series(field, "t^(1/2)*3/11 + t^2 + 1 | trunc 5")
+        return frame, f, s
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"char{f.characteristic}")
+    def test_constant_operands_equal_constructed_constants(self, field):
+        frame, f, s = self._operands(field)
+        for c in self.CONSTANTS:
+            if c is None:
+                c = field.scalar(F(4, 13))
+            poly_c = Polynomial(frame, field, {(0, 0): c})
+            series_c = PuiseuxSeries(field, {0: c})
+            assert f * c == f * poly_c, c
+            assert f + c == f + poly_c, c
+            assert f.translate_last(c) == f.translate_last(poly_c), c
+            assert s * c == s * series_c, c
+            assert s - c == s - series_c, c
+            assert Polynomial.constant(frame, field, c) == poly_c, c
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"char{f.characteristic}")
+    def test_other_operands_raise_as_the_constructors_do(self, field):
+        _, f, s = self._operands(field)
+        ops = [lambda c: f * c, lambda c: f + c, lambda c: f.translate_last(c),
+               lambda c: s * c, lambda c: s - c]
+        for bad, message in self.BAD:
+            for op in ops:
+                with pytest.raises(InputError) as exc:
+                    op(bad)
+                assert str(exc.value) == message
