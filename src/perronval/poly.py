@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from operator import add, mul
+from operator import add, mul, sub
 
 from .errors import DivisionByZero, FrameMismatch, InputError
 from .scalars import (
@@ -334,22 +334,28 @@ class Polynomial:
     def translate_last(self, h: "Polynomial") -> "Polynomial":
         """Substitute x_m -> x_m + h, with h free of the last variable.
 
-        Classical O(d^2) Taylor shift on the x_m-coefficients a_0..a_d
-        (von zur Gathen and Gerhard, ISSAC 1997): for i = 0..d-1 and
-        j = d-1..i, a_j += h * a_{j+1}.  Only sums and products occur, so it
-        is exact in every characteristic.
+        Translations compose, so this is one weighted column shift per term
+        c x^b of h (``_shift_columns``): a term x^a x_m^j lies in the column
+        keyed by a + j b at index j, where x_m -> x_m + c x^b is the
+        classical O(d^2) Taylor shift of the column's coefficients by c
+        (von zur Gathen and Gerhard, ISSAC 1997).  Only sums and products
+        occur, so it is exact in every characteristic.
         """
-        h = self._coerce(h)
-        if h.degree_in_last() > 0:
-            raise InputError("translation polynomial must not involve x_m")
-        p = self.field.characteristic
+        if isinstance(h, Polynomial):
+            h = self._coerce(h)
+            if h.degree_in_last() > 0:
+                raise InputError("translation polynomial must not involve x_m")
+            shifts = h.terms.items()
+        else:  # a constant, as ``strict_transform`` passes it: one shift, b = 0
+            c = self.field.raw(h)
+            shifts = [((0,) * self.frame.m, c)] if c else []
         d = self.degree_in_last()
-        rows = _rows(self, d)
-        (step,) = _rows(h, 0)
-        for i in range(d):
-            for j in range(d - 1, i - 1, -1):
-                _raw_addmul(rows[j], rows[j + 1], step, p)
-        return Polynomial._from_raw(self.frame, self.field, _unrows(rows))
+        _check_rows(d)
+        p = self.field.characteristic
+        terms = self.terms
+        for b, c in shifts:
+            terms = _shift_columns(terms, b[:-1], c, p, d)
+        return Polynomial._from_raw(self.frame, self.field, terms)
 
     @classmethod
     def _from_raw(cls, frame, field, raw) -> "Polynomial":
@@ -381,32 +387,40 @@ class Polynomial:
         slot is ignored): the inverse of ``strict_transform`` read in x_m.
 
         (x_m + c)^lam is the single binomial row C(lam, k) c^(lam-k) x_m^k,
-        k = 0..lam, so the product costs O(lam * |self|) term products, not
-        the O(lam^2) row updates of a Taylor shift.  The binomials come from
-        C(lam, k+1) = C(lam, k) (lam - k) / (k + 1), exact over Z; mod p that
-        division is not invertible when p | k + 1, so each C(lam, k) is
-        reduced mod p only after it is computed over Z.  The product is
+        k = 0..lam, built once; each dense x_m-column of self (``_columns``)
+        is convolved with it into one list, so the product costs
+        O(lam * |self|) products, not the O(lam^2) updates of a Taylor
+        shift.  The binomials come from C(lam, k-1) = C(lam, k) k / (lam-k+1)
+        for k = lam down to 1, exact over Z; mod p that division is not
+        invertible when p | lam - k + 1, so each C(lam, k) is reduced mod p
+        only after it is computed over Z.  The product is
         bounded as a Taylor shift of it would be: an x_m-degree above
         MAX_GRID_SLOTS raises InputError.
         """
         _check_rows(lam + self.degree_in_last())
         p = self.field.characteristic
         c = self.field.raw(c)
-        powers = [1]  # c^j for j = 0..lam
-        for _ in range(lam):
-            powers.append(powers[-1] * c % p if p else powers[-1] * c)
-        base = tuple(exps[:-1])
-        row = {}
-        binom = 1
-        for k in range(lam + 1):
-            v = binom * powers[lam - k]
-            if p:
-                v %= p
-            if v:  # _raw_addmul stores no zeros
-                row[base + (k,)] = v
-            binom = binom * (lam - k) // (k + 1)
-        return Polynomial._from_raw(self.frame, self.field,
-                                    _raw_addmul({}, self.terms, row, p))
+        row = []  # the nonzero (k, C(lam, k) c^(lam-k)), from k = lam down
+        binom = power = 1
+        for k in range(lam, -1, -1):
+            v = binom * power % p if p else binom * power
+            if v:
+                row.append((k, v))
+            binom = binom * k // (lam - k + 1)
+            power = power * c % p if p else power * c
+        shift = tuple(exps[:-1])
+        out = {}
+        for key, col in _columns(self.terms).items():
+            acc = [0] * (len(col) + lam)
+            for j, a in enumerate(col):
+                if a:
+                    for k, v in row:
+                        acc[j + k] += a * v
+            key = tuple(map(add, key, shift))
+            for i, v in enumerate(acc):
+                if v:  # _from_raw reduces the sums mod p
+                    out[key + (i,)] = v
+        return Polynomial._from_raw(self.frame, self.field, out)
 
     # -- arc evaluation -------------------------------------------------------
 
@@ -447,6 +461,49 @@ def _rows(f: Polynomial, d: int) -> list:
 def _unrows(rows) -> dict:
     """The term map of x_m-coefficient rows; inverse of ``_rows``."""
     return {base + (k,): v for k, row in enumerate(rows) for base, v in row.items()}
+
+
+def _columns(terms: dict, steps=None) -> dict:
+    """The dense x_m-columns of a term map: column ``key`` is the list whose
+    index j holds the value of the term in that column with x_m^j, zeros
+    filled in.  A term x^a x_m^j is keyed by a, or by a + steps[j] when
+    steps is given (an m-long key, its x_m slot 0 when steps[j] ends in -j)."""
+    cols = {}
+    for mono, v in terms.items():
+        j = mono[-1]
+        key = mono[:-1] if steps is None else tuple(map(add, mono, steps[j]))
+        col = cols.get(key)
+        if col is None:
+            cols[key] = col = [0] * (j + 1)
+        elif len(col) <= j:
+            col.extend([0] * (j + 1 - len(col)))
+        col[j] = v
+    return cols
+
+
+def _shift_columns(terms: dict, b: Mono, c, p: int, d: int) -> dict:
+    """Raw term map of x_m -> x_m + c x^b on a raw term map of x_m-degree at
+    most d (b the exponents of x_1..x_{m-1}, c nonzero).  In the column
+    keyed by k = a + j b, the terms x^(k - j b) x_m^j are x^k y^j with
+    y = x_m / x^b, and x_m + c x^b = x^b (y + c): the column's values are
+    shifted by c, a_j += c a_(j+1), and index i is written back as
+    x^(k - i b) x_m^i.  Its exponents are those of a + (j - i) b for a term
+    at j >= i, so never negative.  A constant c (b = 0) keys each column by
+    a alone."""
+    # steps[i] = (i b, -i): a term's key a + j b ends in a zero x_m slot, and
+    # key - steps[i] is the exponent vector of index i
+    steps = [tuple([i * e for e in b]) + (-i,) for i in range(d + 1)] if any(b) else None
+    out = {}
+    for key, col in _columns(terms, steps).items():
+        top = len(col) - 1
+        for i in range(top):
+            for j in range(top - 1, i - 1, -1):
+                v = col[j] + c * col[j + 1]
+                col[j] = v % p if p else v
+        for i, v in enumerate(col):
+            if v:
+                out[key + (i,) if steps is None else tuple(map(sub, key, steps[i]))] = v
+    return out
 
 
 def _raw_addmul(acc: dict, a: dict, b: dict, p: int) -> dict:

@@ -380,18 +380,55 @@ def binary_power(a, k: int, mul, one):
     return one if result is None else result
 
 
+def _check_budget(what: str, slots: int, bits: int):
+    """Refuse an exact result of ``slots`` grid slots, each coefficient of
+    at most ``bits`` bits, before it is computed: beyond MAX_GRID_SLOTS
+    slots, or beyond 64 MAX_GRID_SLOTS bits in all of them, as
+    ``evaluate_monomials`` refuses."""
+    if slots > MAX_GRID_SLOTS:
+        raise InputError(f"{what} spans {format_raw(slots)} slots, more than {MAX_GRID_SLOTS}")
+    limit = 64 * MAX_GRID_SLOTS
+    if slots * bits > limit:
+        raise InputError(f"{what} needs more than {limit} bits")
+
+
+def _coefficient_bits(pairs, den) -> int:
+    """clog2 of the sum of |numerators| plus clog2 den (``_clog2`` written
+    out, as every exact product runs it): a bound on the bits of a
+    coefficient of an exact series, which add up over the factors of a
+    product or power."""
+    return (sum([abs(v) for _, v in pairs]) - 1).bit_length() + (den - 1).bit_length()
+
+
 def _check_power(pairs, den, k: int):
     """Refuse the k-th power of an exact nonzero series (its grid pairs over
-    den) before any product, as ``evaluate_monomials`` refuses: beyond
-    MAX_GRID_SLOTS slots (k times the span, plus one), or beyond 64
-    MAX_GRID_SLOTS bits in those slots times k (clog2 of the sum of
-    |numerators| plus clog2 den), a bound on the bits of a coefficient."""
-    slots = k * (pairs[-1][0] - pairs[0][0]) + 1
-    if slots > MAX_GRID_SLOTS:
-        raise InputError(f"series power spans {format_raw(slots)} slots, more than {MAX_GRID_SLOTS}")
-    limit = 64 * MAX_GRID_SLOTS
-    if slots * k * (_clog2(sum([abs(v) for _, v in pairs])) + _clog2(den)) > limit:
-        raise InputError(f"series power needs more than {limit} bits")
+    den) before any product: k times the span, plus one, slots, each of k
+    times its coefficient bits."""
+    _check_budget("series power", k * (pairs[-1][0] - pairs[0][0]) + 1,
+                  k * _coefficient_bits(pairs, den))
+
+
+def _check_window(pairs, top, n: int, k: int, p: int) -> int:
+    """The truncation index ko + (T - o) of the k-th power of a truncated
+    nonzero series (its grid pairs on 1/n, order o, truncation index T), as
+    the products' windows are (see ``_grid_mul``), refused before any
+    product where ``_from_grid`` would refuse it: on the power's least grid,
+    which is no coarser than two terms it surely has allow.  With k = q k',
+    q the largest power of p dividing k (1 over Q), the power of
+    s = v_0 t^o (1 + u) is v_0^k t^(ko) (1 + u^q)^k', and over F_p u^q is u
+    with its indices times q, so the terms at ko and, below the window, at
+    ko + q (q_1 - o) survive."""
+    o = pairs[0][0]
+    top = k * o + top - o
+    sure = [k * o]
+    if len(pairs) > 1:
+        q = 1
+        while p and k % (q * p) == 0:
+            q *= p
+        sure.append(k * o + q * (pairs[1][0] - o))
+    g = math.gcd(n, top, *[i for i in sure if i < top])
+    _check_slots(top // g, n // g)
+    return top
 
 
 def _grid_pow(a, k: int, p: int):
@@ -525,8 +562,14 @@ class PuiseuxSeries:
     def __mul__(self, other):
         other = self._coerce(other)
         n = math.lcm(self.ram, other.ram)
-        grid = _grid_mul(_grid(self, n), _grid(other, n), self.field.characteristic)
-        return PuiseuxSeries._from_grid(self.field, n, grid)
+        (pa, ta, da), (pb, tb, db) = a, b = _grid(self, n), _grid(other, n)
+        if ta is None and tb is None and pa and pb:
+            # two exact series keep to an exact power's budgets before the
+            # convolution: the two spans plus one slots, each of the two
+            # factors' coefficient bits
+            _check_budget("series product", pa[-1][0] - pa[0][0] + pb[-1][0] - pb[0][0] + 1,
+                          _coefficient_bits(pa, da) + _coefficient_bits(pb, db))
+        return PuiseuxSeries._from_grid(self.field, n, _grid_mul(a, b, self.field.characteristic))
 
     __rmul__ = __mul__
 
@@ -591,13 +634,14 @@ class PuiseuxSeries:
         if k < 0:
             return self.inverse() ** (-k)
         pairs, top, p = self.pairs, self.top, self.field.characteristic
-        if k and pairs and top is None:
-            _check_power(pairs, self.den, k)
+        if k and pairs:
+            if top is None:
+                _check_power(pairs, self.den, k)
+            else:
+                top = _check_window(pairs, top, self.ram, k, p)
         if k and len(pairs) == 1:
-            # (v/den) t^(q/N) to the k is (v^k/den^k) t^(kq/N), trusted below
-            # kq + (T - q) as the products' windows are (see ``_grid_mul``)
+            # (v/den) t^(q/N) to the k is (v^k/den^k) t^(kq/N)
             ((q, v),) = pairs
-            top = None if top is None else k * q + top - q
             grid = ([(k * q, pow(v, k, p or None))], top, self.den**k)
         else:
             grid = _grid_pow(_grid(self, self.ram), k, p)

@@ -18,6 +18,10 @@ from perronval.poly import (
     format_ring_header,
     parse_polynomial,
     parse_ring_header,
+    _raw_addmul,
+    _rows,
+    _shift_columns,
+    _unrows,
 )
 from perronval.reduce import run_reduction, trace_document
 from perronval.scalars import INFINITE, FieldSpec, format_raw, parse_series
@@ -413,6 +417,80 @@ class TestTranslateAndDerivative:
     def test_partial_last(self):
         assert P("x2^2 - x1^3").partial_last() == P("2*x2")
         assert P("x2^2 + x1^3", field=F2).partial_last().is_zero
+
+
+# ---------------------------------------------------------------------------
+# The x_m-column kernels against their references
+
+def _reference_translate_last(self, h):
+    """x_m -> x_m + h by the row-based Taylor shift ``translate_last`` ran
+    before the column kernels, copied verbatim: a_j += h * a_(j+1) on the
+    x_m-coefficient rows, one term-map product per row pair."""
+    h = self._coerce(h)
+    if h.degree_in_last() > 0:
+        raise InputError("translation polynomial must not involve x_m")
+    p = self.field.characteristic
+    d = self.degree_in_last()
+    rows = _rows(self, d)
+    (step,) = _rows(h, 0)
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            _raw_addmul(rows[j], rows[j + 1], step, p)
+    return Polynomial._from_raw(self.frame, self.field, _unrows(rows))
+
+
+@st.composite
+def _column_case(draw):
+    """(f, h): f over Q or F_2..F_7 in m = 2 or 3 variables with x_m-degree
+    up to 9 (above every p drawn, so some binomials vanish mod p), and h free
+    of x_m that is zero, a nonzero constant, a monomial or several terms."""
+    field = draw(st.sampled_from(FIELDS))
+    p = field.characteristic
+    m = draw(st.sampled_from((2, 3)))
+    frame = VariableFrame(m, m - 1)
+    coeff = st.integers(-6, 6) | st.fractions(max_denominator=4).filter(
+        lambda c: not p or c.denominator % p)
+    mono = st.tuples(*[st.integers(0, 3)] * (m - 1), st.integers(0, 9))
+    f = Polynomial(frame, field, draw(st.dictionaries(mono, coeff, max_size=8)))
+    base = st.tuples(*[st.integers(0, 2)] * (m - 1)).map(lambda b: b + (0,))
+    shape = draw(st.sampled_from(("zero", "constant", "monomial", "several")))
+    if shape == "constant":
+        base = st.just((0,) * m)
+    elif shape == "monomial":
+        base = base.filter(any)
+    size = {"zero": 0, "constant": 1, "monomial": 1, "several": 3}[shape]
+    terms = draw(st.dictionaries(base, _nonzero(field), min_size=min(size, 2), max_size=size))
+    return f, Polynomial(frame, field, terms)
+
+
+class TestColumnKernels:
+    @settings(max_examples=200, deadline=None)
+    @given(_column_case())
+    def test_translate_last_matches_the_row_shift(self, case):
+        f, h = case
+        got = f.translate_last(h)
+        want = _reference_translate_last(f, h)
+        assert got == want and str(got) == str(want)
+        p = f.field.characteristic
+        if p:  # the kernel reduces as it goes: each value it leaves is in 1..p-1
+            for b, c in h.terms.items():
+                shifted = _shift_columns(f.terms, b[:-1], c, p, f.degree_in_last())
+                assert all(0 < v < p for v in shifted.values())
+
+    @settings(max_examples=200, deadline=None)
+    @given(_column_case(), st.data())
+    def test_times_unit_power_matches_the_ring_product(self, case, data):
+        f1, h = case
+        field, frame = f1.field, f1.frame
+        p = field.characteristic
+        # lam up to 3p + 2 makes p | C(lam, k) for some k < lam
+        lam = data.draw(st.integers(0, 3 * p + 2 if p else 12))
+        c = data.draw(st.just(field.zero) | _nonzero(field))
+        e = data.draw(st.tuples(*[st.integers(0, 3)] * frame.m))
+        unit = Polynomial.variable(frame, field, frame.m - 1) + c
+        want = Polynomial.monomial(frame, field, e[:-1] + (0,)) * unit**lam * f1
+        got = f1.times_unit_power(e, lam, c)
+        assert got == want and str(got) == str(want)
 
 
 class TestExponentTypes:

@@ -831,6 +831,85 @@ class TestGridSize:
         t3 = parse_series(field, "t*3")
         assert t3 ** 2**16 == PuiseuxSeries(field, {2**16: pow(3, 2**16, field.characteristic or None)})
 
+    def test_exact_product_above_the_budget_is_refused_before_the_convolution(self):
+        # (t + t^2)^2000 squared: 4,001 slots of up to 4,000 bits each by the
+        # power's rule, about 16 Mbit; the convolution would take about 14 s
+        a = PuiseuxSeries(Q, {2000 + k: math.comb(2000, k) for k in range(2001)})
+        t0 = time.perf_counter()
+        with pytest.raises(InputError, match="series product needs more than 4194304 bits"):
+            a * a
+        assert time.perf_counter() - t0 < 1.0
+        # slots: two spans plus one, on the common grid; 1 + t^32768 squared
+        # spans 65,537 slots, one more than the cap
+        for field in (Q, F5):
+            wide, narrow = parse_series(field, "1 + t^32768"), parse_series(field, "1 + t^32767")
+            t0 = time.perf_counter()
+            with pytest.raises(InputError, match="series product spans 65537 slots"):
+                wide * wide
+            with pytest.raises(InputError, match="slots"):
+                parse_series(field, "1 + t^(65535/2)") * parse_series(field, "1 + t^(1/2)")
+            assert time.perf_counter() - t0 < 1.0
+            assert (wide * narrow).pairs == ((0, 1), (32767, 1), (32768, 1), (65535, 1))
+            assert len((narrow * narrow).pairs) == 3
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"char{f.characteristic}")
+    def test_exact_product_within_the_budget_is_unchanged(self, field):
+        # exact by exact (the budget applies), exact by truncated and a
+        # constant operand (it does not), each equal to the reference product
+        # and stored alike
+        a = parse_series(field, "t + t^2") ** 40
+        b = parse_series(field, "t^(1/2)*3 + t^(7/3)*-1 + t^5")
+        c = parse_series(field, "t^(-1/2)*2 + t^(1/3) | trunc 4")
+        for x, y in ((a, a), (a, b), (b, c), (a, c)):
+            got, want = x * y, _ref_mul(x, y)
+            _same(got, want)
+            assert got == want and hash(got) == hash(want)
+        assert 3 * b == _ref_mul(PuiseuxSeries(field, {0: 3}), b)
+
+    def test_truncated_power_window_is_refused_before_any_product(self):
+        # 3,000 terms on the grid 1/1000 trusted below 60: the seventh power
+        # is trusted below 7 + 59 = 66, that is 66,000 slots of its grid; its
+        # products would take about 40 s over Q, and 20 s over F_7, where the
+        # seventh power's second term sits at 7 + 7/1000
+        s = "t + " + " + ".join(f"t^({1000 + i}/1000)" for i in range(1, 3000)) + " | trunc 60"
+        for field in (Q, F5, FieldSpec(7)):
+            base = parse_series(field, s)
+            t0 = time.perf_counter()
+            with pytest.raises(InputError, match="truncation 66 on the grid 1/1000 spans more than"):
+                base ** 7
+            assert time.perf_counter() - t0 < 1.0
+        # the least grid of a power can be coarser than its base's:
+        # (t^(1/1000) (1 + t))^10000 lies on the integers, trusted below 70,
+        # 70,000 slots of the base's grid but 70 of its own, so it is kept
+        for field in (Q, F5, FieldSpec(7)):
+            power = parse_series(field, "t^(1/1000) + t^(1001/1000) | trunc 60001/1000") ** 10000
+            assert (power.ram, power.trunc, power.order()) == (1, 70, 10)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(FIELDS), st.integers(1, 4),
+           st.lists(st.integers(-3, 3), min_size=2, max_size=4, unique=True),
+           st.integers(1, 6), st.integers(1, 30))
+    def test_truncated_power_has_the_sure_terms_its_window_check_reads(
+            self, field, ram, raw_exps, width, k):
+        # the window check before the products reads the grid from two terms
+        # the power surely has: v_0^k t^(ko), and the term at
+        # ko + q (q_1 - o), q the largest power of p dividing k, when it lies
+        # below the window ko + (T - o)
+        p = field.characteristic
+        exps = sorted(F(e, ram) for e in raw_exps)
+        o, q1 = exps[0], exps[1]
+        trunc = exps[-1] + F(width, ram)
+        s = PuiseuxSeries(field, {e: 1 + i % (p - 1 if p else 5) for i, e in enumerate(exps)},
+                          trunc=trunc)
+        power = s ** k
+        q = 1
+        while p and k % (q * p) == 0:
+            q *= p
+        assert power.trunc == k * o + trunc - o
+        assert k * o in power.terms
+        if k * o + q * (q1 - o) < power.trunc:
+            assert k * o + q * (q1 - o) in power.terms
+
     def test_inverse_window_above_the_cap_is_refused(self):
         # the inverse spans the truncation less the order: 40,000 slots
         # hold this series, and the 80,000 of its inverse are refused
