@@ -8,21 +8,20 @@ the coordinate of minimal positive value is subtracted from another
 coordinate, composing elementary unimodular matrices.  The walks run on the
 integer numerator rows of the values over one common denominator, ordered
 by the exact sign of a or a + b*sqrt(d) (`valgroup._sign`), so no `Value`
-is built or compared inside a loop; equal values have equal rows.  For a
-single independent variable (n = 1, every plane-curve macro-step) the A1
-walk is the continued-fraction expansion of value(x_m) / value(x_1): the
-two rows are proportional, and one floor division per partial quotient
-takes a whole run of equal subtractive steps and gives the same matrix.
-The step bound (``--max-perron-steps``) still counts subtractive steps,
-the sum of the partial quotients.  In higher rank the divisibility goal of
-the A6 loop terminates by the classical Perron-algorithm argument, and the
-step bound guards the subtractive A1 loop, where only existence is
-classical and the walk may wander.  A matrix a walk composes is
-nonnegative with determinant 1 by construction, so its transform skips
-the constructor's entry scan and determinant; a matrix read from a
-document or passed to the constructor keeps every check.  ``monomialize``
-relabels exponent vectors, e -> e M, and no round substitutes a polynomial.
-Values of two contexts are refused up front.
+is built or compared inside a loop; equal values have equal rows.
+``build_a1`` is built for one independent variable (n = 1, every
+plane-curve macro-step) and refuses any other n: its walk is the
+continued-fraction expansion of value(x_m) / value(x_1), where the two
+rows are proportional, and one floor division per partial quotient takes
+a whole run of equal subtractive steps and gives the same matrix.  The
+step bound (``--max-perron-steps``) still counts subtractive steps, the
+sum of the partial quotients.  In higher rank the divisibility goal of the
+A6 loop terminates by the classical Perron-algorithm argument.  A matrix a
+walk composes is nonnegative with determinant 1 by construction, so its
+transform skips the constructor's entry scan and determinant; a matrix
+read from a document or passed to the constructor keeps every check.
+``monomialize`` relabels exponent vectors, e -> e M, and no round
+substitutes a polynomial.  Values of two contexts are refused up front.
 
 The Cramer identity checker uses the sign-corrected consequence of the
 equal-value linear system: with A the transposed matrix and
@@ -56,7 +55,6 @@ from .valgroup import (
     identity_matrix,
     minor,
     pairing,
-    rational_relation,
     unimodular_inverse,
 )
 
@@ -231,30 +229,16 @@ class PerronTransform:
         )
 
 
-def _cmp(a, b, d) -> int:
-    """sign(a - b) for integer value rows a, b over one denominator, exact
-    in Q (d None) and in Q(sqrt d)."""
-    return _sign([x - y for x, y in zip(a, b)], d)
-
-
 def _extreme(rows, indices, d, s):
     """The first of ``indices`` whose row is largest (s = 1) or smallest
     (s = -1), None for no indices: argmax by (value, -index), argmin by
-    (value, index)."""
+    (value, index).  Rows are compared by the exact sign of their
+    difference, in Q (d None) and in Q(sqrt d)."""
     best = None
     for i in indices:
-        if best is None or s * _cmp(rows[i], rows[best], d) > 0:
+        if best is None or s * _sign([x - y for x, y in zip(rows[i], rows[best])], d) > 0:
             best = i
     return best
-
-
-def _step(matrix, rows, i_sub, j_from):
-    """One step of both walks, on the integer value rows they order by the
-    exact sign rule (`_cmp`): rows[j_from] -= rows[i_sub], and column i_sub
-    of the matrix absorbs column j_from, keeping old = matrix * new."""
-    rows[j_from] = [x - y for x, y in zip(rows[j_from], rows[i_sub])]
-    for r in matrix:
-        r[i_sub] += r[j_from]
 
 
 def _one_context(values):
@@ -291,8 +275,12 @@ def _a6_walk(delta, rows, d, bound):
         j_from = _extreme(rows, [j for j in range(n) if rows[j] != rows[i_sub]], d, 1)
         if j_from is None:
             raise StepBoundExceeded("no legal subtractive step remains")
-        # subtract row i_sub from row j_from; exponents move the other way
-        _step(matrix, rows, i_sub, j_from)
+        # subtract row i_sub from row j_from, and let column i_sub of the
+        # matrix absorb column j_from (old = matrix * new); exponents move
+        # the other way
+        rows[j_from] = [x - y for x, y in zip(rows[j_from], rows[i_sub])]
+        for r in matrix:
+            r[i_sub] += r[j_from]
         delta[i_sub] += delta[j_from]
         steps += 1
     return tuple(tuple(r) for r in matrix)
@@ -357,52 +345,30 @@ def _a1_division(rows, d, bound):
     return (m00, m01), (m10, m11)
 
 
-def _a1_walk(rows, d, bound):
-    """The A1 matrix for n >= 2 by the subtractive walk on the numerator
-    rows (w_1..w_n, gamma): the largest w_i not above gamma is subtracted
-    from gamma, or, with none, gamma from the largest w_i."""
-    n = len(rows) - 1
-    matrix = identity_matrix(n + 1)
-    steps = 0
-    while _sign(rows[n], d) > 0:
-        if steps >= bound:
-            raise StepBoundExceeded("A1 construction exceeded the step bound")
-        below = [i for i in range(n) if _cmp(rows[i], rows[n], d) <= 0]
-        if below:
-            _step(matrix, rows, _extreme(rows, below, d, 1), n)
-        else:
-            _step(matrix, rows, n, _extreme(rows, range(n), d, 1))
-        steps += 1
-    if any(_sign(rows[i], d) <= 0 for i in range(n)):
-        raise StepBoundExceeded("subtractive loop lost positivity")
-    return tuple(tuple(r) for r in matrix)
-
-
 def build_a1(weights, gamma: Value, frame: VariableFrame, *, residue,
              bound: int = DEFAULT_STEP_BOUND) -> PerronTransform:
-    """Perron transform of type A1 for active values (w_1..w_n) and a
-    rationally dependent positive gamma = value(x_m).
+    """Perron transform of type A1 for the value w_1 of the one independent
+    variable (n = 1; any other n raises Unsupported) and a rationally
+    dependent positive gamma = value(x_m).
 
     ``residue`` is a callable taking the Laurent exponent vector of the unit
-    monomial over (x_1..x_n, x_m) and returning its residue, the nonzero
+    monomial over (x_1, x_m) and returning its residue, the nonzero
     constant c.
     """
-    n = frame.n
-    if len(weights) < n:
+    if frame.n != 1:
+        raise Unsupported(
+            f"A1 transforms are built for one independent variable, got n = {frame.n}"
+        )
+    if not weights:
         raise InputError("need a weight per active variable")
-    w = list(weights[:n])
-    context = _one_context(w + [gamma])
+    w = [weights[0], gamma]
+    context = _one_context(w)
     if gamma.sign() <= 0:
         raise PreconditionError("gamma must be positive")
-    rows = _rows(w + [gamma])
-    if n == 1:
-        matrix = _a1_division(rows, context.d, bound)
-    else:
-        rational_relation(w + [gamma])  # raises NO-RELATION / AMBIGUOUS
-        matrix = _a1_walk(rows, context.d, bound)
+    matrix = _a1_division(_rows(w), context.d, bound)
     inverse = unimodular_inverse(matrix)
     # PerronTransform refuses a zero residue
-    tau = PerronTransform._walked("A1", matrix, frame, residue(tuple(inverse[n])))
+    tau = PerronTransform._walked("A1", matrix, frame, residue(tuple(inverse[1])))
     tau.__dict__["_inv"] = inverse  # the memo entry of _inverse: one inversion
     return tau
 

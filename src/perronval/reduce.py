@@ -1,7 +1,10 @@
-"""Reduction of multiplicity along a rank-1 valuation.
+"""Reduction of multiplicity along a rank-1 valuation, for plane curves.
 
-One macro-step on a monic hypersurface f with 1 < r = ord f(0,..,0,x_m)
-asks where value(x_m) lies (``_xm_place``):
+The driver runs on a plane curve f(x1, x2), monic in x2 = x_m, with one
+independent variable (m = 2, n = 1): ``_plane_curve`` refuses any other
+frame with Unsupported, at entry (``_check_input``) and in each step
+function (``_xm_place``).  One macro-step with 1 < r = ord f(0, x_m) asks
+where value(x_m) lies in the group generated by value(x1):
 
 * outside the base value group, an A1 Perron transform built from the
   coefficient expansion drops the multiplicity strictly (``lrm_step``);
@@ -42,7 +45,7 @@ from .oracle import DOCUMENT_VERSION, ArcValuation, _required, _typed, _versione
 from .perron import DEFAULT_STEP_BOUND, PerronTransform, _extreme, build_a1, build_a6_divide
 from .poly import Polynomial, format_ring_header, parse_polynomial, parse_ring_header
 from .scalars import INFINITE, parse_rational
-from .valgroup import _rows, identity_matrix, minor, pairing
+from .valgroup import _rows, minor, pairing
 
 
 @dataclass(frozen=True)
@@ -61,16 +64,28 @@ class TraceStep:
 
 
 def _xm(oracle: ArcValuation) -> Polynomial:
-    m = oracle.frame.m
-    return Polynomial._from_raw(oracle.frame, oracle.field, {(0,) * (m - 1) + (1,): 1})
+    return Polynomial._from_raw(oracle.frame, oracle.field, {(0, 1): 1})
+
+
+def _plane_curve(frame):
+    """Refuse a frame other than a plane curve's, m = 2 with n = 1: the
+    A1 step is the continued fraction of value(x2) / value(x1), and the
+    base group is generated by value(x1) alone."""
+    if frame.m != 2 or frame.n != 1:
+        raise Unsupported(
+            f"the reduction driver runs on plane curves (m = 2, n = 1), "
+            f"got m = {frame.m}, n = {frame.n}"
+        )
 
 
 def _check_input(oracle):
-    """Reject what the driver cannot run on: a non-arc oracle, a zero f, f
-    divisible by a variable, f not monic in x_m, or a center off f = 0.  A
-    monic f through the center has 1 <= ord f(0,..,0,x_m) <= deg f."""
+    """Reject what the driver cannot run on: a non-arc oracle, a frame
+    other than a plane curve's (Unsupported), a zero f, f divisible by a
+    variable, f not monic in x2, or a center off f = 0.  A monic f through
+    the center has 1 <= ord f(0, x2) <= deg f."""
     if not isinstance(oracle, ArcValuation):
         raise Unsupported("the reduction driver needs an arc oracle")
+    _plane_curve(oracle.frame)
     f = oracle.f
     if f.is_zero:
         raise InputError("the hypersurface is zero")
@@ -97,31 +112,24 @@ def _strict_sanity(f1: Polynomial):
 
 
 def _term_exponents(f: Polynomial) -> dict:
-    """{l: d(l)} over the nonzero x_m-coefficients a_l of f, in ascending l,
-    d(l) the least exponents of a_l, when each a_l is x^d(l) times a unit:
-    the term a_l x_m^l then has value (d(l), l) . values, with no oracle
-    query.  One pass over f's terms takes the least exponents of each
-    x_m-degree l; a_l is x^d(l) times a unit when x^d(l) x_m^l is a term of
-    f.  On a plane curve every a_l is x1^k times a unit; in more variables
-    a coefficient that is not a monomial times a unit raises Unsupported,
-    at the least such l."""
+    """{l: (k,)} over the nonzero x2-coefficients a_l of the plane curve f,
+    in ascending l, k the least x1-exponent of a_l.  a_l is x1^k times a
+    unit, since x1^k x2^l is a term of f, so the term a_l x2^l has value
+    k value(x1) + l value(x2), with no oracle query.  One pass over f's
+    terms."""
     least = {}
-    for mono in f.terms:
-        l, base = mono[-1], mono[:-1]
+    for (k, l) in f.terms:
         d = least.get(l)
-        least[l] = base if d is None else tuple(map(min, d, base))
-    out = {}
-    for l in sorted(least):
-        d = out[l] = least[l]
-        if d + (l,) not in f.terms:
-            raise Unsupported(f"coefficient a_{l} is not a monomial times a unit")
-    return out
+        least[l] = (k,) if d is None or k < d[0] else d
+    return dict(sorted(least.items()))
 
 
 def _xm_place(oracle: ArcValuation):
     """(x_m, value(x_m), its base-group coordinates or None outside the
-    group): the driver's case split.  A value beyond the arc window raises
-    TruncationExhausted, an infinite one InputError."""
+    group): the driver's case split, which every step function asks first.
+    A frame other than a plane curve's raises Unsupported, a value beyond
+    the arc window TruncationExhausted, an infinite one InputError."""
+    _plane_curve(oracle.frame)
     xm = _xm(oracle)
     gamma_z = oracle.value(xm)
     if gamma_z.is_above:
@@ -136,11 +144,11 @@ def _sigma_block(oracle: ArcValuation, gamma) -> tuple:
     of f, and sigma the minimal term value rho with its achievers
     sigma_1 < .. < sigma_t, as the trace prints them.  Each term's value is
     an int dot product of (d(l), l) with the numerator rows of
-    (value(x_1..x_{m-1}), gamma) over one denominator, ordered by the exact
+    (value(x1), gamma) over one denominator, ordered by the exact
     sign rule, so equal values have equal rows; only rho is built as a
     Value.  Since value(f) is infinite, at least two terms reach rho."""
     dvecs = _term_exponents(oracle.f)
-    values = oracle.variable_values()[: oracle.frame.m - 1] + [gamma]
+    values = oracle.variable_values()[:1] + [gamma]
     cols = list(zip(*_rows(values)))
     ls = list(dvecs)
     rows = [[sum(map(mul, dvecs[l] + (l,), col)) for col in cols] for l in ls]
@@ -158,10 +166,10 @@ def lrm_step(oracle: ArcValuation, bounds: Bounds = Bounds()):
     """One multiplicity-dropping macro-step (requires value(x_m) outside the
     base group).  Returns (new_oracle, steps)."""
     frame = oracle.frame
+    _, gamma_z, coords = _xm_place(oracle)
     r = oracle.f.ord_last()
     if r is INFINITE or r <= 1:
         raise PreconditionError(f"need 1 < r < infinity, got {r}")
-    _, gamma_z, coords = _xm_place(oracle)
     if coords is not None:
         raise PreconditionValueInGroup(
             "value(x_m) lies in the base group; translate first"
@@ -169,11 +177,6 @@ def lrm_step(oracle: ArcValuation, bounds: Bounds = Bounds()):
 
     if oracle.f.lead_constant_last() != oracle.field.one:
         raise PreconditionError("f must be monic in the last variable")
-    if frame.m != 2:
-        raise Unsupported(
-            "embedded monomialization of the base is implemented for plane "
-            "curves; higher dimension needs a monomial base valuation"
-        )
     dvecs, sigma = _sigma_block(oracle, gamma_z.value)
     n = frame.n
     old_values = oracle.variable_values()[:n] + [gamma_z.value]
@@ -375,26 +378,21 @@ def case2_finish(oracle: ArcValuation):
     xm, gamma_z, coords = _xm_place(oracle)
     if coords is None:
         raise NotCase2("value(x_m) is not in the base group")
-    n = frame.n
-    b = list(coords[:n]) + [0] * (n - len(coords))
-    if any(c < 0 for c in coords) or any(coords[n:]):
+    # the base group is generated by value(x1): value(x_m) = b value(x1)
+    (b,) = coords
+    if b < 0:
         raise NotCase2("monomial exponents of x_m are not nonnegative on x_1..x_n")
-    unit_mono = Polynomial.monomial(frame, field, b + [0] * (frame.m - n))
-    beta = oracle.residue(xm, unit_mono)
+    beta = oracle.residue(xm, Polynomial.monomial(frame, field, (b, 0)))
     if beta.is_zero:
         raise NotCase2("vanishing residue for the unit part")
-    matrix = identity_matrix(n + 1)
-    matrix[n][:n] = b
     # I with b >= 0 in the last row: nonnegative with det 1
-    tau = PerronTransform._walked("A1", tuple(tuple(r) for r in matrix), frame, beta)
+    tau = PerronTransform._walked("A1", ((1, 0), (b, 1)), frame, beta)
 
     oracle1, steps = _strict_step(oracle, tau, "CASE2", {
         "transform": tau.document(),
         "beta": str(beta),
-        "b": b,
-        "old_values": [
-            str(v) for v in oracle.variable_values()[:n] + [gamma_z.value]
-        ],
+        "b": [b],
+        "old_values": [str(v) for v in oracle.variable_values()[:1] + [gamma_z.value]],
     })
     try:
         _strict_sanity(oracle1.f)

@@ -230,14 +230,21 @@ class TestBuildA1:
             assert new[0].sign() > 0 and new[1].is_zero
 
     def test_division_walk_returns_the_subtractive_matrix_without_its_steps(self, monkeypatch):
-        # 200001/2 = [100000; 2]: three divisions stand for 100002 steps
-        def no_step(*args):
-            raise AssertionError("the n = 1 walk took a subtractive step")
+        # 200001/2 = [100000; 2]: three divisions stand for 100002 steps, and
+        # the one exact sign read is that of w (a subtractive walk compares
+        # two value rows at every step)
+        signs = []
+        sign = perron._sign
 
-        monkeypatch.setattr(perron, "_step", no_step)
+        def counted(row, d):
+            signs.append(row)
+            return sign(row, d)
+
+        monkeypatch.setattr(perron, "_sign", counted)
         tau = build_a1([RATIONAL.value(2)], RATIONAL.value(200001), FR1,
                        residue=lambda _: Q.one, bound=10**6)
         assert tau.matrix == ((2, 1), (200001, 100001))
+        assert signs == [[2]]
 
     @pytest.mark.parametrize("w, gamma", [
         (RATIONAL.value(2), RATIONAL.value(2001)),
@@ -267,22 +274,21 @@ class TestBuildA1:
                                    "A1 construction exceeded the step bound")
 
     def test_rank_two_simple_relation(self):
-        # gamma = w1 + w2 terminates with the obvious matrix
-        frame = VariableFrame(m=3, n=2)
-        tau = build_a1([Q2.value(1, 0), Q2.value(0, 1)], Q2.value(1, 1),
-                       frame, residue=lambda _: Q.one)
-        assert tau.matrix == ((1, 0, 0), (0, 1, 0), (1, 1, 1))
-        new = tau.transformed_weights([Q2.value(1, 0), Q2.value(0, 1), Q2.value(1, 1)])
-        assert [str(v) for v in new] == ["1", "1*sqrt(2)", "0"]
+        # A1 transforms are built for n = 1 only: even the simple relation
+        # gamma = w1 + w2 is refused before any walk or residue
+        with pytest.raises(Unsupported, match="got n = 2"):
+            build_a1([Q2.value(1, 0), Q2.value(0, 1)], Q2.value(1, 1),
+                     VariableFrame(m=3, n=2), residue=_no_residue)
 
     def test_rank_two_step_bound(self):
-        # the subtractive loop is only guaranteed for n = 1; hard rank-2
-        # relations stop at the safety bound rather than looping
-        from perronval.errors import StepBoundExceeded
-        frame = VariableFrame(m=3, n=2)
-        with pytest.raises(StepBoundExceeded):
+        # a hard rank-2 relation is refused at once, not walked to the bound
+        with pytest.raises(Unsupported, match="got n = 2"):
             build_a1([Q2.value(1, 0), Q2.value(0, 1)], Q2.value(2, 3),
-                     frame, residue=lambda _: Q.one, bound=500)
+                     VariableFrame(m=3, n=2), residue=_no_residue, bound=500)
+
+
+def _no_residue(row):
+    raise AssertionError("build_a1 read a residue for n = 2")
 
 
 class TestTransformedWeights:
@@ -540,8 +546,8 @@ class TestWalksMatchReference:
     the same transforms (matrix, frame, constant), residue rows, exponents
     and units, and the same error code and message.  The draws hold equal
     weights, ties between terms, step bounds 0-3, exponent differences
-    without a negative entry, weights of two contexts and rank-2 A1
-    relations."""
+    without a negative entry and weights of two contexts; the A1 draws
+    have n = 1, the only rank ``build_a1`` builds."""
 
     @pytest.mark.parametrize("ctx", CONTEXTS, ids=lambda c: f"d={c.d}")
     def test_build_a6_divide(self, ctx):
@@ -583,9 +589,8 @@ class TestWalksMatchReference:
             ("A6", True), ("A6", False), ("A6", "A6 divisibility loop exceeded the bound"),
             ("A6", "no legal subtractive step remains"), ("A6", "values from different contexts"),
             ("A6", "need value(M1) < value(M2)"),
-            ("A1", 2), ("A1", 3), ("A1", "A1 construction exceeded the step bound"),
-            ("A1", "subtractive loop lost positivity"), ("A1", "values from different contexts"),
-            ("A1", "gamma must be positive"),
+            ("A1", 2), ("A1", "A1 construction exceeded the step bound"),
+            ("A1", "values from different contexts"), ("A1", "gamma must be positive"),
             ("M", 0), ("M", 1), ("M", 2), ("M", "minimal-value monomial is not unique"),
             ("M", "A6 divisibility loop exceeded the bound"),
             ("M", "no legal subtractive step remains"), ("M", "values from different contexts"),
@@ -656,13 +661,12 @@ def _a6_draws(ctx):
 
 
 def _a1_draws(ctx):
-    """(weights, gamma, frame), bound: gamma mostly a positive rational
-    combination of the weights, now and then equal to one, of any sign or
-    of another context."""
+    """(weights, gamma, frame), bound, for one independent variable: gamma
+    mostly a positive rational multiple of the weight, now and then equal
+    to it, of any sign or of another context."""
     rng = random.Random(f"a1/{ctx.d}")
     for _ in range(250):
-        n = rng.randint(1, ctx.dim)
-        weights = _draw_weights(rng, ctx, n)
+        weights = _draw_weights(rng, ctx, 1)
         r = rng.random()
         if r < 0.15:
             gamma = rng.choice(weights)
@@ -674,7 +678,7 @@ def _a1_draws(ctx):
                 gamma = _draw_positive(rng, ctx)
             else:
                 gamma = gamma.scale(F(1, rng.randint(1, 4)))
-        yield (weights, gamma, VariableFrame(m=n + 1, n=n)), _draw_bound(rng)
+        yield (weights, gamma, FR1), _draw_bound(rng)
 
 
 def _monomialize_draws(ctx):

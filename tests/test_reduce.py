@@ -117,15 +117,6 @@ class TestChar0Translate:
         gamma = new.value(parse_polynomial(new.frame, new.field, "x2"))
         assert str(gamma) == "5/2"
 
-    def test_coefficient_without_a_monomial_part_is_unsupported(self):
-        # in three variables a_0 = (x1 + x2)^2 - x1^5 is not a monomial
-        # times a unit, so its value is not read off its exponents
-        doc = {**arcdoc(0, "x3^2 - 2*x1*x3 - 2*x2*x3 + x1^2 + 2*x1*x2 + x2^2 - x1^5",
-                        {"x1": "t", "x2": "t^2", "x3": "t + t^2 + t^(5/2)"}),
-               "ring": {"m": 3, "char": 0, "n": 2}}
-        with pytest.raises(Unsupported, match="a_0 is not a monomial times a unit"):
-            char0_translate(oracle_from_document(doc))
-
     def test_char2_coefficient_vanishes(self):
         oracle = oracle_from_document(CHAR2_CURVE)
         with pytest.raises(BinomialObstruction):
@@ -852,6 +843,49 @@ def test_input_check_rejects(tmp_path, capsys, f, message):
     path.write_text(json.dumps(doc))
     assert main(["reduce", "--oracle", str(path)]) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("step", [lrm_step, char0_translate, defectless_translate,
+                                  case2_finish], ids=lambda step: step.__name__)
+def test_every_step_function_refuses_three_variables(step):
+    # a tacnode in three variables, where a_0 = (x1 + x2)^2 - x1^5 is not a
+    # monomial times a unit: each step refuses the frame before it reads a
+    # coefficient, as run_reduction does at entry
+    doc = {**arcdoc(0, "x3^2 - 2*x1*x3 - 2*x2*x3 + x1^2 + 2*x1*x2 + x2^2 - x1^5",
+                    {"x1": "t", "x2": "t^2", "x3": "t + t^2 + t^(5/2)"}),
+           "ring": {"m": 3, "char": 0, "n": 2}}
+    with pytest.raises(Unsupported, match="plane curves"):
+        step(oracle_from_document(doc))
+
+
+def _many_variable_cusp(m, seed):
+    # f = x_m^2 - x1^3 on x1 = t^2, x_m = t^3, every other variable on a
+    # random t^(a/b) with three-digit a and b
+    rng = random.Random(seed)
+    arc = {"x1": "t^2", f"x{m}": "t^3"}
+    arc.update((f"x{i}", f"t^({rng.randint(100, 999)}/{rng.randint(100, 999)})")
+               for i in range(2, m))
+    return {**arcdoc(0, f"x{m}^2 - x1^3", arc), "ring": {"m": m, "char": 0, "n": m - 1}}
+
+
+@pytest.mark.parametrize("doc", [
+    {**arcdoc(0, "x3 - x1*x2", {"x1": "t", "x2": "t", "x3": "t^2"}),
+     "ring": {"m": 3, "char": 0, "n": 2}},
+    {**CUSP, "ring": {"m": 2, "char": 0, "n": 2}},
+    _many_variable_cusp(64, 64),
+], ids=["smooth-m3", "cusp-n2", "cusp-m64"])
+def test_input_check_refuses_all_but_plane_curves(tmp_path, capsys, doc):
+    # the driver runs on m = 2, n = 1 only: each document is refused at
+    # entry, the already smooth one too, though its arc is consistent
+    oracle = oracle_from_document(doc)
+    assert oracle.arc_consistency()
+    with pytest.raises(Unsupported, match="plane curves"):
+        run_reduction(oracle)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["reduce", "--oracle", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: UNSUPPORTED") and "Traceback" not in err
 
 
 def test_input_check_rejects_non_arc_oracle(tmp_path, capsys):

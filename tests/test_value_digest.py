@@ -32,7 +32,7 @@ from perronval.valgroup import (
     rational_relation,
 )
 
-DIGEST = "c4d7a40de8b0fde406701369ccf3cf64fd5fa81fdd204240679f0fd1eb817e0e"
+DIGEST = "9124d972b5da6b3ee205b4cb329bce7f7e09f29d36c07792976f60c56d62a170"
 
 QQ = FieldSpec(0)
 CONTEXTS = (RATIONAL, quadratic(2), quadratic(3), quadratic(5))
