@@ -514,11 +514,12 @@ def oracle_from_document(doc: dict):
 
 def read_document(path: str):
     """The JSON document in ``path``; unreadable or malformed files (a number
-    beyond the interpreter's digit limit included) raise InputError."""
+    beyond the interpreter's digit limit, or nesting beyond the recursion
+    limit, included) raise InputError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"cannot read oracle document {path}: {exc}") from exc
 
 

@@ -12,7 +12,7 @@ with a truncation order below which the series is trusted.  A truncation of
 declared arc data normally carries a finite truncation.  A series is stored
 on its integer grid 1/N as (index, int numerator) pairs over one
 denominator, and a truncation index; Fraction exponents and values appear
-only when a series is parsed or printed, or read through its views.
+only when a series is printed, or read through its views.
 """
 
 from __future__ import annotations
@@ -215,23 +215,38 @@ class Scalar:
         return f"Scalar({self.value}, char={self.field.characteristic})"
 
 
-_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+# ASCII digits only: ``\d`` would also match digits int() reads in other scripts
+_RATIONAL = r"-?[0-9]+(?:/[0-9]+)?"
+_RATIONAL_RE = re.compile(_RATIONAL)
 
 
-def parse_rational(text: str) -> Fraction:
-    """Read a rational literal ``-?d+(/d+)?`` in ASCII digits, surrounding
-    blanks allowed.  Other text, a zero denominator, or more digits than the
-    interpreter converts raise InputError."""
-    m = _RATIONAL_RE.fullmatch(text.strip()) if isinstance(text, str) else None
-    if m is None:
-        raise InputError(f"bad rational literal {text!r}")
+def _ratio(digits: str, text: str) -> tuple:
+    """(numerator, denominator > 0) of ``digits``, which a grammar matched
+    as ``-?d+(/d+)?`` in ASCII digits, not in lowest terms.  A zero
+    denominator, or more digits than the interpreter converts, raise
+    InputError naming the literal ``text``."""
+    num, _, den = digits.partition("/")
     try:
-        num, den = int(m.group(1)), int(m.group(2) or 1)
+        num, den = int(num), int(den or 1)
     except ValueError as exc:
         raise InputError(f"rational literal too long: {exc}") from exc
     if den == 0:
         raise InputError(f"zero denominator in {text!r}")
-    return Fraction(num, den)
+    return num, den
+
+
+def parse_ratio(text: str) -> tuple:
+    """``_ratio`` of a rational literal ``-?d+(/d+)?`` in ASCII digits,
+    surrounding blanks allowed; other text raises InputError."""
+    m = _RATIONAL_RE.fullmatch(text.strip()) if isinstance(text, str) else None
+    if m is None:
+        raise InputError(f"bad rational literal {text!r}")
+    return _ratio(m.group(), text)
+
+
+def parse_rational(text: str) -> Fraction:
+    """The Fraction of a rational literal, read by ``parse_ratio``."""
+    return Fraction(*parse_ratio(text))
 
 
 def format_raw(value) -> str:
@@ -396,8 +411,10 @@ def _coefficient_bits(pairs, den) -> int:
     """clog2 of the sum of |numerators| plus clog2 den (``_clog2`` written
     out, as every exact product runs it): a bound on the bits of a
     coefficient of an exact series, which add up over the factors of a
-    product or power."""
-    return (sum([abs(v) for _, v in pairs]) - 1).bit_length() + (den - 1).bit_length()
+    product or power.  A one-term series, as monomial arcs have, sums no
+    list."""
+    total = abs(pairs[0][1]) if len(pairs) == 1 else sum([abs(v) for _, v in pairs])
+    return (total - 1).bit_length() + (den - 1).bit_length()
 
 
 def _check_power(pairs, den, k: int):
@@ -903,10 +920,8 @@ def _component(s: PuiseuxSeries, n: int) -> tuple:
 
 
 _TERM_RE = re.compile(
-    r"^t(?:\^(?:\((?P<paren>-?\d+(?:/\d+)?)\)|(?P<plain>-?\d+(?:/\d+)?)))?"
-    r"(?:\*(?P<coeff>-?\d+(?:/\d+)?))?$"
+    rf"t(?:\^(?:\((?P<paren>{_RATIONAL})\)|(?P<plain>{_RATIONAL})))?(?:\*(?P<coeff>{_RATIONAL}))?"
 )
-_CONST_RE = re.compile(r"^-?\d+(?:/\d+)?$")
 
 
 def parse_series(field: FieldSpec, text: str) -> PuiseuxSeries:
@@ -914,7 +929,11 @@ def parse_series(field: FieldSpec, text: str) -> PuiseuxSeries:
 
     The coefficient suffix ``*c`` defaults to 1, the exponent to 1 (bare
     ``t``); a bare rational is a constant term.  The ``N`` part is advisory:
-    the ramification index is recomputed from the content.
+    the ramification index is recomputed from the content.  Each literal
+    becomes an (index, numerator) pair on the lcm grid of the exponents and
+    the truncation, over the lcm of the coefficient denominators (1 over
+    F_p), and ``PuiseuxSeries._from_grid`` brings the sum to lowest terms
+    and its least grid, where the constructor's slot bound applies.
     """
     if not isinstance(text, str):
         raise InputError(f"series literal must be a string, got {text!r}")
@@ -922,31 +941,47 @@ def parse_series(field: FieldSpec, text: str) -> PuiseuxSeries:
     trunc = None
     for extra in parts[1:]:
         if extra.startswith("trunc"):
-            trunc = parse_rational(extra[len("trunc"):])
+            trunc = parse_ratio(extra[len("trunc"):])
         elif extra.startswith("N"):
             # validated, then recomputed
-            if parse_rational(extra[1:]).denominator != 1:
+            num, den = parse_ratio(extra[1:])
+            if num % den:
                 raise InputError(f"ramification index {extra!r} is not an integer")
         elif extra:
             raise InputError(f"unknown series annotation {extra!r}")
-    body = parts[0].strip()
-    terms = {}
+    body = parts[0]
+    p = field.characteristic
+    literals = []
     if body not in ("", "0"):
         for chunk in body.split("+"):
             chunk = chunk.strip()
-            if _CONST_RE.match(chunk):
-                q, c = Fraction(0), parse_rational(chunk)
+            if _RATIONAL_RE.fullmatch(chunk):
+                q, (num, den) = (0, 1), _ratio(chunk, chunk)
             else:
-                m = _TERM_RE.match(chunk)
+                m = _TERM_RE.fullmatch(chunk)
                 if not m:
                     raise InputError(f"bad series term {chunk!r}")
                 exp = m.group("paren") or m.group("plain")
-                q = parse_rational(exp) if exp is not None else Fraction(1)
-                c = parse_rational(m.group("coeff")) if m.group("coeff") else Fraction(1)
+                q = _ratio(exp, exp) if exp is not None else (1, 1)
+                coeff = m.group("coeff")
+                num, den = _ratio(coeff, coeff) if coeff else (1, 1)
             # each literal is reduced by itself: a denominator divisible
             # by p is refused even where two terms would cancel
-            terms[q] = terms.get(q, 0) + field.raw(c)
-    return PuiseuxSeries(field, terms, trunc)
+            if p:
+                g = math.gcd(num, den)
+                if den // g % p == 0:
+                    raise DivisionByZero(f"denominator divisible by {p}")
+                num, den = num // g * pow(den // g, -1, p), 1
+            literals.append((q, num, den))
+    n = math.lcm(1 if trunc is None else trunc[1], *[q[1] for q, _, _ in literals])
+    top = None if trunc is None else trunc[0] * (n // trunc[1])
+    den = math.lcm(*[d for _, _, d in literals])
+    acc = {}
+    for (k, d), num, c in literals:
+        k *= n // d
+        if top is None or k < top:
+            acc[k] = acc.get(k, 0) + num * (den // c)
+    return PuiseuxSeries._from_grid(field, n, (_nonzero(acc, p), top, den))
 
 
 def format_series(s: PuiseuxSeries) -> str:

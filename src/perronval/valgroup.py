@@ -30,7 +30,7 @@ from .errors import (
     NoRelation,
     NotASubgroup,
 )
-from .scalars import INFINITE, format_raw, parse_rational
+from .scalars import INFINITE, format_raw, parse_ratio
 
 
 def _is_square(n: int) -> bool:
@@ -485,31 +485,32 @@ def rational_relation(values):
 # Value literals: `a` or `a + b*sqrt(d)` with rational a, b.
 
 _SQRT_RE = re.compile(
-    r"^\s*(?:(?P<a>-?\d+(?:/\d+)?)\s*(?P<sign>[+-])\s*)?"
-    r"(?P<b>-?\d+(?:/\d+)?\s*\*\s*)?sqrt\((?P<d>\d+)\)\s*$"
+    r"\s*(?:(?P<a>-?[0-9]+(?:/[0-9]+)?)\s*(?P<sign>[+-])\s*)?"
+    r"(?:(?P<b>-?[0-9]+(?:/[0-9]+)?)\s*\*\s*)?sqrt\((?P<d>[0-9]+)\)\s*"
 )
 
 
 def parse_value(context: GeneratorContext, text: str) -> Value:
+    """The value of a literal ``a`` or ``a + b*sqrt(d)``, built by ``_make``
+    from the int numerators of the rationals a and b over their lcm."""
     if not isinstance(text, str):
         raise InputError(f"value literal must be a string, got {text!r}")
     text = text.strip()
-    m = _SQRT_RE.match(text)
+    m = _SQRT_RE.fullmatch(text)
     if m:
         if context.dim != 2:
             raise InputError("sqrt literal needs a quadratic context")
-        d = int(parse_rational(m.group("d")))
+        d = parse_ratio(m.group("d"))[0]
         if d != context.d:
             raise InputError(f"sqrt({d}) does not match context sqrt({context.d})")
-        a = parse_rational(m.group("a")) if m.group("a") else Fraction(0)
-        b = parse_rational(m.group("b").rstrip(" *")) if m.group("b") else Fraction(1)
+        a, da = parse_ratio(m.group("a")) if m.group("a") else (0, 1)
+        b, db = parse_ratio(m.group("b")) if m.group("b") else (1, 1)
         if m.group("sign") == "-":
             b = -b
-        return context.value(a, b)
-    a = parse_rational(text)
-    if context.dim == 1:
-        return context.value(a)
-    return context.value(a, 0)
+        den = math.lcm(da, db)
+        return _make(context, [a * (den // da), b * (den // db)], den)
+    a, den = parse_ratio(text)
+    return _make(context, [a] if context.dim == 1 else [a, 0], den)
 
 
 def format_value(v: Value) -> str:

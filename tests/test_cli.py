@@ -1,10 +1,17 @@
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from perronval.cli import _dump, main
-from perronval.errors import InputError
+from perronval.cli import _dump, _write, main
+from perronval.errors import InputError, PerronvalError
+from perronval.oracle import DOCUMENT_VERSION, oracle_from_document
+from perronval.perron import monomialize
+from perronval.poly import parse_polynomial
+from perronval.reduce import run_reduction, trace_document
 from replay_check import replay_matches
+from test_corpus_digest import _corpus
 
 CUSP = {
     "version": 1,
@@ -133,8 +140,14 @@ def test_malformed_oracle_document_exits_2(tmp_path, capsys, doc):
     {**CUSP, "f": "x2^2 - 1/0*x1^3"},
     {**CUSP, "f": "x2^" + "1" * 5000},
     {**CUSP, "normalization": "1/0"},
+    {**CUSP, "arc": {"x1": "t^\u0663", "x2": "t^3"}},
+    {**CUSP, "arc": {"x1": "t^2", "x2": "t^3*\u0663"}},
+    {**CUSP, "context": {"kind": "quadratic", "d": 2}, "normalization": "\u0663*sqrt(2)"},
+    {**CUSP, "normalization": "\u0663"},
 ], ids=["trunc-exponent", "series-trunc", "series-ramification", "series-coefficient",
-        "polynomial-coefficient", "polynomial-exponent-digits", "normalization"])
+        "polynomial-coefficient", "polynomial-exponent-digits", "normalization",
+        "series-exponent-non-ascii", "series-coefficient-non-ascii",
+        "normalization-sqrt-non-ascii", "normalization-non-ascii"])
 def test_bad_literal_exits_2(tmp_path, capsys, doc):
     oracle = write(tmp_path, "bad.json", doc)
     assert main(["valuate", "--oracle", oracle, "--poly", "x2"]) == 2
@@ -243,6 +256,104 @@ def test_number_above_the_print_limit_exits_2(tmp_path, capsys, args, doc):
 def test_dump_refuses_an_integer_above_the_print_limit():
     with pytest.raises(InputError, match="too long to print"):
         _dump({"generation": 10 ** 4300})
+    out = []
+    with pytest.raises(ValueError):
+        _write({"generation": 10 ** 4300}, out, "\n")
+
+
+def _nested(depth):
+    doc = inner = []
+    for _ in range(depth - 1):
+        inner.append([])
+        inner = inner[0]
+    return doc
+
+
+@pytest.mark.parametrize("command", ["valuate", "reduce"])
+def test_deeply_nested_document_exits_2(tmp_path, capsys, command):
+    # json.load recurses once per level: past the recursion limit the
+    # document is refused like any other unreadable one
+    depth = 10 ** 5
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(CUSP)[:-1] + ', "deep": ' + "[" * depth + "]" * depth + "}")
+    args = [command, "--oracle", str(path)] + (["--poly", "x2"] if command == "valuate" else [])
+    assert main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: INPUT") and "Traceback" not in err
+
+
+def test_dump_refuses_a_document_nested_past_the_recursion_limit():
+    with pytest.raises(InputError, match="nested too deeply"):
+        _dump({"deep": _nested(10 ** 5)})
+
+
+def _reference_dump(doc):
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _written(doc):
+    """The writer's text whatever the interpreter (``_dump`` calls
+    ``json.dumps`` itself from Python 3.13 on)."""
+    out = []
+    _write(doc, out, "\n")
+    return "".join(out) + "\n"
+
+
+# what json.load returns: str keys; strings with non-ASCII, control and
+# astral characters; negative and 4000-digit ints; floats with -0.0, NaN
+# and both infinities; bools and None
+_STRINGS = st.text(max_size=12) | st.text(
+    alphabet=st.sampled_from("a\"\\/\x00\x1f\x7f\n\t\u00e9\u2028\ud7ff\ue000\U0001f600\U0010ffff"),
+    max_size=8)
+_SCALARS = (st.none() | st.booleans() | st.integers()
+            | st.builds(lambda sign, k: sign * (10 ** 3999 + k), st.sampled_from([1, -1]),
+                        st.integers(0, 10 ** 6))
+            | st.floats() | st.sampled_from([-0.0, math.nan, math.inf, -math.inf])
+            | _STRINGS)
+_DOCUMENTS = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_STRINGS, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestWriter:
+    """``_write`` gives ``json.dumps(doc, indent=2, sort_keys=True)`` byte
+    for byte, and ``_dump`` keeps to it on every interpreter."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_DOCUMENTS)
+    def test_drawn_documents(self, doc):
+        expected = _reference_dump(doc)
+        assert _written(doc) == expected
+        assert _dump(doc) == expected
+
+    @pytest.mark.parametrize("doc", [
+        {}, [], {"a": {}, "b": []}, [[[]]], {"k": [1, -2, 0]}, (1, (2, "x")), "\u00e9",
+        {"z": None, "y": True, "x": False, "w": 1.5e300, "v": -0.0}, 10 ** 4299, -(10 ** 4299),
+    ])
+    def test_fixed_documents(self, doc):
+        assert _written(doc) == _dump(doc) == _reference_dump(doc)
+
+    @pytest.mark.parametrize("workload", ["ladder", "pairs", "charp", "monomialize"])
+    def test_every_seed_one_corpus_document(self, workload):
+        docs = []
+        for item in _corpus().generate(workload, 1):
+            try:
+                oracle = oracle_from_document(item["doc"])
+                if workload != "monomialize":
+                    docs.append(trace_document(run_reduction(oracle), item["doc"]))
+                    continue
+                res = monomialize(parse_polynomial(oracle.frame, oracle.field, item["poly"]),
+                                  oracle.weights, oracle.frame)
+            except PerronvalError:
+                continue
+            docs.append({"version": DOCUMENT_VERSION,
+                         "transforms": [t.document() for t in res.transforms],
+                         "exponents": list(res.exponents), "unit": str(res.unit)})
+        assert docs
+        for doc in docs:
+            assert _written(doc) == _dump(doc) == _reference_dump(doc)
 
 
 class TestReduce:

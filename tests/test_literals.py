@@ -21,7 +21,7 @@ from perronval.oracle import oracle_from_document
 from perronval.perron import PerronTransform, verify_cramer
 from perronval.poly import _RAT_RE, _VAR_RE, Polynomial, VariableFrame, parse_polynomial
 from perronval.scalars import FieldSpec, PuiseuxSeries, format_series, parse_rational, parse_series
-from perronval.valgroup import RATIONAL
+from perronval.valgroup import RATIONAL, parse_value, quadratic
 
 FIELDS = [FieldSpec(p) for p in (0, 2, 3, 5, 7)]
 # Structured draws cost about 5 ms each, so they get fewer examples than
@@ -116,6 +116,9 @@ class TestStoredFormat:
 # Literal text near the grammars, and arbitrary text.
 _TEXT = (st.text(max_size=40)
          | st.text(alphabet="x12t0379^*+-/()| .truncN", max_size=40))
+
+_VALUE_TEXT = (st.text(max_size=30)
+               | st.text(alphabet="0123-+/* sqrt()\u0663", max_size=30))
 
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=12),
@@ -266,6 +269,105 @@ def _seeded_literal(rng, frame):
     return text[2:] if text[1] == "+" and rng.random() < 0.5 else text
 
 
+_REF_Q = r"-?[0-9]+(?:/[0-9]+)?"
+_REF_TERM_RE = re.compile(rf"t(?:\^(?:\(({_REF_Q})\)|({_REF_Q})))?(?:\*({_REF_Q}))?")
+_REF_SQRT_RE = re.compile(
+    rf"\s*(?:({_REF_Q})\s*([+-])\s*)?(?:({_REF_Q})\s*\*\s*)?sqrt\(([0-9]+)\)\s*")
+
+
+def _reference_parse_series(field, text):
+    """``parse_series`` with every exponent and coefficient read as a
+    Fraction and the term map handed to the validating constructor
+    ``PuiseuxSeries(field, terms, trunc)``, as it was before the reader
+    built its grid directly; kept as the reference."""
+    if not isinstance(text, str):
+        raise InputError(f"series literal must be a string, got {text!r}")
+    parts = [p.strip() for p in text.split("|")]
+    trunc = None
+    for extra in parts[1:]:
+        if extra.startswith("trunc"):
+            trunc = parse_rational(extra[len("trunc"):])
+        elif extra.startswith("N"):
+            if parse_rational(extra[1:]).denominator != 1:
+                raise InputError(f"ramification index {extra!r} is not an integer")
+        elif extra:
+            raise InputError(f"unknown series annotation {extra!r}")
+    terms = {}
+    if parts[0] not in ("", "0"):
+        for chunk in parts[0].split("+"):
+            chunk = chunk.strip()
+            if re.fullmatch(_REF_Q, chunk):
+                q, c = F(0), parse_rational(chunk)
+            else:
+                m = _REF_TERM_RE.fullmatch(chunk)
+                if not m:
+                    raise InputError(f"bad series term {chunk!r}")
+                exp = m.group(1) or m.group(2)
+                q = parse_rational(exp) if exp is not None else F(1)
+                c = parse_rational(m.group(3)) if m.group(3) else F(1)
+            terms[q] = terms.get(q, 0) + field.raw(c)
+    return PuiseuxSeries(field, terms, trunc)
+
+
+def _reference_parse_value(context, text):
+    """``parse_value`` with a and b read as Fractions and handed to the
+    validating ``Value`` constructor; kept as the reference."""
+    if not isinstance(text, str):
+        raise InputError(f"value literal must be a string, got {text!r}")
+    text = text.strip()
+    m = _REF_SQRT_RE.fullmatch(text)
+    if m:
+        if context.dim != 2:
+            raise InputError("sqrt literal needs a quadratic context")
+        d = int(parse_rational(m.group(4)))
+        if d != context.d:
+            raise InputError(f"sqrt({d}) does not match context sqrt({context.d})")
+        a = parse_rational(m.group(1)) if m.group(1) else F(0)
+        b = parse_rational(m.group(3)) if m.group(3) else F(1)
+        return context.value(a, -b if m.group(2) == "-" else b)
+    a = parse_rational(text)
+    return context.value(a) if context.dim == 1 else context.value(a, 0)
+
+
+def _outcome(parse, *args):
+    """What ``parse(*args)`` returns, with its stored form, or the class and
+    message of its error."""
+    try:
+        got = parse(*args)
+    except PerronvalError as exc:
+        return type(exc), str(exc)
+    if isinstance(got, PuiseuxSeries):
+        return got, (got.ram, got.pairs, got.den, got.top)
+    return got, (got.nums, got.den)
+
+
+def _seeded_series_literal(rng):
+    """Terms c, t, t^q and t^(q)*c with int and a/b exponents and
+    coefficients (a denominator of 7 or 12 is divisible by some p of
+    FIELDS), copies of earlier terms, negated so that they cancel, and a
+    truncation at, below or above some of the exponents."""
+    def rational(low, high):
+        num = rng.randint(low, high)
+        return str(num) if rng.random() < 0.5 else f"{num}/{rng.choice([1, 2, 3, 4, 7, 12])}"
+
+    terms = []
+    for _ in range(rng.randint(1, 5)):
+        exp, coeff = rational(-2, 12), rational(-9, 9)
+        terms.append(rng.choice([coeff, "t", f"t^{exp}", f"t^({exp})*{coeff}", f"t*{coeff}"]))
+    for _ in range(rng.randint(0, 3)):
+        term = rng.choice(terms)
+        if term.startswith("t^(") and "*" in term:
+            head, coeff = term.rsplit("*", 1)
+            terms.append(f"{head}*{coeff[1:] if coeff.startswith('-') else '-' + coeff}")
+    rng.shuffle(terms)
+    text = " + ".join(terms)
+    if rng.random() < 0.6:
+        text += f" | trunc {rational(0, 10)}"
+    if rng.random() < 0.2:
+        text += f" | N {rng.randint(1, 6)}"
+    return text
+
+
 class TestParserMatchesReference:
     def test_seeded_literals(self):
         rng = random.Random(11)
@@ -300,6 +402,70 @@ class TestParserMatchesReference:
         frame = VariableFrame(m=2, n=1)
         assert (_parsed(parse_polynomial, frame, field, text)
                 == _parsed(_reference_parse_polynomial, frame, field, text))
+
+
+    def test_seeded_series_literals(self):
+        rng = random.Random(13)
+        kinds = set()
+        for field in FIELDS:
+            for _ in range(300):
+                text = _seeded_series_literal(rng)
+                got = _outcome(parse_series, field, text)
+                assert got == _outcome(_reference_parse_series, field, text), text
+                kinds.add(got[0] if type(got[0]) is type else "zero" if got[0].is_zero
+                          else "truncated" if got[0].trunc is not None else "exact")
+        assert kinds >= {"zero", "truncated", "exact", DivisionByZero}
+
+    @pytest.mark.parametrize("text", [
+        "t^(1/3) + t^(1/3)*-1 + t^2", "t^(1/1000003)*1 + t^(1/1000003)*-1 | trunc 100",
+        "1/2 + -1/2", "t^(1/2)*5 + t^(1/2)*2 + 3", "t*3 + t*-3 | trunc 2",
+        "t^5 + t^(7/2) + t | trunc 7/2", "t^(200001/200000) + t^(1/2) | trunc 1",
+        "t^(1/70000) | trunc 1", "t^(1/70000) + t^(1/70000)*-1 | trunc 1", "t^-2 + t | trunc -1",
+        "t*2/2", "t*1/2", "t^(4/6)*10/4 | trunc 2/1", "t | N 4/2", "t | N 3/2", "t | trunc 1/0",
+        "t^(1/0)", "t*1/0", "1/0", "t^" + "9" * 5000, "t*" + "1" * 5000, "t^\u0663",
+        "\u0663", "t*\u0663", "t^(1/\u0663)", "t | trunc \u0663", "0", "", "t | foo",
+    ])
+    def test_fixed_series_literals(self, text):
+        for field in FIELDS:
+            got = _outcome(parse_series, field, text)
+            assert got == _outcome(_reference_parse_series, field, text), (field, text)
+
+    @TEXT
+    @given(_TEXT, st.sampled_from(FIELDS))
+    def test_arbitrary_series_text(self, text, field):
+        assert _outcome(parse_series, field, text) == _outcome(_reference_parse_series, field, text)
+
+    @pytest.mark.parametrize("text", [
+        "3", "-4/6", "2/1", "1/0", " 1 + sqrt(2)", "1/2 - 3/4*sqrt(2)", "-sqrt(2)", "6/4*sqrt(2)",
+        "sqrt(3)", "sqrt(2) + 1", "1 + \u0663*sqrt(2)", "\u0663*sqrt(2)", "sqrt(\u0662)",
+        "\u0663", "1" * 5000, "sqrt(" + "2" * 5000 + ")", "1/2*sqrt(2)",
+    ])
+    def test_fixed_value_literals(self, text):
+        for context in (RATIONAL, quadratic(2)):
+            got = _outcome(parse_value, context, text)
+            assert got == _outcome(_reference_parse_value, context, text), (context, text)
+
+    @TEXT
+    @given(_VALUE_TEXT, st.sampled_from([RATIONAL, quadratic(2), quadratic(5)]))
+    def test_arbitrary_value_text(self, text, context):
+        assert (_outcome(parse_value, context, text)
+                == _outcome(_reference_parse_value, context, text))
+
+
+@pytest.mark.parametrize("text", ["t^\u0663", "\u0663*t", "t*\u0663", "t^(1/\uff13)",
+                                  "\u0663", "t | trunc \u0663"])
+def test_series_literals_refuse_non_ascii_digits(text):
+    for field in FIELDS:
+        with pytest.raises(InputError):
+            parse_series(field, text)
+
+
+@pytest.mark.parametrize("text", ["\u0663*sqrt(2)", "1 + sqrt(\u0662)", "\u0663",
+                                  "\uff11/2 - sqrt(2)"])
+def test_value_literals_refuse_non_ascii_digits(text):
+    for context in (RATIONAL, quadratic(2)):
+        with pytest.raises(InputError):
+            parse_value(context, text)
 
 
 CUSP_A1 = PerronTransform("A1", ((2, 1), (3, 2)), VariableFrame(m=2, n=1), c=FieldSpec(0).one)
