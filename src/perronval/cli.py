@@ -221,9 +221,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", required=True, help="arc oracle document (curve)")
     p.add_argument("--out", help="write the trace document here (default stdout)")
     p.add_argument("--trunc", help="override the arc truncation")
-    p.add_argument("--max-translations", default=Bounds.max_translations)
-    p.add_argument("--max-perron-steps", default=Bounds.max_perron_steps)
-    p.add_argument("--max-approx-steps", default=Bounds.max_approx_steps,
+    defaults = Bounds()
+    p.add_argument("--max-translations", default=defaults.max_translations)
+    p.add_argument("--max-perron-steps", default=defaults.max_perron_steps)
+    p.add_argument("--max-approx-steps", default=defaults.max_approx_steps,
                    help="steps of the best-approximation ladder per translation")
     p.set_defaults(func=cmd_reduce)
 

@@ -11,14 +11,12 @@ certifies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, JumpNotGtOne, NotOstrowski
 from .scalars import check_ints, format_raw, is_prime
 
 
-@dataclass(frozen=True)
 class ExtensionData:
     """Degree and ramification data of a finite extension of valued fields.
 
@@ -27,17 +25,15 @@ class ExtensionData:
     standing situation of an algebraically closed residue field.
     """
 
-    degree: int
-    e: int
-    fres: int = 1
-    p: int = 1
+    __slots__ = ("degree", "e", "fres", "p")
 
-    def __post_init__(self):
-        check_ints("degree, e, f or p", self.degree, self.e, self.fres, self.p)
-        if self.degree <= 0 or self.e <= 0 or self.fres <= 0:
+    def __init__(self, degree: int, e: int, fres: int = 1, p: int = 1):
+        check_ints("degree, e, f or p", degree, e, fres, p)
+        if degree <= 0 or e <= 0 or fres <= 0:
             raise InputError("degree, e and f must be positive")
-        if self.p != 1 and not is_prime(self.p):
+        if p != 1 and not is_prime(p):
             raise InputError("p must be 1 (characteristic zero) or prime")
+        self.degree, self.e, self.fres, self.p = degree, e, fres, p
 
 
 def ostrowski(x: ExtensionData) -> int:
@@ -59,32 +55,31 @@ def ostrowski(x: ExtensionData) -> int:
     return delta
 
 
-@dataclass(frozen=True)
 class SimpleFamily:
     """One simple admissible family: the degree of its first key polynomial
     and the (stable) degree of the keys of its continuous part."""
 
-    first_degree: int
-    stable_degree: int
+    __slots__ = ("first_degree", "stable_degree")
 
-    def __post_init__(self):
-        check_ints("a key polynomial degree", self.first_degree, self.stable_degree)
-        if self.first_degree <= 0 or self.stable_degree <= 0:
+    def __init__(self, first_degree: int, stable_degree: int):
+        check_ints("a key polynomial degree", first_degree, stable_degree)
+        if first_degree <= 0 or stable_degree <= 0:
             raise InputError("key polynomial degrees are positive")
-        if self.stable_degree < self.first_degree:
+        if stable_degree < first_degree:
             raise InputError("degrees cannot decrease within a family")
+        self.first_degree, self.stable_degree = first_degree, stable_degree
 
 
-@dataclass(frozen=True)
 class FamilyDecomposition:
-    families: tuple
+    __slots__ = ("families",)
 
-    def __post_init__(self):
-        if not self.families:
+    def __init__(self, families: tuple):
+        if not families:
             raise InputError("a decomposition has at least one family")
-        for fam in self.families:
+        for fam in families:
             if not isinstance(fam, SimpleFamily):
                 raise InputError("decomposition entries must be SimpleFamily")
+        self.families = families
 
 
 def jump_total(d: FamilyDecomposition) -> Fraction:

@@ -19,7 +19,6 @@ answer for the life of the instance.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -52,13 +51,19 @@ from .valgroup import (
 DOCUMENT_VERSION = 1
 
 
-@dataclass(frozen=True)
 class ValueResult:
     """Outcome of a value query: a finite value, INFINITE, or a certified
     lower bound when the arc window is exhausted."""
 
-    kind: str  # "finite" | "infinite" | "above"
-    value: Value | None = None
+    __slots__ = ("kind", "value")
+
+    def __init__(self, kind: str, value: Value | None = None):
+        self.kind, self.value = kind, value  # kind: "finite" | "infinite" | "above"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.value) == (other.kind, other.value)
 
     @classmethod
     def finite(cls, v: Value) -> "ValueResult":
@@ -150,16 +155,16 @@ class MonomialValuation:
         return Scalar(self.field, self.field.div(g.terms[mg[0]], u.terms[mu[0]]))
 
 
-@dataclass(frozen=True)
 class BestApprox:
     """Result of the greedy approximation of the last variable from below:
     a ``reason`` of None means MAX-OUTSIDE, any other reason that the
     ladder found no maximum up to its bound (NO-MAX-UP-TO-BOUND)."""
 
-    h: Polynomial
-    gamma: ValueResult
-    ladder: tuple
-    reason: str | None = None  # "STEP-BOUND" | "TRUNCATION" | "EXACT-MATCH"
+    __slots__ = ("h", "gamma", "ladder", "reason")
+
+    def __init__(self, h: Polynomial, gamma: ValueResult, ladder: tuple, reason: str | None = None):
+        # reason: "STEP-BOUND" | "TRUNCATION" | "EXACT-MATCH"
+        self.h, self.gamma, self.ladder, self.reason = h, gamma, ladder, reason
 
 
 class ArcValuation:
@@ -172,7 +177,8 @@ class ArcValuation:
         self.frame = frame
         self.field = field
         self.f = f
-        # identity first: a dataclass __eq__ costs several times an ``is``
+        # identity first: f is normally parsed in this frame and field, and
+        # ``is`` saves the call to __eq__
         if f.frame is not frame and f.frame != frame or f.field is not field and f.field != field:
             raise FrameMismatch("hypersurface does not match the oracle frame")
         # a multiple of f is certified by exact division in x_m, which needs

@@ -31,7 +31,6 @@ satisfy d_i - e_i = (-1)^(n+i) * gamma * Det(A_{n+1,i}).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 
 from .errors import (
@@ -61,32 +60,37 @@ from .valgroup import (
 DEFAULT_STEP_BOUND = 10_000
 
 
-@dataclass(frozen=True)
 class PerronTransform:
     """Substitution data: rows are old active variables (x_1..x_n and, for
     A1, x_m), columns the new ones (x_1(1)..x_n(1) and the (x_m(1)+c) slot).
     """
 
-    kind: str  # "A6" | "A1"
-    matrix: tuple
-    frame: VariableFrame  # frame the transform acts on
-    c: Scalar | None = None
+    __slots__ = ("kind", "matrix", "frame", "c", "_new_frame", "_inv", "_images")
 
-    _inv = _images = None  # memo entries, set in the instance dict
-
-    def __post_init__(self):
-        n = self.frame.n
-        size = n if self.kind == "A6" else n + 1
-        if self.kind not in ("A6", "A1"):
-            raise InputError(f"unknown transform kind {self.kind!r}")
-        if len(self.matrix) != size or any(len(r) != size for r in self.matrix):
-            raise InputError(f"{self.kind} matrix must be {size}x{size}")
-        if any(type(e) is not int or e < 0 for row in self.matrix for e in row):
+    def __init__(self, kind: str, matrix: tuple, frame: VariableFrame, c: Scalar | None = None):
+        n = frame.n
+        size = n if kind == "A6" else n + 1
+        if kind not in ("A6", "A1"):
+            raise InputError(f"unknown transform kind {kind!r}")
+        if len(matrix) != size or any(len(r) != size for r in matrix):
+            raise InputError(f"{kind} matrix must be {size}x{size}")
+        if any(type(e) is not int or e < 0 for row in matrix for e in row):
             raise InputError("Perron matrix entries are nonnegative ints")
-        if det_int(self.matrix) != 1:
+        if det_int(matrix) != 1:
             raise InputError("Perron matrices have determinant 1")
+        self._set(kind, matrix, frame, c)
+
+    def _set(self, kind, matrix, frame, c):
+        self.kind, self.matrix, self.frame, self.c = kind, matrix, frame, c  # kind: "A6" | "A1"
         self._check_constant()
-        self.__dict__["_new_frame"] = self.frame.bumped()
+        self._new_frame = frame.bumped()
+        self._inv = self._images = None  # memo entries, filled on first use
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.kind, self.matrix, self.frame, self.c)
+                == (other.kind, other.matrix, other.frame, other.c))
 
     def _check_constant(self):
         if self.kind == "A1":
@@ -103,8 +107,7 @@ class PerronTransform:
         steps on nonnegative ints, each of determinant 1, so the entry scan
         and ``det_int`` are skipped; the kind's checks on n and c remain."""
         tau = object.__new__(cls)
-        tau.__dict__.update(kind=kind, matrix=matrix, frame=frame, c=c, _new_frame=frame.bumped())
-        tau._check_constant()
+        tau._set(kind, matrix, frame, c)
         return tau
 
     @property
@@ -119,8 +122,7 @@ class PerronTransform:
         return idx
 
     def new_frame(self) -> VariableFrame:
-        """The frame of the new variables, set when the transform is built
-        (no ``cached_property``, which locks on first access before 3.12)."""
+        """The frame of the new variables, set when the transform is built."""
         return self._new_frame
 
     def _inverse(self) -> list:
@@ -128,7 +130,7 @@ class PerronTransform:
         hands over the one it read the residue from)."""
         inverse = self._inv
         if inverse is None:
-            inverse = self.__dict__["_inv"] = unimodular_inverse(self.matrix)
+            inverse = self._inv = unimodular_inverse(self.matrix)
         return inverse
 
     def substitute(self, f: Polynomial) -> Polynomial:
@@ -147,7 +149,7 @@ class PerronTransform:
             raise InputError("polynomial over another field than the transform's constant")
         memo = self._images
         if memo is None:
-            memo = self.__dict__["_images"] = {}
+            memo = self._images = {}
         images = memo.get(f.field)
         if images is None:
             frame1 = self.new_frame()
@@ -369,15 +371,21 @@ def build_a1(weights, gamma: Value, frame: VariableFrame, *, residue,
     inverse = unimodular_inverse(matrix)
     # PerronTransform refuses a zero residue
     tau = PerronTransform._walked("A1", matrix, frame, residue(tuple(inverse[1])))
-    tau.__dict__["_inv"] = inverse  # the memo entry of _inverse: one inversion
+    tau._inv = inverse  # the memo entry of _inverse: one inversion
     return tau
 
 
-@dataclass(frozen=True)
 class MonomializeResult:
-    transforms: tuple
-    exponents: tuple
-    unit: Polynomial
+    __slots__ = ("transforms", "exponents", "unit")
+
+    def __init__(self, transforms: tuple, exponents: tuple, unit: Polynomial):
+        self.transforms, self.exponents, self.unit = transforms, exponents, unit
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.transforms, self.exponents, self.unit)
+                == (other.transforms, other.exponents, other.unit))
 
 
 def monomialize(g: Polynomial, weights, frame: VariableFrame,

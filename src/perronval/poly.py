@@ -12,7 +12,6 @@ files are deterministic.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from operator import add, mul, sub
 
 from .errors import DivisionByZero, FrameMismatch, InputError
@@ -22,6 +21,7 @@ from .scalars import (
     FieldSpec,
     PuiseuxSeries,
     Scalar,
+    _frozen,
     binary_power,
     check_ints,
     evaluate_monomials,
@@ -39,32 +39,40 @@ Mono = tuple  # exponent vector of length frame.m
 MAX_VARIABLES = 64
 
 
-@dataclass(frozen=True)
 class VariableFrame:
     """m variables x_1..x_m, the first n rationally independent for the
     active valuation; generation counts the renamings x_i(1), x_i(2), ...
     """
 
-    m: int
-    n: int
-    generation: int = 0
+    __slots__ = ("m", "n", "generation")
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self):
-        check_ints("m, n or the generation", self.m, self.n, self.generation)
-        if not (1 <= self.n <= self.m):
-            raise InputError(f"need 1 <= n <= m, got n={self.n}, m={self.m}")
-        if self.m > MAX_VARIABLES:
-            raise InputError(f"m={self.m} is above the limit of {MAX_VARIABLES} variables")
-        if self.generation < 0:
+    def __init__(self, m: int, n: int, generation: int = 0):
+        check_ints("m, n or the generation", m, n, generation)
+        if not (1 <= n <= m):
+            raise InputError(f"need 1 <= n <= m, got n={n}, m={m}")
+        if m > MAX_VARIABLES:
+            raise InputError(f"m={m} is above the limit of {MAX_VARIABLES} variables")
+        if generation < 0:
             raise InputError("negative generation")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "generation", generation)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.m, self.n, self.generation) == (other.m, other.n, other.generation)
+
+    def __hash__(self):
+        return hash((self.m, self.n, self.generation))
 
     def var_name(self, i: int) -> str:
         base = f"x{i + 1}"
         return f"{base}({format_raw(self.generation)})" if self.generation else base
 
     def bumped(self) -> "VariableFrame":
-        """The frame of the next renaming, built by the validating
-        constructor directly (``dataclasses.replace`` adds a call layer)."""
+        """The frame of the next renaming."""
         return VariableFrame(self.m, self.n, self.generation + 1)
 
 
@@ -118,7 +126,8 @@ class Polynomial:
 
     def _coerce(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
-            # identity first: a dataclass __eq__ costs several times an ``is``
+            # identity first: operands of one run share their frame and field
+            # objects, and ``is`` saves the call to __eq__
             if (other.frame is not self.frame and other.frame != self.frame
                     or other.field is not self.field and other.field != self.field):
                 raise FrameMismatch("mixed-frame polynomial arithmetic")

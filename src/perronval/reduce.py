@@ -24,7 +24,6 @@ document and must reproduce the recorded polynomials byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from operator import mul
 
 from .errors import (
@@ -39,7 +38,7 @@ from .errors import (
     TruncationExhausted,
     Unsupported,
 )
-from .oracle import DOCUMENT_VERSION, ArcValuation, _required, _typed, _versioned
+from .oracle import DOCUMENT_VERSION, ArcValuation, _required, _typed, _versioned, parse_ring
 # build_a6_divide is not called here; perfbench/test_perfbench.py reads it as
 # reduce.build_a6_divide when it checks that the tracer restores bindings
 from .perron import DEFAULT_STEP_BOUND, PerronTransform, _extreme, build_a1, build_a6_divide
@@ -48,19 +47,22 @@ from .scalars import INFINITE, parse_rational
 from .valgroup import _rows, minor, pairing
 
 
-@dataclass(frozen=True)
 class Bounds:
-    max_translations: int = 64
-    max_perron_steps: int = DEFAULT_STEP_BOUND
-    max_approx_steps: int = 64
+    __slots__ = ("max_translations", "max_perron_steps", "max_approx_steps")
+
+    def __init__(self, max_translations: int = 64, max_perron_steps: int = DEFAULT_STEP_BOUND,
+                 max_approx_steps: int = 64):
+        self.max_translations, self.max_perron_steps = max_translations, max_perron_steps
+        self.max_approx_steps = max_approx_steps
 
 
-@dataclass(frozen=True)
 class TraceStep:
-    # A1 | TRANSLATE-CHAR0 | TRANSLATE-DEFECTLESS | CASE2 | STRICT-TRANSFORM;
-    # replay also accepts A6, which the driver never emits
-    kind: str
-    payload: dict
+    __slots__ = ("kind", "payload")
+
+    def __init__(self, kind: str, payload: dict):
+        # A1 | TRANSLATE-CHAR0 | TRANSLATE-DEFECTLESS | CASE2 | STRICT-TRANSFORM;
+        # replay also accepts A6, which the driver never emits
+        self.kind, self.payload = kind, payload
 
 
 def _xm(oracle: ArcValuation) -> Polynomial:
@@ -406,15 +408,16 @@ def case2_finish(oracle: ArcValuation):
     return oracle1, steps
 
 
-@dataclass
 class ReductionResult:
-    status: str  # REDUCED-TO-SMOOTH | MULTIPLICITY-DROPPED | DEFECT-SUSPECTED | BOUND-EXHAUSTED
-    oracle: ArcValuation  # the final one
-    trace: list
-    r_initial: int
-    r_final: int
-    initial_ring: str = ""
-    diagnostics: dict = dc_field(default_factory=dict)
+    __slots__ = ("status", "oracle", "trace", "r_initial", "r_final", "initial_ring", "diagnostics")
+    __hash__ = None  # a mutable record, never a key
+
+    def __init__(self, status: str, oracle: ArcValuation, trace: list, r_initial: int,
+                 r_final: int, initial_ring: str = "", diagnostics: dict | None = None):
+        # REDUCED-TO-SMOOTH | MULTIPLICITY-DROPPED | DEFECT-SUSPECTED | BOUND-EXHAUSTED
+        self.status, self.oracle, self.trace = status, oracle, trace  # oracle: the final one
+        self.r_initial, self.r_final, self.initial_ring = r_initial, r_final, initial_ring
+        self.diagnostics = {} if diagnostics is None else diagnostics
 
 
 def run_reduction(oracle: ArcValuation, bounds: Bounds = Bounds()) -> ReductionResult:
@@ -468,9 +471,22 @@ def run_reduction(oracle: ArcValuation, bounds: Bounds = Bounds()) -> ReductionR
 # ---------------------------------------------------------------------------
 # Trace documents and replay
 
+def _read_members(doc: dict) -> dict:
+    """The members of an arc document that ``oracle_from_document`` reads,
+    each as given: a member it does not know is left out at every level."""
+    frame, _ = parse_ring(doc.get("ring", {}))
+    block = {key: doc[key] for key in ("version", "kind", "f", "trunc", "normalization")
+             if key in doc}
+    for key, names in (("ring", ("m", "n", "gen", "char")), ("context", ("kind", "d")),
+                       ("arc", [frame.var_name(i) for i in range(frame.m)])):
+        if isinstance(doc.get(key), dict):
+            block[key] = {name: doc[key][name] for name in names if name in doc[key]}
+    return block
+
+
 def trace_document(result: ReductionResult, oracle_doc: dict) -> dict:
-    """The trace of ``result`` with ``oracle_doc``, the document the run
-    read, as its oracle block: ``replay_trace`` starts from it."""
+    """The trace of ``result`` with the read members of ``oracle_doc``, the
+    document the run read, as its oracle block: ``replay_trace`` starts from it."""
     final = result.oracle
     return {
         "version": DOCUMENT_VERSION,
@@ -482,7 +498,7 @@ def trace_document(result: ReductionResult, oracle_doc: dict) -> dict:
         "final_f": str(final.f),
         "final_generation": final.frame.generation,
         "diagnostics": result.diagnostics,
-        "oracle": oracle_doc,
+        "oracle": _read_members(oracle_doc),
         "initial_f": oracle_doc.get("f"),
     }
 

@@ -22,7 +22,6 @@ import math
 import operator
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, repeat
 
@@ -92,17 +91,31 @@ def is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+def _frozen(self, name, value=None):
+    """``__setattr__`` and ``__delattr__`` of the dict and memo key types
+    (FieldSpec, VariableFrame, GeneratorContext): ``__init__`` sets each field once."""
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
 class FieldSpec:
     """Ground field: QQ for characteristic 0, F_p for prime p."""
 
-    characteristic: int = 0
+    __slots__ = ("characteristic",)
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self):
-        p = self.characteristic
-        check_ints("the characteristic", p)
-        if p != 0 and not is_prime(p):
-            raise InputError(f"characteristic must be 0 or prime, got {p}")
+    def __init__(self, characteristic: int = 0):
+        check_ints("the characteristic", characteristic)
+        if characteristic != 0 and not is_prime(characteristic):
+            raise InputError(f"characteristic must be 0 or prime, got {characteristic}")
+        object.__setattr__(self, "characteristic", characteristic)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.characteristic == other.characteristic
+
+    def __hash__(self):
+        return hash((self.characteristic,))
 
     @property
     def modular(self) -> bool:
@@ -153,13 +166,20 @@ class FieldSpec:
         return self.scalar(1)
 
 
-@dataclass(frozen=True)
 class Scalar:
     """Field element holding the canonical raw value of ``FieldSpec.raw``,
     as polynomials and series store it; arithmetic is exact, never rounded."""
 
-    field: FieldSpec
-    value: object  # int in 0..p-1 (char p); over Q an int or a reduced Fraction
+    __slots__ = ("field", "value")
+
+    def __init__(self, field: FieldSpec, value):
+        # value: an int in 0..p-1 (char p); over Q an int or a reduced Fraction
+        self.field, self.value = field, value
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.field, self.value) == (other.field, other.value)
 
     def _coerce(self, other) -> "Scalar":
         if isinstance(other, Scalar):
@@ -210,9 +230,6 @@ class Scalar:
 
     def __str__(self):
         return format_raw(self.value)
-
-    def __repr__(self):
-        return f"Scalar({self.value}, char={self.field.characteristic})"
 
 
 # ASCII digits only: ``\d`` would also match digits int() reads in other scripts

@@ -20,7 +20,6 @@ import functools
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -30,7 +29,7 @@ from .errors import (
     NoRelation,
     NotASubgroup,
 )
-from .scalars import INFINITE, format_raw, parse_ratio
+from .scalars import INFINITE, _frozen, format_raw, parse_ratio
 
 
 def _is_square(n: int) -> bool:
@@ -38,22 +37,31 @@ def _is_square(n: int) -> bool:
     return r * r == n
 
 
-@dataclass(frozen=True)
 class GeneratorContext:
     """RATIONAL: generator (1).  QUADRATIC(d): generators (1, sqrt(d))."""
 
-    kind: str  # "rational" | "quadratic"
-    d: int | None = None
+    __slots__ = ("kind", "d")
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self):
-        if self.kind == "rational":
-            if self.d is not None:
+    def __init__(self, kind: str, d: int | None = None):
+        if kind == "rational":  # kind is "rational" or "quadratic"
+            if d is not None:
                 raise InputError("rational context takes no d")
-        elif self.kind == "quadratic":
-            if not isinstance(self.d, int) or self.d <= 0 or _is_square(self.d):
+        elif kind == "quadratic":
+            if not isinstance(d, int) or d <= 0 or _is_square(d):
                 raise InputError("quadratic context needs a positive nonsquare d")
         else:
-            raise InputError(f"unknown context kind {self.kind!r}")
+            raise InputError(f"unknown context kind {kind!r}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "d", d)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.d) == (other.kind, other.d)
+
+    def __hash__(self):
+        return hash((self.kind, self.d))
 
     @property
     def dim(self) -> int:
@@ -245,18 +253,17 @@ def pairing(exps, values) -> Value:
     return _make(context, sums, den)
 
 
-@dataclass(frozen=True)
 class ValueLattice:
     """Subgroup generated by a finite nonempty list of values."""
 
-    context: GeneratorContext
-    generators: tuple
+    __slots__ = ("context", "generators")
 
-    def __post_init__(self):
-        if not self.generators:
+    def __init__(self, context: GeneratorContext, generators: tuple):
+        if not generators:
             raise InputError("lattice needs at least one generator")
-        for g in self.generators:
-            _check_context(g.context, self.context, "lattice generator from a different context")
+        for g in generators:
+            _check_context(g.context, context, "lattice generator from a different context")
+        self.context, self.generators = context, generators
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ criterion.
 
 import json
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -14,19 +16,30 @@ import pytest
 
 from perronval.cli import main
 from perronval.defect import ExtensionData, FamilyDecomposition, SimpleFamily, consistency, jump_total, ostrowski
-from perronval.errors import BinomialObstruction
-from perronval.oracle import AugmentedChain, oracle_from_document
-from perronval.perron import PerronTransform, build_a1, build_a6_divide, verify_cramer
+from perronval.errors import BinomialObstruction, InputError
+from perronval.oracle import AugmentedChain, BestApprox, ValueResult, oracle_from_document
+from perronval.perron import (
+    DEFAULT_STEP_BOUND,
+    MonomializeResult,
+    PerronTransform,
+    build_a1,
+    build_a6_divide,
+    verify_cramer,
+)
 from perronval.poly import Polynomial, VariableFrame, parse_polynomial
 from perronval.reduce import (
+    Bounds,
+    ReductionResult,
+    TraceStep,
     char0_translate,
     replay_trace,
     run_reduction,
     trace_document,
 )
-from perronval.scalars import INFINITE, FieldSpec, parse_series
+from perronval.scalars import INFINITE, FieldSpec, Scalar, parse_series
 from perronval.valgroup import (
     RATIONAL,
+    GeneratorContext,
     ValueLattice,
     lattice_index,
     parse_value,
@@ -457,3 +470,98 @@ def test_two_pair_quartic_reduction():
     assert (res.r_initial, res.r_final) == (4, 1)
     assert replay_matches(trace_document(res, doc))
     _report("quartic", "two-pair quartic reduced from r 4 to 1 at trunc 80; replay matches")
+
+
+# ---------------------------------------------------------------------------
+# Value types: plain __slots__ classes with written-out methods
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # a fresh interpreter without site-packages, so only perronval's own
+    # imports count
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import perronval.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code, str(src)],
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
+
+
+_POLY = Polynomial.variable(FR, Q, 0)
+_VALUE = RATIONAL.value(1)
+_FAMILY = SimpleFamily(first_degree=1, stable_degree=2)
+_A6 = {"kind": "A6", "matrix": ((2, 1), (1, 1)), "frame": VariableFrame(2, 2)}
+
+# class, every field by keyword, the required fields by keyword and the
+# defaults they leave, a bad field set and the error it raises (None: no
+# validation), and whether instances compare by fields, hash by fields and
+# refuse assignment
+VALUE_TYPES = [
+    (FieldSpec, {"characteristic": 3}, {}, {"characteristic": 0},
+     ({"characteristic": 4}, "characteristic must be 0 or prime"), True, True, True),
+    (Scalar, {"field": Q, "value": F(1, 2)}, None, {}, None, True, False, False),
+    (VariableFrame, {"m": 2, "n": 1, "generation": 1}, {"m": 2, "n": 1}, {"generation": 0},
+     ({"m": 2, "n": 3}, "need 1 <= n <= m"), True, True, True),
+    (GeneratorContext, {"kind": "quadratic", "d": 2}, {"kind": "rational"}, {"d": None},
+     ({"kind": "quadratic", "d": 4}, "positive nonsquare d"), True, True, True),
+    (ValueLattice, {"context": RATIONAL, "generators": (_VALUE,)}, None, {},
+     ({"context": RATIONAL, "generators": ()}, "at least one generator"), False, False, False),
+    (ValueResult, {"kind": "finite", "value": _VALUE}, {"kind": "infinite"}, {"value": None},
+     None, True, False, False),
+    (BestApprox, {"h": _POLY, "gamma": ValueResult.infinite(), "ladder": (), "reason": "TRUNCATION"},
+     {"h": _POLY, "gamma": ValueResult.infinite(), "ladder": ()}, {"reason": None},
+     None, False, False, False),
+    (PerronTransform, {"kind": "A1", "matrix": ((2, 1), (3, 2)), "frame": FR, "c": Q.one},
+     _A6, {"c": None}, (dict(_A6, matrix=((1, 1), (1, 1))), "determinant 1"), True, False, False),
+    (MonomializeResult, {"transforms": (), "exponents": (1, 0), "unit": _POLY}, None, {}, None,
+     True, False, False),
+    (Bounds, {"max_translations": 1, "max_perron_steps": 2, "max_approx_steps": 3}, {},
+     {"max_translations": 64, "max_perron_steps": DEFAULT_STEP_BOUND, "max_approx_steps": 64},
+     None, False, False, False),
+    (TraceStep, {"kind": "A1", "payload": {}}, None, {}, None, False, False, False),
+    (ReductionResult, {"status": "REDUCED-TO-SMOOTH", "oracle": None, "trace": [], "r_initial": 2,
+                       "r_final": 1, "initial_ring": "ring", "diagnostics": {"a": 1}},
+     {"status": "BOUND-EXHAUSTED", "oracle": None, "trace": [], "r_initial": 2, "r_final": 2},
+     {"initial_ring": "", "diagnostics": {}}, None, False, False, False),
+    (ExtensionData, {"degree": 4, "e": 2, "fres": 1, "p": 2}, {"degree": 4, "e": 4},
+     {"fres": 1, "p": 1}, ({"degree": 0, "e": 1}, "must be positive"), False, False, False),
+    (SimpleFamily, {"first_degree": 2, "stable_degree": 3}, None, {},
+     ({"first_degree": 3, "stable_degree": 2}, "cannot decrease"), False, False, False),
+    (FamilyDecomposition, {"families": (_FAMILY,)}, None, {},
+     ({"families": ()}, "at least one family"), False, False, False),
+]
+
+
+@pytest.mark.parametrize("cls, fields, required, defaults, bad, compared, hashed, frozen",
+                         VALUE_TYPES, ids=[case[0].__name__ for case in VALUE_TYPES])
+def test_value_type(cls, fields, required, defaults, bad, compared, hashed, frozen):
+    obj = cls(**fields)
+    assert not hasattr(obj, "__dict__")
+    assert {name: getattr(obj, name) for name in fields} == fields
+    if required is not None:
+        lean = cls(**required)
+        assert {name: getattr(lean, name) for name in defaults} == defaults
+        if cls is ReductionResult:  # a fresh diagnostics dict per instance
+            assert lean.diagnostics is not cls(**required).diagnostics
+    if bad is not None:
+        with pytest.raises(InputError, match=bad[1]):
+            cls(**bad[0])
+    twin = cls(**fields)
+    assert (obj == twin) is compared and (obj != twin) is not compared
+    if hashed:
+        assert hash(obj) == hash(twin) == hash(tuple(fields.values()))
+    elif cls is ReductionResult:  # a mutable record
+        with pytest.raises(TypeError):
+            hash(obj)
+    # another class with the same fields: a subclass, and an unrelated one
+    sub = type("Sub", (cls,), {"__slots__": ()})(**fields)
+    other = type("Other", (), {})()
+    other.__dict__.update(fields)
+    for stranger in (sub, other):
+        assert obj != stranger and stranger != obj and not obj == stranger
+    if frozen:
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(obj, name, getattr(obj, name))
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+        assert {name: getattr(obj, name) for name in fields} == fields

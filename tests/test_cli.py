@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -452,6 +453,26 @@ class TestReduce:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: INPUT: {option} {message}")
+
+    @pytest.mark.parametrize("where", ["top", "ring", "arc"])
+    def test_unknown_members_are_left_out_of_the_trace(self, tmp_path, capsys, where):
+        # the oracle block holds only the members the arc reader reads: 900
+        # nested arrays under an unknown key, at the top level or inside a
+        # read member, give the golden cusp trace byte for byte
+        doc = json.loads(json.dumps(CUSP))
+        (doc if where == "top" else doc[where])["junk"] = _nested(900)
+        oracle = write(tmp_path, "junk.json", doc)
+        assert main(["reduce", "--oracle", oracle]) == 0
+        golden = Path(__file__).parent / "golden" / "cusp_trace.json"
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+    def test_a_read_context_keeps_only_its_read_members(self, tmp_path, capsys):
+        doc = dict(CUSP, normalization="1", context={"kind": "rational", "junk": _nested(900)})
+        oracle = write(tmp_path, "context.json", doc)
+        assert main(["reduce", "--oracle", oracle]) == 0
+        trace = json.loads(capsys.readouterr().out)
+        assert trace["oracle"] == dict(CUSP, normalization="1", context={"kind": "rational"})
+        assert replay_matches(trace)
 
     def test_bad_trunc_override_exits_2(self, tmp_path, capsys):
         oracle = write(tmp_path, "cusp.json", CUSP)

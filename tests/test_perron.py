@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from fractions import Fraction as F
@@ -522,7 +521,7 @@ class TestMemos:
         assert len(calls) == len(taus)
         for frame, tau in zip(calls, taus):
             assert frame is tau.frame
-            assert tau.new_frame() == dataclasses.replace(frame, generation=frame.generation + 1)
+            assert tau.new_frame() == VariableFrame(frame.m, frame.n, frame.generation + 1)
 
     def test_a_built_transform_inverts_its_matrix_once(self, monkeypatch):
         calls = []
