@@ -107,15 +107,9 @@ def _bound(value, option: str) -> int:
 
 
 def cmd_valuate(args) -> int:
+    """``valuate``, and ``chain value``: the same on chain documents only."""
     oracle = load_oracle(args.oracle)
-    poly = parse_polynomial(oracle.frame, oracle.field, args.poly)
-    print(oracle.value(poly))
-    return EXIT_OK
-
-
-def cmd_chain_value(args) -> int:
-    oracle = load_oracle(args.oracle)
-    if not isinstance(oracle, AugmentedChain):
+    if args.command == "chain" and not isinstance(oracle, AugmentedChain):
         raise InputError("chain value needs a chain oracle document")
     poly = parse_polynomial(oracle.frame, oracle.field, args.poly)
     print(oracle.value(poly))
@@ -258,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     cv = csub.add_parser("value", help="value of a polynomial under a chain")
     cv.add_argument("--oracle", required=True)
     cv.add_argument("--poly", required=True)
-    cv.set_defaults(func=cmd_chain_value)
+    cv.set_defaults(func=cmd_valuate)
 
     return parser
 

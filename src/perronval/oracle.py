@@ -297,12 +297,6 @@ class ArcValuation:
         """True iff f(arc) has no term below the truncation window."""
         return self.series_of(self.f).is_zero
 
-    def translated(self, new_f: Polynomial, new_last: PuiseuxSeries) -> "ArcValuation":
-        """Oracle after the change of variable x_m -> x_m + h (h in the base),
-        given the new arc component of x_m, (x_m - h)(arc): the caller
-        already holds it, so h is not evaluated here."""
-        return self.with_arc(self.frame, new_f, self.arc[:-1] + (new_last,))
-
     def with_arc(self, new_frame, new_f, new_arc) -> "ArcValuation":
         return ArcValuation(
             new_frame, self.field, new_f, tuple(new_arc),

@@ -12,6 +12,7 @@ files are deterministic.
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 from operator import add, mul, sub
 
 from .errors import DivisionByZero, FrameMismatch, InputError
@@ -22,12 +23,12 @@ from .scalars import (
     PuiseuxSeries,
     Scalar,
     _frozen,
+    _ratio,
     binary_power,
     check_ints,
     evaluate_monomials,
     format_raw,
     parse_integer,
-    parse_rational,
     reduce_raw,
 )
 
@@ -166,7 +167,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
+        if type(k) is not int or k < 0:
             raise InputError("polynomial powers must be nonnegative integers")
         unit = (0,) * self.frame.m
         raw = _raw_pow(self.terms, k, self.field.characteristic, unit)
@@ -251,7 +252,7 @@ class Polynomial:
 
     def divmod_last(self, divisor: "Polynomial"):
         """Division in x_m by a divisor whose x_m-leading coefficient is a
-        nonzero constant: f = q * divisor + r with deg_xm(r) < deg_xm(divisor).
+        nonzero constant: f = q * divisor + r, r of lower x_m-degree than the divisor.
 
         Runs on the x_m-coefficient rows b_0..b_d of the divisor and r_k of
         the remainder: for k = deg f .. d, the quotient row
@@ -610,8 +611,8 @@ def parse_polynomial(frame: VariableFrame, field: FieldSpec, text: str) -> Polyn
     """Parse terms joined by + and -; a term is an optional rational
     coefficient times ``x<i>[^k]`` factors joined by ``*``.  The grammar
     admits only valid exponent vectors of ``frame``, so the term map goes to
-    ``_from_raw``; an integral coefficient stays an int, and only a literal
-    with ``/`` is read as a Fraction."""
+    ``_from_raw``.  A coefficient literal is read by ``scalars._ratio``; an
+    integral one stays an int, and only a/b with b > 1 becomes a Fraction."""
     if not isinstance(text, str):
         raise InputError(f"polynomial literal must be a string, got {text!r}")
     text = text.strip()
@@ -634,13 +635,8 @@ def parse_polynomial(frame: VariableFrame, field: FieldSpec, text: str) -> Polyn
             if not factor:
                 raise InputError(f"empty factor in term {chunk!r}")
             if _RAT_RE.match(factor):
-                if "/" in factor:
-                    coeff *= parse_rational(factor)
-                else:
-                    try:
-                        coeff *= int(factor)
-                    except ValueError as exc:  # worded as in parse_rational
-                        raise InputError(f"rational literal too long: {exc}") from exc
+                num, den = _ratio(factor, factor)
+                coeff *= num if den == 1 else Fraction(num, den)
                 continue
             m = _VAR_RE.match(factor)
             if not m:

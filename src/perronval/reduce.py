@@ -17,9 +17,10 @@ where value(x_m) lies in the group generated by value(x1):
   finished by a single monomial substitution in ``case2_finish``).
 
 Each step function returns (new_oracle, steps), every step a replayable
-TraceStep, and every defect suspicion is one DefectSuspected carrying the
-diagnostics the trace prints.  ``replay_trace`` re-executes a trace
-document and must reproduce the recorded polynomials byte for byte.
+dict, ``kind`` first, as the trace prints it, and every defect suspicion is
+one DefectSuspected carrying the diagnostics the trace prints.
+``replay_trace`` re-executes a trace document and must reproduce the
+recorded polynomials byte for byte.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .oracle import DOCUMENT_VERSION, ArcValuation, _required, _typed, _versione
 from .perron import DEFAULT_STEP_BOUND, PerronTransform, _extreme, build_a1, build_a6_divide
 from .poly import Polynomial, format_ring_header, parse_polynomial, parse_ring_header
 from .scalars import INFINITE, parse_rational
-from .valgroup import _rows, minor, pairing
+from .valgroup import _rows, pairing
 
 
 class Bounds:
@@ -54,19 +55,6 @@ class Bounds:
                  max_approx_steps: int = 64):
         self.max_translations, self.max_perron_steps = max_translations, max_perron_steps
         self.max_approx_steps = max_approx_steps
-
-
-class TraceStep:
-    __slots__ = ("kind", "payload")
-
-    def __init__(self, kind: str, payload: dict):
-        # A1 | TRANSLATE-CHAR0 | TRANSLATE-DEFECTLESS | CASE2 | STRICT-TRANSFORM;
-        # replay also accepts A6, which the driver never emits
-        self.kind, self.payload = kind, payload
-
-
-def _xm(oracle: ArcValuation) -> Polynomial:
-    return Polynomial._from_raw(oracle.frame, oracle.field, {(0, 1): 1})
 
 
 def _plane_curve(frame):
@@ -132,7 +120,7 @@ def _xm_place(oracle: ArcValuation):
     A frame other than a plane curve's raises Unsupported, a value beyond
     the arc window TruncationExhausted, an infinite one InputError."""
     _plane_curve(oracle.frame)
-    xm = _xm(oracle)
+    xm = Polynomial.variable(oracle.frame, oracle.field, 1)
     gamma_z = oracle.value(xm)
     if gamma_z.is_above:
         raise TruncationExhausted("value of x_m is beyond the arc window")
@@ -167,7 +155,6 @@ def _sigma_block(oracle: ArcValuation, gamma) -> tuple:
 def lrm_step(oracle: ArcValuation, bounds: Bounds = Bounds()):
     """One multiplicity-dropping macro-step (requires value(x_m) outside the
     base group).  Returns (new_oracle, steps)."""
-    frame = oracle.frame
     _, gamma_z, coords = _xm_place(oracle)
     r = oracle.f.ord_last()
     if r is INFINITE or r <= 1:
@@ -180,44 +167,40 @@ def lrm_step(oracle: ArcValuation, bounds: Bounds = Bounds()):
     if oracle.f.lead_constant_last() != oracle.field.one:
         raise PreconditionError("f must be monic in the last variable")
     dvecs, sigma = _sigma_block(oracle, gamma_z.value)
-    n = frame.n
-    old_values = oracle.variable_values()[:n] + [gamma_z.value]
+    old_values = oracle.variable_values()[:1] + [gamma_z.value]
     sigmas = sigma["sigmas"]
     if sigmas[-1] > r:
         raise InternalContradiction("sigma_t exceeded r")
 
     tau = build_a1(
-        old_values[:n], gamma_z.value, frame,
+        old_values[:1], gamma_z.value, oracle.frame,
         residue=oracle.monomial_residue, bound=bounds.max_perron_steps,
     )
-    # (d(l), l) . M = (tau_l, lambda_l)
-    products = {
-        l: [sum(e * row[j] for e, row in zip(dv + (l,), tau.matrix)) for j in range(n + 1)]
-        for l, dv in dvecs.items()
-    }
-    lambdas = {l: p[n] for l, p in products.items()}
-    taus = {l: tuple(p[:n]) for l, p in products.items()}
+    # (d(l), l) . M = (tau_l, lambda_l) with M = ((a, b), (c, d)), whose
+    # minor without its last row and column is a
+    (a, b), (c, d) = tau.matrix
+    taus = {l: k * a + l * c for l, (k,) in dvecs.items()}
+    lambdas = {l: k * b + l * d for l, (k,) in dvecs.items()}
     s1 = sigmas[0]
     if any(taus[s] != taus[s1] for s in sigmas):
         raise InternalContradiction("tau exponents differ across the sigma block")
-    d_minor = minor(tau.matrix, n, n)
-    if any((lambdas[s] - lambdas[s1]) * d_minor != s - s1 for s in sigmas):
+    if any((lambdas[s] - lambdas[s1]) * a != s - s1 for s in sigmas):
         raise InternalContradiction("the (lambda, sigma) proportionality failed")
-    # n = 1 here, so term l has value tau_l * w' after the transform, w' > 0
-    # the value of the new x_1; no term lies below rho, so tau_sigma <= tau_l
+    # term l has value tau_l * w' after the transform, w' > 0 the value of
+    # the new x_1; no term lies below rho, so tau_sigma <= tau_l
     if any(tv < taus[s1] for tv in taus.values()):
         raise InternalContradiction("the sigma block does not divide every term")
     sigma.update(
         dvecs={str(l): list(v) for l, v in sorted(dvecs.items())},
         lambdas={str(l): v for l, v in sorted(lambdas.items())},
-        taus={str(l): list(v) for l, v in sorted(taus.items())},
-        d=d_minor,
+        taus={str(l): [v] for l, v in sorted(taus.items())},
+        d=a,
     )
 
     oracle1, steps = _strict_step(oracle, tau, "A1", {
         "transform": tau.document(),
         "sigma": sigma,
-        "d_negative": d_minor < 0,
+        "d_negative": a < 0,
         "old_values": [str(v) for v in old_values],
     })
     _strict_sanity(oracle1.f)
@@ -229,7 +212,7 @@ def lrm_step(oracle: ArcValuation, bounds: Bounds = Bounds()):
         # record the forced shape: sigma_t = r, sigma_1 = 0, |d| = 1, and
         # with d = 1 the divisibility r | d_i(sigma_1), which puts value(x_m)
         # back in the base group and contradicts the precondition.
-        degenerate = sigmas[-1] == r and sigmas[0] == 0 and abs(d_minor) == 1
+        degenerate = sigmas[-1] == r and sigmas[0] == 0 and abs(a) == 1
         divisibility = None
         if degenerate:
             divisibility = all(x % r == 0 for x in dvecs[sigmas[0]])
@@ -265,15 +248,16 @@ def _strict_step(oracle: ArcValuation, tau: PerronTransform, kind: str, payload:
     frame1 = tau.new_frame()
     oracle1 = oracle.with_arc(frame1, f1, tau.transform_arc(oracle.arc))
     return oracle1, [
-        TraceStep(kind, {**payload, "f_after": str(g), "generation": frame1.generation}),
-        TraceStep("STRICT-TRANSFORM", {
+        {"kind": kind, **payload, "f_after": str(g), "generation": frame1.generation},
+        {
+            "kind": "STRICT-TRANSFORM",
             "c": str(tau.c),
             "exponents": list(exps),
             "lambda": lam,
             "f_after": str(f1),
             "r_after": f1.ord_last(),
             "generation": frame1.generation,
-        }),
+        },
     ]
 
 
@@ -284,8 +268,8 @@ def _translate(oracle: ArcValuation, h: Polynomial, new_last):
     f_new = oracle.f.translate_last(h)
     if f_new.ord_last() != oracle.f.ord_last():
         raise InternalContradiction("translation changed the multiplicity")
-    oracle_new = oracle.translated(f_new, new_last)
-    return oracle_new, oracle_new.value(_xm(oracle_new))
+    oracle_new = oracle.with_arc(oracle.frame, f_new, oracle.arc[:-1] + (new_last,))
+    return oracle_new, oracle_new.value(Polynomial.variable(oracle.frame, oracle.field, 1))
 
 
 def char0_translate(oracle: ArcValuation):
@@ -317,7 +301,8 @@ def char0_translate(oracle: ArcValuation):
     oracle_new, new_gamma = _translate(oracle, h, new_last)
     if new_gamma.is_finite and not gamma_z.value < new_gamma.value:
         raise InternalContradiction("translation did not increase value(x_m)")
-    return oracle_new, [TraceStep("TRANSLATE-CHAR0", {
+    return oracle_new, [{
+        "kind": "TRANSLATE-CHAR0",
         "omega": str(omega),
         "h": str(h),
         "sigma": sigma,
@@ -327,7 +312,7 @@ def char0_translate(oracle: ArcValuation):
         "derivative_value": str(oracle.value(f.partial_last())),
         "f_after": str(oracle_new.f),
         "generation": oracle.frame.generation,
-    })]
+    }]
 
 
 def defectless_translate(oracle: ArcValuation, bounds: Bounds = Bounds()):
@@ -361,13 +346,14 @@ def defectless_translate(oracle: ArcValuation, bounds: Bounds = Bounds()):
     oracle_new, new_gamma = _translate(oracle, approx.h, oracle.series_of(xm - approx.h))
     if not new_gamma.is_finite or oracle_new.base_coords(new_gamma.value) is not None:
         raise InternalContradiction("translation failed to leave the base group")
-    return oracle_new, [TraceStep("TRANSLATE-DEFECTLESS", {
+    return oracle_new, [{
+        "kind": "TRANSLATE-DEFECTLESS",
         "h": str(approx.h),
         "gamma": str(approx.gamma),
         "ladder": ladder,
         "f_after": str(oracle_new.f),
         "generation": oracle.frame.generation,
-    })]
+    }]
 
 
 def case2_finish(oracle: ArcValuation):
@@ -422,7 +408,11 @@ class ReductionResult:
 
 def run_reduction(oracle: ArcValuation, bounds: Bounds = Bounds()) -> ReductionResult:
     """Loop translations and Perron steps until the multiplicity reaches 1,
-    with terminal diagnostics for defect suspicion and exhausted bounds."""
+    with terminal diagnostics for defect suspicion and exhausted bounds.
+    The run does not check that the arc satisfies f to its window, as
+    ``perronval reduce`` does (exit 2); off its curve the outcome means
+    nothing: the cusp x2^2 - x1^3 at trunc 40 ends DEFECT-SUSPECTED on the
+    arc (t, t^2) and raises InternalContradiction on (t^2, t^3 + t^5)."""
     _check_input(oracle)
     # a private copy: the oracle's memos start empty and end with the run
     oracle = oracle.with_arc(oracle.frame, oracle.f, oracle.arc)
@@ -494,7 +484,7 @@ def trace_document(result: ReductionResult, oracle_doc: dict) -> dict:
         "r_initial": result.r_initial,
         "r_final": result.r_final,
         "ring": result.initial_ring,
-        "steps": [{"kind": s.kind, **s.payload} for s in result.trace],
+        "steps": [dict(s) for s in result.trace],
         "final_f": str(final.f),
         "final_generation": final.frame.generation,
         "diagnostics": result.diagnostics,

@@ -221,7 +221,7 @@ class Scalar:
         return self._coerce(other) / self
 
     def __pow__(self, k: int):
-        if not isinstance(k, int):
+        if type(k) is not int:
             raise InputError("scalar powers must be integers")
         if k < 0:
             return self.inverse() ** (-k)
@@ -345,7 +345,7 @@ def _check_slots(top, n: int):
 def reduce_raw(items, p: int) -> dict:
     """{key: value} of the (key, raw value) pairs whose value is nonzero once
     reduced: mod p in characteristic p, over Q with integral values stored
-    as ints.  Every stored polynomial and series term map comes out of it."""
+    as ints.  Every stored polynomial term map comes out of it."""
     if p:
         return {key: r for key, v in items if (r := v % p)}
     return {key: v.numerator if v.denominator == 1 else v for key, v in items if v}
@@ -434,14 +434,6 @@ def _coefficient_bits(pairs, den) -> int:
     return (total - 1).bit_length() + (den - 1).bit_length()
 
 
-def _check_power(pairs, den, k: int):
-    """Refuse the k-th power of an exact nonzero series (its grid pairs over
-    den) before any product: k times the span, plus one, slots, each of k
-    times its coefficient bits."""
-    _check_budget("series power", k * (pairs[-1][0] - pairs[0][0]) + 1,
-                  k * _coefficient_bits(pairs, den))
-
-
 def _check_window(pairs, top, n: int, k: int, p: int) -> int:
     """The truncation index ko + (T - o) of the k-th power of a truncated
     nonzero series (its grid pairs on 1/n, order o, truncation index T), as
@@ -463,11 +455,6 @@ def _check_window(pairs, top, n: int, k: int, p: int) -> int:
     g = math.gcd(n, top, *[i for i in sure if i < top])
     _check_slots(top // g, n // g)
     return top
-
-
-def _grid_pow(a, k: int, p: int):
-    """a**k for k >= 0 on a grid series."""
-    return binary_power(a, k, lambda x, y: _grid_mul(x, y, p), ([(0, 1)], None, 1))
 
 
 def _grid_sum(grids, p: int):
@@ -495,6 +482,25 @@ def _nonzero(acc: dict, p: int) -> list:
     return sorted((k, v) for k, v in acc.items() if v)
 
 
+def _from_literals(field: FieldSpec, trunc, literals) -> "PuiseuxSeries":
+    """The series of the literals ((k, d), num, den), each the term
+    (num / den) t^(k/d) with d, den > 0 (den = 1 over F_p, num a raw
+    value), trusted below trunc = (num, den) (None: exact).  Each becomes an
+    (index, numerator) pair on the lcm grid of the exponents and the
+    truncation, over the lcm of the denominators, a pair at or beyond the
+    truncation is dropped, and ``PuiseuxSeries._from_grid`` brings the sum
+    to lowest terms and its least grid, where the slot bound applies."""
+    n = math.lcm(1 if trunc is None else trunc[1], *[q[1] for q, _, _ in literals])
+    top = None if trunc is None else trunc[0] * (n // trunc[1])
+    den = math.lcm(*[d for _, _, d in literals])
+    acc = {}
+    for (k, d), num, c in literals:
+        k *= n // d
+        if top is None or k < top:
+            acc[k] = acc.get(k, 0) + num * (den // c)
+    return PuiseuxSeries._from_grid(field, n, (_nonzero(acc, field.characteristic), top, den))
+
+
 class PuiseuxSeries:
     """Finite sum of terms c * t^q with rational q, trusted below ``trunc``.
 
@@ -517,28 +523,13 @@ class PuiseuxSeries:
     def __init__(self, field: FieldSpec, terms=None, trunc=None):
         if trunc is not None:
             trunc = _exponent(trunc)
-        acc = {}
+            trunc = trunc.numerator, trunc.denominator
+        literals = []
         for q, c in (terms or {}).items():
-            q = _exponent(q)
-            c = field.raw(c)
-            if trunc is None or q < trunc:
-                acc[q] = acc.get(q, 0) + c
-        terms = reduce_raw(acc.items(), field.characteristic)
-        dens = [q.denominator for q in terms]
-        if trunc is not None:
-            dens.append(trunc.denominator)
-        n = math.lcm(*dens)
-        self.field, self.ram = field, n
-        self.top = None if trunc is None else trunc.numerator * (n // trunc.denominator)
-        _check_slots(self.top, n)
-        # lowest terms: a prime power in den divides the denominator of one
-        # value whose numerator it does not divide
-        den = self.den = math.lcm(*[c.denominator for c in terms.values() if type(c) is not int])
-        self.pairs = tuple(sorted(
-            (q.numerator * (n // q.denominator),
-             c * den if type(c) is int else c.numerator * (den // c.denominator))
-            for q, c in terms.items()
-        ))
+            q, c = _exponent(q), field.raw(c)
+            literals.append(((q.numerator, q.denominator), c.numerator, c.denominator))
+        s = _from_literals(field, trunc, literals)
+        self.field, self.ram, self.pairs, self.den, self.top = s.field, s.ram, s.pairs, s.den, s.top
 
     @property
     def terms(self) -> dict:
@@ -663,14 +654,17 @@ class PuiseuxSeries:
         return PuiseuxSeries._from_grid(self.field, n, grid)
 
     def __pow__(self, k: int):
-        if not isinstance(k, int):
+        if type(k) is not int:
             raise InputError("series powers must be integers")
         if k < 0:
             return self.inverse() ** (-k)
         pairs, top, p = self.pairs, self.top, self.field.characteristic
         if k and pairs:
             if top is None:
-                _check_power(pairs, self.den, k)
+                # refused before any product: k times the span, plus one,
+                # slots, each of k times the coefficient bits
+                _check_budget("series power", k * (pairs[-1][0] - pairs[0][0]) + 1,
+                              k * _coefficient_bits(pairs, self.den))
             else:
                 top = _check_window(pairs, top, self.ram, k, p)
         if k and len(pairs) == 1:
@@ -678,7 +672,8 @@ class PuiseuxSeries:
             ((q, v),) = pairs
             grid = ([(k * q, pow(v, k, p or None))], top, self.den**k)
         else:
-            grid = _grid_pow(_grid(self, self.ram), k, p)
+            grid = binary_power(_grid(self, self.ram), k, lambda x, y: _grid_mul(x, y, p),
+                                ([(0, 1)], None, 1))
         return PuiseuxSeries._from_grid(self.field, self.ram, grid)
 
     @classmethod
@@ -946,11 +941,8 @@ def parse_series(field: FieldSpec, text: str) -> PuiseuxSeries:
 
     The coefficient suffix ``*c`` defaults to 1, the exponent to 1 (bare
     ``t``); a bare rational is a constant term.  The ``N`` part is advisory:
-    the ramification index is recomputed from the content.  Each literal
-    becomes an (index, numerator) pair on the lcm grid of the exponents and
-    the truncation, over the lcm of the coefficient denominators (1 over
-    F_p), and ``PuiseuxSeries._from_grid`` brings the sum to lowest terms
-    and its least grid, where the constructor's slot bound applies.
+    the ramification index is recomputed from the content.  The literals
+    are summed by ``_from_literals``, as the constructor sums its terms.
     """
     if not isinstance(text, str):
         raise InputError(f"series literal must be a string, got {text!r}")
@@ -990,15 +982,7 @@ def parse_series(field: FieldSpec, text: str) -> PuiseuxSeries:
                     raise DivisionByZero(f"denominator divisible by {p}")
                 num, den = num // g * pow(den // g, -1, p), 1
             literals.append((q, num, den))
-    n = math.lcm(1 if trunc is None else trunc[1], *[q[1] for q, _, _ in literals])
-    top = None if trunc is None else trunc[0] * (n // trunc[1])
-    den = math.lcm(*[d for _, _, d in literals])
-    acc = {}
-    for (k, d), num, c in literals:
-        k *= n // d
-        if top is None or k < top:
-            acc[k] = acc.get(k, 0) + num * (den // c)
-    return PuiseuxSeries._from_grid(field, n, (_nonzero(acc, p), top, den))
+    return _from_literals(field, trunc, literals)
 
 
 def format_series(s: PuiseuxSeries) -> str:

@@ -389,12 +389,6 @@ def _rows(values):
     return [[x * (den // v.den) for x in v.nums] for v in values]
 
 
-def _round_half_even(p: int, q: int) -> int:
-    """p / q rounded to the nearest int, ties to even, for q > 0."""
-    k, r = divmod(p, q)
-    return k + (2 * r > q or (2 * r == q and k % 2 == 1))
-
-
 def member(v: Value, lattice: ValueLattice):
     """Integer coordinates of v over the lattice generators, or None."""
     _check_context(v.context, lattice.context, "value and lattice contexts differ")
@@ -421,7 +415,8 @@ def member(v: Value, lattice: ValueLattice):
     while changed:
         changed = False
         for kr in kernel:
-            t = _round_half_even(sum(a * b for a, b in zip(x, kr)), sum(c * c for c in kr))
+            # rounded to the nearest int, ties to even
+            t = round(Fraction(sum(a * b for a, b in zip(x, kr)), sum(c * c for c in kr)))
             if t:
                 x = [a - t * b for a, b in zip(x, kr)]
                 changed = True

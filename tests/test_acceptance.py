@@ -30,7 +30,6 @@ from perronval.poly import Polynomial, VariableFrame, parse_polynomial
 from perronval.reduce import (
     Bounds,
     ReductionResult,
-    TraceStep,
     char0_translate,
     replay_trace,
     run_reduction,
@@ -101,15 +100,15 @@ def _report(n, text):
 def test_criterion_1_cusp_reduction():
     res, trace = _run("cusp", CUSP)
     assert res.status == "REDUCED-TO-SMOOTH"
-    a1_steps = [s for s in res.trace if s.kind == "A1"]
+    a1_steps = [s for s in res.trace if s["kind"] == "A1"]
     assert len(a1_steps) == 1, "exactly one Perron macro-step"
-    matrix = a1_steps[0].payload["transform"]["matrix"]
+    matrix = a1_steps[0]["transform"]["matrix"]
     assert matrix == [[2, 1], [3, 2]]
     assert matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0] == 1
     # strict-transform reconstruction is exact
     frame1 = FR.bumped()
-    g = parse_polynomial(frame1, Q, a1_steps[0].payload["f_after"])
-    strict = [s for s in res.trace if s.kind == "STRICT-TRANSFORM"][0].payload
+    g = parse_polynomial(frame1, Q, a1_steps[0]["f_after"])
+    strict = [s for s in res.trace if s["kind"] == "STRICT-TRANSFORM"][0]
     f1 = parse_polynomial(frame1, Q, strict["f_after"])
     unit = Polynomial.variable(frame1, Q, 1) + Q.scalar(F(strict["c"]))
     back = f1 * Polynomial.monomial(frame1, Q, strict["exponents"]) * unit ** strict["lambda"]
@@ -123,10 +122,10 @@ def test_criterion_1_cusp_reduction():
 def test_criterion_2_char2_defectless(capsys):
     res, _ = _run("cusp2", CUSP_CHAR2)
     assert res.status == "REDUCED-TO-SMOOTH"
-    a1 = [s for s in res.trace if s.kind == "A1"][0]
-    assert a1.payload["transform"]["matrix"] == [[2, 1], [3, 2]]
-    strict = [s for s in res.trace if s.kind == "STRICT-TRANSFORM"][0]
-    assert strict.payload["exponents"] == [6, 0] and strict.payload["lambda"] == 3
+    a1 = [s for s in res.trace if s["kind"] == "A1"][0]
+    assert a1["transform"]["matrix"] == [[2, 1], [3, 2]]
+    strict = [s for s in res.trace if s["kind"] == "STRICT-TRANSFORM"][0]
+    assert strict["exponents"] == [6, 0] and strict["lambda"] == 3
     # e computed from the arc's realized value lattices
     oracle = oracle_from_document(CUSP_CHAR2)
     e = lattice_index(oracle.full_lattice(), oracle.base_lattice())
@@ -144,20 +143,20 @@ def test_criterion_3_binomial_failure_path():
         char0_translate(oracle_from_document(CHAR2_CURVE))
     res, _ = _run("char2curve", CHAR2_CURVE)
     assert res.status == "REDUCED-TO-SMOOTH" and res.r_final == 1
-    tstep = [s for s in res.trace if s.kind == "TRANSLATE-DEFECTLESS"][0]
-    h = parse_polynomial(FR, FieldSpec(2), tstep.payload["h"])
+    tstep = [s for s in res.trace if s["kind"] == "TRANSLATE-DEFECTLESS"][0]
+    h = parse_polynomial(FR, FieldSpec(2), tstep["h"])
     assert h == parse_polynomial(FR, FieldSpec(2), "x1 + x1^2")
-    assert tstep.payload["gamma"] == "5/2"
-    gamma = parse_value(RATIONAL, tstep.payload["gamma"])
+    assert tstep["gamma"] == "5/2"
+    gamma = parse_value(RATIONAL, tstep["gamma"])
     from perronval.valgroup import member
     assert member(gamma, ValueLattice(RATIONAL, (RATIONAL.value(1),))) is None
     # analogous characteristic-0 run records sigma_{t-1} = r - 1 exactly
     res0, _ = _run("tacnode", TACNODE)
     assert res0.status == "REDUCED-TO-SMOOTH"
-    c0 = [s for s in res0.trace if s.kind == "TRANSLATE-CHAR0"][0]
-    sigmas = c0.payload["sigma"]["sigmas"]
+    c0 = [s for s in res0.trace if s["kind"] == "TRANSLATE-CHAR0"][0]
+    sigmas = c0["sigma"]["sigmas"]
     r = res0.r_initial
-    assert c0.payload["sigma_t_minus_1_eq_r_minus_1"] is True
+    assert c0["sigma_t_minus_1_eq_r_minus_1"] is True
     assert sigmas[-2] == r - 1
     _report(3, "binomial obstruction routes to h'=x1+x1^2 (gamma 5/2); "
                "char-0 run satisfies sigma_{t-1}=r-1")
@@ -517,7 +516,6 @@ VALUE_TYPES = [
     (Bounds, {"max_translations": 1, "max_perron_steps": 2, "max_approx_steps": 3}, {},
      {"max_translations": 64, "max_perron_steps": DEFAULT_STEP_BOUND, "max_approx_steps": 64},
      None, False, False, False),
-    (TraceStep, {"kind": "A1", "payload": {}}, None, {}, None, False, False, False),
     (ReductionResult, {"status": "REDUCED-TO-SMOOTH", "oracle": None, "trace": [], "r_initial": 2,
                        "r_final": 1, "initial_ring": "ring", "diagnostics": {"a": 1}},
      {"status": "BOUND-EXHAUSTED", "oracle": None, "trace": [], "r_initial": 2, "r_final": 2},

@@ -11,6 +11,7 @@ from perronval.oracle import DOCUMENT_VERSION, oracle_from_document
 from perronval.perron import monomialize
 from perronval.poly import parse_polynomial
 from perronval.reduce import run_reduction, trace_document
+from contract_fuzz import fuzz
 from replay_check import replay_matches
 from test_corpus_digest import _corpus
 
@@ -648,3 +649,14 @@ def test_refusal_is_an_input_error(tmp_path, capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: INPUT: {message}\n"
+
+
+def test_contract_fuzz_slice():
+    # 2,000 mutated documents through main: exit codes 0, 2, 3 and 4 only,
+    # no traceback, and an error line on every exit 2; at least a tenth end
+    # 0, 3 or 4, so the slice reaches the engine and not only the readers
+    report = fuzz(2000, seed=1)
+    assert not report["broken"], report["broken"][:3]
+    exits = report["exits"]
+    assert sum(exits.values()) == 2000 and exits[3] and exits[4]
+    assert exits[0] + exits[3] + exits[4] >= 200

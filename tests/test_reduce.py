@@ -70,14 +70,14 @@ class TestLrmStep:
     def test_cusp(self):
         oracle = oracle_from_document(CUSP)
         new, steps = lrm_step(oracle)
-        kinds = [s.kind for s in steps]
+        kinds = [s["kind"] for s in steps]
         assert kinds == ["A1", "STRICT-TRANSFORM"]
-        a1 = steps[0].payload
+        a1 = steps[0]
         assert a1["transform"]["matrix"] == [[2, 1], [3, 2]]
         assert a1["transform"]["c"] == "1"
         assert a1["sigma"]["sigmas"] == [0, 2]
         assert a1["sigma"]["d"] == 2
-        strict = steps[1].payload
+        strict = steps[1]
         assert strict["exponents"] == [6, 0] and strict["lambda"] == 3
         assert new.f.ord_last() == 1
         assert str(new.f) == "x2(1)"
@@ -85,7 +85,7 @@ class TestLrmStep:
     def test_char2_cusp_same_matrix(self):
         oracle = oracle_from_document(CUSP2)
         new, steps = lrm_step(oracle)
-        assert steps[0].payload["transform"]["matrix"] == [[2, 1], [3, 2]]
+        assert steps[0]["transform"]["matrix"] == [[2, 1], [3, 2]]
         assert new.f.ord_last() == 1
 
     def test_value_in_group_rejected(self):
@@ -96,7 +96,7 @@ class TestLrmStep:
     def test_a7_identity_recorded(self):
         oracle = oracle_from_document(CUSP)
         _, steps = lrm_step(oracle)
-        sigma = steps[0].payload["sigma"]
+        sigma = steps[0]["sigma"]
         lam = {int(k): v for k, v in sigma["lambdas"].items()}
         d = sigma["d"]
         s1 = sigma["sigmas"][0]
@@ -108,10 +108,10 @@ class TestChar0Translate:
     def test_tacnode(self):
         oracle = oracle_from_document(TACNODE)
         new, (step,) = char0_translate(oracle)
-        assert step.payload["omega"] == "-1/2"
-        assert step.payload["h"] == "x1"
-        assert step.payload["sigma"]["sigmas"] == [0, 1, 2]
-        assert step.payload["sigma_t_minus_1_eq_r_minus_1"] is True
+        assert step["omega"] == "-1/2"
+        assert step["h"] == "x1"
+        assert step["sigma"]["sigmas"] == [0, 1, 2]
+        assert step["sigma_t_minus_1_eq_r_minus_1"] is True
         assert new.f.ord_last() == 2
         assert str(new.f) == "-x1^5 + x2^2"
         gamma = new.value(parse_polynomial(new.frame, new.field, "x2"))
@@ -132,8 +132,8 @@ class TestDefectlessTranslate:
     def test_char2_curve(self):
         oracle = oracle_from_document(CHAR2_CURVE)
         new, (step,) = defectless_translate(oracle)
-        assert step.payload["h"] == "x1^2 + x1"
-        assert step.payload["gamma"] == "5/2"
+        assert step["h"] == "x1^2 + x1"
+        assert step["gamma"] == "5/2"
         assert str(new.f) == "x1^5 + x2^2"
         new2, steps = lrm_step(new)
         assert new2.f.ord_last() == 1
@@ -163,9 +163,9 @@ class TestCase2:
         oracle = oracle_from_document(doc)
         assert oracle.arc_consistency()
         new, steps = case2_finish(oracle)
-        assert steps[0].kind == "CASE2"
-        assert steps[0].payload["b"] == [1]
-        assert steps[0].payload["beta"] == "1"
+        assert steps[0]["kind"] == "CASE2"
+        assert steps[0]["b"] == [1]
+        assert steps[0]["beta"] == "1"
         assert new.f.ord_last() == 1
 
     def test_reducible_input_rejected(self):
@@ -208,18 +208,18 @@ class TestDriver:
         res = run_reduction(oracle_from_document(CUSP))
         assert res.status == "REDUCED-TO-SMOOTH"
         assert res.r_initial == 2 and res.r_final == 1
-        assert [s.kind for s in res.trace] == ["A1", "STRICT-TRANSFORM"]
+        assert [s["kind"] for s in res.trace] == ["A1", "STRICT-TRANSFORM"]
 
     def test_tacnode_translation_then_step(self):
         res = run_reduction(oracle_from_document(TACNODE))
         assert res.status == "REDUCED-TO-SMOOTH"
-        kinds = [s.kind for s in res.trace]
+        kinds = [s["kind"] for s in res.trace]
         assert kinds == ["TRANSLATE-CHAR0", "A1", "STRICT-TRANSFORM"]
 
     def test_char2_curve(self):
         res = run_reduction(oracle_from_document(CHAR2_CURVE))
         assert res.status == "REDUCED-TO-SMOOTH"
-        kinds = [s.kind for s in res.trace]
+        kinds = [s["kind"] for s in res.trace]
         assert kinds == ["TRANSLATE-DEFECTLESS", "A1", "STRICT-TRANSFORM"]
 
     def test_defect_curve_exits_suspected(self):
@@ -253,7 +253,7 @@ class TestDriver:
         res = run_reduction(oracle_from_document(doc))
         assert res.status == "REDUCED-TO-SMOOTH"
         assert res.r_initial == 4 and res.r_final == 1
-        assert [s.kind for s in res.trace] == ["A1", "STRICT-TRANSFORM"]
+        assert [s["kind"] for s in res.trace] == ["A1", "STRICT-TRANSFORM"]
         assert replay_matches(trace_document(res, doc))
 
     def test_partial_drop_reports_multiplicity_dropped(self):
@@ -272,8 +272,8 @@ class TestDriver:
         assert res.status == "MULTIPLICITY-DROPPED"
         assert res.r_initial == 4 and res.r_final == 2
         assert res.diagnostics["stalled_as"] == "DEFECT-SUSPECTED"
-        assert [s.kind for s in res.trace] == ["A1", "STRICT-TRANSFORM"]
-        assert res.trace[0].payload["sigma"]["sigmas"] == [0, 2, 4]
+        assert [s["kind"] for s in res.trace] == ["A1", "STRICT-TRANSFORM"]
+        assert res.trace[0]["sigma"]["sigmas"] == [0, 2, 4]
         assert replay_matches(trace_document(res, doc))
 
     @pytest.mark.parametrize("doc, final_f, diagnostics", [
@@ -341,7 +341,7 @@ class TestLadderFamily:
             for c in (0, (1, -2, 3)[k % 3]):
                 doc = ladder_doc(a, b, c)
                 res = run_reduction(oracle_from_document(doc))
-                kinds = [s.kind for s in res.trace]
+                kinds = [s["kind"] for s in res.trace]
                 assert res.status == "REDUCED-TO-SMOOTH", (a, b, c)
                 assert set(kinds) <= {"TRANSLATE-CHAR0", "A1", "STRICT-TRANSFORM"}, kinds
                 assert kinds.count("A1") == 1, (a, b, c, kinds)
@@ -353,8 +353,8 @@ class TestLadderFamily:
                      {"x1": "t^4", "x2": "t^6 + t^7"}, trunc=30)
         res = run_reduction(oracle_from_document(doc))
         assert res.status == "REDUCED-TO-SMOOTH"
-        assert [s.kind for s in res.trace].count("A1") == 2
-        orders = [s.payload["r_after"] for s in res.trace if s.kind == "STRICT-TRANSFORM"]
+        assert [s["kind"] for s in res.trace].count("A1") == 2
+        orders = [s["r_after"] for s in res.trace if s["kind"] == "STRICT-TRANSFORM"]
         assert [res.r_initial] + orders == [4, 2, 1]
         assert replay_matches(trace_document(res, doc))
 
@@ -368,8 +368,8 @@ class TestLadderFamily:
         doc = arcdoc(0, f, {"x1": "t^4", "x2": x2}, trunc=trunc)
         res = run_reduction(oracle_from_document(doc))
         assert res.status == "REDUCED-TO-SMOOTH"
-        assert [s.kind for s in res.trace] == ["A1", "STRICT-TRANSFORM"] * 2
-        orders = [s.payload["r_after"] for s in res.trace if s.kind == "STRICT-TRANSFORM"]
+        assert [s["kind"] for s in res.trace] == ["A1", "STRICT-TRANSFORM"] * 2
+        orders = [s["r_after"] for s in res.trace if s["kind"] == "STRICT-TRANSFORM"]
         assert [res.r_initial] + orders == [4, 2, 1]
         assert replay_matches(trace_document(res, doc))
         assert any(type(c) is Fraction and c.denominator > 1
@@ -405,7 +405,7 @@ class TestRunScope:
             del evaluations[:]
             res = run_reduction(oracle)
             assert res.status == status
-            assert kind is None or kind in [s.kind for s in res.trace]
+            assert kind is None or kind in [s["kind"] for s in res.trace]
             keys = [(id(arc), g) for arc, g in evaluations]
             assert len(keys) == len(set(keys))
             counts.append(len(keys))
@@ -501,9 +501,9 @@ class TestTranslationSeries:
         for doc in self.DOCS:
             del handed[:]
             res = run_reduction(oracle_from_document(doc))
-            steps = [s for s in res.trace if s.kind.startswith("TRANSLATE")]
+            steps = [s for s in res.trace if s["kind"].startswith("TRANSLATE")]
             assert len(handed) == len(steps) >= 1, doc["f"]
-            kinds.update(s.kind for s in steps)
+            kinds.update(s["kind"] for s in steps)
             for oracle, h, new_last in handed:
                 xm = Polynomial.variable(oracle.frame, oracle.field, oracle.frame.m - 1)
                 assert new_last == (xm - h).evaluate_at_arc(oracle.arc)
@@ -527,7 +527,7 @@ class TestTranslationSeries:
         monkeypatch.setattr(Polynomial, "evaluate_at_arc", counting)
         res = run_reduction(oracle_from_document(doc))
         now = list(seen)
-        hs = [s.payload["h"] for s in res.trace if s.kind == kind]
+        hs = [s["h"] for s in res.trace if s["kind"] == kind]
         assert len(hs) == 1
         assert [str(g) for g in now] == evaluated
         # the former translation evaluated h afresh: one evaluation more,
@@ -566,7 +566,7 @@ class TestHighLadderRungs:
 
         monkeypatch.setattr(Polynomial, "translate_last", counting)
         res = run_reduction(oracle_from_document(doc))
-        assert [s.kind for s in res.trace] == ["A1", "STRICT-TRANSFORM"]
+        assert [s["kind"] for s in res.trace] == ["A1", "STRICT-TRANSFORM"]
         assert res.status == "REDUCED-TO-SMOOTH"
         assert shifts == [1]  # deg_xm of what strict_transform shifts into f_1 = x2(1)
         trace = trace_document(res, doc)
@@ -623,7 +623,7 @@ class TestFactsTheReductionRestsOn:
         blocks = {"A1": [], "TRANSLATE-CHAR0": []}
 
         def record(kind, oracle, step):
-            sigma = step.payload["sigma"]
+            sigma = step["sigma"]
             blocks[kind].append(({"rho": sigma["rho"], "sigmas": sigma["sigmas"]},
                                  _oracle_sigma_block(oracle)))
 
@@ -643,7 +643,7 @@ class TestFactsTheReductionRestsOn:
         assert res.status == "REDUCED-TO-SMOOTH"
         assert blocks["A1"]
         for kind, recorded in blocks.items():
-            assert len(recorded) == sum(1 for s in res.trace if s.kind == kind)
+            assert len(recorded) == sum(1 for s in res.trace if s["kind"] == kind)
             for block, expected in recorded:
                 assert block == expected
 

@@ -73,6 +73,17 @@ class TestScalar:
         with pytest.raises(InputError):
             Q.one + F5.one
 
+    @pytest.mark.parametrize("k", [True, False])
+    @pytest.mark.parametrize("base", [
+        Q.scalar(2),
+        PuiseuxSeries(Q, {1: 1, 2: 1}, trunc=5),
+        Polynomial.variable(VariableFrame(2, 1), Q, 0) + 1,
+    ], ids=["Scalar", "PuiseuxSeries", "Polynomial"])
+    def test_bool_exponent_refused(self, base, k):
+        # a bool is not an int exponent, as it is no other integer input
+        with pytest.raises(InputError, match="powers must be"):
+            base ** k
+
     def test_pow_negative(self):
         assert Q.scalar(2) ** -2 == Q.scalar("1/4")
         assert F5.scalar(2) ** -1 == F5.scalar(3)
