@@ -32,7 +32,8 @@ from .errors import (
 )
 from .poly import Polynomial, VariableFrame, parse_polynomial
 from .scalars import (
-    FieldSpec, PuiseuxSeries, Scalar, parse_integer, parse_rational, parse_series,
+    MAX_BUDGET, FieldSpec, PuiseuxSeries, Scalar, format_raw, parse_integer, parse_rational,
+    parse_series,
 )
 from .valgroup import (
     GeneratorContext,
@@ -393,6 +394,12 @@ class AugmentedChain:
             # the Gauss base: x_1-order times value(x_1), x_m valued 0
             return ValueResult.finite(self.x1_value.scale(min(mono[0] for mono in g.terms)))
         phi, gamma = self.steps[level]
+        # deg // deg(phi) + 1 digits, each a division over deg + 1 rows at most
+        deg = g.degree_in_last()
+        steps = (deg // phi.degree_in_last() + 1) * (deg + 1)
+        if steps > MAX_BUDGET:
+            raise InputError(f"phi-adic expansion takes {format_raw(steps)} row steps, "
+                             f"more than {MAX_BUDGET}")
         best = None
         rest = g
         i = 0

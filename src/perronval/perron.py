@@ -139,34 +139,24 @@ class PerronTransform:
         u = x_m(1) + c, so the image in x_m(1) is this one under the shift
         u -> x_m(1) + c; ``Polynomial.strict_transform`` reads it as it is.
 
-        Each image is one term, so ``Polynomial.substitute_map`` sends each
-        term of f to one term.  The images are read from the matrix rows on
-        the first substitution over a field and kept in a plain memo.
+        Each image is one exponent vector of the new frame, read from the
+        matrix rows on the first substitution and kept in a plain memo.
         """
         if f.frame is not self.frame and f.frame != self.frame:
             raise InputError("polynomial frame does not match the transform")
         if self.c is not None and f.field is not self.c.field and f.field != self.c.field:
             raise InputError("polynomial over another field than the transform's constant")
-        memo = self._images
-        if memo is None:
-            memo = self._images = {}
-        images = memo.get(f.field)
+        images = self._images
         if images is None:
-            frame1 = self.new_frame()
-            n = self.frame.n
-            rows = dict(zip(self.active_indices(), self.matrix))
-            images = []
-            for i in range(self.frame.m):
-                mono = [0] * frame1.m
-                if i in rows:
-                    mono[:n] = rows[i][:n]
-                    if self.kind == "A1":
-                        mono[-1] = rows[i][n]
-                else:
-                    mono[i] = 1
-                images.append(Polynomial._from_raw(frame1, f.field, {tuple(mono): 1}))
-            memo[f.field] = images
-        return f.substitute_map(images)
+            # a passive variable is its own image; an active one spreads its
+            # matrix row over the active slots
+            m, active = self.frame.m, self.active_indices()
+            images = [[int(i == j) for j in range(m)] for i in range(m)]
+            for i, row in zip(active, self.matrix):
+                for j, e in zip(active, row):
+                    images[i][j] = e
+            images = self._images = [tuple(v) for v in images]
+        return f.substitute_map(self._new_frame, images)
 
     def transformed_weights(self, values):
         """Values of the new variables given the old active values.

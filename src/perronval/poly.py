@@ -18,6 +18,7 @@ from operator import add, mul, sub
 from .errors import DivisionByZero, FrameMismatch, InputError
 from .scalars import (
     INFINITE,
+    MAX_BUDGET,
     MAX_GRID_SLOTS,
     FieldSpec,
     PuiseuxSeries,
@@ -90,10 +91,7 @@ class Polynomial:
         acc = {}
         for mono, coeff in (terms or {}).items():
             mono = tuple(mono)
-            if len(mono) != frame.m:
-                raise InputError("exponent vector length does not match frame")
-            if any(type(e) is not int or e < 0 for e in mono):
-                raise InputError(f"polynomial exponents are nonnegative ints, got {mono!r}")
+            _check_exponents(frame, mono)
             acc[mono] = acc.get(mono, 0) + field.raw(coeff)
         self.terms = reduce_raw(acc.items(), field.characteristic)
         self._hash = self._degree = self._ord = self._lead = self._text = None
@@ -169,8 +167,9 @@ class Polynomial:
     def __pow__(self, k: int):
         if type(k) is not int or k < 0:
             raise InputError("polynomial powers must be nonnegative integers")
-        unit = (0,) * self.frame.m
-        raw = _raw_pow(self.terms, k, self.field.characteristic, unit)
+        p = self.field.characteristic
+        raw = binary_power(self.terms, k, lambda x, y: _raw_addmul({}, x, y, p),
+                           {(0,) * self.frame.m: 1})
         return Polynomial._from_raw(self.frame, self.field, raw)
 
     def __eq__(self, other):
@@ -257,7 +256,10 @@ class Polynomial:
         Runs on the x_m-coefficient rows b_0..b_d of the divisor and r_k of
         the remainder: for k = deg f .. d, the quotient row
         q_{k-d} = r_k / b_d clears r_k, and q_{k-d} * b_j is subtracted from
-        r_{k-d+j} for j < d.
+        r_{k-d+j} for j < d.  Before any row is built, a dividend past the row
+        limit of ``_rows`` raises InputError, and so does a quotient whose
+        e = deg f - d + 1 rows, each spanning e * w + deg' f + 1 degrees in
+        x_1..x_{m-1} (w the highest of a divisor term), exceed MAX_BUDGET slots.
         """
         divisor = self._coerce(divisor)
         d = divisor.degree_in_last()
@@ -270,6 +272,12 @@ class Polynomial:
         # divisibility checks in ArcValuation.value end here
         if self.degree_in_last() < d:
             return Polynomial._from_raw(self.frame, self.field, {}), self
+        _check_rows(self.degree_in_last())
+        e = self.degree_in_last() - d + 1
+        width = max(sum(mono[:-1]) for mono in divisor.terms)
+        slots = e * (e * width + max(sum(mono[:-1]) for mono in self.terms) + 1)
+        if slots > MAX_BUDGET:
+            raise InputError(f"x_m-division spans {format_raw(slots)} slots, more than {MAX_BUDGET}")
         p = self.field.characteristic
         lc_inv = self.field.raw(lc.inverse())
         lower = [{base: -v for base, v in row.items()} for row in _rows(divisor, d)[:d]]
@@ -299,47 +307,22 @@ class Polynomial:
 
     # -- substitution ------------------------------------------------------
 
-    def substitute_map(self, images) -> "Polynomial":
-        """Ring homomorphism sending x_i to images[i] (all in one common
-        target frame).
-
-        The branch is chosen by the shape of the images.  When each image is
-        one term a_i x^{E_i}, as every Perron substitution's is, each term
-        c x^e goes to the one term c prod a_i^{e_i} x^{sum e_i E_i}: one pass
-        over the terms in integer exponent arithmetic, with the powers of
-        a_i taken mod p and the terms that land on one exponent vector
-        summed.  Other images are expanded by powers and products of their
-        term maps.
-        """
+    def substitute_map(self, frame: VariableFrame, images) -> "Polynomial":
+        """The substitution x_i -> x^(images[i]) into ``frame``: one exponent
+        vector of ``frame`` per variable, each image of coefficient 1, as a
+        Perron substitution's is.  A term c x^e goes to c x^(sum e_i images[i])
+        in one pass, the terms that land on one vector summed.  A wrong count,
+        or an image the validating constructor would refuse, raises InputError."""
         if len(images) != self.frame.m:
             raise InputError("need one image per variable")
-        target_frame = images[0].frame
         for img in images:
-            if (img.frame is not target_frame and img.frame != target_frame
-                    or img.field is not self.field and img.field != self.field):
-                raise FrameMismatch("images live in different frames")
-        p = self.field.characteristic
-        if all(len(img.terms) == 1 for img in images):
-            return Polynomial._from_raw(target_frame, self.field,
-                                        _exponent_map(self.terms, images, p))
-        unit = (0,) * target_frame.m
-        bases = [img.terms for img in images]
-        powers = {}
-        result = {}
+            _check_exponents(frame, img)
+        columns = list(zip(*images))
+        out = {}
         for mono, c in self.terms.items():
-            factors = []
-            for i, e in enumerate(mono):
-                if e:
-                    if (i, e) not in powers:
-                        powers[i, e] = _raw_pow(bases[i], e, p, unit)
-                    factors.append(powers[i, e])
-            # the last factor is multiplied straight into the result
-            last = factors.pop() if factors else {unit: 1}
-            piece = {unit: c}
-            for factor in factors:
-                piece = _raw_addmul({}, piece, factor, p)
-            _raw_addmul(result, piece, last, p)
-        return Polynomial._from_raw(target_frame, self.field, result)
+            key = tuple([sum(map(mul, mono, col)) for col in columns])
+            out[key] = out.get(key, 0) + c
+        return Polynomial._from_raw(frame, self.field, out)
 
     def translate_last(self, h: "Polynomial") -> "Polynomial":
         """Substitute x_m -> x_m + h, with h free of the last variable.
@@ -450,6 +433,14 @@ class Polynomial:
         return f"Polynomial({str(self)!r})"
 
 
+def _check_exponents(frame: VariableFrame, mono):
+    """InputError unless ``mono`` is m = frame.m nonnegative ints (no bool)."""
+    if len(mono) != frame.m:
+        raise InputError("exponent vector length does not match frame")
+    if any(type(e) is not int or e < 0 for e in mono):
+        raise InputError(f"polynomial exponents are nonnegative ints, got {mono!r}")
+
+
 def _check_rows(d: int):
     """A row, like a grid slot, is one entry per x_m-exponent, so an
     x_m-degree d above MAX_GRID_SLOTS raises InputError before any row is
@@ -530,32 +521,6 @@ def _raw_addmul(acc: dict, a: dict, b: dict, p: int) -> dict:
             else:
                 del acc[mono]
     return acc
-
-
-def _exponent_map(terms: dict, images, p: int) -> dict:
-    """Raw term map of the substitution x_i -> a_i x^{E_i}, read from the
-    one-term ``images``: c x^e goes to c prod a_i^{e_i} x^{sum e_i E_i}.
-    Terms that collide are summed; ``reduce_raw`` drops a zero sum."""
-    exps, scaled = [], []
-    for i, img in enumerate(images):
-        ((e, a),) = img.terms.items()
-        exps.append(e)
-        if a != 1:
-            scaled.append((i, a))
-    columns = list(zip(*exps))
-    out = {}
-    for mono, c in terms.items():
-        for i, a in scaled:
-            if mono[i]:
-                c *= pow(a, mono[i], p) if p else a ** mono[i]
-        key = tuple([sum(map(mul, mono, col)) for col in columns])
-        out[key] = out.get(key, 0) + c
-    return out
-
-
-def _raw_pow(a: dict, k: int, p: int, unit: Mono) -> dict:
-    """a**k on a raw term map; ``unit`` is the zero exponent vector."""
-    return binary_power(a, k, lambda x, y: _raw_addmul({}, x, y, p), {unit: 1})
 
 
 # ---------------------------------------------------------------------------

@@ -331,6 +331,12 @@ def _tadd(a, b):
 # or inverse would build beyond it.
 MAX_GRID_SLOTS = 2**16
 
+# The size an exact result may reach before it is built: the bits of an
+# exact series in all its slots (``_check_budget``, ``evaluate_monomials``),
+# the slots of an x_m-division's quotient and the row steps of a phi-adic
+# expansion.
+MAX_BUDGET = 64 * MAX_GRID_SLOTS
+
 
 def _check_slots(top, n: int):
     """Refuse a truncation index ``top`` on the grid 1/n (None: exact) that
@@ -415,13 +421,12 @@ def binary_power(a, k: int, mul, one):
 def _check_budget(what: str, slots: int, bits: int):
     """Refuse an exact result of ``slots`` grid slots, each coefficient of
     at most ``bits`` bits, before it is computed: beyond MAX_GRID_SLOTS
-    slots, or beyond 64 MAX_GRID_SLOTS bits in all of them, as
+    slots, or beyond MAX_BUDGET bits in all of them, as
     ``evaluate_monomials`` refuses."""
     if slots > MAX_GRID_SLOTS:
         raise InputError(f"{what} spans {format_raw(slots)} slots, more than {MAX_GRID_SLOTS}")
-    limit = 64 * MAX_GRID_SLOTS
-    if slots * bits > limit:
-        raise InputError(f"{what} needs more than {limit} bits")
+    if slots * bits > MAX_BUDGET:
+        raise InputError(f"{what} needs more than {MAX_BUDGET} bits")
 
 
 def _coefficient_bits(pairs, den) -> int:
@@ -800,7 +805,7 @@ def evaluate_monomials(field: FieldSpec, terms: dict, arc) -> PuiseuxSeries:
     back in one borrow pass are the exact numerators (over F_p none is
     negative and none borrows); mod p they are reduced only then.  Before
     any of these integers is built, an evaluation of more than
-    MAX_GRID_SLOTS slots, or of more than 64 MAX_GRID_SLOTS bits in w size
+    MAX_GRID_SLOTS slots, or of more than MAX_BUDGET bits in w size
     or in D, raises InputError: an exact power such as (t + t^2)^(10^9) is
     refused rather than computed.
     """
@@ -846,7 +851,6 @@ def evaluate_monomials(field: FieldSpec, terms: dict, arc) -> PuiseuxSeries:
     size = (size if top is None or size < top else top) - low
     if size > MAX_GRID_SLOTS:
         raise InputError(f"arc evaluation spans {format_raw(size)} slots, more than {MAX_GRID_SLOTS}")
-    limit = 64 * MAX_GRID_SLOTS
     exps = {}  # component -> the exponents nonzero terms give it
     for term in live:
         for i, e in term[3].items():
@@ -857,8 +861,8 @@ def evaluate_monomials(field: FieldSpec, terms: dict, arc) -> PuiseuxSeries:
     most = {i: max(es) for i, es in exps.items() if comps[i][2] != 1}  # E_i where d_i != 1
     den = cden
     if most:
-        if _clog2(cden) + sum([e * _clog2(comps[i][2]) for i, e in most.items()]) > limit:
-            raise InputError(f"arc evaluation needs a denominator of more than {limit} bits")
+        if _clog2(cden) + sum([e * _clog2(comps[i][2]) for i, e in most.items()]) > MAX_BUDGET:
+            raise InputError(f"arc evaluation needs a denominator of more than {MAX_BUDGET} bits")
         den *= math.prod([comps[i][2] ** e for i, e in most.items()])
     mults, bits = [], 0
     for _, _, c, used in live:
@@ -876,8 +880,8 @@ def evaluate_monomials(field: FieldSpec, terms: dict, arc) -> PuiseuxSeries:
     # digits of whole bytes, 1, 2, 4 or 8 of them up to 64 bits
     w = bits + _clog2(len(live)) + 2
     w = 8 << _clog2(-(-w // 8)) if w <= 64 else -(-w // 8) * 8
-    if w * size > limit:
-        raise InputError(f"arc evaluation needs more than {limit} packed bits")
+    if w * size > MAX_BUDGET:
+        raise InputError(f"arc evaluation needs more than {MAX_BUDGET} packed bits")
     mask = (1 << w * size) - 1
     powers = {}
     for i, es in exps.items():

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from pathlib import Path
 
 import pytest
@@ -72,7 +73,9 @@ class TestValuate:
         assert capsys.readouterr().out.strip().startswith("ABOVE-TRUNCATION(")
 
     def test_high_power_on_exact_arc(self, tmp_path, capsys):
-        # value() first divides x2^200 by f in x_m, then evaluates it
+        # value() first divides x2^k by f in x_m, then evaluates it; at
+        # k = 500 the quotient spans 500 * (500 * 2 + 1) slots, under the
+        # division budget
         doc = {
             "version": 1, "kind": "arc",
             "ring": {"m": 2, "char": 0, "n": 1},
@@ -80,8 +83,26 @@ class TestValuate:
             "arc": {"x1": "t", "x2": "t + t^2"},
         }
         oracle = write(tmp_path, "line.json", doc)
-        assert main(["valuate", "--oracle", oracle, "--poly", "x2^200"]) == 0
-        assert capsys.readouterr().out.strip() == "200"
+        for k in ("200", "500"):
+            assert main(["valuate", "--oracle", oracle, "--poly", f"x2^{k}"]) == 0
+            assert capsys.readouterr().out.strip() == k
+
+    def test_oversized_division_exits_2_within_a_second(self, tmp_path, capsys):
+        # dividing x2^10000 by f in x_m would build 9999 quotient rows, each
+        # up to 9999 * 5 + 4 degrees in x1: refused before any row is built
+        doc = {
+            "version": 1, "kind": "arc",
+            "ring": {"m": 2, "char": 0, "n": 1},
+            "f": "x2^2 - 2*x1*x2 + x1^2 - x1^5",
+            "arc": {"x1": "t", "x2": "t + t^(5/7)"},
+            "trunc": 20,
+        }
+        oracle = write(tmp_path, "tacnode.json", doc)
+        start = time.perf_counter()
+        assert main(["valuate", "--oracle", oracle, "--poly", "x2^10000 - x1^3"]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: INPUT") and "x_m-division" in err and "Traceback" not in err
 
     # x1 = x2 = t + t^2 exactly: x1^k is the exact series (t + t^2)^k
     EXACT_LINE = {
@@ -589,10 +610,11 @@ class TestDefectCommand:
 
 class TestChainCommand:
     def test_chain_value(self, tmp_path, capsys):
+        # x2^1000 - x1^3 expands in 1001 x2-adic digits, under the budget
         oracle = write(tmp_path, "chain.json", CHAIN)
-        assert main(["chain", "value", "--oracle", oracle,
-                     "--poly", "x2^2 - x1^3"]) == 0
-        assert capsys.readouterr().out.strip() == "3"
+        for poly in ("x2^2 - x1^3", "x2^1000 - x1^3"):
+            assert main(["chain", "value", "--oracle", oracle, "--poly", poly]) == 0
+            assert capsys.readouterr().out.strip() == "3"
 
     @pytest.mark.parametrize("poly, expected", [
         ("x2", "0"), ("x2^3 + x2", "1"), ("x1*x2", "1"), ("x2^2 + 1", "1"),
@@ -602,6 +624,15 @@ class TestChainCommand:
         oracle = write(tmp_path, "chain.json", doc)
         assert main(["chain", "value", "--oracle", oracle, "--poly", poly]) == 0
         assert capsys.readouterr().out.strip() == expected
+
+    def test_oversized_expansion_exits_2_within_a_second(self, tmp_path, capsys):
+        # 10001 x2-adic digits, each a division over up to 10001 rows
+        oracle = write(tmp_path, "chain.json", CHAIN)
+        start = time.perf_counter()
+        assert main(["chain", "value", "--oracle", oracle, "--poly", "x2^10000 - x1^3"]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: INPUT") and "phi-adic" in err and "Traceback" not in err
 
     def test_chain_rejects_arc_doc(self, tmp_path, capsys):
         oracle = write(tmp_path, "cusp.json", CUSP)

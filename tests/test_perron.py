@@ -124,13 +124,18 @@ class TestTransformValidation:
                  " + ".join(names)]
         # twice through one transform, fields interleaved, then once through
         # a rebuilt and a fresh transform each
+        lists = []
         for text in texts * 2:
             for field in fields:
                 f = parse_polynomial(frame, field, text)
                 fresh = PerronTransform(kind, matrix, frame, c)
                 got = tau.substitute(f)
+                lists.append(tau._images)
                 assert got.frame is tau.new_frame()
                 assert got == rebuilt.substitute(f) == fresh.substitute(f)
+        # one list of image exponent vectors per transform, whatever the field
+        assert all(images is lists[0] for images in lists)
+        assert len(lists[0]) == frame.m and all(len(e) == frame.m for e in lists[0])
 
 
 class TestBuildA6Divide:
