@@ -73,12 +73,9 @@ def _write(value, out: list, pad: str):
 
 
 def _dump(doc: dict) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True)`` and a newline.  Below
-    Python 3.13 that encoder indents in pure Python, and ``_write`` gives
-    the same bytes in less time; from 3.13 on it indents in C, and runs."""
+    """``json.dumps(doc, indent=2, sort_keys=True)`` and a newline, as
+    ``_write`` gives it."""
     try:
-        if sys.version_info >= (3, 13):
-            return json.dumps(doc, indent=2, sort_keys=True) + "\n"
         out = []
         _write(doc, out, "\n")
         out.append("\n")

@@ -519,6 +519,20 @@ def oracle_from_document(doc: dict):
     raise InputError(f"unknown oracle kind {kind!r}")
 
 
+def _read_members(doc: dict) -> dict:
+    """The members of an arc document that ``oracle_from_document`` reads,
+    each as given: a member it does not read is left out at every level,
+    and so is ``context`` when no ``normalization`` is there to read it."""
+    frame, _ = parse_ring(doc.get("ring", {}))
+    block = {key: doc[key] for key in ("version", "kind", "f", "trunc", "normalization")
+             if key in doc}
+    for key, names in (("ring", ("m", "n", "gen", "char")), ("context", ("kind", "d")),
+                       ("arc", [frame.var_name(i) for i in range(frame.m)])):
+        if isinstance(doc.get(key), dict) and (key != "context" or "normalization" in doc):
+            block[key] = {name: doc[key][name] for name in names if name in doc[key]}
+    return block
+
+
 def read_document(path: str):
     """The JSON document in ``path``; unreadable or malformed files (a number
     beyond the interpreter's digit limit, or nesting beyond the recursion

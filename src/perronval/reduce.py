@@ -39,7 +39,7 @@ from .errors import (
     TruncationExhausted,
     Unsupported,
 )
-from .oracle import DOCUMENT_VERSION, ArcValuation, _required, _typed, _versioned, parse_ring
+from .oracle import DOCUMENT_VERSION, ArcValuation, _read_members, _required, _typed, _versioned
 # build_a6_divide is not called here; perfbench/test_perfbench.py reads it as
 # reduce.build_a6_divide when it checks that the tracer restores bindings
 from .perron import DEFAULT_STEP_BOUND, PerronTransform, _extreme, build_a1, build_a6_divide
@@ -207,21 +207,8 @@ def lrm_step(oracle: ArcValuation, bounds: Bounds = Bounds()):
     r1 = oracle1.f.ord_last()
     if r1 is INFINITE:
         raise InternalContradiction("strict transform vanished along the fiber")
-    if r1 == r:
-        # theorem: impossible under the entry precondition.  Before failing,
-        # record the forced shape: sigma_t = r, sigma_1 = 0, |d| = 1, and
-        # with d = 1 the divisibility r | d_i(sigma_1), which puts value(x_m)
-        # back in the base group and contradicts the precondition.
-        degenerate = sigmas[-1] == r and sigmas[0] == 0 and abs(a) == 1
-        divisibility = None
-        if degenerate:
-            divisibility = all(x % r == 0 for x in dvecs[sigmas[0]])
-        raise InternalContradiction(
-            f"multiplicity did not drop (degenerate shape: {degenerate}, "
-            f"r divides d_i(sigma_1): {divisibility})"
-        )
-    if r1 > r:
-        raise InternalContradiction("multiplicity increased")
+    if r1 >= r:  # impossible with value(x_m) outside the base group
+        raise InternalContradiction("multiplicity did not drop")
     if not oracle1.arc_consistency():
         raise InternalContradiction("transformed arc left the strict transform")
     return oracle1, steps
@@ -361,26 +348,27 @@ def case2_finish(oracle: ArcValuation):
     substitute x_m = x^b (x_m' + beta) with beta the residue of the unit
     part, then verify the strict transform is smooth.  Returns (new_oracle,
     [CASE2, STRICT-TRANSFORM]); raises NOT-CASE2 when the certificate fails
-    re-verification."""
-    frame, field = oracle.frame, oracle.field
-    xm, gamma_z, coords = _xm_place(oracle)
+    re-verification.
+
+    The substitution is the A1 transform of the in-group value: for
+    value(x_m) = b value(x1), b > 0 as both values are, the continued
+    fraction is the single quotient b, so ``build_a1`` gives the matrix
+    ((1, 0), (b, 1)) and c = beta, the residue of x_m / x1^b.  Its bound b
+    keeps the step outside ``--max-perron-steps``."""
+    _, gamma_z, coords = _xm_place(oracle)
     if coords is None:
         raise NotCase2("value(x_m) is not in the base group")
     # the base group is generated by value(x1): value(x_m) = b value(x1)
     (b,) = coords
-    if b < 0:
-        raise NotCase2("monomial exponents of x_m are not nonnegative on x_1..x_n")
-    beta = oracle.residue(xm, Polynomial.monomial(frame, field, (b, 0)))
-    if beta.is_zero:
-        raise NotCase2("vanishing residue for the unit part")
-    # I with b >= 0 in the last row: nonnegative with det 1
-    tau = PerronTransform._walked("A1", ((1, 0), (b, 1)), frame, beta)
+    old_values = oracle.variable_values()[:1] + [gamma_z.value]
+    tau = build_a1(old_values[:1], gamma_z.value, oracle.frame,
+                   residue=oracle.monomial_residue, bound=b)
 
     oracle1, steps = _strict_step(oracle, tau, "CASE2", {
         "transform": tau.document(),
-        "beta": str(beta),
+        "beta": str(tau.c),
         "b": [b],
-        "old_values": [str(v) for v in oracle.variable_values()[:1] + [gamma_z.value]],
+        "old_values": [str(v) for v in old_values],
     })
     try:
         _strict_sanity(oracle1.f)
@@ -460,19 +448,6 @@ def run_reduction(oracle: ArcValuation, bounds: Bounds = Bounds()) -> ReductionR
 
 # ---------------------------------------------------------------------------
 # Trace documents and replay
-
-def _read_members(doc: dict) -> dict:
-    """The members of an arc document that ``oracle_from_document`` reads,
-    each as given: a member it does not know is left out at every level."""
-    frame, _ = parse_ring(doc.get("ring", {}))
-    block = {key: doc[key] for key in ("version", "kind", "f", "trunc", "normalization")
-             if key in doc}
-    for key, names in (("ring", ("m", "n", "gen", "char")), ("context", ("kind", "d")),
-                       ("arc", [frame.var_name(i) for i in range(frame.m)])):
-        if isinstance(doc.get(key), dict):
-            block[key] = {name: doc[key][name] for name in names if name in doc[key]}
-    return block
-
 
 def trace_document(result: ReductionResult, oracle_doc: dict) -> dict:
     """The trace of ``result`` with the read members of ``oracle_doc``, the

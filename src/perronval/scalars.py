@@ -639,24 +639,16 @@ class PuiseuxSeries:
                     acc -= a * b[k - j]
                 b.append(acc % p if p else acc)
         top = None if width is None else width - q0
+        # den B_k / v_0^(k+1) = den B_k v_0^(len(b)-k-1) / v_0^len(b): over Q
+        # all over v_0^len(b), mod p times its inverse (den = 1)
+        scale, denom = (pow(v0, -len(b), p), 1) if p else (den, v0 ** len(b))
         pairs = []
-        if p:
-            inv0 = scale = pow(v0, -1, p)
-            for k, bk in enumerate(b):
-                if bk:
-                    pairs.append((k - q0, bk * scale % p))
-                scale = scale * inv0 % p
-            grid = (pairs, top, 1)
-        else:
-            # den B_k / v_0^(k+1), all over v_0^len(b)
-            scale = den
-            for k in range(len(b) - 1, -1, -1):
-                if b[k]:
-                    pairs.append((k - q0, b[k] * scale))
-                scale *= v0
-            pairs.reverse()
-            grid = (pairs, top, v0 ** len(b))
-        return PuiseuxSeries._from_grid(self.field, n, grid)
+        for k in range(len(b) - 1, -1, -1):
+            if b[k]:
+                pairs.append((k - q0, b[k] * scale % p if p else b[k] * scale))
+            scale = scale * v0 % p if p else scale * v0
+        pairs.reverse()
+        return PuiseuxSeries._from_grid(self.field, n, (pairs, top, denom))
 
     def __pow__(self, k: int):
         if type(k) is not int:

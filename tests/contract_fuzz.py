@@ -34,6 +34,7 @@ import traceback
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 
+from branches import Branch
 from perronval.cli import main
 
 RING = {"m": 2, "char": 0, "n": 1}
@@ -57,19 +58,18 @@ NUMBER = re.compile(r"(?<![0-9x])[0-9]+")
 
 
 def _curve(rng: random.Random) -> dict:
-    """An arc document on which f vanishes: x2^a - x1^b on (t^a, t^b),
-    composed with the shift x2 -> x2 - c x1^k half of the time."""
+    """An arc document's curve, the one-pair branch (t^a, t^b) of
+    ``tests/branches.py``: x2^a - x1^b, composed with the shift
+    x2 -> x2 - c x1^k half of the time."""
     a = rng.randint(2, 6)
     b = rng.choice([j for j in range(a + 1, 3 * a + 2) if math.gcd(a, j) == 1])
     char = rng.choice([0, 0, 2, 3, 5])
-    f, x2 = f"x2^{a} - x1^{b}", f"t^{b}"
+    poly = {}
     if rng.random() < 0.5:
         c, k = rng.randint(1, 3), rng.randint(1, b // a)
-        f = "".join(f" + {v}*x1^{k * (a - j)}*x2^{j}".replace("+ -", "- ")
-                    for j in range(a + 1) if (v := math.comb(a, j) * (-c) ** (a - j)))
-        f = f[3:] + f" - x1^{b}"
-        x2 = f"t^{b} + t^{a * k}*{c}"
-    return {"f": f, "arc": {"x1": f"t^{a}", "x2": x2}, "char": char}
+        poly = {k: c}
+    doc = Branch(a, b, poly).document(char)
+    return {"f": doc["f"], "arc": doc["arc"], "char": char}
 
 
 def _arc_document(rng: random.Random) -> dict:

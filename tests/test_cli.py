@@ -315,8 +315,7 @@ def _reference_dump(doc):
 
 
 def _written(doc):
-    """The writer's text whatever the interpreter (``_dump`` calls
-    ``json.dumps`` itself from Python 3.13 on)."""
+    """The writer's text."""
     out = []
     _write(doc, out, "\n")
     return "".join(out) + "\n"
@@ -484,6 +483,16 @@ class TestReduce:
         doc = json.loads(json.dumps(CUSP))
         (doc if where == "top" else doc[where])["junk"] = _nested(900)
         oracle = write(tmp_path, "junk.json", doc)
+        assert main(["reduce", "--oracle", oracle]) == 0
+        golden = Path(__file__).parent / "golden" / "cusp_trace.json"
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("context", [{"kind": "quadratic", "d": 2}, {"kind": "bogus"}],
+                             ids=["quadratic", "bogus"])
+    def test_an_unread_context_is_left_out_of_the_trace(self, tmp_path, capsys, context):
+        # the reader reads context only to parse a normalization: without
+        # one, the oracle block and the trace are the golden cusp's
+        oracle = write(tmp_path, "context.json", dict(CUSP, context=context))
         assert main(["reduce", "--oracle", oracle]) == 0
         golden = Path(__file__).parent / "golden" / "cusp_trace.json"
         assert capsys.readouterr().out == golden.read_text(encoding="utf-8")

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -19,7 +20,7 @@ import perronval.poly as poly_module
 import perronval.reduce as reduce_module
 from perronval.cli import main
 from perronval.oracle import oracle_from_document
-from perronval.perron import PerronTransform
+from perronval.perron import PerronTransform, build_a1
 from perronval.poly import Polynomial, VariableFrame, parse_polynomial, parse_ring_header
 from perronval.reduce import (
     Bounds,
@@ -34,6 +35,8 @@ from perronval.reduce import (
 )
 from perronval.scalars import FieldSpec, parse_rational
 from replay_check import replay_matches
+
+import branches
 
 
 def arcdoc(char, f, arc, trunc=40):
@@ -167,6 +170,37 @@ class TestCase2:
         assert steps[0]["b"] == [1]
         assert steps[0]["beta"] == "1"
         assert new.f.ord_last() == 1
+
+    def test_b2_is_the_a1_of_the_in_group_value(self, monkeypatch):
+        # x2 = t^2 sqrt(1 + t) on x1 = t: value(x2) = 2 value(x1), beta = 1
+        arc = {"x1": "t", "x2": "t^2 + t^3*1/2 + t^4*-1/8 + t^5*1/16 + t^6*-5/128 "
+                                "+ t^7*7/256 + t^8*-21/1024 + t^9*33/2048"}
+        oracle = oracle_from_document(arcdoc(0, "x2^2 - x1^4 - x1^5", arc, trunc=10))
+        assert oracle.arc_consistency()
+        calls = {"init": 0, "evaluate": 0}
+        init, evaluate = Polynomial.__init__, Polynomial.evaluate_at_arc
+
+        def counted_init(self, *args, **kwargs):
+            calls["init"] += 1
+            init(self, *args, **kwargs)
+
+        def counted_evaluate(self, arc):
+            calls["evaluate"] += 1
+            return evaluate(self, arc)
+
+        monkeypatch.setattr(Polynomial, "__init__", counted_init)
+        monkeypatch.setattr(Polynomial, "evaluate_at_arc", counted_evaluate)
+        new, steps = case2_finish(oracle)
+        monkeypatch.undo()
+        # no validating construction; the one evaluation is the arc check
+        assert calls == {"init": 0, "evaluate": 1}
+        assert new.f.ord_last() == 1
+        tau = build_a1(oracle.variable_values()[:1], oracle.variable_values()[1],
+                       oracle.frame, residue=oracle.monomial_residue)
+        assert tau.matrix == ((1, 0), (2, 1)) and str(tau.c) == "1"
+        recorded = PerronTransform.from_document(steps[0]["transform"], oracle.frame, oracle.field)
+        assert recorded == tau
+        assert steps[0]["b"] == [2] and steps[0]["beta"] == "1"
 
     def test_reducible_input_rejected(self):
         # z = x1 exactly: f = (x2 - x1)(x2 - 2 x1), exact polynomial arc
@@ -374,6 +408,38 @@ class TestLadderFamily:
         assert replay_matches(trace_document(res, doc))
         assert any(type(c) is Fraction and c.denominator > 1
                    for s in res.oracle.arc for c in s.terms.values())
+
+
+class TestOnePairBranches:
+    """Seeded one-pair branches x1 = t^n, x2 = P(t^n) + t^beta + tail with
+    2 <= n <= 12 (``tests/branches.py``), over Q, F_13 and F_17: a window
+    that reaches t^beta reduces them in one A1 step, after one translation
+    when P is not zero; a window that stops below t^beta exhausts."""
+
+    def test_one_a1_step_to_smooth(self):
+        rng = random.Random(1)
+        translation = {0: "TRANSLATE-CHAR0", 13: "TRANSLATE-DEFECTLESS",
+                       17: "TRANSLATE-DEFECTLESS"}
+        for _ in range(50):
+            branch = branches.draw(rng)
+            where = (branch.n, branch.beta, branch.poly, branch.tail)
+            matrices = set()
+            for char, trunc in itertools.product(translation, (branch.beta + 1, branch.beta + 8)):
+                doc = branch.document(char, trunc)
+                oracle = oracle_from_document(doc)
+                assert oracle.arc_consistency(), where
+                res = run_reduction(oracle)
+                kinds = [s["kind"] for s in res.trace]
+                assert (res.status, res.r_initial) == ("REDUCED-TO-SMOOTH", branch.n), where
+                assert kinds == [translation[char]] * bool(branch.poly) + [
+                    "A1", "STRICT-TRANSFORM"], (where, char, trunc)
+                assert res.trace[-1]["r_after"] == 1, where
+                matrices.add(str(res.trace[-2]["transform"]["matrix"]))
+                assert replay_matches(trace_document(res, doc)), (where, char, trunc)
+            assert len(matrices) == 1, (where, matrices)
+            res = run_reduction(oracle_from_document(branch.document(0, branch.beta)))
+            assert res.status == "BOUND-EXHAUSTED", where
+            assert res.diagnostics["reason"] == "TRUNCATION", where
 
 
 class TestRunScope:
